@@ -7,7 +7,7 @@ to a positive fixed point s, and the distillability threshold saturates
 strictly above 1/2 instead of reaching it.
 """
 
-from entdistill.distill_mixed import lower_bound, lower_bound_limit, parity_weights_gate_noisy
+from entdistill.distill_mixed import lower_bound, lower_bound_limit, parity_weights
 from entdistill.noise import asymptotic_ratio, purified_coeffs_gate_noisy
 
 P, EPS = 0.1, 0.1  # comparable readout and gate noise
@@ -28,11 +28,11 @@ print("Distillability threshold with both parties at depth n")
 print("=" * 72)
 print(f"{'n':>3} {'L(n, n)':>14}")
 for n in (1, 2, 3, 4, 8, 12):
-    print(f"{n:>3} {lower_bound(parity_weights_gate_noisy(P, EPS, n, n)):>14.10f}")
+    print(f"{n:>3} {lower_bound(parity_weights([P] * n, [P] * n, EPS)):>14.10f}")
 limit = lower_bound_limit(P, EPS)
 print(f"{'inf':>3} {limit:>14.10f}   (closed form)")
 print()
 print("Two extra qubits per party (n = 3) already sit within",
-      f"{lower_bound(parity_weights_gate_noisy(P, EPS, 3, 3)) - limit:.2e}",
+      f"{lower_bound(parity_weights([P] * 3, [P] * 3, EPS)) - limit:.2e}",
       "of the achievable limit;")
 print("deeper purification cannot reach 1/2 because every extra CNOT adds noise.")

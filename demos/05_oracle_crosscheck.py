@@ -10,7 +10,7 @@ should sit at the 1e-13 level or below, far inside the 1e-10 gate.
 import numpy as np
 
 from entdistill.cli import run_verification
-from entdistill.distill_mixed import distill_map, parity_weights_general, post_state_unnormalized
+from entdistill.distill_mixed import distill_map, parity_weights, post_state_unnormalized
 from entdistill.oracle import oracle_mixed_post_state_direct
 
 print("=" * 72)
@@ -29,7 +29,7 @@ f, eps = 0.7, 0.05
 p_a = [0.1, 0.15, 0.08]
 p_b = [0.12, 0.2, 0.05]
 direct = oracle_mixed_post_state_direct(f, p_a, p_b, eps)
-w = parity_weights_general(p_a, p_b, eps)
+w = parity_weights(p_a, p_b, eps)
 analytic = post_state_unnormalized(f, w)
 print("max entrywise |direct - analytic|:", f"{np.abs(direct - analytic).max():.3e}")
 res = distill_map(f, w)

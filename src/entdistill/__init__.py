@@ -14,10 +14,12 @@ The package has three layers:
   protocols, used to verify every closed form independently.
 
 ``cli`` wraps the analytic and oracle layers in an ``entdistill``
-command with table reproduction, parameter sweeps and verification.
+command with table reproduction, parameter sweeps and verification. It
+is not imported by ``import entdistill``; it loads on demand as
+``entdistill.cli``.
 """
 
-from . import cli, distill_mixed, distill_pure, noise, oracle, qmat, states
+from . import distill_mixed, distill_pure, noise, oracle, qmat, states
 from .distill_mixed import (
     DistillResult,
     ParityWeights,
@@ -25,8 +27,6 @@ from .distill_mixed import (
     lower_bound,
     lower_bound_limit,
     parity_weights,
-    parity_weights_gate_noisy,
-    parity_weights_general,
     post_state_unnormalized,
 )
 from .distill_pure import (
@@ -37,13 +37,11 @@ from .distill_pure import (
     pure_post_state_unnormalized,
 )
 from .noise import (
-    NoiseSpec,
     PurifiedCoeffs,
     asymptotic_ratio,
     collective_cnot,
     depolarized_cnot_apply,
     noisy_povm_element,
-    purified_coeffs,
     purified_coeffs_gate_noisy,
     purified_coeffs_general,
     purified_povm_element,

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -67,10 +68,26 @@ def emit_records(records: list[dict], fmt: str, out) -> None:
         out.write(",".join(_fmt(rec[f]) if f in rec else "" for f in fields) + "\n")
 
 
-def _open_out(path: str | None):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline="\n"), True
+def _write(records: list[dict], args) -> int:
+    """Emit records to ``--out`` (stdout when absent or '-'); returns exit code 0."""
+    if args.out in (None, "-"):
+        emit_records(records, args.format, sys.stdout)
+    else:
+        with open(args.out, "w", newline="\n") as fh:
+            emit_records(records, args.format, fh)
+    return 0
+
+
+def _rates_field(rates) -> str:
+    """A rate list as one ';'-separated field."""
+    return ";".join(map(_fmt, rates))
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _parse_float_axis(spec: str, name: str, parser) -> list[float]:
@@ -99,13 +116,16 @@ def _parse_int_axis(spec: str, name: str, parser) -> list[int]:
             lo, hi = (int(v) for v in spec.split(":"))
             if hi < lo:
                 raise ValueError
-            return list(range(lo, hi + 1))
-        vals = [int(v) for v in spec.split(",") if v != ""]
+            vals = list(range(lo, hi + 1))
+        else:
+            vals = [int(v) for v in spec.split(",") if v != ""]
         if not vals:
             raise ValueError
-        return vals
     except ValueError:
         parser.error(f"cannot parse {name} axis {spec!r}; use 'a,b,c' or 'lo:hi'")
+    if min(vals) < 1:
+        parser.error(f"--{name} depths must be >= 1, got {spec!r}")
+    return vals
 
 
 def _parse_rates(spec: str, parser) -> list[float]:
@@ -121,51 +141,41 @@ def _parse_rates(spec: str, parser) -> list[float]:
 # ---------------------------------------------------------------------------
 # tables
 
-TABLE_SPECS = [
-    ("lower_bound_p02", 0.2, [1, 2, 3, 4], [1, 2, 3]),
-    ("lower_bound_p01", 0.1, [1, 2, 3, 4], [1, 2]),
-]
+def _lower_bound_record(p: float, eps: float, n: int, m: int) -> dict:
+    val = dm.lower_bound(dm.parity_weights([p] * n, [p] * m, eps))
+    return {"quantity": "lower_bound", "p": p, "epsilon": eps, "n": n, "m": m, "value": val}
+
+
+def _pure_record(p: float, eps: float, n: int, theta: float) -> dict:
+    res = dp.pure_filter_fidelity(theta, noise.purified_coeffs_gate_noisy(p, eps, n))
+    return {"quantity": "pure_fidelity", "p": p, "epsilon": eps, "n": n, "theta": theta,
+            "value": res.fidelity_out, "p_succ": res.p_succ}
+
+
+def _with_3dp(records: list[dict]) -> list[dict]:
+    for rec in records:
+        rec["value_3dp"] = round(rec["value"], 3)
+    return records
 
 
 def table_records() -> list[tuple[str, list[dict]]]:
     """The five reference tables as (name, records) pairs."""
-    out = []
-    for name, p, ns, ms in TABLE_SPECS:
-        recs = []
-        for n in ns:
-            for m in ms:
-                val = dm.lower_bound(dm.parity_weights([p] * n, [p] * m))
-                recs.append({
-                    "quantity": "lower_bound", "p": p, "epsilon": 0.0,
-                    "n": n, "m": m, "value": val, "value_3dp": round(val, 3),
-                })
-        out.append((name, recs))
-
-    recs = []
-    for n in [1, 2, 3, 4]:
-        val = dm.lower_bound(dm.parity_weights_gate_noisy(0.1, 0.1, n, n))
-        recs.append({
-            "quantity": "lower_bound", "p": 0.1, "epsilon": 0.1,
-            "n": n, "m": n, "value": val, "value_3dp": round(val, 3),
-        })
-    out.append(("lower_bound_gate_noise", recs))
-
     theta = float(np.pi / 16)
-    for name, eps in [("pure_fidelity_noiseless", 0.0), ("pure_fidelity_gate_noise", 0.05)]:
-        recs = []
-        for n in [1, 2, 3, 4]:
-            res = dp.pure_filter_fidelity(theta, noise.purified_coeffs_gate_noisy(0.1, eps, n))
-            recs.append({
-                "quantity": "pure_fidelity", "p": 0.1, "epsilon": eps,
-                "n": n, "theta": theta,
-                "value": res.fidelity_out, "value_3dp": round(res.fidelity_out, 3),
-                "p_succ": res.p_succ,
-            })
-        out.append((name, recs))
-    return out
+    return [
+        ("lower_bound_p02", _with_3dp([_lower_bound_record(0.2, 0.0, n, m)
+                                       for n, m in product([1, 2, 3, 4], [1, 2, 3])])),
+        ("lower_bound_p01", _with_3dp([_lower_bound_record(0.1, 0.0, n, m)
+                                       for n, m in product([1, 2, 3, 4], [1, 2])])),
+        ("lower_bound_gate_noise", _with_3dp([_lower_bound_record(0.1, 0.1, n, n)
+                                              for n in [1, 2, 3, 4]])),
+        ("pure_fidelity_noiseless", _with_3dp([_pure_record(0.1, 0.0, n, theta)
+                                               for n in [1, 2, 3, 4]])),
+        ("pure_fidelity_gate_noise", _with_3dp([_pure_record(0.1, 0.05, n, theta)
+                                                for n in [1, 2, 3, 4]])),
+    ]
 
 
-def cmd_tables(args) -> int:
+def cmd_tables(args, parser) -> int:
     outdir = Path(args.out if args.out not in (None, "-") else ".")
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -208,6 +218,8 @@ def _sweep_records(args, parser) -> list[dict]:
     het = args.het_band is not None
     if (het or args.seed is not None) and q != "mixed_fidelity_map":
         parser.error("--het-band/--seed only apply to the mixed_fidelity_map quantity")
+    if het and args.het_band[0] > args.het_band[1]:
+        parser.error(f"--het-band needs LO <= HI, got {args.het_band[0]} {args.het_band[1]}")
     if not het and p_axis is None:
         parser.error(f"quantity {q} needs a --p axis")
     if q == "mixed_fidelity_map" and f_axis is None:
@@ -218,87 +230,49 @@ def _sweep_records(args, parser) -> list[dict]:
     records: list[dict] = []
     try:
         if q == "povm_fidelity":
-            for p in p_axis:
-                for eps in eps_axis:
-                    for n in n_axis:
-                        c = noise.purified_coeffs_gate_noisy(p, eps, n)
-                        records.append({"quantity": q, "p": p, "epsilon": eps, "n": n,
-                                        "value": c.fidelity, "p_succ": c.acceptance})
+            for p, eps, n in product(p_axis, eps_axis, n_axis):
+                c = noise.purified_coeffs_gate_noisy(p, eps, n)
+                records.append({"quantity": q, "p": p, "epsilon": eps, "n": n,
+                                "value": c.fidelity, "p_succ": c.acceptance})
         elif q == "lower_bound":
-            for p in p_axis:
-                for eps in eps_axis:
-                    for n in n_axis:
-                        for m in m_axis:
-                            val = dm.lower_bound(dm.parity_weights_gate_noisy(p, eps, n, m))
-                            records.append({"quantity": q, "p": p, "epsilon": eps,
-                                            "n": n, "m": m, "value": val})
+            records = [_lower_bound_record(*point)
+                       for point in product(p_axis, eps_axis, n_axis, m_axis)]
         elif q == "lower_bound_limit":
-            for p in p_axis:
-                for eps in eps_axis:
-                    records.append({"quantity": q, "p": p, "epsilon": eps,
-                                    "value": dm.lower_bound_limit(p, eps)})
+            for p, eps in product(p_axis, eps_axis):
+                records.append({"quantity": q, "p": p, "epsilon": eps,
+                                "value": dm.lower_bound_limit(p, eps)})
         elif q == "pure_fidelity":
-            for p in p_axis:
-                for eps in eps_axis:
-                    for n in n_axis:
-                        for theta in theta_axis:
-                            res = dp.pure_filter_fidelity(
-                                theta, noise.purified_coeffs_gate_noisy(p, eps, n))
-                            records.append({"quantity": q, "p": p, "epsilon": eps, "n": n,
-                                            "theta": theta, "value": res.fidelity_out,
-                                            "p_succ": res.p_succ})
+            records = [_pure_record(*point)
+                       for point in product(p_axis, eps_axis, n_axis, theta_axis)]
         elif q == "pure_fidelity_limit":
-            for p in p_axis:
-                for eps in eps_axis:
-                    for theta in theta_axis:
-                        records.append({"quantity": q, "p": p, "epsilon": eps, "theta": theta,
-                                        "value": dp.pure_filter_fidelity_limit(theta, p, eps)})
-        elif q == "mixed_fidelity_map" and not het:
-            for p in p_axis:
-                for eps in eps_axis:
-                    for n in n_axis:
-                        for m in m_axis:
-                            w = dm.parity_weights_gate_noisy(p, eps, n, m)
-                            for f in f_axis:
-                                res = dm.distill_map(f, w)
-                                records.append({"quantity": q, "p": p, "epsilon": eps,
-                                                "n": n, "m": m, "F": f,
-                                                "value": res.fidelity_out,
-                                                "p_succ": res.p_succ})
-        else:  # mixed_fidelity_map with random heterogeneous rates
+            for p, eps, theta in product(p_axis, eps_axis, theta_axis):
+                records.append({"quantity": q, "p": p, "epsilon": eps, "theta": theta,
+                                "value": dp.pure_filter_fidelity_limit(theta, p, eps)})
+        elif not het:  # mixed_fidelity_map: weights once per (p, eps, n, m) cell
+            for p, eps, n, m in product(p_axis, eps_axis, n_axis, m_axis):
+                w = dm.parity_weights([p] * n, [p] * m, eps)
+                for f in f_axis:
+                    res = dm.distill_map(f, w)
+                    records.append({"quantity": q, "p": p, "epsilon": eps, "n": n, "m": m,
+                                    "F": f, "value": res.fidelity_out, "p_succ": res.p_succ})
+        else:  # mixed_fidelity_map with rates drawn per point: uniform(n), then uniform(m)
             lo, hi = args.het_band
             rng = np.random.RandomState(args.seed if args.seed is not None else 0)
-            for eps in eps_axis:
-                for n in n_axis:
-                    for m in m_axis:
-                        for f in f_axis:
-                            for draw in range(args.draws):
-                                pa = rng.uniform(lo, hi, n)
-                                pb = rng.uniform(lo, hi, m)
-                                w = dm.parity_weights_general(pa, pb, eps)
-                                res = dm.distill_map(f, w)
-                                records.append({
-                                    "quantity": q,
-                                    "pA": ";".join(f"{x:.12g}" for x in pa),
-                                    "pB": ";".join(f"{x:.12g}" for x in pb),
-                                    "epsilon": eps, "n": n, "m": m, "F": f,
-                                    "draw": draw, "value": res.fidelity_out,
-                                    "p_succ": res.p_succ,
-                                })
+            for eps, n, m, f, draw in product(eps_axis, n_axis, m_axis, f_axis,
+                                              range(args.draws)):
+                pa = rng.uniform(lo, hi, n)
+                pb = rng.uniform(lo, hi, m)
+                res = dm.distill_map(f, dm.parity_weights(pa, pb, eps))
+                records.append({"quantity": q, "pA": _rates_field(pa), "pB": _rates_field(pb),
+                                "epsilon": eps, "n": n, "m": m, "F": f, "draw": draw,
+                                "value": res.fidelity_out, "p_succ": res.p_succ})
     except ValueError as exc:
         parser.error(str(exc))
     return records
 
 
 def cmd_sweep(args, parser) -> int:
-    records = _sweep_records(args, parser)
-    out, close = _open_out(args.out)
-    try:
-        emit_records(records, args.format, out)
-    finally:
-        if close:
-            out.close()
-    return 0
+    return _write(_sweep_records(args, parser), args)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +312,7 @@ def run_verification(max_n: int = 3, seed: int = 7, draws: int = 20,
 
                 m = int(rng.randint(1, max_n + 1))
                 q_list = list(rng.uniform(0.02, 0.3, m))
-                w = dm.parity_weights_general(p_list, q_list, eps)
+                w = dm.parity_weights(p_list, q_list, eps)
                 res = dm.distill_map(f, w)
                 orc = oracle.oracle_distill_mixed(f, p_list, q_list, eps)
                 dev["mixed_fidelity"] = max(
@@ -369,14 +343,14 @@ def run_verification(max_n: int = 3, seed: int = 7, draws: int = 20,
             p_a = list(rng.uniform(0.02, 0.3, n))
             p_b = list(rng.uniform(0.02, 0.3, m))
             direct = oracle.oracle_mixed_post_state_direct(f, p_a, p_b, eps)
-            w = dm.parity_weights_general(p_a, p_b, eps)
+            w = dm.parity_weights(p_a, p_b, eps)
             dev["direct_register"] = max(
                 dev["direct_register"],
                 float(np.abs(direct - dm.post_state_unnormalized(f, w)).max()))
     return dev
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, parser) -> int:
     dev = run_verification(max_n=args.max_n, seed=args.seed, draws=args.draws,
                            full=args.full, corrupt=1e-6 if args.self_test_corrupt else 0.0)
     ok = True
@@ -405,7 +379,7 @@ def cmd_distill_mixed(args, parser) -> int:
             parser.error("distill-mixed needs --p or --pA/--pB")
         p_a, p_b = [args.p] * args.n, [args.p] * args.m
     try:
-        weights = dm.parity_weights_general(p_a, p_b, args.epsilon)
+        weights = dm.parity_weights(p_a, p_b, args.epsilon)
     except ValueError as exc:
         parser.error(str(exc))
     records = []
@@ -413,20 +387,12 @@ def cmd_distill_mixed(args, parser) -> int:
     for rnd in range(1, args.rounds + 1):
         res = dm.distill_map(f, weights)
         records.append({
-            "quantity": "mixed_fidelity_map",
-            "pA": ";".join(f"{x:.12g}" for x in p_a),
-            "pB": ";".join(f"{x:.12g}" for x in p_b),
+            "quantity": "mixed_fidelity_map", "pA": _rates_field(p_a), "pB": _rates_field(p_b),
             "epsilon": args.epsilon, "n": len(p_a), "m": len(p_b),
             "F": f, "round": rnd, "value": res.fidelity_out, "p_succ": res.p_succ,
         })
         f = res.fidelity_out
-    out, close = _open_out(args.out)
-    try:
-        emit_records(records, args.format, out)
-    finally:
-        if close:
-            out.close()
-    return 0
+    return _write(records, args)
 
 
 def _resolve_theta(args, parser) -> float:
@@ -438,21 +404,10 @@ def _resolve_theta(args, parser) -> float:
 def cmd_distill_pure(args, parser) -> int:
     theta = _resolve_theta(args, parser)
     try:
-        res = dp.pure_filter_fidelity(theta, noise.purified_coeffs_gate_noisy(
-            args.p, args.epsilon, args.n))
+        record = _pure_record(args.p, args.epsilon, args.n, theta)
     except ValueError as exc:
         parser.error(str(exc))
-    records = [{
-        "quantity": "pure_fidelity", "p": args.p, "epsilon": args.epsilon,
-        "n": args.n, "theta": theta, "value": res.fidelity_out, "p_succ": res.p_succ,
-    }]
-    out, close = _open_out(args.out)
-    try:
-        emit_records(records, args.format, out)
-    finally:
-        if close:
-            out.close()
-    return 0
+    return _write([record], args)
 
 
 def cmd_povm_purify(args, parser) -> int:
@@ -462,23 +417,16 @@ def cmd_povm_purify(args, parser) -> int:
         if args.pList is not None:
             p_list = _parse_rates(args.pList, parser)
             c = noise.purified_coeffs_general(p_list, args.epsilon)
-            p_field = ";".join(f"{x:.12g}" for x in p_list)
+            p_field = _rates_field(p_list)
         else:
             c = noise.purified_coeffs_gate_noisy(args.p, args.epsilon, args.n)
             p_field = args.p
     except ValueError as exc:
         parser.error(str(exc))
-    records = [{
+    return _write([{
         "quantity": "povm_fidelity", "p": p_field, "epsilon": args.epsilon, "n": c.n,
         "r0": c.r0, "r1": c.r1, "value": c.fidelity, "p_succ": c.acceptance,
-    }]
-    out, close = _open_out(args.out)
-    try:
-        emit_records(records, args.format, out)
-    finally:
-        if close:
-            out.close()
-    return 0
+    }], args)
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +444,11 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("tables", help="write the five reference tables")
+    sub.set_defaults(run=cmd_tables)
     _add_io_args(sub)
 
     sub = subs.add_parser("sweep", help="evaluate a quantity over a parameter grid")
+    sub.set_defaults(run=cmd_sweep)
     sub.add_argument("--quantity", choices=QUANTITIES, required=True)
     sub.add_argument("--p", help="axis: 'a,b,c' or 'start:stop:count'")
     sub.add_argument("--epsilon", help="axis (default 0)")
@@ -511,13 +461,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--het-band", dest="het_band", nargs=2, type=float,
                      metavar=("LO", "HI"),
                      help="draw per-measurement rates uniformly from (LO, HI)")
-    sub.add_argument("--draws", type=int, default=20,
+    sub.add_argument("--draws", type=_positive_int, default=20,
                      help="random draws per grid point in --het-band mode")
     sub.add_argument("--seed", type=int, default=None,
                      help="seed for --het-band mode")
     _add_io_args(sub)
 
     sub = subs.add_parser("verify", help="analytic layer vs density-matrix oracle")
+    sub.set_defaults(run=cmd_verify)
     sub.add_argument("--max-n", dest="max_n", type=int, default=3, choices=[1, 2, 3, 4])
     sub.add_argument("--seed", type=int, default=7)
     sub.add_argument("--draws", type=int, default=20)
@@ -527,30 +478,34 @@ def build_parser() -> argparse.ArgumentParser:
                      action="store_true", help=argparse.SUPPRESS)
 
     sub = subs.add_parser("distill-mixed", help="two-way distillation of isotropic states")
+    sub.set_defaults(run=cmd_distill_mixed)
     sub.add_argument("--F", type=float, required=True)
     sub.add_argument("--p", type=float)
     sub.add_argument("--pA", help="comma-separated per-measurement rates for Alice")
     sub.add_argument("--pB", help="comma-separated per-measurement rates for Bob")
-    sub.add_argument("--n", type=int, default=1)
-    sub.add_argument("--m", type=int, default=1)
+    sub.add_argument("--n", type=_positive_int, default=1)
+    sub.add_argument("--m", type=_positive_int, default=1)
     sub.add_argument("--epsilon", type=float, default=0.0)
-    sub.add_argument("--rounds", type=int, default=1,
-                     help="iterate the map (convenience; later rounds reuse the same weights)")
+    sub.add_argument("--rounds", type=_positive_int, default=1,
+                     help="iterate the map with the same weights; this assumes each round's "
+                          "output is twirled back to an isotropic state before the next")
     _add_io_args(sub)
 
     sub = subs.add_parser("distill-pure", help="filter a Schmidt-form pure state")
+    sub.set_defaults(run=cmd_distill_pure)
     sub.add_argument("--theta", type=float)
     sub.add_argument("--theta-frac-pi", dest="theta_frac_pi", type=float)
     sub.add_argument("--p", type=float, required=True)
     sub.add_argument("--epsilon", type=float, default=0.0)
-    sub.add_argument("--n", type=int, default=1)
+    sub.add_argument("--n", type=_positive_int, default=1)
     _add_io_args(sub)
 
     sub = subs.add_parser("povm-purify", help="purified-measurement coefficients")
+    sub.set_defaults(run=cmd_povm_purify)
     sub.add_argument("--p", type=float)
     sub.add_argument("--pList", help="comma-separated heterogeneous rates")
     sub.add_argument("--epsilon", type=float, default=0.0)
-    sub.add_argument("--n", type=int, default=1)
+    sub.add_argument("--n", type=_positive_int, default=1)
     _add_io_args(sub)
 
     return parser
@@ -560,24 +515,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "tables":
-            return cmd_tables(args)
-        if args.command == "sweep":
-            return cmd_sweep(args, parser)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "distill-mixed":
-            return cmd_distill_mixed(args, parser)
-        if args.command == "distill-pure":
-            return cmd_distill_pure(args, parser)
-        if args.command == "povm-purify":
-            return cmd_povm_purify(args, parser)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args, parser)
     except SystemExit as exc:
         if isinstance(exc.code, int):
             return exc.code
         return 2 if exc.code else 0
-    return 2
 
 
 if __name__ == "__main__":

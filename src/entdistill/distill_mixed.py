@@ -81,37 +81,16 @@ def combine_coeffs(a: PurifiedCoeffs, b: PurifiedCoeffs) -> ParityWeights:
     )
 
 
-def parity_weights(p_a: Sequence[float], p_b: Sequence[float]) -> ParityWeights:
-    """Weights for ideal CNOTs and per-measurement rates p_a (Alice), p_b (Bob).
-
-    Symmetric under swapping the two rate lists.
-    """
-    if not list(p_a) or not list(p_b):
-        raise ValueError("rate lists must be nonempty")
-    return combine_coeffs(
-        purified_coeffs_general(p_a, epsilon=0.0),
-        purified_coeffs_general(p_b, epsilon=0.0),
-    )
-
-
-def parity_weights_gate_noisy(p: float, epsilon: float, n: int, m: int) -> ParityWeights:
-    """Weights when both parties use homogeneous rate p and noisy CNOTs."""
-    if n < 1 or m < 1:
-        raise ValueError(f"purification depths must be >= 1, got n={n}, m={m}")
-    return combine_coeffs(
-        purified_coeffs_general([p] * n, epsilon=epsilon),
-        purified_coeffs_general([p] * m, epsilon=epsilon),
-    )
-
-
-def parity_weights_general(
+def parity_weights(
     p_a: Sequence[float],
     p_b: Sequence[float],
     epsilon: float = 0.0,
 ) -> ParityWeights:
-    """Weights for heterogeneous rates combined with CNOT noise."""
-    if not list(p_a) or not list(p_b):
-        raise ValueError("rate lists must be nonempty")
+    """Weights for per-measurement rates p_a (Alice), p_b (Bob) and CNOT noise epsilon.
+
+    Homogeneous parties pass ``[p] * n`` and ``[p] * m``. Symmetric
+    under swapping the two rate lists.
+    """
     return combine_coeffs(
         purified_coeffs_general(p_a, epsilon=epsilon),
         purified_coeffs_general(p_b, epsilon=epsilon),

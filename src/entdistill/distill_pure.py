@@ -110,15 +110,3 @@ def pure_filter_fidelity_limit(theta: float, p: float, epsilon: float) -> float:
     t2 = 2.0 * np.sin(theta) ** 2
     return (t2 + 0.5 * s * (1.0 - t2)) / (t2 + s * (1.0 - t2))
 
-
-def _limit_cos_form(theta: float, p: float, epsilon: float) -> float:
-    # Equivalent closed form in cos(2 theta); kept as an independent
-    # cross-check of pure_filter_fidelity_limit.
-    c = np.cos(2.0 * theta)
-    root = np.sqrt(
-        epsilon ** 2 * (5.0 + 4.0 * (-2.0 + p) * p)
-        + 4.0 * (1.0 - p) ** 2 * (1.0 - 2.0 * epsilon)
-    )
-    num = 2.0 * epsilon + (-2.0 + 2.0 * p - 2.0 * epsilon * p + root) * c
-    den = 2.0 * epsilon + 2.0 * (-2.0 + epsilon + 2.0 * p - 2.0 * epsilon * p + root) * c
-    return float(num / den)

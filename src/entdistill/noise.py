@@ -28,7 +28,7 @@ positive fixed point s instead of zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Sequence
 
 import numpy as np
@@ -44,33 +44,6 @@ def _check_fraction(value: float, name: str) -> float:
 
 
 @dataclass(frozen=True)
-class NoiseSpec:
-    """Per-measurement noise fractions and the CNOT depolarizing fraction.
-
-    ``p_list_a`` holds one rate per measured qubit; ``p_list_b`` is only
-    set when a second party measures as well.
-    """
-
-    p_list_a: tuple[float, ...]
-    p_list_b: tuple[float, ...] | None = None
-    epsilon: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "p_list_a", tuple(float(p) for p in self.p_list_a))
-        if not self.p_list_a:
-            raise ValueError("p_list_a must be nonempty")
-        for p in self.p_list_a:
-            _check_fraction(p, "measurement noise fraction")
-        if self.p_list_b is not None:
-            object.__setattr__(self, "p_list_b", tuple(float(p) for p in self.p_list_b))
-            if not self.p_list_b:
-                raise ValueError("p_list_b must be nonempty when given")
-            for p in self.p_list_b:
-                _check_fraction(p, "measurement noise fraction")
-        _check_fraction(self.epsilon, "epsilon")
-
-
-@dataclass(frozen=True)
 class PurifiedCoeffs:
     """Unnormalized weights (r0, r1) of a post-selected measurement.
 
@@ -81,7 +54,6 @@ class PurifiedCoeffs:
     r0: float
     r1: float
     n: int
-    spec: NoiseSpec | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.r0 < -1e-12 or self.r1 < -1e-12:
@@ -123,6 +95,11 @@ def collective_cnot(n: int) -> np.ndarray:
     return np.kron(P0, eye) + np.kron(P1, xs)
 
 
+#: The two-qubit CNOT, built once: every depolarized CNOT and every
+#: bilateral CNOT of the oracle embeds this same matrix.
+CNOT = collective_cnot(2)
+
+
 def depolarized_cnot_apply(
     rho: np.ndarray,
     control: int,
@@ -144,7 +121,7 @@ def depolarized_cnot_apply(
         raise ValueError(f"state dimension {rho.shape[0]} is not a power of two")
     if control == target:
         raise ValueError("control and target must differ")
-    v = embed_op(collective_cnot(2), [control, target], nq)
+    v = embed_op(CNOT, [control, target], nq)
     out = (1.0 - epsilon) * (v @ rho @ v.conj().T)
     if epsilon > 0.0:
         out = out + epsilon * _replace_with_mixed_pair(rho, control, target, nq)
@@ -189,16 +166,7 @@ def purified_coeffs_general(p_list: Sequence[float], epsilon: float = 0.0) -> Pu
     r0, r1 = 1.0 - p_list[0] / 2.0, p_list[0] / 2.0
     for p in reversed(p_list[1:]):
         r0, r1 = _recurrence_step(r0, r1, p, epsilon)
-    spec = NoiseSpec(p_list_a=tuple(p_list), epsilon=epsilon)
-    return PurifiedCoeffs(r0=r0, r1=r1, n=len(p_list), spec=spec)
-
-
-def purified_coeffs(p_list: Sequence[float], n: int) -> PurifiedCoeffs:
-    """Ideal-CNOT coefficients (prod(1 - p_k/2), prod(p_k/2)) over n measurements."""
-    p_list = list(p_list)
-    if len(p_list) != n:
-        raise ValueError(f"p_list has length {len(p_list)}, expected n = {n}")
-    return purified_coeffs_general(p_list, epsilon=0.0)
+    return PurifiedCoeffs(r0=r0, r1=r1, n=len(p_list))
 
 
 def purified_coeffs_gate_noisy(p: float, epsilon: float, n: int) -> PurifiedCoeffs:
@@ -211,7 +179,10 @@ def purified_coeffs_gate_noisy(p: float, epsilon: float, n: int) -> PurifiedCoef
 def asymptotic_ratio(p: float, epsilon: float) -> float:
     """Limit s of r1/r0 as the number of purification rounds grows.
 
-        s = 2(1-p)(1 - 1/eps) + sqrt(5 - 4p(2-p) + (4(1-p)^2/eps)(1/eps - 2))
+        s = sqrt(a^2 + 1) - a = 1 / (a + sqrt(a^2 + 1)),   a = 2(1-p)(1/eps - 1).
+
+    The second form is the one evaluated: the first subtracts two terms
+    of order 1/eps and loses every digit as eps -> 0.
 
     Only defined for epsilon > 0; with ideal CNOTs the ratio tends to 0
     and callers should use the exact epsilon = 0 expressions instead.
@@ -219,8 +190,8 @@ def asymptotic_ratio(p: float, epsilon: float) -> float:
     p = _check_fraction(p, "p")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    root = np.sqrt(5.0 - 4.0 * p * (2.0 - p) + 4.0 * (1.0 - p) ** 2 / epsilon * (1.0 / epsilon - 2.0))
-    return 2.0 * (1.0 - p) * (1.0 - 1.0 / epsilon) + float(root)
+    a = 2.0 * (1.0 - p) * (1.0 / epsilon - 1.0)
+    return 1.0 / (a + float(np.sqrt(a * a + 1.0)))
 
 
 def purified_povm_element(outcome: int, coeffs: PurifiedCoeffs) -> np.ndarray:

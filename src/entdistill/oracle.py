@@ -23,8 +23,8 @@ import numpy as np
 from .distill_mixed import DistillResult, combine_coeffs
 from .distill_pure import filter_ops
 from .noise import (
+    CNOT,
     _check_fraction,
-    collective_cnot,
     depolarized_cnot_apply,
     noisy_povm_element,
     purified_coeffs_general,
@@ -35,7 +35,6 @@ from .qmat import (
     PHI_PLUS,
     embed_op,
     partial_trace,
-    permute_qubits,
     projector,
     singlet_fraction,
     tensor,
@@ -43,8 +42,6 @@ from .qmat import (
 from .states import isotropic, pure_theta
 
 MAX_GADGET_QUBITS = 6
-
-_CNOT = collective_cnot(2)
 
 
 @dataclass(frozen=True)
@@ -59,32 +56,6 @@ class EffectivePovm:
     q1: np.ndarray
     r0: float
     r1: float
-
-
-def _adjoint_depolarized_cnot(
-    op: np.ndarray,
-    control: int,
-    target: int,
-    epsilon: float,
-    nq: int,
-) -> np.ndarray:
-    """Heisenberg-picture action of the depolarized CNOT on an observable.
-
-        O -> (1 - eps) V^dag O V + (eps/4) I_{ct} x tr_{ct}(O)
-    """
-    v = embed_op(_CNOT, [control, target], nq)
-    out = (1.0 - epsilon) * (v.conj().T @ op @ v)
-    if epsilon > 0.0:
-        rest = [q for q in range(nq) if q not in (control, target)]
-        if rest:
-            tr_op = partial_trace(op, rest)
-            full = np.kron(tr_op, np.eye(4, dtype=complex)) / 4.0
-            current = rest + [control, target]
-            order = [current.index(q) for q in range(nq)]
-            out = out + epsilon * permute_qubits(full, order)
-        else:
-            out = out + epsilon * np.trace(op) / 4.0 * np.eye(4, dtype=complex)
-    return out
 
 
 def apply_depolarized_cnot_chain(rho: np.ndarray, targets: Sequence[int], control: int, epsilon: float) -> np.ndarray:
@@ -113,8 +84,11 @@ def oracle_effective_povm(p_list: Sequence[float], epsilon: float, n: int) -> Ef
     elements = []
     for outcome in (0, 1):
         op = tensor(*[noisy_povm_element(outcome, p) for p in p_list])
+        # The depolarized CNOT is its own adjoint: V is a real symmetric
+        # involution and replacing the pair by I/4 is a self-adjoint map, so
+        # the Schroedinger-picture channel also pulls observables back.
         for j in reversed(range(1, n)):
-            op = _adjoint_depolarized_cnot(op, 0, j, epsilon, n)
+            op = depolarized_cnot_apply(op, 0, j, epsilon)
         if n == 1:
             q = op
         else:
@@ -160,7 +134,7 @@ def oracle_mixed_post_state(
 
     rho = np.kron(isotropic(f), isotropic(f))
     for (c, t) in ((0, 2), (1, 3)):
-        v = embed_op(_CNOT, [c, t], 4)
+        v = embed_op(CNOT, [c, t], 4)
         rho = v @ rho @ v.conj().T
 
     sigma = np.zeros((4, 4), dtype=complex)
@@ -210,7 +184,7 @@ def oracle_mixed_post_state_direct(
     if nq > 4:
         rho = np.kron(rho, tensor(*([projector(KET0)] * (nq - 4))))
     for (c, t) in ((0, 2), (1, 3)):
-        v = embed_op(_CNOT, [c, t], nq)
+        v = embed_op(CNOT, [c, t], nq)
         rho = v @ rho @ v.conj().T
     alice_anc = list(range(4, 4 + n - 1))
     bob_anc = list(range(4 + n - 1, nq))

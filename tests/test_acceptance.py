@@ -36,13 +36,12 @@ from entdistill.distill_mixed import (
     lower_bound,
     lower_bound_limit,
     parity_weights,
-    parity_weights_gate_noisy,
 )
 from entdistill.distill_pure import filter_ops, pure_filter_fidelity, pure_filter_fidelity_limit
 from entdistill.noise import (
     noisy_povm_element,
-    purified_coeffs,
     purified_coeffs_gate_noisy,
+    purified_coeffs_general,
 )
 from entdistill.oracle import oracle_distill_mixed, oracle_distill_pure
 from entdistill.qmat import I2, singlet_fraction
@@ -191,12 +190,12 @@ def test_criterion_2_lower_bound_table_p01():
 
 def test_criterion_3_gate_noisy_bounds():
     computed = {
-        n: lower_bound(parity_weights_gate_noisy(0.1, 0.1, n, n)) for n in PAPER_L_EPS
+        n: lower_bound(parity_weights([0.1] * n, [0.1] * n, 0.1)) for n in PAPER_L_EPS
     }
     exact = {n: _exact_threshold(Fraction(1, 10), n, n, Fraction(1, 10)) for n in PAPER_L_EPS}
     failures = _table_failures(computed, PAPER_L_EPS, exact)
     limit = lower_bound_limit(0.1, 0.1)
-    at_12 = lower_bound(parity_weights_gate_noisy(0.1, 0.1, 12, 12))
+    at_12 = lower_bound(parity_weights([0.1] * 12, [0.1] * 12, 0.1))
     if abs(limit - at_12) > 1e-6:
         failures.append(f"limit {limit:.9f} vs n=12 value {at_12:.9f} differ by > 1e-6")
     _report(3, "gate-noisy bounds p=eps=0.1 and closed-form limit", failures, 5)
@@ -296,7 +295,7 @@ def test_criterion_6_property_suites(rng):
 
     # sign/root structure of the gain on a dense F grid
     for (p, n, m, eps) in [(0.2, 1, 1, 0.0), (0.1, 2, 2, 0.0), (0.1, 3, 3, 0.1)]:
-        w = parity_weights_gate_noisy(p, eps, n, m)
+        w = parity_weights([p] * n, [p] * m, eps)
         big_l = lower_bound(w)
         for f in np.linspace(0.005, 0.995, 397):
             f = float(f)
@@ -311,7 +310,7 @@ def test_criterion_6_property_suites(rng):
     for p in (0.05, 0.15, 0.3):
         for n in (1, 3, 5):
             hom = purified_coeffs_gate_noisy(p, 0.0, n)
-            het = purified_coeffs([p] * n, n)
+            het = purified_coeffs_general([p] * n)
             if abs(hom.r0 - het.r0) > 1e-12 or abs(hom.r1 - het.r1) > 1e-12:
                 failures.append(f"heterogeneous reduction violated at p={p} n={n}")
 

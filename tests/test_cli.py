@@ -235,3 +235,36 @@ def test_out_file_writing(tmp_path, capsys):
     assert out == ""
     text = path.read_text()
     assert text.endswith("\n") and "\r" not in text
+
+
+def _usage_error(argv, flag, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert flag in err
+
+
+def test_distill_mixed_rejects_zero_rounds(capsys):
+    _usage_error(["distill-mixed", "--F", "0.7", "--p", "0.1", "--rounds", "0"], "--rounds", capsys)
+
+
+def test_sweep_rejects_nonpositive_draws(capsys):
+    _usage_error(["sweep", "--quantity", "mixed_fidelity_map", "--het-band", "0.05", "0.1",
+                  "--F", "0.7", "--draws", "-3"], "--draws", capsys)
+
+
+def test_sweep_rejects_inverted_het_band(capsys):
+    _usage_error(["sweep", "--quantity", "mixed_fidelity_map", "--het-band", "0.3", "0.1",
+                  "--F", "0.7"], "--het-band", capsys)
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["sweep", "--quantity", "lower_bound", "--p", "0.1", "--n", "0"], "--n"),
+    (["sweep", "--quantity", "lower_bound", "--p", "0.1", "--m", "0:2"], "--m"),
+    (["distill-mixed", "--F", "0.7", "--p", "0.1", "--n", "0"], "--n"),
+    (["distill-mixed", "--F", "0.7", "--p", "0.1", "--m", "-1"], "--m"),
+    (["distill-pure", "--theta", "0.3", "--p", "0.1", "--n", "0"], "--n"),
+    (["povm-purify", "--p", "0.1", "--n", "0"], "--n"),
+])
+def test_depths_below_one_are_rejected_by_flag(argv, flag, capsys):
+    _usage_error(argv, flag, capsys)

@@ -7,8 +7,6 @@ from entdistill.distill_mixed import (
     lower_bound,
     lower_bound_limit,
     parity_weights,
-    parity_weights_gate_noisy,
-    parity_weights_general,
     post_state_unnormalized,
 )
 from entdistill.noise import purified_coeffs_gate_noisy
@@ -64,14 +62,14 @@ def test_parity_weights_swap_symmetric(rng):
 
 def test_gate_noisy_weights_reduce_to_products():
     for (n, m) in [(1, 1), (2, 3), (4, 2)]:
-        a = parity_weights_gate_noisy(0.13, 0.0, n, m)
-        b = parity_weights([0.13] * n, [0.13] * m)
-        assert a.r_even == pytest.approx(b.r_even, abs=1e-15)
-        assert a.r_odd == pytest.approx(b.r_odd, abs=1e-15)
+        w = parity_weights([0.13] * n, [0.13] * m, 0.0)
+        a0, a1, b0, b1 = (1 - 0.065) ** n, 0.065 ** n, (1 - 0.065) ** m, 0.065 ** m
+        assert w.r_even == pytest.approx(a0 * b0 + a1 * b1, abs=1e-15)
+        assert w.r_odd == pytest.approx(a0 * b1 + a1 * b0, abs=1e-15)
 
 
 def test_gate_noisy_weights_no_cnot_at_depth_one():
-    a = parity_weights_gate_noisy(0.1, 0.1, 1, 1)
+    a = parity_weights([0.1], [0.1], 0.1)
     b = parity_weights([0.1], [0.1])
     assert (a.r_even, a.r_odd) == (b.r_even, b.r_odd)
 
@@ -93,7 +91,7 @@ def test_distill_map_noiseless_closed_form_across_grid():
 
 def test_distill_map_quarter_is_a_fixed_point_for_any_weights(rng):
     for _ in range(10):
-        w = parity_weights_general(
+        w = parity_weights(
             list(rng.uniform(0.0, 0.3, 2)), list(rng.uniform(0.0, 0.3, 2)),
             float(rng.uniform(0.0, 0.2)))
         assert distill_map(0.25, w).fidelity_out == pytest.approx(0.25, abs=1e-12)
@@ -115,7 +113,7 @@ def test_post_state_perfect_input():
 def test_post_state_consistent_with_map(rng):
     for _ in range(25):
         f = float(rng.uniform(0.0, 1.0))
-        w = parity_weights_general(
+        w = parity_weights(
             list(rng.uniform(0.0, 0.3, rng.randint(1, 4))),
             list(rng.uniform(0.0, 0.3, rng.randint(1, 4))),
             float(rng.uniform(0.0, 0.2)))
@@ -146,14 +144,14 @@ def test_lower_bound_requires_distillable_window():
 
 def test_gate_noisy_lower_bounds_frozen():
     for n, expected in zip([1, 2, 3, 4], L_EPS_EXACT):
-        val = lower_bound(parity_weights_gate_noisy(0.1, 0.1, n, n))
+        val = lower_bound(parity_weights([0.1] * n, [0.1] * n, 0.1))
         assert val == pytest.approx(expected, abs=1e-12)
 
 
 def test_lower_bound_limit_value_and_recurrence_agreement():
     limit = lower_bound_limit(0.1, 0.1)
     assert limit == pytest.approx(L_LIMIT_01_01, abs=1e-12)
-    at_12 = lower_bound(parity_weights_gate_noisy(0.1, 0.1, 12, 12))
+    at_12 = lower_bound(parity_weights([0.1] * 12, [0.1] * 12, 0.1))
     assert abs(limit - at_12) < 1e-6
 
 
@@ -180,7 +178,7 @@ def test_limit_matches_fixed_point_expression():
 def test_sign_and_roots_of_the_gain():
     """F' - F changes sign exactly at 1/4, L and 1."""
     for (p, n, m, eps) in [(0.2, 1, 1, 0.0), (0.1, 2, 2, 0.0), (0.1, 3, 3, 0.1), (0.25, 2, 1, 0.05)]:
-        w = parity_weights_gate_noisy(p, eps, n, m)
+        w = parity_weights([p] * n, [p] * m, eps)
         big_l = lower_bound(w)
         for f in np.linspace(0.01, 0.99, 197):
             f = float(f)

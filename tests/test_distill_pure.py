@@ -3,7 +3,6 @@ import pytest
 from conftest import rand_pure_state
 
 from entdistill.distill_pure import (
-    _limit_cos_form,
     filter_ops,
     pure_filter_fidelity,
     pure_filter_fidelity_limit,
@@ -28,6 +27,22 @@ THETA_GRID = [0.05, 0.2, np.pi / 16, np.pi / 8, np.pi / 4 - 1e-3, np.pi / 4]
 FN_IDEAL = [0.805102555847, 0.983736444162, 0.999116807665, 0.999953438276]
 FN_EPS005 = [0.805102555847, 0.914062957445, 0.923953493492, 0.924616401787]
 LIMIT_EPS005 = 0.924662837649
+
+
+def _limit_cos_form(theta, p, epsilon):
+    """The large-depth filtered fidelity as a closed form in cos(2 theta).
+
+    An independent cross-check of pure_filter_fidelity_limit, which goes
+    through the fixed-point ratio s instead.
+    """
+    c = np.cos(2.0 * theta)
+    root = np.sqrt(
+        epsilon ** 2 * (5.0 + 4.0 * (-2.0 + p) * p)
+        + 4.0 * (1.0 - p) ** 2 * (1.0 - 2.0 * epsilon)
+    )
+    num = 2.0 * epsilon + (-2.0 + 2.0 * p - 2.0 * epsilon * p + root) * c
+    den = 2.0 * epsilon + 2.0 * (-2.0 + epsilon + 2.0 * p - 2.0 * epsilon * p + root) * c
+    return float(num / den)
 
 
 def test_filter_ops_boundary_theta():
@@ -168,6 +183,23 @@ def test_limit_two_closed_forms_agree():
             for eps in (0.01, 0.05, 0.15):
                 assert pure_filter_fidelity_limit(theta, p, eps) == pytest.approx(
                     _limit_cos_form(theta, p, eps), abs=1e-10)
+
+
+def test_limit_is_a_fidelity_down_to_tiny_epsilon():
+    mpmath = pytest.importorskip("mpmath")
+    assert pure_filter_fidelity_limit(np.pi / 16, 0.1, 1e-8) <= 1.0
+    with mpmath.workdps(50):
+        for theta in (0.05, np.pi / 16, np.pi / 8, np.pi / 4 - 1e-3):
+            for p in (0.02, 0.1, 0.3):
+                for eps in np.logspace(-12, np.log10(0.99), 30):
+                    mp, me = mpmath.mpf(p), mpmath.mpf(float(eps))
+                    s = 2 * (1 - mp) * (1 - 1 / me) + mpmath.sqrt(
+                        5 - 4 * mp * (2 - mp) + 4 * (1 - mp) ** 2 / me * (1 / me - 2))
+                    t2 = 2 * mpmath.sin(mpmath.mpf(theta)) ** 2
+                    exact = (t2 + s / 2 * (1 - t2)) / (t2 + s * (1 - t2))
+                    got = pure_filter_fidelity_limit(theta, p, float(eps))
+                    assert 0.0 <= got <= 1.0
+                    assert abs(got - exact) < 1e-15, (theta, p, eps, got)
 
 
 def test_limit_near_boundary_theta():

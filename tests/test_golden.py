@@ -1,0 +1,95 @@
+"""Byte-for-byte goldens of the CLI output.
+
+Each sha256 was captured from the output of the CLI before its output
+path and the closed forms behind it were restructured. A change to any
+single byte of a table, a sweep or a single-point record fails here.
+``pure_fidelity_limit`` has no golden: its digits at small epsilon were
+corrected on purpose (see ``test_distill_pure``'s mpmath reference).
+"""
+
+import hashlib
+
+import pytest
+
+from entdistill import cli
+
+TABLES_SHA256 = {
+    "lower_bound_gate_noise.csv": "31115d148800321c5d33cd94cbc5fd2fcd02ad3fb8bb81b9a916ddf5902ecc51",
+    "lower_bound_p01.csv": "39fd54f85cac8192c40ddb0fd8b5a44bf0c5d444ee6008d174b3ca0673e3758a",
+    "lower_bound_p02.csv": "7951b9632d7ad5bed5a21d73030406d278a1b6a6217a6b2c4ccab176af2adbd1",
+    "pure_fidelity_gate_noise.csv": "2ead2a75b2f1cadb0f7b89a24cfe7788d4ae12bc747b258df8e4473c86d66b95",
+    "pure_fidelity_noiseless.csv": "f8efb2ca396b46c4cc62a50a6d1c753bb4f2a9e59f3f6fea5250150ecce7ec6a",
+    "lower_bound_gate_noise.json": "6fcaa312672c8b59dd08b9b92838612bb5efdb5c0f53ad0136fd4908ba201cd9",
+    "lower_bound_p01.json": "65f3e845d12133a306731f2e795752b77319b383e02cd19ce295612684a45fd6",
+    "lower_bound_p02.json": "09afb4f24944fab796e4cdaaf53773c57d7a6f9e8afb5c3b285ca369968837c6",
+    "pure_fidelity_gate_noise.json": "6d701eeb272f9b3f4858f242ae052ecca9752600dfc415f55e234c04ab6f6686",
+    "pure_fidelity_noiseless.json": "c90d30cb2de0b98a6667a4c91c5afdae37c9f8f0f650e7426099919c8802a747",
+}
+
+# (argv without --format, sha256 of the CSV stdout, sha256 of the JSON stdout)
+COMMANDS = [
+    (["sweep", "--quantity", "povm_fidelity", "--p", "0.02:0.3:5", "--epsilon", "0:0.1:3",
+      "--n", "1:4"],
+     "136a70cb7f900235d88a4939689289618cbdb7e939b122e2cf5cf1c904e1dfd3",
+     "002dab6a4e2b8cd60a3798ab0fcd27b54182bbe36b5d8a5c64cc3107c70f5e02"),
+    (["sweep", "--quantity", "mixed_fidelity_map", "--p", "0.02:0.3:4", "--epsilon", "0:0.1:3",
+      "--n", "1:3", "--m", "1:3", "--F", "0.5:0.99:7"],
+     "f85c7cc674c2d046e83bff48f8023372627996507b123c40e0f7d290f37e4035",
+     "5cd639d1c37da0a702d77d26d370ab54ab11dba73a6035e3f5ba7688a9825717"),
+    (["sweep", "--quantity", "lower_bound", "--p", "0.05:0.3:6", "--epsilon", "0,0.05,0.1",
+      "--n", "1:4", "--m", "1:4"],
+     "75f23fa3c9071a30d75256d5e426ade9477293c97a3a9f0dfa6177128b835a4e",
+     "911ebc511aef055d13d5411d08e98e2d2f5caab595ab87599bca81dfbe64ccd2"),
+    (["sweep", "--quantity", "lower_bound_limit", "--p", "0.02:0.3:5", "--epsilon", "0.01:0.2:4"],
+     "351f424de33380381efacd68753f507ce19d55e68fa925022557ea51d0fc28c2",
+     "4ab104cb79c8b8b0098a2ec847cbb4aed34b769e517f223be9088f8cdc63826c"),
+    (["sweep", "--quantity", "pure_fidelity", "--p", "0.05,0.1,0.2", "--epsilon", "0,0.05",
+      "--n", "1:4", "--theta-frac-pi", "0.02:0.25:5"],
+     "17df5712a932476de4f845178de290f143e3ce50caeedd4c8025746f4cceedeb",
+     "5a941475dd0c30f3511ac4010021e3fa9baf0ccd3310116a9db8c78abbe7eddd"),
+    (["sweep", "--quantity", "mixed_fidelity_map", "--het-band", "0.02", "0.2",
+      "--epsilon", "0,0.05", "--n", "1:3", "--m", "1:2", "--F", "0.6,0.8", "--draws", "3",
+      "--seed", "11"],
+     "d8041b5082d5c96b102a6a98f82a40663d6e7e301673bca20ba03b097fbb4bab",
+     "91c422779ab35f179aad29b002f38f1f549f2c6a5f653f7acd1e7926c6493bf2"),
+    (["distill-mixed", "--F", "0.7", "--p", "0.1", "--n", "2", "--m", "3", "--epsilon", "0.05",
+      "--rounds", "3"],
+     "5588a8b668db251a10adfc306044aa88a1dcc7f5d975a9b9601baea7e95bc4c6",
+     "e379eb5c4b520f8926b1845285c1df89e3f9c991e32657ac3e7030d3c7c8ba7e"),
+    (["distill-mixed", "--F", "0.8", "--pA", "0.1,0.05", "--pB", "0.2", "--epsilon", "0.02",
+      "--rounds", "2"],
+     "e4c6149a7e03a36344b4dae7e8f6b02beb092ba75139a9807ffb46391e190d64",
+     "e130fe2ffa351ba11df144f7c4bc35bb5d388e596938ac31cd0655fe4ab8d994"),
+    (["distill-pure", "--theta-frac-pi", "0.0625", "--p", "0.1", "--epsilon", "0.05", "--n", "3"],
+     "140cf9aeed1e8404e4aa0bd9cbce1efe5cb4ea311831b86a3c1a242c6d7a83cc",
+     "9cc2609c409013104830fab74e77eb757b5736ee27eef4317f10772702f0652c"),
+    (["distill-pure", "--theta", "0.3", "--p", "0.2", "--n", "2"],
+     "45fc7cc260d9b439f64824cc7f082d95b13fe9cd7fa55c43cebc1fe1dc7d8900",
+     "dcb294f75e5dfb4f55b922675968fe4151a6f74802f92461ca011f68c9bc00d5"),
+    (["povm-purify", "--p", "0.12", "--n", "3", "--epsilon", "0.05"],
+     "48317f7e715e539f77380caaec5eab912d9c512289b785c64d4b522ead765c21",
+     "0ec47ffbc7e28d2272d0316dfbeb186d77d1dc065dab8576dd0a7babece4349d"),
+    (["povm-purify", "--pList", "0.1,0.2,0.05", "--epsilon", "0.03"],
+     "619cfae6af94dc94c62aabebfa69d7097b89724ebff6ad276bce57c6abe8073c",
+     "c3579bf474fcf1d0ddc036dc76d4d3b8a6b852837c20c526443905a7c57af937"),
+]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_tables_match_goldens(fmt, tmp_path, capsys):
+    assert cli.main(["tables", "--out", str(tmp_path), "--format", fmt]) == 0
+    got = {p.name: _sha256(p.read_bytes()) for p in tmp_path.iterdir()}
+    assert got == {k: v for k, v in TABLES_SHA256.items() if k.endswith("." + fmt)}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv,csv_sha,json_sha", COMMANDS,
+                         ids=[f"{k}-{c[0][0]}" for k, c in enumerate(COMMANDS)])
+def test_command_output_matches_golden(argv, csv_sha, json_sha, fmt, capsys):
+    assert cli.main(argv + ["--format", fmt]) == 0
+    captured = capsys.readouterr()
+    assert _sha256(captured.out.encode()) == (csv_sha if fmt == "csv" else json_sha), argv

@@ -3,13 +3,11 @@ import pytest
 from conftest import rand_density_matrix
 
 from entdistill.noise import (
-    NoiseSpec,
     PurifiedCoeffs,
     asymptotic_ratio,
     collective_cnot,
     depolarized_cnot_apply,
     noisy_povm_element,
-    purified_coeffs,
     purified_coeffs_gate_noisy,
     purified_coeffs_general,
     purified_povm_element,
@@ -99,19 +97,14 @@ def test_depolarized_cnot_index_collision(rng):
 
 
 def test_purified_coeffs_examples():
-    c = purified_coeffs([0.1], 1)
+    c = purified_coeffs_general([0.1])
     assert (c.r0, c.r1) == (0.95, 0.05)
-    c = purified_coeffs([0.2, 0.2], 2)
+    c = purified_coeffs_general([0.2, 0.2])
     assert c.r0 == pytest.approx(0.81, abs=1e-15)
     assert c.r1 == pytest.approx(0.01, abs=1e-15)
-    c = purified_coeffs([0.05, 0.15], 2)
+    c = purified_coeffs_general([0.05, 0.15])
     assert c.r0 == pytest.approx(0.975 * 0.925, abs=1e-15)
     assert c.r1 == pytest.approx(0.025 * 0.075, abs=1e-15)
-
-
-def test_purified_coeffs_length_mismatch():
-    with pytest.raises(ValueError):
-        purified_coeffs([0.1, 0.1], 3)
 
 
 def test_gate_noisy_reduces_to_products():
@@ -136,7 +129,7 @@ def test_heterogeneous_reduces_to_homogeneous():
     for p in P_GRID:
         for n in (1, 2, 3, 5):
             hom = purified_coeffs_gate_noisy(p, 0.0, n)
-            het = purified_coeffs([p] * n, n)
+            het = purified_coeffs_general([p] * n)
             assert abs(hom.r0 - het.r0) < 1e-12
             assert abs(hom.r1 - het.r1) < 1e-12
 
@@ -174,6 +167,21 @@ def test_asymptotic_ratio_fixed_point_residual():
             assert abs(s - rhs) < 1e-9
 
 
+def test_asymptotic_ratio_matches_50_digit_reference_down_to_tiny_epsilon():
+    # The reference evaluates the textbook form, which cancels in double
+    # precision as eps -> 0, at 50 digits where the cancellation is harmless.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for p in (0.0, 0.02, 0.1, 0.3, 0.9):
+            for eps in np.logspace(-12, np.log10(0.99), 60):
+                mp, me = mpmath.mpf(p), mpmath.mpf(float(eps))
+                exact = 2 * (1 - mp) * (1 - 1 / me) + mpmath.sqrt(
+                    5 - 4 * mp * (2 - mp) + 4 * (1 - mp) ** 2 / me * (1 / me - 2))
+                s = asymptotic_ratio(p, float(eps))
+                assert s > 0.0
+                assert abs(s - exact) <= 1e-15 * exact, (p, eps, s)
+
+
 def test_asymptotic_ratio_rejects_zero_epsilon():
     with pytest.raises(ValueError):
         asymptotic_ratio(0.1, 0.0)
@@ -205,18 +213,14 @@ def test_purified_povm_element_degenerate():
         purified_povm_element(0, PurifiedCoeffs(r0=0.0, r1=0.0, n=1))
 
 
-def test_noise_spec_validation():
-    NoiseSpec(p_list_a=(0.1, 0.2), p_list_b=(0.1,), epsilon=0.05)
-    with pytest.raises(ValueError):
-        NoiseSpec(p_list_a=())
-    with pytest.raises(ValueError):
-        NoiseSpec(p_list_a=(1.0,))
-    with pytest.raises(ValueError):
-        NoiseSpec(p_list_a=(0.1,), epsilon=1.0)
-
-
 def test_purified_coeffs_records_its_inputs():
     c = purified_coeffs_general([0.1, 0.2], 0.05)
     assert c.n == 2
-    assert c.spec.p_list_a == (0.1, 0.2)
-    assert c.spec.epsilon == 0.05
+
+
+def test_purified_coeffs_rejects_rates_outside_the_domain():
+    for bad in ([], [1.0], [0.1, -0.1]):
+        with pytest.raises(ValueError):
+            purified_coeffs_general(bad)
+    with pytest.raises(ValueError):
+        purified_coeffs_general([0.1], epsilon=1.0)

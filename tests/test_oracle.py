@@ -4,7 +4,7 @@ from conftest import rand_density_matrix
 
 from entdistill.distill_mixed import (
     distill_map,
-    parity_weights_general,
+    parity_weights,
     post_state_unnormalized,
 )
 from entdistill.distill_pure import pure_filter_fidelity, pure_post_state_unnormalized
@@ -15,7 +15,6 @@ from entdistill.noise import (
     purified_coeffs_general,
 )
 from entdistill.oracle import (
-    _adjoint_depolarized_cnot,
     oracle_distill_mixed,
     oracle_distill_pure,
     oracle_effective_povm,
@@ -88,15 +87,19 @@ def test_effective_povm_guards():
 
 
 def test_schroedinger_and_adjoint_pictures_are_dual(rng):
-    # tr[E(rho) O] == tr[rho E^dag(O)] for the depolarized CNOT
-    for _ in range(5):
-        rho = rand_density_matrix(rng, 3)
-        o = rng.randn(8, 8) + 1j * rng.randn(8, 8)
-        o = o + o.conj().T
-        eps = float(rng.uniform(0.0, 0.3))
-        lhs = np.trace(depolarized_cnot_apply(rho, 0, 2, eps) @ o)
-        rhs = np.trace(rho @ _adjoint_depolarized_cnot(o, 0, 2, eps, 3))
-        assert abs(lhs - rhs) < 1e-12
+    # tr[E(A) B] == tr[A E(B)]: the depolarized CNOT is its own adjoint, so
+    # the oracle may pull observables back through the same function. A and
+    # B are arbitrary complex operators, not only states and observables.
+    for nq in (2, 3, 4, 5):
+        d = 2 ** nq
+        for _ in range(3):
+            a = rng.randn(d, d) + 1j * rng.randn(d, d)
+            b = rng.randn(d, d) + 1j * rng.randn(d, d)
+            control, target = (int(q) for q in rng.choice(nq, 2, replace=False))
+            eps = float(rng.uniform(0.0, 1.0))
+            lhs = np.trace(depolarized_cnot_apply(a, control, target, eps) @ b)
+            rhs = np.trace(a @ depolarized_cnot_apply(b, control, target, eps))
+            assert abs(lhs - rhs) < 1e-12 * d * d
 
 
 def test_effective_povm_predicts_circuit_probabilities(rng):
@@ -132,7 +135,7 @@ def test_mixed_oracle_matches_analytic_map(rng):
         p_a = list(rng.uniform(0.02, 0.3, n))
         p_b = list(rng.uniform(0.02, 0.3, m))
         eps = float(rng.choice([0.0, 0.05, 0.1]))
-        w = parity_weights_general(p_a, p_b, eps)
+        w = parity_weights(p_a, p_b, eps)
         res = distill_map(f, w)
         orc = oracle_distill_mixed(f, p_a, p_b, eps)
         assert abs(res.fidelity_out - orc.fidelity_out) < TOL
@@ -147,7 +150,7 @@ def test_mixed_oracle_state_matches_analytic_state(rng):
         eps = float(rng.choice([0.0, 0.1]))
         sigma = oracle_mixed_post_state(f, p_a, p_b, eps)
         np.testing.assert_allclose(
-            sigma, post_state_unnormalized(f, parity_weights_general(p_a, p_b, eps)), atol=TOL)
+            sigma, post_state_unnormalized(f, parity_weights(p_a, p_b, eps)), atol=TOL)
 
 
 def test_direct_register_matches_reduction_six_qubits(rng):
@@ -167,8 +170,8 @@ def test_direct_register_eight_qubit_check():
     p_b = [0.22, 0.09, 0.13]
     direct = oracle_mixed_post_state_direct(f, p_a, p_b, eps)
     np.testing.assert_allclose(
-        direct, post_state_unnormalized(f, parity_weights_general(p_a, p_b, eps)), atol=TOL)
-    res = distill_map(f, parity_weights_general(p_a, p_b, eps))
+        direct, post_state_unnormalized(f, parity_weights(p_a, p_b, eps)), atol=TOL)
+    res = distill_map(f, parity_weights(p_a, p_b, eps))
     assert np.trace(direct).real == pytest.approx(res.p_succ, abs=TOL)
 
 

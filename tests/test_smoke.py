@@ -1,0 +1,42 @@
+"""Fresh-interpreter checks: the CLI entry point, the import surface, the demos."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def _python(*args, cwd=ROOT):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_module_runs_without_warnings():
+    proc = _python("-W", "error", "-m", "entdistill.cli", "povm-purify", "--p", "0.1")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("quantity,p,epsilon,n,r0,r1,value,p_succ\n")
+
+
+def test_importing_the_package_leaves_the_cli_unloaded():
+    proc = _python("-c", "import sys, entdistill; print('entdistill.cli' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_five_demos_exist():
+    assert len(DEMOS) == 5
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    proc = _python(str(demo), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
