@@ -47,28 +47,112 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _ordered_fields(records: list[dict]) -> list[str]:
+class Records:
+    """Output rows, held as chunks that are formatted and written one at a time.
+
+    A chunk is a pair ``(constants, columns)``: the fields that all its
+    rows share (numbers or strings), and one numpy array per varying
+    field with one entry per row; a 2-D array holds one rate list per
+    row. A chunk without columns is one row. ``len()`` is the number of
+    rows.
+    """
+
+    def __init__(self):
+        self.chunks: list[tuple[dict, dict[str, np.ndarray]]] = []
+        self.rows = 0
+
+    def add(self, constants: dict, columns: dict[str, np.ndarray] | None = None) -> None:
+        self.chunks.append((constants, columns or {}))
+        self.rows += len(next(iter(columns.values()))) if columns else 1
+
+    @classmethod
+    def from_rows(cls, rows: list[dict]) -> Records:
+        """One one-row chunk per row."""
+        records = cls()
+        for row in rows:
+            records.add(row)
+        return records
+
+    def __len__(self) -> int:
+        return self.rows
+
+
+def _ordered_fields(records: Records) -> list[str]:
     present = set()
-    for rec in records:
-        present.update(rec.keys())
+    for constants, columns in records.chunks:
+        present.update(constants, columns)
     return [f for f in FIELD_ORDER if f in present]
 
 
-def emit_records(records: list[dict], fmt: str, out) -> None:
-    """Write records as CSV (fixed column order) or JSON lines."""
-    if fmt == "json":
-        for rec in records:
-            rec = dict(rec)
-            rec["schema_version"] = SCHEMA_VERSION
-            out.write(json.dumps(rec, sort_keys=True) + "\n")
-        return
-    fields = _ordered_fields(records)
-    out.write(",".join(fields) + "\n")
-    for rec in records:
-        out.write(",".join(_fmt(rec[f]) if f in rec else "" for f in fields) + "\n")
+def _slot(column: np.ndarray, fmt: str, seen: dict) -> tuple[str, list[list]]:
+    """A column's %-template slot and the value lists that fill it.
+
+    '%.12g' % x and '%r' % x give the bytes of f"{x:.12g}" and of
+    json.dumps(x) for a finite float x. A 2-D column is a rate-list field:
+    each row prints as its rates joined by ';', a string in JSON (the
+    digits need no escaping). A column that several chunks share is
+    formatted to strings once, at its second use; ``seen`` holds what
+    earlier chunks used.
+    """
+    key = id(column)
+    if seen.get(key):  # formatted at an earlier chunk
+        return seen[key]
+    kind, lists = column.dtype.kind, [column.tolist()]
+    if column.ndim == 2:
+        slot = _rates_template(column.shape[1])
+        slot, lists = (slot if fmt == "csv" else f'"{slot}"'), column.T.tolist()
+    elif kind == "f" and (fmt == "csv" or np.isfinite(column).all()):
+        slot = "%.12g" if fmt == "csv" else "%r"
+    elif kind in "iu":
+        slot = "%d"
+    elif fmt == "csv":
+        slot = "%s"
+    else:
+        slot, lists = "%s", [list(map(json.dumps, lists[0]))]
+    if key in seen:  # second use: format once, for this chunk and the later ones
+        seen[key] = "%s", [[slot % row for row in zip(*lists)]]
+        return seen[key]
+    seen[key] = None
+    return slot, lists
 
 
-def _write(records: list[dict], args) -> int:
+def emit_records(records: Records, fmt: str, out) -> None:
+    """Write records as CSV (fixed column order) or JSON lines, a chunk at a time.
+
+    A chunk's constants are formatted once into a %-template with one
+    slot per column, and its rows are that template filled from the
+    columns. JSON keys come in ``sort_keys`` order. A one-row chunk of
+    constants is formatted as its own line.
+    """
+    if fmt == "csv":
+        fields = _ordered_fields(records)
+        out.write(",".join(fields) + "\n")
+    seen: dict = {}
+    for constants, columns in records.chunks:
+        if fmt == "json":
+            constants = {**constants, "schema_version": SCHEMA_VERSION}
+            fields = sorted([*constants, *columns])
+        if not columns:
+            out.write((json.dumps(constants, sort_keys=True) if fmt == "json" else
+                       ",".join(_fmt(constants[f]) if f in constants else "" for f in fields))
+                      + "\n")
+            continue
+        parts, values = [], []
+        for f in fields:
+            if f in columns:
+                slot, lists = _slot(columns[f], fmt, seen)
+                values += lists
+            elif f in constants:
+                const = constants[f]
+                slot = (json.dumps(const) if fmt == "json" else _fmt(const)).replace("%", "%%")
+            else:
+                slot = ""
+            parts.append(slot if fmt == "csv" else f"{json.dumps(f)}: {slot}")
+        template = (",".join(parts) if fmt == "csv" else "{" + ", ".join(parts) + "}") + "\n"
+        out.write("".join(map(template.__mod__, zip(*values))))
+
+
+def _write(records: Records, args) -> int:
     """Emit records to ``--out`` (stdout when absent or '-'); returns exit code 0."""
     if args.out in (None, "-"):
         emit_records(records, args.format, sys.stdout)
@@ -78,9 +162,14 @@ def _write(records: list[dict], args) -> int:
     return 0
 
 
+def _rates_template(count: int) -> str:
+    """The %-template of a rate list: its rates to 12 digits, joined by ';'."""
+    return ";".join(["%.12g"] * count)
+
+
 def _rates_field(rates) -> str:
     """A rate list as one ';'-separated field."""
-    return ";".join(map(_fmt, rates))
+    return _rates_template(len(rates)) % tuple(rates)
 
 
 def _positive_int(text: str) -> int:
@@ -152,13 +241,13 @@ def _pure_record(p: float, eps: float, n: int, theta: float) -> dict:
             "value": res.fidelity_out, "p_succ": res.p_succ}
 
 
-def _with_3dp(records: list[dict]) -> list[dict]:
+def _with_3dp(records: list[dict]) -> Records:
     for rec in records:
         rec["value_3dp"] = round(rec["value"], 3)
-    return records
+    return Records.from_rows(records)
 
 
-def table_records() -> list[tuple[str, list[dict]]]:
+def table_records() -> list[tuple[str, Records]]:
     """The five reference tables as (name, records) pairs."""
     theta = float(np.pi / 16)
     return [
@@ -200,7 +289,7 @@ QUANTITIES = [
 ]
 
 
-def _sweep_records(args, parser) -> list[dict]:
+def _sweep_records(args, parser) -> Records:
     q = args.quantity
     p_axis = _parse_float_axis(args.p, "p", parser) if args.p else None
     eps_axis = _parse_float_axis(args.epsilon, "epsilon", parser) if args.epsilon else [0.0]
@@ -220,6 +309,8 @@ def _sweep_records(args, parser) -> list[dict]:
         parser.error("--het-band/--seed only apply to the mixed_fidelity_map quantity")
     if het and args.het_band[0] > args.het_band[1]:
         parser.error(f"--het-band needs LO <= HI, got {args.het_band[0]} {args.het_band[1]}")
+    if het and p_axis is not None:
+        parser.error("give --p or --het-band, not both: --het-band draws the rates")
     if not het and p_axis is None:
         parser.error(f"quantity {q} needs a --p axis")
     if q == "mixed_fidelity_map" and f_axis is None:
@@ -227,47 +318,71 @@ def _sweep_records(args, parser) -> list[dict]:
     if q in ("pure_fidelity", "pure_fidelity_limit") and theta_axis is None:
         parser.error(f"{q} needs a --theta or --theta-frac-pi axis")
 
-    records: list[dict] = []
     try:
+        if q == "mixed_fidelity_map":
+            return _map_records(args, p_axis, eps_axis, n_axis, m_axis, f_axis)
+        # The other quantities loop over scalar points, one row per chunk.
+        rows: list[dict] = []
         if q == "povm_fidelity":
             for p, eps, n in product(p_axis, eps_axis, n_axis):
                 c = noise.purified_coeffs_gate_noisy(p, eps, n)
-                records.append({"quantity": q, "p": p, "epsilon": eps, "n": n,
-                                "value": c.fidelity, "p_succ": c.acceptance})
+                rows.append({"quantity": q, "p": p, "epsilon": eps, "n": n,
+                             "value": c.fidelity, "p_succ": c.acceptance})
         elif q == "lower_bound":
-            records = [_lower_bound_record(*point)
-                       for point in product(p_axis, eps_axis, n_axis, m_axis)]
+            rows = [_lower_bound_record(*point)
+                    for point in product(p_axis, eps_axis, n_axis, m_axis)]
         elif q == "lower_bound_limit":
             for p, eps in product(p_axis, eps_axis):
-                records.append({"quantity": q, "p": p, "epsilon": eps,
-                                "value": dm.lower_bound_limit(p, eps)})
+                rows.append({"quantity": q, "p": p, "epsilon": eps,
+                             "value": dm.lower_bound_limit(p, eps)})
         elif q == "pure_fidelity":
-            records = [_pure_record(*point)
-                       for point in product(p_axis, eps_axis, n_axis, theta_axis)]
-        elif q == "pure_fidelity_limit":
+            rows = [_pure_record(*point)
+                    for point in product(p_axis, eps_axis, n_axis, theta_axis)]
+        else:  # pure_fidelity_limit
             for p, eps, theta in product(p_axis, eps_axis, theta_axis):
-                records.append({"quantity": q, "p": p, "epsilon": eps, "theta": theta,
-                                "value": dp.pure_filter_fidelity_limit(theta, p, eps)})
-        elif not het:  # mixed_fidelity_map: weights once per (p, eps, n, m) cell
-            for p, eps, n, m in product(p_axis, eps_axis, n_axis, m_axis):
-                w = dm.parity_weights([p] * n, [p] * m, eps)
-                for f in f_axis:
-                    res = dm.distill_map(f, w)
-                    records.append({"quantity": q, "p": p, "epsilon": eps, "n": n, "m": m,
-                                    "F": f, "value": res.fidelity_out, "p_succ": res.p_succ})
-        else:  # mixed_fidelity_map with rates drawn per point: uniform(n), then uniform(m)
-            lo, hi = args.het_band
-            rng = np.random.RandomState(args.seed if args.seed is not None else 0)
-            for eps, n, m, f, draw in product(eps_axis, n_axis, m_axis, f_axis,
-                                              range(args.draws)):
-                pa = rng.uniform(lo, hi, n)
-                pb = rng.uniform(lo, hi, m)
-                res = dm.distill_map(f, dm.parity_weights(pa, pb, eps))
-                records.append({"quantity": q, "pA": _rates_field(pa), "pB": _rates_field(pb),
-                                "epsilon": eps, "n": n, "m": m, "F": f, "draw": draw,
-                                "value": res.fidelity_out, "p_succ": res.p_succ})
+                rows.append({"quantity": q, "p": p, "epsilon": eps, "theta": theta,
+                             "value": dp.pure_filter_fidelity_limit(theta, p, eps)})
+        return Records.from_rows(rows)
     except ValueError as exc:
         parser.error(str(exc))
+
+
+def _map_records(args, p_axis, eps_axis, n_axis, m_axis, f_axis) -> Records:
+    """mixed_fidelity_map rows: one chunk per (p, eps, n, m) or (eps, n, m) cell.
+
+    The map runs on the F axis as a column, so every row of a cell is one
+    array operation. Every chunk is computed, and so every input checked,
+    before the first byte is written.
+    """
+    q = "mixed_fidelity_map"
+    records = Records()
+    if args.het_band is None:  # weights once per (p, eps, n, m) cell
+        f_col = np.array(f_axis)
+        for p, eps, n, m in product(p_axis, eps_axis, n_axis, m_axis):
+            res = dm.distill_map(f_col, dm.parity_weights([p] * n, [p] * m, eps))
+            records.add({"quantity": q, "p": p, "epsilon": eps, "n": n, "m": m},
+                        {"F": f_col, "value": res.fidelity_out, "p_succ": res.p_succ})
+        return records
+    # Rates drawn per row, (F, draw) row-major within an (eps, n, m) cell. One
+    # draw of rows x (n + m) consumes the RandomState as per-row uniform(n)
+    # then uniform(m) calls would.
+    lo, hi = args.het_band
+    rng = np.random.RandomState(args.seed if args.seed is not None else 0)
+    f_col = np.repeat(f_axis, args.draws)
+    draw_col = np.tile(np.arange(args.draws), len(f_axis))
+    for eps, n, m in product(eps_axis, n_axis, m_axis):
+        rates = rng.uniform(lo, hi, len(f_col) * (n + m)).reshape(len(f_col), n + m)
+        p_a, p_b = rates[:, :n], rates[:, n:]
+        try:
+            res = dm.distill_map(f_col, dm.parity_weights(p_a, p_b, eps))
+        except ValueError:
+            # Name the first failing row's error, as a row-by-row evaluation does.
+            for f, pa, pb in zip(f_col, p_a, p_b):
+                dm.distill_map(f, dm.parity_weights(pa, pb, eps))
+            raise
+        records.add({"quantity": q, "epsilon": eps, "n": n, "m": m},
+                    {"pA": p_a, "pB": p_b, "F": f_col,
+                     "draw": draw_col, "value": res.fidelity_out, "p_succ": res.p_succ})
     return records
 
 
@@ -382,17 +497,17 @@ def cmd_distill_mixed(args, parser) -> int:
         weights = dm.parity_weights(p_a, p_b, args.epsilon)
     except ValueError as exc:
         parser.error(str(exc))
-    records = []
+    rows = []
     f = args.F
     for rnd in range(1, args.rounds + 1):
         res = dm.distill_map(f, weights)
-        records.append({
+        rows.append({
             "quantity": "mixed_fidelity_map", "pA": _rates_field(p_a), "pB": _rates_field(p_b),
             "epsilon": args.epsilon, "n": len(p_a), "m": len(p_b),
             "F": f, "round": rnd, "value": res.fidelity_out, "p_succ": res.p_succ,
         })
         f = res.fidelity_out
-    return _write(records, args)
+    return _write(Records.from_rows(rows), args)
 
 
 def _resolve_theta(args, parser) -> float:
@@ -407,7 +522,7 @@ def cmd_distill_pure(args, parser) -> int:
         record = _pure_record(args.p, args.epsilon, args.n, theta)
     except ValueError as exc:
         parser.error(str(exc))
-    return _write([record], args)
+    return _write(Records.from_rows([record]), args)
 
 
 def cmd_povm_purify(args, parser) -> int:
@@ -423,10 +538,10 @@ def cmd_povm_purify(args, parser) -> int:
             p_field = args.p
     except ValueError as exc:
         parser.error(str(exc))
-    return _write([{
+    return _write(Records.from_rows([{
         "quantity": "povm_fidelity", "p": p_field, "epsilon": args.epsilon, "n": c.n,
         "r0": c.r0, "r1": c.r1, "value": c.fidelity, "p_succ": c.acceptance,
-    }], args)
+    }]), args)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(run=cmd_verify)
     sub.add_argument("--max-n", dest="max_n", type=int, default=3, choices=[1, 2, 3, 4])
     sub.add_argument("--seed", type=int, default=7)
-    sub.add_argument("--draws", type=int, default=20)
+    sub.add_argument("--draws", type=_positive_int, default=20)
     sub.add_argument("--full", action="store_true",
                      help="also run the direct full-register checks (up to 8 qubits)")
     sub.add_argument("--self-test-corrupt", dest="self_test_corrupt",

@@ -32,7 +32,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .noise import PurifiedCoeffs, _check_fraction, purified_coeffs_general
+from .noise import PurifiedCoeffs, _any, _check_fraction, _first, purified_coeffs_general
 from .qmat import PHI_PLUS, projector
 
 #: |00><00| + |11><11| and |01><01| + |10><10|, the correlated and
@@ -43,17 +43,22 @@ PI_ODD = np.diag([0.0, 1.0, 1.0, 0.0]).astype(complex)
 
 @dataclass(frozen=True)
 class ParityWeights:
-    """Probabilities that the two parties' effective outcomes agree or differ."""
+    """Probabilities that the two parties' effective outcomes agree or differ.
 
-    r_even: float
-    r_odd: float
+    Floats, or arrays with one entry per evaluation point.
+    """
+
+    r_even: float | np.ndarray
+    r_odd: float | np.ndarray
     n: int
     m: int
 
     def __post_init__(self):
-        if self.r_even < 0.0 or self.r_odd < 0.0:
-            raise ValueError(f"weights must be nonnegative, got ({self.r_even}, {self.r_odd})")
-        if self.r_even + self.r_odd > 1.0 + 1e-9:
+        negative = (self.r_even < 0.0) | (self.r_odd < 0.0)
+        if _any(negative):
+            raise ValueError("weights must be nonnegative, got "
+                             f"({_first(negative, self.r_even)}, {_first(negative, self.r_odd)})")
+        if _any(self.r_even + self.r_odd > 1.0 + 1e-9):
             raise ValueError("r_even + r_odd exceeds 1")
 
 
@@ -82,14 +87,15 @@ def combine_coeffs(a: PurifiedCoeffs, b: PurifiedCoeffs) -> ParityWeights:
 
 
 def parity_weights(
-    p_a: Sequence[float],
-    p_b: Sequence[float],
+    p_a: Sequence[float] | np.ndarray,
+    p_b: Sequence[float] | np.ndarray,
     epsilon: float = 0.0,
 ) -> ParityWeights:
     """Weights for per-measurement rates p_a (Alice), p_b (Bob) and CNOT noise epsilon.
 
     Homogeneous parties pass ``[p] * n`` and ``[p] * m``. Symmetric
-    under swapping the two rate lists.
+    under swapping the two rate lists. Rate matrices with one row per
+    point (see ``purified_coeffs_general``) give one weight per row.
     """
     return combine_coeffs(
         purified_coeffs_general(p_a, epsilon=epsilon),
@@ -97,9 +103,12 @@ def parity_weights(
     )
 
 
-def _map_terms(f: float, weights: ParityWeights) -> tuple[float, float, float]:
-    """(numerator, denominator, g) of the fidelity map at input fraction f."""
-    if weights.r_even <= 0.0:
+def _map_terms(f, weights: ParityWeights):
+    """(numerator, denominator, g) of the fidelity map at input fraction f.
+
+    Elementwise over arrays of f and of the weights.
+    """
+    if _any(weights.r_even <= 0.0):
         raise ValueError("r_even must be positive")
     w = (1.0 - f) / 3.0
     g = (f * w + w * w) * (weights.r_odd / weights.r_even)
@@ -108,15 +117,15 @@ def _map_terms(f: float, weights: ParityWeights) -> tuple[float, float, float]:
     return num, den, g
 
 
-def distill_map(f: float, weights: ParityWeights) -> DistillResult:
+def distill_map(f: float | np.ndarray, weights: ParityWeights) -> DistillResult:
     """One round of the fidelity map at input singlet fraction f.
 
     The success probability is the trace of the unnormalized
-    post-selected state, r_even times the map's denominator.
+    post-selected state, r_even times the map's denominator. An array
+    of f, with scalar weights or weights of the same shape, gives
+    arrays equal bit for bit to the scalar calls.
     """
-    f = float(f)
-    if not 0.0 <= f <= 1.0:
-        raise ValueError(f"input fidelity must lie in [0, 1], got {f}")
+    f = _check_fraction(f, "input fidelity", closed=True)
     num, den, _ = _map_terms(f, weights)
     return DistillResult(
         fidelity_out=num / den,
@@ -139,9 +148,7 @@ def post_state_unnormalized(f: float, weights: ParityWeights) -> np.ndarray:
     Its trace is distill_map's p_succ and its normalized singlet
     fraction is distill_map's output fidelity.
     """
-    f = float(f)
-    if not 0.0 <= f <= 1.0:
-        raise ValueError(f"input fidelity must lie in [0, 1], got {f}")
+    f = _check_fraction(float(f), "input fidelity", closed=True)
     re, ro = weights.r_even, weights.r_odd
     w = (1.0 - f) / 3.0
     return (

@@ -36,11 +36,34 @@ import numpy as np
 from .qmat import I2, P0, P1, X, embed_op, partial_trace, permute_qubits, tensor
 
 
-def _check_fraction(value: float, name: str) -> float:
-    value = float(value)
-    if not 0.0 <= value < 1.0:
-        raise ValueError(f"{name} must lie in [0, 1), got {value}")
+def _any(mask):
+    """Whether a condition, a bool or a bool array, holds anywhere."""
+    return mask.any() if isinstance(mask, np.ndarray) else mask
+
+
+def _first(mask, value):
+    """``value`` where ``mask`` first holds, in row order; a scalar passes through."""
+    if np.ndim(mask):
+        return float(np.broadcast_to(value, mask.shape)[mask][0])
     return value
+
+
+def _check_fraction(value, name: str, closed: bool = False):
+    """``value`` as a float, or a float array, in [0, 1) ([0, 1] if ``closed``).
+
+    The error names the first value outside, in row order.
+    """
+    if isinstance(value, np.ndarray):
+        value = value.astype(float, copy=False)
+        inside = (value >= 0.0) & ((value <= 1.0) if closed else (value < 1.0))  # not NaN
+        if inside.all():
+            return value
+        value = float(value[~inside][0])
+    else:
+        value = float(value)
+        if 0.0 <= value < 1.0 or (closed and value == 1.0):
+            return value
+    raise ValueError(f"{name} must lie in [0, 1{']' if closed else ')'}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -51,15 +74,18 @@ class PurifiedCoeffs:
     the probability that all n outcomes agree.
     """
 
-    r0: float
-    r1: float
+    r0: float | np.ndarray
+    r1: float | np.ndarray
     n: int
 
     def __post_init__(self):
-        if self.r0 < -1e-12 or self.r1 < -1e-12:
-            raise ValueError(f"coefficients must be nonnegative, got ({self.r0}, {self.r1})")
-        if self.r0 + self.r1 > 1.0 + 1e-9:
-            raise ValueError(f"r0 + r1 = {self.r0 + self.r1} exceeds 1")
+        negative = (self.r0 < -1e-12) | (self.r1 < -1e-12)
+        if _any(negative):
+            raise ValueError("coefficients must be nonnegative, got "
+                             f"({_first(negative, self.r0)}, {_first(negative, self.r1)})")
+        total = self.r0 + self.r1
+        if _any(total > 1.0 + 1e-9):
+            raise ValueError(f"r0 + r1 = {_first(total > 1.0 + 1e-9, total)} exceeds 1")
 
     @property
     def acceptance(self) -> float:
@@ -140,14 +166,16 @@ def _replace_with_mixed_pair(rho: np.ndarray, a: int, b: int, nq: int) -> np.nda
     return permute_qubits(full, order)
 
 
-def _recurrence_step(r0: float, r1: float, p: float, epsilon: float) -> tuple[float, float]:
+def _recurrence_step(r0, r1, p, epsilon: float):
+    """One ancilla's step; r0, r1 and p are floats or columns of one value per row."""
     return (
         (1.0 - epsilon) * r0 * (1.0 - p / 2.0) + epsilon / 4.0 * (r0 + r1),
         (1.0 - epsilon) * r1 * (p / 2.0) + epsilon / 4.0 * (r0 + r1),
     )
 
 
-def purified_coeffs_general(p_list: Sequence[float], epsilon: float = 0.0) -> PurifiedCoeffs:
+def purified_coeffs_general(p_list: Sequence[float] | np.ndarray,
+                            epsilon: float = 0.0) -> PurifiedCoeffs:
     """(r0, r1) for per-qubit rates ``p_list`` and CNOT noise ``epsilon``.
 
     ``p_list[0]`` is the rate on the measured qubit itself, ``p_list[k]``
@@ -158,15 +186,24 @@ def purified_coeffs_general(p_list: Sequence[float], epsilon: float = 0.0) -> Pu
     With ideal CNOTs the steps commute and the result is the plain
     product (prod(1 - p_k/2), prod(p_k/2)); with epsilon > 0 the order
     matters and this one reproduces the physical circuit exactly.
+
+    A 2-D array of rates evaluates one row per point: r0 and r1 are then
+    arrays, computed column by column with the scalar call's operations
+    in the same order, so each entry equals that row's scalar call bit
+    for bit.
     """
-    p_list = [_check_fraction(p, "measurement noise fraction") for p in p_list]
-    if not p_list:
+    name = "measurement noise fraction"
+    if isinstance(p_list, np.ndarray) and p_list.ndim == 2:
+        columns = list(_check_fraction(p_list, name).T)
+    else:
+        columns = [_check_fraction(p, name) for p in p_list]
+    if not columns:
         raise ValueError("p_list must be nonempty")
     epsilon = _check_fraction(epsilon, "epsilon")
-    r0, r1 = 1.0 - p_list[0] / 2.0, p_list[0] / 2.0
-    for p in reversed(p_list[1:]):
+    r0, r1 = 1.0 - columns[0] / 2.0, columns[0] / 2.0
+    for p in reversed(columns[1:]):
         r0, r1 = _recurrence_step(r0, r1, p, epsilon)
-    return PurifiedCoeffs(r0=r0, r1=r1, n=len(p_list))
+    return PurifiedCoeffs(r0=r0, r1=r1, n=len(columns))
 
 
 def purified_coeffs_gate_noisy(p: float, epsilon: float, n: int) -> PurifiedCoeffs:

@@ -1,10 +1,14 @@
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entdistill import cli
+from entdistill.distill_mixed import distill_map, parity_weights
 
 
 def run_cli(argv, capsys):
@@ -268,3 +272,124 @@ def test_sweep_rejects_inverted_het_band(capsys):
 ])
 def test_depths_below_one_are_rejected_by_flag(argv, flag, capsys):
     _usage_error(argv, flag, capsys)
+
+
+def test_verify_rejects_zero_draws(capsys):
+    _usage_error(["verify", "--draws", "0"], "--draws", capsys)
+
+
+def test_sweep_rejects_p_axis_in_het_band_mode(capsys):
+    code, out, err = run_cli(["sweep", "--quantity", "mixed_fidelity_map", "--het-band", "0.05",
+                              "0.1", "--p", "0.9", "--F", "0.7", "--draws", "1"], capsys)
+    assert code == 2 and out == ""
+    assert "--p" in err and "--het-band" in err
+
+
+MAP = ["sweep", "--quantity", "mixed_fidelity_map"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--het-band", "0.5", "1.5", "--F", "0.7", "--n", "1:2", "--m", "1:2", "--draws", "2",
+      "--seed", "1"], "measurement noise fraction must lie in [0, 1), got 1.220324493442158"),
+    (["--het-band", "0.02", "0.2", "--epsilon", "1", "--F", "0.7", "--draws", "1"],
+     "epsilon must lie in [0, 1), got 1.0"),
+    (["--p", "0.1", "--F", "0.5,1.5"], "input fidelity must lie in [0, 1], got 1.5"),
+    (["--p", "0.1,1.0", "--F", "0.7"], "measurement noise fraction must lie in [0, 1), got 1.0"),
+    (["--p", "0.1", "--epsilon", "0,1", "--F", "0.7"], "epsilon must lie in [0, 1), got 1.0"),
+])
+def test_sweep_domain_errors_leave_no_output(argv, message, tmp_path, capsys):
+    path = tmp_path / "out.csv"
+    code, out, err = run_cli(MAP + argv + ["--out", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert not path.exists()
+    assert err.splitlines()[-1] == f"entdistill: error: {message}"
+
+
+def _first_row_error(lo, hi, seed, eps, n, m, fs, draws):
+    """The error of the first failing row when every row is evaluated on its own."""
+    rng = np.random.RandomState(seed)
+    for f in fs:
+        for _ in range(draws):
+            p_a, p_b = rng.uniform(lo, hi, n), rng.uniform(lo, hi, m)
+            try:
+                distill_map(f, parity_weights(p_a, p_b, eps))
+            except ValueError as exc:
+                return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("eps,fs", [(0.05, [0.7]), (1.0, [0.7]), (0.05, [1.2, 0.7])])
+def test_het_band_error_names_the_first_failing_row(seed, eps, fs, capsys):
+    """A cell is evaluated as columns, but its error is the row-by-row one."""
+    expected = _first_row_error(0.6, 1.3, seed, eps, 2, 3, fs, 3)
+    code, out, err = run_cli(MAP + ["--het-band", "0.6", "1.3", "--epsilon", str(eps),
+                                    "--n", "2", "--m", "3", "--F", ",".join(map(str, fs)),
+                                    "--draws", "3", "--seed", str(seed)], capsys)
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == f"entdistill: error: {expected}"
+
+
+def _reference_emit(rows, fmt):
+    """Row-by-row formatting, one dict per row: the bytes the chunked emitter must give."""
+    def text(value):
+        if isinstance(value, list):  # a rate list: one ';'-separated field
+            return ";".join(f"{v:.12g}" for v in value)
+        return f"{value:.12g}" if isinstance(value, float) else str(value)
+
+    if fmt == "json":
+        return "".join(json.dumps({**{k: text(v) if isinstance(v, list) else v
+                                      for k, v in row.items()}, "schema_version": 1},
+                                  sort_keys=True) + "\n" for row in rows)
+    fields = [f for f in cli.FIELD_ORDER if any(f in row for row in rows)]
+    return ",".join(fields) + "\n" + "".join(
+        ",".join(text(row[f]) if f in row else "" for f in fields) + "\n" for row in rows)
+
+
+FLOAT_FIELDS = ["p", "epsilon", "F", "theta", "r0", "r1", "value", "value_3dp", "p_succ"]
+INT_FIELDS = ["n", "m", "draw", "round"]
+# numpy string arrays drop trailing NUL characters, which no field carries.
+TEXT = st.text(alphabet=st.characters(blacklist_characters="\x00"), max_size=6)
+
+
+@st.composite
+def chunks(draw):
+    """Chunks over random fields: constants, columns, a rate-list column, a column
+    shared by every chunk, and one-row chunks of constants alone."""
+    rows = draw(st.integers(1, 4))
+    shared = np.array(draw(st.lists(st.floats(), min_size=rows, max_size=rows)))
+    out = []
+    for _ in range(draw(st.integers(1, 3))):
+        fields = draw(st.lists(st.sampled_from(FLOAT_FIELDS + INT_FIELDS + ["quantity"]),
+                               unique=True, min_size=1))
+        one_row = draw(st.booleans())
+        constants, columns = {}, {} if one_row else {"F": shared}
+        for f in fields:
+            value = (st.floats() if f in FLOAT_FIELDS else
+                     st.integers(-2 ** 63, 2 ** 63 - 1) if f in INT_FIELDS else TEXT)
+            if one_row or (f != "F" and draw(st.booleans())):
+                constants[f] = draw(value)
+            elif f != "F":
+                columns[f] = np.array(draw(st.lists(value, min_size=rows, max_size=rows)))
+        if not one_row:
+            width = draw(st.integers(1, 3))
+            columns["pA"] = np.array(draw(st.lists(st.lists(st.floats(), min_size=width,
+                                                            max_size=width),
+                                                   min_size=rows, max_size=rows)))
+        out.append((constants, columns))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(chunks(), st.sampled_from(["csv", "json"]))
+def test_chunked_emit_matches_row_by_row_formatting(chunk_list, fmt):
+    records, rows = cli.Records(), []
+    for constants, columns in chunk_list:
+        records.add(constants, columns)
+        lists = {f: col.tolist() for f, col in columns.items()}
+        rows += [{**constants, **{f: v[i] for f, v in lists.items()}}
+                 for i in range(len(columns["F"]) if columns else 1)]
+    buf = io.StringIO()
+    cli.emit_records(records, fmt, buf)
+    assert len(records) == len(rows)
+    assert buf.getvalue() == _reference_emit(rows, fmt)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from entdistill.distill_mixed import (
     ParityWeights,
@@ -217,3 +220,48 @@ def test_parity_weights_invariants_on_grid():
                 w = parity_weights([p] * n, [p] * m)
                 assert w.r_even > w.r_odd >= 0.0
                 assert w.r_even + w.r_odd <= 1.0 + 1e-12
+
+
+FRACTION = st.floats(0.0, 1.0, exclude_max=True)
+
+
+@st.composite
+def map_inputs(draw):
+    """F values with 0 and 1 among them, per-row rate matrices at depths 1-6, and eps."""
+    fs = np.array([0.0, 1.0] + draw(st.lists(st.floats(0.0, 1.0), max_size=6)))
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    p_a = draw(arrays(float, (len(fs), n), elements=FRACTION))
+    p_b = draw(arrays(float, (len(fs), m), elements=FRACTION))
+    return fs, p_a, p_b, draw(FRACTION)
+
+
+@settings(max_examples=200, deadline=None)
+@given(map_inputs())
+def test_array_evaluation_equals_scalar_calls_bit_for_bit(inputs):
+    fs, p_a, p_b, eps = inputs
+    # One row per point: rate matrices and an F column, as heterogeneous sweeps use them.
+    w = parity_weights(p_a, p_b, eps)
+    res = distill_map(fs, w)
+    scalar_w = [parity_weights(list(a), list(b), eps) for a, b in zip(p_a, p_b)]
+    scalar = [distill_map(float(f), sw) for f, sw in zip(fs, scalar_w)]
+    assert w.r_even.tolist() == [sw.r_even for sw in scalar_w]
+    assert w.r_odd.tolist() == [sw.r_odd for sw in scalar_w]
+    assert res.fidelity_out.tolist() == [r.fidelity_out for r in scalar]
+    assert res.p_succ.tolist() == [r.p_succ for r in scalar]
+    # One cell's scalar weights on the F column, as grid sweeps use them.
+    cell = distill_map(fs, scalar_w[0])
+    assert cell.fidelity_out.tolist() == [distill_map(float(f), scalar_w[0]).fidelity_out
+                                          for f in fs]
+    assert cell.p_succ.tolist() == [distill_map(float(f), scalar_w[0]).p_succ for f in fs]
+    for out in (res.fidelity_out, res.p_succ, cell.fidelity_out, cell.p_succ):
+        assert np.all((out >= 0.0) & (out <= 1.0))
+
+
+def test_array_checks_name_the_first_offending_value_in_row_order():
+    rates = np.array([[0.1, 0.2], [1.5, 0.1], [0.2, -0.3]])
+    with pytest.raises(ValueError, match=r"got 1\.5$"):
+        parity_weights(rates, rates, 0.0)
+    with pytest.raises(ValueError, match=r"input fidelity must lie in \[0, 1\], got 1\.25$"):
+        distill_map(np.array([0.5, 1.25, -1.0]), NOISELESS)
+    with pytest.raises(ValueError, match=r"got nan$"):
+        distill_map(np.array([0.5, np.nan]), NOISELESS)

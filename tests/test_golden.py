@@ -72,6 +72,17 @@ COMMANDS = [
     (["povm-purify", "--pList", "0.1,0.2,0.05", "--epsilon", "0.03"],
      "619cfae6af94dc94c62aabebfa69d7097b89724ebff6ad276bce57c6abe8073c",
      "c3579bf474fcf1d0ddc036dc76d4d3b8a6b852837c20c526443905a7c57af937"),
+    # Benchmark-sized: one p slice of the 400k-row grid (8,000 rows) and a
+    # heterogeneous sweep of 4,000 rows; captured before the sweeps went columnar.
+    (["sweep", "--quantity", "mixed_fidelity_map", "--p", "0.02", "--epsilon", "0:0.1:5",
+      "--n", "1:4", "--m", "1:4", "--F", "0.5:0.99:100"],
+     "35fc8847c9c4f716baf22f4244436a349881cdd8de59aa7adaabaf7a8f21ff65",
+     "324431c0e7f1f4356c0bf24edc3eaa6ae3e7f2a34f465dfc94601ed251ed388d"),
+    (["sweep", "--quantity", "mixed_fidelity_map", "--het-band", "0.025", "0.175",
+      "--epsilon", "0.05,0.1", "--seed", "3", "--n", "1:4", "--m", "1:4",
+      "--F", "0.55:0.95:25", "--draws", "5"],
+     "33ab030fb426edbc1aa8b2ea5aeb858ad601b6d3432db5276799c9656f76c3e0",
+     "5ed696ac569694598ca5e142bf6cedc9b3724fd2d1944beef1731d3fae41d215"),
 ]
 
 

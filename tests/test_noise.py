@@ -224,3 +224,22 @@ def test_purified_coeffs_rejects_rates_outside_the_domain():
             purified_coeffs_general(bad)
     with pytest.raises(ValueError):
         purified_coeffs_general([0.1], epsilon=1.0)
+
+
+def test_purified_coeffs_rate_matrix_is_one_scalar_call_per_row(rng):
+    rates = rng.uniform(0.0, 0.4, (5, 4))
+    c = purified_coeffs_general(rates, 0.07)
+    assert c.n == 4
+    assert c.r0.tolist() == [purified_coeffs_general(list(row), 0.07).r0 for row in rates]
+    assert c.r1.tolist() == [purified_coeffs_general(list(row), 0.07).r1 for row in rates]
+
+
+def test_coefficient_checks_hold_over_arrays():
+    with pytest.raises(ValueError, match=r"got \(-0\.1, 0\.3\)$"):
+        PurifiedCoeffs(r0=np.array([0.5, -0.1, -0.2]), r1=np.array([0.1, 0.3, 0.1]), n=1)
+    with pytest.raises(ValueError, match=r"r0 \+ r1 = 1\.5 exceeds 1$"):
+        PurifiedCoeffs(r0=np.array([0.5, 1.0]), r1=np.array([0.1, 0.5]), n=1)
+    with pytest.raises(ValueError, match=r"measurement noise fraction .* got 1\.0$"):
+        purified_coeffs_general(np.array([[0.1, 0.2], [0.3, 1.0]]))
+    with pytest.raises(ValueError, match="nonempty"):
+        purified_coeffs_general(np.zeros((3, 0)))
