@@ -65,14 +65,6 @@ class Records:
         self.chunks.append((constants, columns or {}))
         self.rows += len(next(iter(columns.values()))) if columns else 1
 
-    @classmethod
-    def from_rows(cls, rows: list[dict]) -> Records:
-        """One one-row chunk per row."""
-        records = cls()
-        for row in rows:
-            records.add(row)
-        return records
-
     def __len__(self) -> int:
         return self.rows
 
@@ -121,8 +113,8 @@ def emit_records(records: Records, fmt: str, out) -> None:
 
     A chunk's constants are formatted once into a %-template with one
     slot per column, and its rows are that template filled from the
-    columns. JSON keys come in ``sort_keys`` order. A one-row chunk of
-    constants is formatted as its own line.
+    columns; a chunk without columns is the template alone, one row.
+    JSON keys come in ``sort_keys`` order.
     """
     if fmt == "csv":
         fields = _ordered_fields(records)
@@ -132,11 +124,6 @@ def emit_records(records: Records, fmt: str, out) -> None:
         if fmt == "json":
             constants = {**constants, "schema_version": SCHEMA_VERSION}
             fields = sorted([*constants, *columns])
-        if not columns:
-            out.write((json.dumps(constants, sort_keys=True) if fmt == "json" else
-                       ",".join(_fmt(constants[f]) if f in constants else "" for f in fields))
-                      + "\n")
-            continue
         parts, values = [], []
         for f in fields:
             if f in columns:
@@ -149,7 +136,7 @@ def emit_records(records: Records, fmt: str, out) -> None:
                 slot = ""
             parts.append(slot if fmt == "csv" else f"{json.dumps(f)}: {slot}")
         template = (",".join(parts) if fmt == "csv" else "{" + ", ".join(parts) + "}") + "\n"
-        out.write("".join(map(template.__mod__, zip(*values))))
+        out.write("".join(map(template.__mod__, zip(*values) if values else [()])))
 
 
 def _write(records: Records, args) -> int:
@@ -172,6 +159,9 @@ def _rates_field(rates) -> str:
     return _rates_template(len(rates)) % tuple(rates)
 
 
+# ---------------------------------------------------------------------------
+# argument types: each raises ArgumentTypeError, so the message names the flag
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -179,89 +169,151 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _parse_float_axis(spec: str, name: str, parser) -> list[float]:
+def _float_axis(spec: str) -> list[float]:
     """Parse 'a,b,c' or 'start:stop:count' into a list of floats."""
     try:
         if ":" in spec:
-            parts = spec.split(":")
-            if len(parts) != 3:
-                raise ValueError
-            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-            if count < 1:
-                raise ValueError
-            return [float(v) for v in np.linspace(start, stop, count)]
-        vals = [float(v) for v in spec.split(",") if v != ""]
-        if not vals:
-            raise ValueError
-        return vals
+            start, stop, count = spec.split(":")
+            if int(count) >= 1:
+                return [float(v) for v in np.linspace(float(start), float(stop), int(count))]
+        else:
+            vals = [float(v) for v in spec.split(",") if v != ""]
+            if vals:
+                return vals
     except ValueError:
-        parser.error(f"cannot parse {name} axis {spec!r}; use 'a,b,c' or 'start:stop:count'")
+        pass
+    raise argparse.ArgumentTypeError(f"cannot parse axis {spec!r}; use 'a,b,c' or 'start:stop:count'")
 
 
-def _parse_int_axis(spec: str, name: str, parser) -> list[int]:
-    """Parse 'a,b,c' or 'lo:hi' (inclusive) into a list of ints."""
+def _frac_pi_axis(spec: str) -> list[float]:
+    """A float axis given in multiples of pi."""
+    return [x * np.pi for x in _float_axis(spec)]
+
+
+def _depth_axis(spec: str) -> list[int]:
+    """Parse 'a,b,c' or 'lo:hi' (inclusive) into a list of depths >= 1."""
     try:
         if ":" in spec:
             lo, hi = (int(v) for v in spec.split(":"))
-            if hi < lo:
-                raise ValueError
             vals = list(range(lo, hi + 1))
         else:
             vals = [int(v) for v in spec.split(",") if v != ""]
-        if not vals:
-            raise ValueError
     except ValueError:
-        parser.error(f"cannot parse {name} axis {spec!r}; use 'a,b,c' or 'lo:hi'")
+        vals = []
+    if not vals:
+        raise argparse.ArgumentTypeError(f"cannot parse axis {spec!r}; use 'a,b,c' or 'lo:hi'")
     if min(vals) < 1:
-        parser.error(f"--{name} depths must be >= 1, got {spec!r}")
+        raise argparse.ArgumentTypeError(f"depths must be >= 1, got {spec!r}")
     return vals
 
 
-def _parse_rates(spec: str, parser) -> list[float]:
+def _rates(spec: str) -> list[float]:
+    """Parse a rate list 'a,b,c' into floats."""
     try:
         rates = [float(v) for v in spec.split(",") if v != ""]
-        if not rates:
-            raise ValueError
-        return rates
     except ValueError:
-        parser.error(f"cannot parse rate list {spec!r}")
+        rates = []
+    if not rates:
+        raise argparse.ArgumentTypeError(f"cannot parse rate list {spec!r}; use 'a,b,c'")
+    return rates
+
+
+# ---------------------------------------------------------------------------
+# the quantity table and the grid
+
+def _pointwise(closed_form):
+    """A kernel calling ``closed_form(*axis values)`` -> (value,) or (value, p_succ) per row.
+
+    Scalar calls, not numpy arrays: Python's float ``x ** 2`` is C ``pow``,
+    which an array's ``x * x`` differs from in the last bit for some x.
+    """
+    def kernel(point: tuple, column: np.ndarray) -> dict[str, np.ndarray]:
+        outputs = [closed_form(*point, v) for v in column.tolist()]
+        return dict(zip(("value", "p_succ"), map(np.array, zip(*outputs))))
+    return kernel
+
+
+def _povm_fidelity(p, eps, n):
+    c = noise.purified_coeffs_gate_noisy(p, eps, n)
+    return c.fidelity, c.acceptance
+
+
+def _lower_bound(p, eps, n, m):
+    return (dm.lower_bound(dm.parity_weights([p] * n, [p] * m, eps)),)
+
+
+def _pure_fidelity(p, eps, n, theta):
+    res = dp.pure_filter_fidelity(theta, noise.purified_coeffs_gate_noisy(p, eps, n))
+    return res.fidelity_out, res.p_succ
+
+
+def _map_kernel(point: tuple, f_column: np.ndarray) -> dict[str, np.ndarray]:
+    """The fidelity map on the whole F column, with the cell's weights."""
+    p, eps, n, m = point
+    res = dm.distill_map(f_column, dm.parity_weights([p] * n, [p] * m, eps))
+    return {"value": res.fidelity_out, "p_succ": res.p_succ}
+
+
+#: Each quantity's axes in row order, and its kernel: ``kernel(point,
+#: column)`` evaluates one point of every axis but the last over the
+#: last axis, given as a numpy column, and returns the output columns.
+QUANTITIES = {
+    "povm_fidelity": (("p", "epsilon", "n"), _pointwise(_povm_fidelity)),
+    "mixed_fidelity_map": (("p", "epsilon", "n", "m", "F"), _map_kernel),
+    "lower_bound": (("p", "epsilon", "n", "m"), _pointwise(_lower_bound)),
+    "lower_bound_limit": (("p", "epsilon"),
+                          _pointwise(lambda p, eps: (dm.lower_bound_limit(p, eps),))),
+    "pure_fidelity": (("p", "epsilon", "n", "theta"), _pointwise(_pure_fidelity)),
+    "pure_fidelity_limit": (("p", "epsilon", "theta"), _pointwise(
+        lambda p, eps, theta: (dp.pure_filter_fidelity_limit(theta, p, eps),))),
+}
+
+
+def _grid(quantity: str, *grids: dict[str, list]) -> Records:
+    """A quantity's rows over the product of its axes, grid after grid.
+
+    Rows come in lexicographic order, the last axis varying fastest:
+    one chunk per point of every axis but the last, with that point's
+    values as constants and the last axis as one column that every
+    chunk shares. Every chunk is computed, and so every input checked,
+    before the first byte is written.
+    """
+    (*outer, last), kernel = QUANTITIES[quantity]
+    records = Records()
+    for axes in grids:
+        column = np.array(axes[last])
+        for point in product(*(axes[a] for a in outer)):
+            records.add({"quantity": quantity, **dict(zip(outer, point))},
+                        {last: column, **kernel(point, column)})
+    return records
 
 
 # ---------------------------------------------------------------------------
 # tables
 
-def _lower_bound_record(p: float, eps: float, n: int, m: int) -> dict:
-    val = dm.lower_bound(dm.parity_weights([p] * n, [p] * m, eps))
-    return {"quantity": "lower_bound", "p": p, "epsilon": eps, "n": n, "m": m, "value": val}
-
-
-def _pure_record(p: float, eps: float, n: int, theta: float) -> dict:
-    res = dp.pure_filter_fidelity(theta, noise.purified_coeffs_gate_noisy(p, eps, n))
-    return {"quantity": "pure_fidelity", "p": p, "epsilon": eps, "n": n, "theta": theta,
-            "value": res.fidelity_out, "p_succ": res.p_succ}
-
-
-def _with_3dp(records: list[dict]) -> Records:
-    for rec in records:
-        rec["value_3dp"] = round(rec["value"], 3)
-    return Records.from_rows(records)
-
-
 def table_records() -> list[tuple[str, Records]]:
     """The five reference tables as (name, records) pairs."""
     theta = float(np.pi / 16)
-    return [
-        ("lower_bound_p02", _with_3dp([_lower_bound_record(0.2, 0.0, n, m)
-                                       for n, m in product([1, 2, 3, 4], [1, 2, 3])])),
-        ("lower_bound_p01", _with_3dp([_lower_bound_record(0.1, 0.0, n, m)
-                                       for n, m in product([1, 2, 3, 4], [1, 2])])),
-        ("lower_bound_gate_noise", _with_3dp([_lower_bound_record(0.1, 0.1, n, n)
-                                              for n in [1, 2, 3, 4]])),
-        ("pure_fidelity_noiseless", _with_3dp([_pure_record(0.1, 0.0, n, theta)
-                                               for n in [1, 2, 3, 4]])),
-        ("pure_fidelity_gate_noise", _with_3dp([_pure_record(0.1, 0.05, n, theta)
-                                                for n in [1, 2, 3, 4]])),
+    depths = [1, 2, 3, 4]
+    tables = [
+        ("lower_bound_p02", _grid("lower_bound",
+                                  {"p": [0.2], "epsilon": [0.0], "n": depths, "m": [1, 2, 3]})),
+        ("lower_bound_p01", _grid("lower_bound",
+                                  {"p": [0.1], "epsilon": [0.0], "n": depths, "m": [1, 2]})),
+        ("lower_bound_gate_noise", _grid("lower_bound", *(
+            {"p": [0.1], "epsilon": [0.1], "n": [n], "m": [n]} for n in depths))),
+        ("pure_fidelity_noiseless", _grid("pure_fidelity",
+                                          {"p": [0.1], "epsilon": [0.0], "n": depths,
+                                           "theta": [theta]})),
+        ("pure_fidelity_gate_noise", _grid("pure_fidelity",
+                                           {"p": [0.1], "epsilon": [0.05], "n": depths,
+                                            "theta": [theta]})),
     ]
+    for _, records in tables:
+        for _, columns in records.chunks:
+            # Python's round: numpy's rint(x * 1000) / 1000 differs on near-ties.
+            columns["value_3dp"] = np.array([round(v, 3) for v in columns["value"].tolist()])
+    return tables
 
 
 def cmd_tables(args, parser) -> int:
@@ -283,94 +335,54 @@ def cmd_tables(args, parser) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 
-QUANTITIES = [
-    "povm_fidelity", "mixed_fidelity_map", "lower_bound",
-    "lower_bound_limit", "pure_fidelity", "pure_fidelity_limit",
-]
+#: The axis that each sweep flag sets.
+AXIS_OF_FLAG = {"--p": "p", "--epsilon": "epsilon", "--n": "n", "--m": "m", "--F": "F",
+                "--theta": "theta", "--theta-frac-pi": "theta"}
+#: The values of an axis whose flag is absent; every other axis is required.
+AXIS_DEFAULTS = {"epsilon": [0.0], "n": [1], "m": [1]}
 
 
 def _sweep_records(args, parser) -> Records:
-    q = args.quantity
-    p_axis = _parse_float_axis(args.p, "p", parser) if args.p else None
-    eps_axis = _parse_float_axis(args.epsilon, "epsilon", parser) if args.epsilon else [0.0]
-    n_axis = _parse_int_axis(args.n, "n", parser) if args.n else [1]
-    m_axis = _parse_int_axis(args.m, "m", parser) if args.m else [1]
-    f_axis = _parse_float_axis(args.F, "F", parser) if args.F else None
-    if args.theta and args.theta_frac_pi:
-        parser.error("give --theta or --theta-frac-pi, not both")
-    theta_axis = None
-    if args.theta:
-        theta_axis = _parse_float_axis(args.theta, "theta", parser)
-    elif args.theta_frac_pi:
-        theta_axis = [x * np.pi for x in _parse_float_axis(args.theta_frac_pi, "theta-frac-pi", parser)]
-
-    het = args.het_band is not None
+    q, het = args.quantity, args.het_band is not None
+    names, _ = QUANTITIES[q]
     if (het or args.seed is not None) and q != "mixed_fidelity_map":
         parser.error("--het-band/--seed only apply to the mixed_fidelity_map quantity")
     if het and args.het_band[0] > args.het_band[1]:
         parser.error(f"--het-band needs LO <= HI, got {args.het_band[0]} {args.het_band[1]}")
-    if het and p_axis is not None:
+    if het and args.p is not None:
         parser.error("give --p or --het-band, not both: --het-band draws the rates")
-    if not het and p_axis is None:
-        parser.error(f"quantity {q} needs a --p axis")
-    if q == "mixed_fidelity_map" and f_axis is None:
-        parser.error("mixed_fidelity_map needs an --F axis")
-    if q in ("pure_fidelity", "pure_fidelity_limit") and theta_axis is None:
-        parser.error(f"{q} needs a --theta or --theta-frac-pi axis")
-
+    if het:
+        names = tuple(a for a in names if a != "p")
+    axes = dict(AXIS_DEFAULTS)
+    for flag, axis in AXIS_OF_FLAG.items():
+        values = getattr(args, flag[2:].replace("-", "_"))
+        if values is not None:
+            if axis not in names:
+                parser.error(f"quantity {q} takes no {flag} axis")
+            axes[axis] = values
+    for axis in names:
+        if axis not in axes:
+            flags = " or ".join(f for f, a in AXIS_OF_FLAG.items() if a == axis)
+            parser.error(f"quantity {q} needs a {flags} axis")
     try:
-        if q == "mixed_fidelity_map":
-            return _map_records(args, p_axis, eps_axis, n_axis, m_axis, f_axis)
-        # The other quantities loop over scalar points, one row per chunk.
-        rows: list[dict] = []
-        if q == "povm_fidelity":
-            for p, eps, n in product(p_axis, eps_axis, n_axis):
-                c = noise.purified_coeffs_gate_noisy(p, eps, n)
-                rows.append({"quantity": q, "p": p, "epsilon": eps, "n": n,
-                             "value": c.fidelity, "p_succ": c.acceptance})
-        elif q == "lower_bound":
-            rows = [_lower_bound_record(*point)
-                    for point in product(p_axis, eps_axis, n_axis, m_axis)]
-        elif q == "lower_bound_limit":
-            for p, eps in product(p_axis, eps_axis):
-                rows.append({"quantity": q, "p": p, "epsilon": eps,
-                             "value": dm.lower_bound_limit(p, eps)})
-        elif q == "pure_fidelity":
-            rows = [_pure_record(*point)
-                    for point in product(p_axis, eps_axis, n_axis, theta_axis)]
-        else:  # pure_fidelity_limit
-            for p, eps, theta in product(p_axis, eps_axis, theta_axis):
-                rows.append({"quantity": q, "p": p, "epsilon": eps, "theta": theta,
-                             "value": dp.pure_filter_fidelity_limit(theta, p, eps)})
-        return Records.from_rows(rows)
+        return _het_records(args, axes) if het else _grid(q, axes)
     except ValueError as exc:
         parser.error(str(exc))
 
 
-def _map_records(args, p_axis, eps_axis, n_axis, m_axis, f_axis) -> Records:
-    """mixed_fidelity_map rows: one chunk per (p, eps, n, m) or (eps, n, m) cell.
+def _het_records(args, axes) -> Records:
+    """mixed_fidelity_map rows with drawn rates: one chunk per (eps, n, m) cell.
 
-    The map runs on the F axis as a column, so every row of a cell is one
-    array operation. Every chunk is computed, and so every input checked,
-    before the first byte is written.
+    Rates are drawn per row, (F, draw) row-major within a cell. One draw
+    of rows x (n + m) consumes the RandomState as per-row uniform(n) then
+    uniform(m) calls would.
     """
-    q = "mixed_fidelity_map"
     records = Records()
-    if args.het_band is None:  # weights once per (p, eps, n, m) cell
-        f_col = np.array(f_axis)
-        for p, eps, n, m in product(p_axis, eps_axis, n_axis, m_axis):
-            res = dm.distill_map(f_col, dm.parity_weights([p] * n, [p] * m, eps))
-            records.add({"quantity": q, "p": p, "epsilon": eps, "n": n, "m": m},
-                        {"F": f_col, "value": res.fidelity_out, "p_succ": res.p_succ})
-        return records
-    # Rates drawn per row, (F, draw) row-major within an (eps, n, m) cell. One
-    # draw of rows x (n + m) consumes the RandomState as per-row uniform(n)
-    # then uniform(m) calls would.
     lo, hi = args.het_band
     rng = np.random.RandomState(args.seed if args.seed is not None else 0)
-    f_col = np.repeat(f_axis, args.draws)
-    draw_col = np.tile(np.arange(args.draws), len(f_axis))
-    for eps, n, m in product(eps_axis, n_axis, m_axis):
+    f_col = np.repeat(axes["F"], args.draws)
+    draw_col = np.tile(np.arange(args.draws), len(axes["F"]))
+    for eps, n, m in product(axes["epsilon"], axes["n"], axes["m"]):
         rates = rng.uniform(lo, hi, len(f_col) * (n + m)).reshape(len(f_col), n + m)
         p_a, p_b = rates[:, :n], rates[:, n:]
         try:
@@ -380,7 +392,7 @@ def _map_records(args, p_axis, eps_axis, n_axis, m_axis, f_axis) -> Records:
             for f, pa, pb in zip(f_col, p_a, p_b):
                 dm.distill_map(f, dm.parity_weights(pa, pb, eps))
             raise
-        records.add({"quantity": q, "epsilon": eps, "n": n, "m": m},
+        records.add({"quantity": "mixed_fidelity_map", "epsilon": eps, "n": n, "m": m},
                     {"pA": p_a, "pB": p_b, "F": f_col,
                      "draw": draw_col, "value": res.fidelity_out, "p_succ": res.p_succ})
     return records
@@ -397,12 +409,8 @@ VERIFY_TOL = 1e-10
 
 
 def run_verification(max_n: int = 3, seed: int = 7, draws: int = 20,
-                     full: bool = False, corrupt: float = 0.0) -> dict[str, float]:
-    """Max |analytic - oracle| per quantity over a seeded random grid.
-
-    ``corrupt`` adds a bias to one analytic value; it exists so the
-    failure path of the CLI can be exercised deterministically.
-    """
+                     full: bool = False) -> dict[str, float]:
+    """Max |analytic - oracle| per quantity over a seeded random grid."""
     rng = np.random.RandomState(seed)
     eps_grid = [0.0, 0.05, 0.1]
     dev = {k: 0.0 for k in [
@@ -432,7 +440,7 @@ def run_verification(max_n: int = 3, seed: int = 7, draws: int = 20,
                 orc = oracle.oracle_distill_mixed(f, p_list, q_list, eps)
                 dev["mixed_fidelity"] = max(
                     dev["mixed_fidelity"],
-                    abs(res.fidelity_out + corrupt - orc.fidelity_out))
+                    abs(res.fidelity_out - orc.fidelity_out))
                 dev["mixed_p_succ"] = max(dev["mixed_p_succ"], abs(res.p_succ - orc.p_succ))
                 dev["mixed_state"] = max(
                     dev["mixed_state"],
@@ -466,8 +474,7 @@ def run_verification(max_n: int = 3, seed: int = 7, draws: int = 20,
 
 
 def cmd_verify(args, parser) -> int:
-    dev = run_verification(max_n=args.max_n, seed=args.seed, draws=args.draws,
-                           full=args.full, corrupt=1e-6 if args.self_test_corrupt else 0.0)
+    dev = run_verification(max_n=args.max_n, seed=args.seed, draws=args.draws, full=args.full)
     ok = True
     for name in sorted(dev):
         status = "ok" if dev[name] < VERIFY_TOL else "FAIL"
@@ -488,60 +495,53 @@ def cmd_distill_mixed(args, parser) -> int:
             parser.error("--pA and --pB must be given together")
         if args.p is not None:
             parser.error("give either --p or --pA/--pB, not both")
-        p_a, p_b = _parse_rates(args.pA, parser), _parse_rates(args.pB, parser)
+        p_a, p_b = args.pA, args.pB
     else:
         if args.p is None:
             parser.error("distill-mixed needs --p or --pA/--pB")
         p_a, p_b = [args.p] * args.n, [args.p] * args.m
+    rounds, f = [], args.F
     try:
         weights = dm.parity_weights(p_a, p_b, args.epsilon)
+        for _ in range(args.rounds):
+            res = dm.distill_map(f, weights)
+            rounds.append((f, res.fidelity_out, res.p_succ))
+            f = res.fidelity_out
     except ValueError as exc:
         parser.error(str(exc))
-    rows = []
-    f = args.F
-    for rnd in range(1, args.rounds + 1):
-        res = dm.distill_map(f, weights)
-        rows.append({
-            "quantity": "mixed_fidelity_map", "pA": _rates_field(p_a), "pB": _rates_field(p_b),
-            "epsilon": args.epsilon, "n": len(p_a), "m": len(p_b),
-            "F": f, "round": rnd, "value": res.fidelity_out, "p_succ": res.p_succ,
-        })
-        f = res.fidelity_out
-    return _write(Records.from_rows(rows), args)
-
-
-def _resolve_theta(args, parser) -> float:
-    if (args.theta is None) == (args.theta_frac_pi is None):
-        parser.error("give exactly one of --theta or --theta-frac-pi")
-    return args.theta if args.theta is not None else args.theta_frac_pi * np.pi
+    f_col, value, p_succ = map(np.array, zip(*rounds))
+    records = Records()
+    records.add({"quantity": "mixed_fidelity_map", "pA": _rates_field(p_a),
+                 "pB": _rates_field(p_b), "epsilon": args.epsilon, "n": len(p_a), "m": len(p_b)},
+                {"F": f_col, "round": np.arange(1, args.rounds + 1), "value": value,
+                 "p_succ": p_succ})
+    return _write(records, args)
 
 
 def cmd_distill_pure(args, parser) -> int:
-    theta = _resolve_theta(args, parser)
+    theta = args.theta if args.theta is not None else args.theta_frac_pi * np.pi
     try:
-        record = _pure_record(args.p, args.epsilon, args.n, theta)
+        records = _grid("pure_fidelity", {"p": [args.p], "epsilon": [args.epsilon],
+                                          "n": [args.n], "theta": [theta]})
     except ValueError as exc:
         parser.error(str(exc))
-    return _write(Records.from_rows([record]), args)
+    return _write(records, args)
 
 
 def cmd_povm_purify(args, parser) -> int:
-    if (args.pList is None) == (args.p is None):
-        parser.error("give exactly one of --p or --pList")
     try:
         if args.pList is not None:
-            p_list = _parse_rates(args.pList, parser)
-            c = noise.purified_coeffs_general(p_list, args.epsilon)
-            p_field = _rates_field(p_list)
+            c = noise.purified_coeffs_general(args.pList, args.epsilon)
+            p_field = _rates_field(args.pList)
         else:
             c = noise.purified_coeffs_gate_noisy(args.p, args.epsilon, args.n)
             p_field = args.p
     except ValueError as exc:
         parser.error(str(exc))
-    return _write(Records.from_rows([{
-        "quantity": "povm_fidelity", "p": p_field, "epsilon": args.epsilon, "n": c.n,
-        "r0": c.r0, "r1": c.r1, "value": c.fidelity, "p_succ": c.acceptance,
-    }]), args)
+    records = Records()
+    records.add({"quantity": "povm_fidelity", "p": p_field, "epsilon": args.epsilon, "n": c.n,
+                 "r0": c.r0, "r1": c.r1, "value": c.fidelity, "p_succ": c.acceptance})
+    return _write(records, args)
 
 
 # ---------------------------------------------------------------------------
@@ -565,14 +565,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("sweep", help="evaluate a quantity over a parameter grid")
     sub.set_defaults(run=cmd_sweep)
     sub.add_argument("--quantity", choices=QUANTITIES, required=True)
-    sub.add_argument("--p", help="axis: 'a,b,c' or 'start:stop:count'")
-    sub.add_argument("--epsilon", help="axis (default 0)")
-    sub.add_argument("--n", help="axis: 'a,b,c' or 'lo:hi' (default 1)")
-    sub.add_argument("--m", help="axis (default 1)")
-    sub.add_argument("--F", help="axis of input singlet fractions")
-    sub.add_argument("--theta", help="axis of Schmidt angles in radians")
-    sub.add_argument("--theta-frac-pi", dest="theta_frac_pi",
-                     help="axis of Schmidt angles as multiples of pi")
+    sub.add_argument("--p", type=_float_axis, help="axis: 'a,b,c' or 'start:stop:count'")
+    sub.add_argument("--epsilon", type=_float_axis, help="axis (default 0)")
+    sub.add_argument("--n", type=_depth_axis, help="axis: 'a,b,c' or 'lo:hi' (default 1)")
+    sub.add_argument("--m", type=_depth_axis, help="axis (default 1)")
+    sub.add_argument("--F", type=_float_axis, help="axis of input singlet fractions")
+    theta = sub.add_mutually_exclusive_group()
+    theta.add_argument("--theta", type=_float_axis, help="axis of Schmidt angles in radians")
+    theta.add_argument("--theta-frac-pi", dest="theta_frac_pi", type=_frac_pi_axis,
+                       help="axis of Schmidt angles as multiples of pi")
     sub.add_argument("--het-band", dest="het_band", nargs=2, type=float,
                      metavar=("LO", "HI"),
                      help="draw per-measurement rates uniformly from (LO, HI)")
@@ -589,15 +590,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--draws", type=_positive_int, default=20)
     sub.add_argument("--full", action="store_true",
                      help="also run the direct full-register checks (up to 8 qubits)")
-    sub.add_argument("--self-test-corrupt", dest="self_test_corrupt",
-                     action="store_true", help=argparse.SUPPRESS)
 
     sub = subs.add_parser("distill-mixed", help="two-way distillation of isotropic states")
     sub.set_defaults(run=cmd_distill_mixed)
     sub.add_argument("--F", type=float, required=True)
     sub.add_argument("--p", type=float)
-    sub.add_argument("--pA", help="comma-separated per-measurement rates for Alice")
-    sub.add_argument("--pB", help="comma-separated per-measurement rates for Bob")
+    sub.add_argument("--pA", type=_rates, help="comma-separated per-measurement rates for Alice")
+    sub.add_argument("--pB", type=_rates, help="comma-separated per-measurement rates for Bob")
     sub.add_argument("--n", type=_positive_int, default=1)
     sub.add_argument("--m", type=_positive_int, default=1)
     sub.add_argument("--epsilon", type=float, default=0.0)
@@ -608,8 +607,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("distill-pure", help="filter a Schmidt-form pure state")
     sub.set_defaults(run=cmd_distill_pure)
-    sub.add_argument("--theta", type=float)
-    sub.add_argument("--theta-frac-pi", dest="theta_frac_pi", type=float)
+    theta = sub.add_mutually_exclusive_group(required=True)
+    theta.add_argument("--theta", type=float)
+    theta.add_argument("--theta-frac-pi", dest="theta_frac_pi", type=float)
     sub.add_argument("--p", type=float, required=True)
     sub.add_argument("--epsilon", type=float, default=0.0)
     sub.add_argument("--n", type=_positive_int, default=1)
@@ -617,8 +617,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("povm-purify", help="purified-measurement coefficients")
     sub.set_defaults(run=cmd_povm_purify)
-    sub.add_argument("--p", type=float)
-    sub.add_argument("--pList", help="comma-separated heterogeneous rates")
+    rates = sub.add_mutually_exclusive_group(required=True)
+    rates.add_argument("--p", type=float)
+    rates.add_argument("--pList", type=_rates, help="comma-separated heterogeneous rates")
     sub.add_argument("--epsilon", type=float, default=0.0)
     sub.add_argument("--n", type=_positive_int, default=1)
     _add_io_args(sub)

@@ -32,7 +32,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .noise import PurifiedCoeffs, _any, _check_fraction, _first, purified_coeffs_general
+from .noise import _any, _check_fraction, _first, purified_coeffs_general
 from .qmat import PHI_PLUS, projector
 
 #: |00><00| + |11><11| and |01><01| + |10><10|, the correlated and
@@ -64,26 +64,11 @@ class ParityWeights:
 
 @dataclass(frozen=True)
 class DistillResult:
-    """Outcome of one post-selected distillation round.
-
-    ``weights`` is None for the pure-state filtering protocol, which has
-    no two-party parity structure.
-    """
+    """Outcome of one post-selected distillation round."""
 
     fidelity_out: float
     p_succ: float
     fidelity_in: float
-    weights: ParityWeights | None = None
-
-
-def combine_coeffs(a: PurifiedCoeffs, b: PurifiedCoeffs) -> ParityWeights:
-    """Parity weights from the two parties' purified-measurement coefficients."""
-    return ParityWeights(
-        r_even=a.r0 * b.r0 + a.r1 * b.r1,
-        r_odd=a.r0 * b.r1 + a.r1 * b.r0,
-        n=a.n,
-        m=b.n,
-    )
 
 
 def parity_weights(
@@ -97,9 +82,13 @@ def parity_weights(
     under swapping the two rate lists. Rate matrices with one row per
     point (see ``purified_coeffs_general``) give one weight per row.
     """
-    return combine_coeffs(
-        purified_coeffs_general(p_a, epsilon=epsilon),
-        purified_coeffs_general(p_b, epsilon=epsilon),
+    a = purified_coeffs_general(p_a, epsilon=epsilon)
+    b = purified_coeffs_general(p_b, epsilon=epsilon)
+    return ParityWeights(
+        r_even=a.r0 * b.r0 + a.r1 * b.r1,
+        r_odd=a.r0 * b.r1 + a.r1 * b.r0,
+        n=a.n,
+        m=b.n,
     )
 
 
@@ -131,7 +120,6 @@ def distill_map(f: float | np.ndarray, weights: ParityWeights) -> DistillResult:
         fidelity_out=num / den,
         p_succ=weights.r_even * den,
         fidelity_in=f,
-        weights=weights,
     )
 
 

@@ -87,7 +87,6 @@ def pure_filter_fidelity(theta: float, coeffs: PurifiedCoeffs) -> DistillResult:
         fidelity_out=fidelity,
         p_succ=p_succ,
         fidelity_in=singlet_fraction(projector(pure_theta(theta))),
-        weights=None,
     )
 
 

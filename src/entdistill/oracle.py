@@ -20,14 +20,13 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .distill_mixed import DistillResult, combine_coeffs
+from .distill_mixed import DistillResult
 from .distill_pure import filter_ops
 from .noise import (
     CNOT,
     _check_fraction,
     depolarized_cnot_apply,
     noisy_povm_element,
-    purified_coeffs_general,
 )
 from .qmat import (
     I2,
@@ -153,11 +152,7 @@ def oracle_distill_mixed(
     sigma = oracle_mixed_post_state(f, p_a, p_b, epsilon)
     p_succ = float(np.trace(sigma).real)
     fidelity = float((PHI_PLUS.conj() @ sigma @ PHI_PLUS).real) / p_succ
-    weights = combine_coeffs(
-        purified_coeffs_general(p_a, epsilon=epsilon),
-        purified_coeffs_general(p_b, epsilon=epsilon),
-    )
-    return DistillResult(fidelity_out=fidelity, p_succ=p_succ, fidelity_in=float(f), weights=weights)
+    return DistillResult(fidelity_out=fidelity, p_succ=p_succ, fidelity_in=float(f))
 
 
 def oracle_mixed_post_state_direct(
@@ -230,7 +225,6 @@ def oracle_distill_pure(theta: float, p: float, epsilon: float, n: int) -> Disti
         fidelity_out=fidelity,
         p_succ=p_succ,
         fidelity_in=singlet_fraction(projector(pure_theta(theta))),
-        weights=None,
     )
 
 

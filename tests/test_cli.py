@@ -1,6 +1,9 @@
+import contextlib
 import csv
+import dataclasses
 import io
 import json
+from itertools import product
 
 import numpy as np
 import pytest
@@ -8,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entdistill import cli
-from entdistill.distill_mixed import distill_map, parity_weights
+from entdistill.distill_mixed import distill_map, lower_bound, lower_bound_limit, parity_weights
+from entdistill.distill_pure import pure_filter_fidelity, pure_filter_fidelity_limit
+from entdistill.noise import purified_coeffs_gate_noisy
 
 
 def run_cli(argv, capsys):
@@ -161,9 +166,18 @@ def test_verify_full_includes_direct_register(capsys):
     assert "direct_register" in out
 
 
-def test_verify_corrupt_hook_fails(capsys):
-    code, out, _ = run_cli(
-        ["verify", "--max-n", "1", "--draws", "2", "--self-test-corrupt"], capsys)
+def test_verify_corrupt_hook_fails(monkeypatch, capsys):
+    """A 1e-6 bias on the analytic map's fidelity fails verification."""
+    from entdistill import distill_mixed
+
+    exact = distill_mixed.distill_map
+
+    def biased(f, weights):
+        res = exact(f, weights)
+        return dataclasses.replace(res, fidelity_out=res.fidelity_out + 1e-6)
+
+    monkeypatch.setattr(distill_mixed, "distill_map", biased)
+    code, out, _ = run_cli(["verify", "--max-n", "1", "--draws", "2"], capsys)
     assert code == 1
     assert "FAIL" in out
 
@@ -191,6 +205,7 @@ def test_distill_mixed_heterogeneous_rates(capsys):
 
 def test_distill_mixed_usage_errors(capsys):
     assert run_cli(["distill-mixed", "--F", "0.7"], capsys)[0] == 2
+    assert run_cli(["distill-mixed", "--F", "1.5", "--p", "0.1"], capsys)[0] == 2
     assert run_cli(["distill-mixed", "--F", "0.7", "--p", "0.1", "--pA", "0.1", "--pB", "0.1"],
                    capsys)[0] == 2
     assert run_cli(["distill-mixed", "--F", "0.7", "--pA", "0.1"], capsys)[0] == 2
@@ -272,6 +287,31 @@ def test_sweep_rejects_inverted_het_band(capsys):
 ])
 def test_depths_below_one_are_rejected_by_flag(argv, flag, capsys):
     _usage_error(argv, flag, capsys)
+
+
+#: A valid argv for each quantity, giving every axis the quantity takes.
+TAKES = {
+    "povm_fidelity": ["--p", "0.1", "--epsilon", "0.1", "--n", "2"],
+    "mixed_fidelity_map": ["--p", "0.1", "--epsilon", "0.1", "--n", "2", "--m", "2",
+                           "--F", "0.7"],
+    "lower_bound": ["--p", "0.1", "--epsilon", "0.1", "--n", "2", "--m", "2"],
+    "lower_bound_limit": ["--p", "0.1", "--epsilon", "0.1"],
+    "pure_fidelity": ["--p", "0.1", "--epsilon", "0.1", "--n", "2", "--theta", "0.3"],
+    "pure_fidelity_limit": ["--p", "0.1", "--epsilon", "0.1", "--theta", "0.3"],
+}
+AXIS_VALUES = {"--p": "0.1", "--epsilon": "0.1", "--n": "2", "--m": "2", "--F": "0.7",
+               "--theta": "0.3", "--theta-frac-pi": "0.1"}
+
+
+@pytest.mark.parametrize("quantity,flag", [
+    (q, flag) for q, argv in TAKES.items() for flag in AXIS_VALUES
+    if flag not in argv and not (flag == "--theta-frac-pi" and "--theta" in argv)])
+def test_sweep_rejects_axes_the_quantity_does_not_take(quantity, flag, capsys):
+    argv = ["sweep", "--quantity", quantity] + TAKES[quantity]
+    assert run_cli(argv, capsys)[0] == 0
+    code, out, err = run_cli(argv + [flag, AXIS_VALUES[flag]], capsys)
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == f"entdistill: error: quantity {quantity} takes no {flag} axis"
 
 
 def test_verify_rejects_zero_draws(capsys):
@@ -393,3 +433,62 @@ def test_chunked_emit_matches_row_by_row_formatting(chunk_list, fmt):
     cli.emit_records(records, fmt, buf)
     assert len(records) == len(rows)
     assert buf.getvalue() == _reference_emit(rows, fmt)
+
+
+def _povm_fidelity(p, epsilon, n):
+    c = purified_coeffs_gate_noisy(p, epsilon, n)
+    return {"value": c.fidelity, "p_succ": c.acceptance}
+
+
+def _mixed_fidelity_map(p, epsilon, n, m, F):
+    res = distill_map(F, parity_weights([p] * n, [p] * m, epsilon))
+    return {"value": res.fidelity_out, "p_succ": res.p_succ}
+
+
+def _pure_fidelity(p, epsilon, n, theta):
+    res = pure_filter_fidelity(theta, purified_coeffs_gate_noisy(p, epsilon, n))
+    return {"value": res.fidelity_out, "p_succ": res.p_succ}
+
+
+RATE = st.floats(0.0, 0.9).map(abs)  # abs: no -0.0, which argparse reads as a flag
+DEPTH = st.integers(1, 4)
+#: Per quantity: (sweep flag, field, values) of each axis in row order, and
+#: the scalar closed form of one row.
+CLOSED_FORMS = {
+    "povm_fidelity": ([("--p", "p", RATE), ("--epsilon", "epsilon", RATE), ("--n", "n", DEPTH)],
+                      _povm_fidelity),
+    "mixed_fidelity_map": ([("--p", "p", RATE), ("--epsilon", "epsilon", RATE),
+                            ("--n", "n", DEPTH), ("--m", "m", DEPTH),
+                            ("--F", "F", st.floats(0.0, 1.0).map(abs))], _mixed_fidelity_map),
+    "lower_bound": ([("--p", "p", RATE), ("--epsilon", "epsilon", RATE), ("--n", "n", DEPTH),
+                     ("--m", "m", DEPTH)],
+                    lambda p, epsilon, n, m: {
+                        "value": lower_bound(parity_weights([p] * n, [p] * m, epsilon))}),
+    "lower_bound_limit": ([("--p", "p", RATE), ("--epsilon", "epsilon", st.floats(1e-9, 0.9))],
+                          lambda p, epsilon: {"value": lower_bound_limit(p, epsilon)}),
+    "pure_fidelity": ([("--p", "p", RATE), ("--epsilon", "epsilon", RATE), ("--n", "n", DEPTH),
+                       ("--theta", "theta", st.floats(1e-3, np.pi / 4))], _pure_fidelity),
+    "pure_fidelity_limit": ([("--p", "p", RATE), ("--epsilon", "epsilon", st.floats(1e-9, 0.9)),
+                             ("--theta", "theta", st.floats(1e-3, np.pi / 4 - 1e-3))],
+                            lambda p, epsilon, theta: {
+                                "value": pure_filter_fidelity_limit(theta, p, epsilon)}),
+}
+
+
+@pytest.mark.parametrize("quantity", list(CLOSED_FORMS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sweep_rows_equal_the_scalar_closed_forms(quantity, data):
+    """Row order, chunk layout and every value's last bit, for every quantity."""
+    axes, closed_form = CLOSED_FORMS[quantity]
+    values = [data.draw(st.lists(elements, min_size=1, max_size=3), label=flag)
+              for flag, _, elements in axes]
+    argv = ["sweep", "--quantity", quantity]
+    for (flag, _, _), axis in zip(axes, values):
+        argv += [flag, ",".join(map(repr, axis))]
+    rows = [{"quantity": quantity, **dict(zip((f for _, f, _ in axes), point)),
+             **closed_form(*point)} for point in product(*values)]
+    for fmt in ("csv", "json"):
+        with contextlib.redirect_stdout(io.StringIO()) as buf:
+            assert cli.main(argv + ["--format", fmt]) == 0
+        assert buf.getvalue() == _reference_emit(rows, fmt)

@@ -143,7 +143,6 @@ def test_fidelity_table_noisy_gates(n, expected):
 def test_fidelity_in_is_input_overlap():
     res = pure_filter_fidelity(np.pi / 16, purified_coeffs_gate_noisy(0.1, 0.0, 2))
     assert res.fidelity_in == pytest.approx(0.691341716183, abs=1e-12)
-    assert res.weights is None
 
 
 def test_boundary_theta_always_unit_fidelity():

@@ -3,8 +3,9 @@
 Each sha256 was captured from the output of the CLI before its output
 path and the closed forms behind it were restructured. A change to any
 single byte of a table, a sweep or a single-point record fails here.
-``pure_fidelity_limit`` has no golden: its digits at small epsilon were
-corrected on purpose (see ``test_distill_pure``'s mpmath reference).
+The ``pure_fidelity_limit`` golden was captured after its digits at
+small epsilon were corrected on purpose (see ``test_distill_pure``'s
+mpmath reference).
 """
 
 import hashlib
@@ -83,6 +84,21 @@ COMMANDS = [
       "--F", "0.55:0.95:25", "--draws", "5"],
      "33ab030fb426edbc1aa8b2ea5aeb858ad601b6d3432db5276799c9656f76c3e0",
      "5ed696ac569694598ca5e142bf6cedc9b3724fd2d1944beef1731d3fae41d215"),
+    # Long last axes of the formulas that square with `** 2`, whose values a
+    # product in place of the power changes in the last bit (seen in JSON);
+    # captured before these quantities went through the quantity table.
+    (["sweep", "--quantity", "pure_fidelity_limit", "--p", "0.05,0.1,0.2",
+      "--epsilon", "0.001:0.1:5", "--theta-frac-pi", "0.005:0.245:300"],
+     "eb45debdab9dfc3dd3431dda160cdff4e0d75398ba7bd26a144957dab690fc0c",
+     "c94a3833ae104ff7d537be09c4960bde3fd0586cc85b14d9deabf5c3d74dfc44"),
+    (["sweep", "--quantity", "lower_bound_limit", "--p", "0.02:0.3:5",
+      "--epsilon", "0.001:0.2:1000"],
+     "0849b6941b58b2d64a9db3a349ca6f0439a3bcb7ffac75115a9a1ac1456a82ec",
+     "6c64276c49a85b1a5df9a8ef4d64dfb298c1cb61f527db534d298ebd0432b240"),
+    (["sweep", "--quantity", "pure_fidelity", "--p", "0.1", "--epsilon", "0.05", "--n", "3",
+      "--theta-frac-pi", "0.001:0.25:3000"],
+     "1a3ce1504e52d4d61193113ae2a458b328f38c790c62393874c60e1b02f5a98c",
+     "3eb41fe324f5d63ea95e9e26c5fa8617ce1be730c680826fc18fb7c41a569ce4"),
 ]
 
 
