@@ -340,6 +340,8 @@ AXIS_OF_FLAG = {"--p": "p", "--epsilon": "epsilon", "--n": "n", "--m": "m", "--F
                 "--theta": "theta", "--theta-frac-pi": "theta"}
 #: The values of an axis whose flag is absent; every other axis is required.
 AXIS_DEFAULTS = {"epsilon": [0.0], "n": [1], "m": [1]}
+#: Rate draws per grid point in --het-band mode when --draws is absent.
+HET_DRAWS = 20
 
 
 def _sweep_records(args, parser) -> Records:
@@ -351,6 +353,8 @@ def _sweep_records(args, parser) -> Records:
         parser.error(f"--het-band needs LO <= HI, got {args.het_band[0]} {args.het_band[1]}")
     if het and args.p is not None:
         parser.error("give --p or --het-band, not both: --het-band draws the rates")
+    if not het and args.draws is not None:
+        parser.error("--draws only applies in --het-band mode")
     if het:
         names = tuple(a for a in names if a != "p")
     axes = dict(AXIS_DEFAULTS)
@@ -379,9 +383,10 @@ def _het_records(args, axes) -> Records:
     """
     records = Records()
     lo, hi = args.het_band
+    draws = args.draws if args.draws is not None else HET_DRAWS
     rng = np.random.RandomState(args.seed if args.seed is not None else 0)
-    f_col = np.repeat(axes["F"], args.draws)
-    draw_col = np.tile(np.arange(args.draws), len(axes["F"]))
+    f_col = np.repeat(axes["F"], draws)
+    draw_col = np.tile(np.arange(draws), len(axes["F"]))
     for eps, n, m in product(axes["epsilon"], axes["n"], axes["m"]):
         rates = rng.uniform(lo, hi, len(f_col) * (n + m)).reshape(len(f_col), n + m)
         p_a, p_b = rates[:, :n], rates[:, n:]
@@ -437,27 +442,29 @@ def run_verification(max_n: int = 3, seed: int = 7, draws: int = 20,
                 q_list = list(rng.uniform(0.02, 0.3, m))
                 w = dm.parity_weights(p_list, q_list, eps)
                 res = dm.distill_map(f, w)
-                orc = oracle.oracle_distill_mixed(f, p_list, q_list, eps)
+                sigma = oracle.oracle_mixed_post_state(
+                    f, ep, oracle.oracle_effective_povm(q_list, eps, m))
+                orc = oracle.distill_result(sigma, f)
                 dev["mixed_fidelity"] = max(
                     dev["mixed_fidelity"],
                     abs(res.fidelity_out - orc.fidelity_out))
                 dev["mixed_p_succ"] = max(dev["mixed_p_succ"], abs(res.p_succ - orc.p_succ))
                 dev["mixed_state"] = max(
                     dev["mixed_state"],
-                    float(np.abs(dm.post_state_unnormalized(f, w)
-                                 - oracle.oracle_mixed_post_state(f, p_list, q_list, eps)).max()))
+                    float(np.abs(dm.post_state_unnormalized(f, w) - sigma).max()))
 
                 p_hom = float(rng.uniform(0.02, 0.3))
                 ch = noise.purified_coeffs_gate_noisy(p_hom, eps, n)
                 res_p = dp.pure_filter_fidelity(theta, ch)
-                orc_p = oracle.oracle_distill_pure(theta, p_hom, eps, n)
+                sigma_p = oracle.oracle_pure_post_state(
+                    theta, oracle.oracle_effective_povm([p_hom] * n, eps, n))
+                orc_p = oracle.distill_result(sigma_p, res_p.fidelity_in)
                 dev["pure_fidelity"] = max(dev["pure_fidelity"],
                                            abs(res_p.fidelity_out - orc_p.fidelity_out))
                 dev["pure_p_succ"] = max(dev["pure_p_succ"], abs(res_p.p_succ - orc_p.p_succ))
                 dev["pure_state"] = max(
                     dev["pure_state"],
-                    float(np.abs(dp.pure_post_state_unnormalized(theta, ch)
-                                 - oracle.oracle_pure_post_state(theta, p_hom, eps, n)).max()))
+                    float(np.abs(dp.pure_post_state_unnormalized(theta, ch) - sigma_p).max()))
 
     if full:
         dev["direct_register"] = 0.0
@@ -495,11 +502,15 @@ def cmd_distill_mixed(args, parser) -> int:
             parser.error("--pA and --pB must be given together")
         if args.p is not None:
             parser.error("give either --p or --pA/--pB, not both")
+        for flag in ("n", "m"):
+            if getattr(args, flag) is not None:
+                parser.error(f"--{flag} does not apply with --pA/--pB: the lists' lengths "
+                             "are the depths")
         p_a, p_b = args.pA, args.pB
     else:
         if args.p is None:
             parser.error("distill-mixed needs --p or --pA/--pB")
-        p_a, p_b = [args.p] * args.n, [args.p] * args.m
+        p_a, p_b = [args.p] * (args.n or 1), [args.p] * (args.m or 1)
     rounds, f = [], args.F
     try:
         weights = dm.parity_weights(p_a, p_b, args.epsilon)
@@ -529,12 +540,14 @@ def cmd_distill_pure(args, parser) -> int:
 
 
 def cmd_povm_purify(args, parser) -> int:
+    if args.pList is not None and args.n is not None:
+        parser.error("--n does not apply with --pList: the list's length is the depth")
     try:
         if args.pList is not None:
             c = noise.purified_coeffs_general(args.pList, args.epsilon)
             p_field = _rates_field(args.pList)
         else:
-            c = noise.purified_coeffs_gate_noisy(args.p, args.epsilon, args.n)
+            c = noise.purified_coeffs_gate_noisy(args.p, args.epsilon, args.n or 1)
             p_field = args.p
     except ValueError as exc:
         parser.error(str(exc))
@@ -577,8 +590,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--het-band", dest="het_band", nargs=2, type=float,
                      metavar=("LO", "HI"),
                      help="draw per-measurement rates uniformly from (LO, HI)")
-    sub.add_argument("--draws", type=_positive_int, default=20,
-                     help="random draws per grid point in --het-band mode")
+    sub.add_argument("--draws", type=_positive_int,
+                     help=f"random draws per grid point in --het-band mode (default {HET_DRAWS})")
     sub.add_argument("--seed", type=int, default=None,
                      help="seed for --het-band mode")
     _add_io_args(sub)
@@ -597,8 +610,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--p", type=float)
     sub.add_argument("--pA", type=_rates, help="comma-separated per-measurement rates for Alice")
     sub.add_argument("--pB", type=_rates, help="comma-separated per-measurement rates for Bob")
-    sub.add_argument("--n", type=_positive_int, default=1)
-    sub.add_argument("--m", type=_positive_int, default=1)
+    sub.add_argument("--n", type=_positive_int, help="Alice's depth with --p (default 1)")
+    sub.add_argument("--m", type=_positive_int, help="Bob's depth with --p (default 1)")
     sub.add_argument("--epsilon", type=float, default=0.0)
     sub.add_argument("--rounds", type=_positive_int, default=1,
                      help="iterate the map with the same weights; this assumes each round's "
@@ -621,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     rates.add_argument("--p", type=float)
     rates.add_argument("--pList", type=_rates, help="comma-separated heterogeneous rates")
     sub.add_argument("--epsilon", type=float, default=0.0)
-    sub.add_argument("--n", type=_positive_int, default=1)
+    sub.add_argument("--n", type=_positive_int, help="depth with --p (default 1)")
     _add_io_args(sub)
 
     return parser

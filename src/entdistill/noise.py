@@ -33,7 +33,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .qmat import I2, P0, P1, X, embed_op, partial_trace, permute_qubits, tensor
+# embed_op is unused here but stays bound: the benchmark's tests check noise.embed_op.
+from .qmat import I2, P0, P1, X, embed_op, tensor  # noqa: F401
 
 
 def _any(mask):
@@ -121,11 +122,6 @@ def collective_cnot(n: int) -> np.ndarray:
     return np.kron(P0, eye) + np.kron(P1, xs)
 
 
-#: The two-qubit CNOT, built once: every depolarized CNOT and every
-#: bilateral CNOT of the oracle embeds this same matrix.
-CNOT = collective_cnot(2)
-
-
 def depolarized_cnot_apply(
     rho: np.ndarray,
     control: int,
@@ -136,34 +132,41 @@ def depolarized_cnot_apply(
 
         rho -> (1 - eps) V rho V^dag + eps (I/4)_{ct} x tr_{ct}(rho)
 
-    All other qubits of the register are untouched.
+    All other qubits of the register are untouched. The channel acts on
+    qubit axes, not on an embedded 2^n x 2^n operator: V is the index
+    permutation that flips the target bit where the control bit is set,
+    and the (c, t) marginal is the sum of the four diagonal (c, t)
+    blocks of the (2,)*2n tensor, written back into each with weight 1/4.
     """
     rho = np.asarray(rho, dtype=complex)
     epsilon = float(epsilon)
     if not 0.0 <= epsilon <= 1.0:  # closed interval: eps = 1 is full depolarization
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
-    nq = rho.shape[0].bit_length() - 1
-    if 2 ** nq != rho.shape[0]:
-        raise ValueError(f"state dimension {rho.shape[0]} is not a power of two")
+    d = rho.shape[0]
+    nq = d.bit_length() - 1
+    if 2 ** nq != d or rho.shape != (d, d):
+        raise ValueError(f"state shape {rho.shape} is not a square power of two")
     if control == target:
         raise ValueError("control and target must differ")
-    v = embed_op(CNOT, [control, target], nq)
-    out = (1.0 - epsilon) * (v @ rho @ v.conj().T)
+    if not (0 <= control < nq and 0 <= target < nq):
+        raise ValueError(f"invalid control/target ({control}, {target}) for {nq} qubits")
+    index = np.arange(d)
+    cbit, tbit = 1 << (nq - 1 - control), 1 << (nq - 1 - target)
+    perm = np.where(index & cbit, index ^ tbit, index)
+    out = rho[perm[:, None], perm]
     if epsilon > 0.0:
-        out = out + epsilon * _replace_with_mixed_pair(rho, control, target, nq)
+        out *= 1.0 - epsilon
+        blocks = []
+        for c, t in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            key = [slice(None)] * (2 * nq)
+            key[control] = key[nq + control] = c
+            key[target] = key[nq + target] = t
+            blocks.append(tuple(key))
+        tensor_in, tensor_out = rho.reshape((2,) * (2 * nq)), out.reshape((2,) * (2 * nq))
+        marginal = sum(tensor_in[key] for key in blocks)
+        for key in blocks:
+            tensor_out[key] += epsilon / 4.0 * marginal
     return out
-
-
-def _replace_with_mixed_pair(rho: np.ndarray, a: int, b: int, nq: int) -> np.ndarray:
-    """(I/4) on qubits (a, b) tensored with rho's marginal on the rest."""
-    rest = [q for q in range(nq) if q not in (a, b)]
-    if not rest:
-        return np.eye(4, dtype=complex) / 4.0 * np.trace(rho)
-    sigma = partial_trace(rho, rest)
-    full = np.kron(sigma, np.eye(4, dtype=complex) / 4.0)
-    current = rest + [a, b]
-    order = [current.index(q) for q in range(nq)]
-    return permute_qubits(full, order)
 
 
 def _recurrence_step(r0, r1, p, epsilon: float):

@@ -4,13 +4,19 @@ Nothing here reuses the closed forms from the other modules: the
 purification gadget, the two-way distillation round and the filtering
 circuit are built as explicit registers and contracted numerically, so
 any disagreement with the analytic layer points at a real defect.
+Channels act on qubit axes: a CNOT is an index permutation, the
+depolarizing step a sum over four diagonal blocks (see
+``noise.depolarized_cnot_apply``), an ancilla prepared and sandwiched in
+|0> an index, and a measurement one contraction with its POVM element.
+No dense operator is embedded into the register.
 
 Two levels are provided for the distillation protocols. The fast path
 first reduces each purification gadget to an effective single-qubit POVM
 (the gadget touches only the measured qubit and its private ancillas),
-then runs the four-qubit protocol. The ``*_direct`` functions skip the
-reduction and simulate the full register including every ancilla; they
-exist to certify the reduction itself.
+then runs the protocol on the pair that is kept and the pair that is
+measured. The ``*_direct`` functions skip the reduction and simulate the
+full register including every ancilla; they exist to certify the
+reduction itself.
 """
 
 from __future__ import annotations
@@ -22,22 +28,9 @@ import numpy as np
 
 from .distill_mixed import DistillResult
 from .distill_pure import filter_ops
-from .noise import (
-    CNOT,
-    _check_fraction,
-    depolarized_cnot_apply,
-    noisy_povm_element,
-)
-from .qmat import (
-    I2,
-    KET0,
-    PHI_PLUS,
-    embed_op,
-    partial_trace,
-    projector,
-    singlet_fraction,
-    tensor,
-)
+from .noise import _check_fraction, depolarized_cnot_apply, noisy_povm_element
+# embed_op is unused here but stays bound: the benchmark's tests check oracle.embed_op.
+from .qmat import KET0, PHI_PLUS, embed_op, projector, singlet_fraction, tensor  # noqa: F401
 from .states import isotropic, pure_theta
 
 MAX_GADGET_QUBITS = 6
@@ -80,6 +73,7 @@ def oracle_effective_povm(p_list: Sequence[float], epsilon: float, n: int) -> Ef
     if n < 1 or n > MAX_GADGET_QUBITS:
         raise ValueError(f"n must lie in 1..{MAX_GADGET_QUBITS}, got {n}")
 
+    d = 2 ** (n - 1)
     elements = []
     for outcome in (0, 1):
         op = tensor(*[noisy_povm_element(outcome, p) for p in p_list])
@@ -88,58 +82,43 @@ def oracle_effective_povm(p_list: Sequence[float], epsilon: float, n: int) -> Ef
         # the Schroedinger-picture channel also pulls observables back.
         for j in reversed(range(1, n)):
             op = depolarized_cnot_apply(op, 0, j, epsilon)
-        if n == 1:
-            q = op
-        else:
-            anc = tensor(*([projector(KET0)] * (n - 1)))
-            proj = np.kron(I2, anc)
-            q = partial_trace(proj @ op @ proj, [0], dims=[2] * n)
-        elements.append(q)
+        # <0...0| op |0...0> on the ancillas: the measured qubit's rows and
+        # columns at ancilla index 0.
+        elements.append(op.reshape(2, d, 2, d)[:, 0, :, 0])
 
     q0, q1 = elements
     return EffectivePovm(q0=q0, q1=q1, r0=float(q0[0, 0].real), r1=float(q0[1, 1].real))
 
 
-def _contract_measurements(
-    rho: np.ndarray,
-    ops_by_index: dict[int, np.ndarray],
-    keep: Sequence[int],
-    nq: int,
-) -> np.ndarray:
-    """tr_measured[rho (I x ... x E_k x ...)] reduced onto ``keep``."""
-    ops = [ops_by_index.get(q, I2) for q in range(nq)]
-    return partial_trace(rho @ tensor(*ops), keep, dims=[2] * nq)
+def _measure(rho: np.ndarray, element: np.ndarray) -> np.ndarray:
+    """tr_rest[rho (I_4 x element)]: the first two qubits after measuring the rest."""
+    d = element.shape[0]
+    return np.einsum("aybz,zy->ab", rho.reshape(4, d, 4, d), element)
 
 
-def oracle_mixed_post_state(
-    f: float,
-    p_a: Sequence[float],
-    p_b: Sequence[float],
-    epsilon: float = 0.0,
-) -> np.ndarray:
-    """Unnormalized accepted state of the two-way round, via effective POVMs.
+def _bilateral_cnots(rho: np.ndarray) -> np.ndarray:
+    """Ideal CNOTs A1 -> A2 and B1 -> B2 on a register ordered A1 B1 A2 B2 ..."""
+    return depolarized_cnot_apply(depolarized_cnot_apply(rho, 0, 2, 0.0), 1, 3, 0.0)
+
+
+def distill_result(sigma: np.ndarray, fidelity_in: float) -> DistillResult:
+    """Success probability tr sigma and fidelity <phi+|sigma|phi+> / tr sigma of an accepted state."""
+    p_succ = float(np.trace(sigma).real)
+    fidelity = float((PHI_PLUS.conj() @ sigma @ PHI_PLUS).real) / p_succ
+    return DistillResult(fidelity_out=fidelity, p_succ=p_succ, fidelity_in=float(fidelity_in))
+
+
+def oracle_mixed_post_state(f: float, qa: EffectivePovm, qb: EffectivePovm) -> np.ndarray:
+    """Unnormalized accepted state of the two-way round, with the gadgets' effective POVMs.
 
     Register order A1 B1 A2 B2; ideal bilateral CNOTs A1->A2 and B1->B2;
-    the second pair is contracted with the gadgets' effective elements,
-    summed over the two equal-outcome branches.
+    the second pair is contracted with Alice's element ``qa`` and Bob's
+    ``qb``, summed over the two equal-outcome branches.
     """
     if not 0.0 <= f <= 1.0:
         raise ValueError(f"input fidelity must lie in [0, 1], got {f}")
-    n, m = len(p_a), len(p_b)
-    if n > 4 or m > 4:
-        raise ValueError(f"purification depths above 4 not supported here, got {n}, {m}")
-    qa = oracle_effective_povm(p_a, epsilon, n)
-    qb = oracle_effective_povm(p_b, epsilon, m)
-
-    rho = np.kron(isotropic(f), isotropic(f))
-    for (c, t) in ((0, 2), (1, 3)):
-        v = embed_op(CNOT, [c, t], 4)
-        rho = v @ rho @ v.conj().T
-
-    sigma = np.zeros((4, 4), dtype=complex)
-    for qa_i, qb_i in ((qa.q0, qb.q0), (qa.q1, qb.q1)):
-        sigma += _contract_measurements(rho, {2: qa_i, 3: qb_i}, keep=[0, 1], nq=4)
-    return sigma
+    rho = _bilateral_cnots(np.kron(isotropic(f), isotropic(f)))
+    return _measure(rho, np.kron(qa.q0, qb.q0) + np.kron(qa.q1, qb.q1))
 
 
 def oracle_distill_mixed(
@@ -149,10 +128,9 @@ def oracle_distill_mixed(
     epsilon: float = 0.0,
 ) -> DistillResult:
     """Fidelity map and success probability from the density-matrix protocol."""
-    sigma = oracle_mixed_post_state(f, p_a, p_b, epsilon)
-    p_succ = float(np.trace(sigma).real)
-    fidelity = float((PHI_PLUS.conj() @ sigma @ PHI_PLUS).real) / p_succ
-    return DistillResult(fidelity_out=fidelity, p_succ=p_succ, fidelity_in=float(f))
+    qa = oracle_effective_povm(p_a, epsilon, len(p_a))
+    qb = oracle_effective_povm(p_b, epsilon, len(p_b))
+    return distill_result(oracle_mixed_post_state(f, qa, qb), f)
 
 
 def oracle_mixed_post_state_direct(
@@ -178,54 +156,35 @@ def oracle_mixed_post_state_direct(
     rho = np.kron(isotropic(f), isotropic(f))
     if nq > 4:
         rho = np.kron(rho, tensor(*([projector(KET0)] * (nq - 4))))
-    for (c, t) in ((0, 2), (1, 3)):
-        v = embed_op(CNOT, [c, t], nq)
-        rho = v @ rho @ v.conj().T
+    rho = _bilateral_cnots(rho)
     alice_anc = list(range(4, 4 + n - 1))
     bob_anc = list(range(4 + n - 1, nq))
     rho = apply_depolarized_cnot_chain(rho, alice_anc, control=2, epsilon=epsilon)
     rho = apply_depolarized_cnot_chain(rho, bob_anc, control=3, epsilon=epsilon)
 
-    sigma = np.zeros((4, 4), dtype=complex)
-    for outcome in (0, 1):
-        ops: dict[int, np.ndarray] = {
-            2: noisy_povm_element(outcome, p_a[0]),
-            3: noisy_povm_element(outcome, p_b[0]),
-        }
-        for k, q in enumerate(alice_anc):
-            ops[q] = noisy_povm_element(outcome, p_a[1 + k])
-        for k, q in enumerate(bob_anc):
-            ops[q] = noisy_povm_element(outcome, p_b[1 + k])
-        sigma += _contract_measurements(rho, ops, keep=[0, 1], nq=nq)
-    return sigma
+    # Measured qubits in register order: A2, B2, Alice's ancillas, Bob's ancillas.
+    rates = [p_a[0], p_b[0], *p_a[1:], *p_b[1:]]
+    element = sum(tensor(*[noisy_povm_element(outcome, p) for p in rates]) for outcome in (0, 1))
+    return _measure(rho, element)
 
 
-def oracle_pure_post_state(theta: float, p: float, epsilon: float, n: int) -> np.ndarray:
-    """Unnormalized accepted state of the filtering circuit, via the effective POVM.
+def oracle_pure_post_state(theta: float, q: EffectivePovm) -> np.ndarray:
+    """Unnormalized accepted state of the filtering circuit, with the gadget's effective POVM.
 
-    Register order A B E; the controlled-W acts on (B, E) and the
-    purified measurement keeps only the unanimous-zeros branch.
+    Register order A B E; the controlled-W acts on (B, E) of the ket, and
+    the purified measurement of E keeps only the unanimous-zeros branch,
+    with element ``q.q0``.
     """
-    if n < 1 or n > MAX_GADGET_QUBITS:
-        raise ValueError(f"n must lie in 1..{MAX_GADGET_QUBITS}, got {n}")
-    ops = filter_ops(theta)
-    rho = np.kron(projector(pure_theta(theta)), projector(KET0))
-    u = embed_op(ops.u, [1, 2], 3)
-    rho = u @ rho @ u.conj().T
-    q0 = oracle_effective_povm([p] * n, epsilon, n).q0
-    return _contract_measurements(rho, {2: q0}, keep=[0, 1], nq=3)
+    u = filter_ops(theta).u
+    # |psi> = (I x U)(|theta> x |0>), as a 4 x 2 matrix with rows AB and columns E.
+    psi = (np.kron(pure_theta(theta), KET0).reshape(2, 4) @ u.T).reshape(4, 2)
+    return psi @ q.q0.T @ psi.conj().T
 
 
 def oracle_distill_pure(theta: float, p: float, epsilon: float, n: int) -> DistillResult:
     """Filtered fidelity and success probability from the density-matrix circuit."""
-    sigma = oracle_pure_post_state(theta, p, epsilon, n)
-    p_succ = float(np.trace(sigma).real)
-    fidelity = float((PHI_PLUS.conj() @ sigma @ PHI_PLUS).real) / p_succ
-    return DistillResult(
-        fidelity_out=fidelity,
-        p_succ=p_succ,
-        fidelity_in=singlet_fraction(projector(pure_theta(theta))),
-    )
+    sigma = oracle_pure_post_state(theta, oracle_effective_povm([p] * n, epsilon, n))
+    return distill_result(sigma, singlet_fraction(projector(pure_theta(theta))))
 
 
 def oracle_pure_post_state_direct(theta: float, p: float, epsilon: float, n: int) -> np.ndarray:
@@ -233,10 +192,9 @@ def oracle_pure_post_state_direct(theta: float, p: float, epsilon: float, n: int
     if n < 1 or n > MAX_GADGET_QUBITS:
         raise ValueError(f"n must lie in 1..{MAX_GADGET_QUBITS}, got {n}")
     nq = 2 + n
-    ops = filter_ops(theta)
-    rho = projector(tensor(pure_theta(theta), *([KET0] * n)))
-    u = embed_op(ops.u, [1, 2], nq)
-    rho = u @ rho @ u.conj().T
-    rho = apply_depolarized_cnot_chain(rho, list(range(3, nq)), control=2, epsilon=epsilon)
-    meas = {q: noisy_povm_element(0, p) for q in range(2, nq)}
-    return _contract_measurements(rho, meas, keep=[0, 1], nq=nq)
+    u = filter_ops(theta).u
+    psi = tensor(pure_theta(theta), *([KET0] * n)).reshape(2, 4, 2 ** (n - 1))
+    psi = np.einsum("ij,ajk->aik", u, psi)  # U on (B, E), the first ancilla
+    rho = apply_depolarized_cnot_chain(projector(psi), list(range(3, nq)), control=2,
+                                       epsilon=epsilon)
+    return _measure(rho, tensor(*([noisy_povm_element(0, p)] * n)))

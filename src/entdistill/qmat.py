@@ -7,8 +7,12 @@ follows the usual binary-string convention: the leftmost qubit label is
 the most significant bit, so ``tensor(a, b)`` puts ``a`` on the high
 bits.
 
-Registers stay small (at most 8 qubits, 256 x 256), so dense storage and
-exact ``numpy.linalg`` routines are the simplest correct choice.
+Registers stay small (at most 8 qubits, 256 x 256), so states are
+stored densely. Channels on a register need not be: the oracle applies
+them on qubit axes (an index permutation, a sum over diagonal blocks, a
+contraction with one POVM element) instead of building the 2^n x 2^n
+operators that ``embed_op`` returns; ``embed_op`` and ``permute_qubits``
+remain the dense references that the tests compare against.
 """
 
 from __future__ import annotations

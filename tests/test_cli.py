@@ -154,10 +154,13 @@ def test_sweep_usage_errors(capsys):
 
 
 def test_verify_passes(capsys):
-    code, out, _ = run_cli(["verify", "--max-n", "2", "--draws", "3"], capsys)
-    assert code == 0
-    assert "verification passed" in out
-    assert out.count("[ok]") >= 8
+    # depth 4 and the 8-qubit direct register run through the same kernels
+    for argv in (["--max-n", "2", "--draws", "3"], ["--max-n", "4", "--draws", "2"],
+                 ["--full", "--draws", "2"]):
+        code, out, _ = run_cli(["verify", *argv], capsys)
+        assert code == 0, argv
+        assert "verification passed" in out
+        assert out.count("[ok]") >= 8
 
 
 def test_verify_full_includes_direct_register(capsys):
@@ -270,6 +273,21 @@ def test_distill_mixed_rejects_zero_rounds(capsys):
 def test_sweep_rejects_nonpositive_draws(capsys):
     _usage_error(["sweep", "--quantity", "mixed_fidelity_map", "--het-band", "0.05", "0.1",
                   "--F", "0.7", "--draws", "-3"], "--draws", capsys)
+
+
+def test_sweep_rejects_draws_outside_het_band_mode(capsys):
+    _usage_error(["sweep", "--quantity", "lower_bound", "--p", "0.1", "--draws", "5"],
+                 "--draws", capsys)
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["povm-purify", "--pList", "0.1,0.2", "--n", "5"], "--n"),
+    (["distill-mixed", "--F", "0.7", "--pA", "0.1", "--pB", "0.1,0.2", "--n", "4", "--m", "3"],
+     "--n"),
+    (["distill-mixed", "--F", "0.7", "--pA", "0.1", "--pB", "0.1,0.2", "--m", "2"], "--m"),
+])
+def test_depth_flags_with_rate_lists_are_rejected(argv, flag, capsys):
+    _usage_error(argv, flag, capsys)
 
 
 def test_sweep_rejects_inverted_het_band(capsys):

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 from conftest import rand_density_matrix
@@ -12,7 +14,16 @@ from entdistill.noise import (
     purified_coeffs_general,
     purified_povm_element,
 )
-from entdistill.qmat import I2, conjugate, embed_op, ket, projector, tensor
+from entdistill.qmat import (
+    I2,
+    conjugate,
+    embed_op,
+    ket,
+    partial_trace,
+    permute_qubits,
+    projector,
+    tensor,
+)
 
 P_GRID = [0.02, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3]
 EPS_GRID = [0.02, 0.05, 0.1, 0.2, 0.3]
@@ -61,6 +72,34 @@ def test_collective_cnot_domain():
         collective_cnot(0)
 
 
+def dense_depolarized_cnot(rho, control, target, eps):
+    """Reference channel on dense operators: (1 - eps) V rho V^dag + eps (I/4)_ct x tr_ct(rho)."""
+    nq = rho.shape[0].bit_length() - 1
+    v = embed_op(collective_cnot(2), [control, target], nq)
+    rest = [q for q in range(nq) if q not in (control, target)]
+    if rest:
+        pair = np.kron(partial_trace(rho, rest), np.eye(4) / 4)
+        current = rest + [control, target]
+        mixed = permute_qubits(pair, [current.index(q) for q in range(nq)])
+    else:
+        mixed = np.trace(rho) * np.eye(4) / 4
+    return (1 - eps) * (v @ rho @ v.conj().T) + eps * mixed
+
+
+@pytest.mark.parametrize("nq", [2, 3, 4, 5, 6])
+def test_depolarized_cnot_matches_dense_reference(nq, rng):
+    # arbitrary complex operators, not only states: the oracle also pulls
+    # POVM elements back through the channel
+    d = 2 ** nq
+    for control, target in permutations(range(nq), 2):
+        rho = rng.randn(d, d) + 1j * rng.randn(d, d)
+        for eps in (0.0, 1.0, float(rng.uniform()), float(rng.uniform())):
+            np.testing.assert_allclose(
+                depolarized_cnot_apply(rho, control, target, eps),
+                dense_depolarized_cnot(rho, control, target, eps),
+                rtol=0, atol=1e-12 * np.abs(rho).max())
+
+
 def test_depolarized_cnot_noiseless_limit(rng):
     rho = rand_density_matrix(rng, 3)
     v = embed_op(collective_cnot(2), [0, 2], 3)
@@ -85,8 +124,6 @@ def test_depolarized_cnot_preserves_trace_and_rest(rng):
     out = depolarized_cnot_apply(rho, 1, 2, 0.23)
     assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
     # the depolarized pair's complement keeps its marginal
-    from entdistill.qmat import partial_trace
-
     np.testing.assert_allclose(partial_trace(out, [0]), partial_trace(rho, [0]), atol=1e-12)
 
 
@@ -94,6 +131,8 @@ def test_depolarized_cnot_index_collision(rng):
     rho = rand_density_matrix(rng, 2)
     with pytest.raises(ValueError):
         depolarized_cnot_apply(rho, 1, 1, 0.1)
+    with pytest.raises(ValueError):
+        depolarized_cnot_apply(rho, 0, 2, 0.1)
 
 
 def test_purified_coeffs_examples():

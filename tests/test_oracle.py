@@ -1,7 +1,10 @@
+import csv
+
 import numpy as np
 import pytest
 from conftest import rand_density_matrix
 
+from entdistill import cli
 from entdistill.distill_mixed import (
     distill_map,
     parity_weights,
@@ -15,6 +18,7 @@ from entdistill.noise import (
     purified_coeffs_general,
 )
 from entdistill.oracle import (
+    distill_result,
     oracle_distill_mixed,
     oracle_distill_pure,
     oracle_effective_povm,
@@ -23,8 +27,15 @@ from entdistill.oracle import (
     oracle_pure_post_state,
     oracle_pure_post_state_direct,
 )
+from entdistill.qmat import singlet_fraction
+from entdistill.states import twirl
 
 TOL = 1e-10
+
+
+def povm(rates, eps):
+    """The oracle's effective POVM of a gadget with these rates."""
+    return oracle_effective_povm(rates, eps, len(rates))
 
 
 def test_effective_povm_single_measurement_is_raw_element():
@@ -148,9 +159,36 @@ def test_mixed_oracle_state_matches_analytic_state(rng):
         p_a = list(rng.uniform(0.02, 0.3, 2))
         p_b = list(rng.uniform(0.02, 0.3, 2))
         eps = float(rng.choice([0.0, 0.1]))
-        sigma = oracle_mixed_post_state(f, p_a, p_b, eps)
+        sigma = oracle_mixed_post_state(f, povm(p_a, eps), povm(p_b, eps))
         np.testing.assert_allclose(
             sigma, post_state_unnormalized(f, parity_weights(p_a, p_b, eps)), atol=TOL)
+
+
+def test_two_twirled_oracle_rounds_match_the_iterated_map_and_the_cli(capsys):
+    # distill-mixed --rounds assumes each round's output is twirled back to an
+    # isotropic state; the oracle runs that protocol: a round, a twirl, a round.
+    f, p_a, p_b, eps = 0.7, [0.1, 0.2], [0.05, 0.15, 0.1], 0.05
+    qa, qb = povm(p_a, eps), povm(p_b, eps)
+    sigma = oracle_mixed_post_state(f, qa, qb)
+    first = distill_result(sigma, f)
+    f2 = singlet_fraction(twirl(sigma / np.trace(sigma).real))
+    second = distill_result(oracle_mixed_post_state(f2, qa, qb), f2)
+
+    w = parity_weights(p_a, p_b, eps)
+    map1 = distill_map(f, w)
+    map2 = distill_map(map1.fidelity_out, w)
+    for orc, ref in ((first, map1), (second, map2)):
+        assert abs(orc.fidelity_out - ref.fidelity_out) < 1e-12
+        assert abs(orc.p_succ - ref.p_succ) < 1e-12
+
+    assert cli.main(["distill-mixed", "--F", "0.7", "--pA", "0.1,0.2", "--pB", "0.05,0.15,0.1",
+                     "--epsilon", "0.05", "--rounds", "2"]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert len(rows) == 2
+    for row, fin, orc in zip(rows, (f, f2), (first, second)):
+        assert row["F"] == f"{fin:.12g}"
+        assert row["value"] == f"{orc.fidelity_out:.12g}"
+        assert row["p_succ"] == f"{orc.p_succ:.12g}"
 
 
 def test_direct_register_matches_reduction_six_qubits(rng):
@@ -159,7 +197,7 @@ def test_direct_register_matches_reduction_six_qubits(rng):
         p_a = list(rng.uniform(0.02, 0.3, 2))
         p_b = list(rng.uniform(0.02, 0.3, 2))
         direct = oracle_mixed_post_state_direct(f, p_a, p_b, eps)
-        reduced = oracle_mixed_post_state(f, p_a, p_b, eps)
+        reduced = oracle_mixed_post_state(f, povm(p_a, eps), povm(p_b, eps))
         np.testing.assert_allclose(direct, reduced, atol=TOL)
 
 
@@ -203,14 +241,14 @@ def test_pure_oracle_matches_analytic(rng):
         assert abs(res.fidelity_out - orc.fidelity_out) < TOL
         assert abs(res.p_succ - orc.p_succ) < TOL
         np.testing.assert_allclose(
-            oracle_pure_post_state(theta, p, eps, n),
+            oracle_pure_post_state(theta, povm([p] * n, eps)),
             pure_post_state_unnormalized(theta, coeffs), atol=TOL)
 
 
 def test_pure_direct_register_matches_reduction():
     for (n, eps) in [(2, 0.0), (3, 0.07)]:
         direct = oracle_pure_post_state_direct(0.3, 0.12, eps, n)
-        reduced = oracle_pure_post_state(0.3, 0.12, eps, n)
+        reduced = oracle_pure_post_state(0.3, povm([0.12] * n, eps))
         np.testing.assert_allclose(direct, reduced, atol=TOL)
 
 

@@ -26,6 +26,13 @@ def test_cli_module_runs_without_warnings():
     assert proc.stdout.startswith("quantity,p,epsilon,n,r0,r1,value,p_succ\n")
 
 
+def test_verify_full_runs_without_warnings():
+    proc = _python("-W", "error", "-m", "entdistill.cli", "verify", "--full", "--draws", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert "verification passed" in proc.stdout
+
+
 def test_importing_the_package_leaves_the_cli_unloaded():
     proc = _python("-c", "import sys, entdistill; print('entdistill.cli' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
