@@ -39,7 +39,6 @@ from .distill_pure import (
 from .noise import (
     PurifiedCoeffs,
     asymptotic_ratio,
-    collective_cnot,
     depolarized_cnot_apply,
     noisy_povm_element,
     purified_coeffs_gate_noisy,
@@ -52,13 +51,7 @@ from .oracle import (
     oracle_distill_pure,
     oracle_effective_povm,
 )
-from .qmat import (
-    conjugate,
-    expectation,
-    partial_trace,
-    singlet_fraction,
-    tensor,
-)
-from .states import bell_phi_plus, isotropic, pure_theta, twirl
+from .qmat import expectation, singlet_fraction, tensor
+from .states import isotropic, pure_theta, twirl
 
 __version__ = "0.1.0"

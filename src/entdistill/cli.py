@@ -347,14 +347,15 @@ HET_DRAWS = 20
 def _sweep_records(args, parser) -> Records:
     q, het = args.quantity, args.het_band is not None
     names, _ = QUANTITIES[q]
-    if (het or args.seed is not None) and q != "mixed_fidelity_map":
-        parser.error("--het-band/--seed only apply to the mixed_fidelity_map quantity")
+    if het and q != "mixed_fidelity_map":
+        parser.error("--het-band only applies to the mixed_fidelity_map quantity")
     if het and args.het_band[0] > args.het_band[1]:
         parser.error(f"--het-band needs LO <= HI, got {args.het_band[0]} {args.het_band[1]}")
     if het and args.p is not None:
         parser.error("give --p or --het-band, not both: --het-band draws the rates")
-    if not het and args.draws is not None:
-        parser.error("--draws only applies in --het-band mode")
+    for flag in ("draws", "seed"):
+        if not het and getattr(args, flag) is not None:
+            parser.error(f"--{flag} only applies in --het-band mode")
     if het:
         names = tuple(a for a in names if a != "p")
     axes = dict(AXIS_DEFAULTS)
@@ -444,7 +445,7 @@ def run_verification(max_n: int = 3, seed: int = 7, draws: int = 20,
                 res = dm.distill_map(f, w)
                 sigma = oracle.oracle_mixed_post_state(
                     f, ep, oracle.oracle_effective_povm(q_list, eps, m))
-                orc = oracle.distill_result(sigma, f)
+                orc = oracle.distill_result(sigma)
                 dev["mixed_fidelity"] = max(
                     dev["mixed_fidelity"],
                     abs(res.fidelity_out - orc.fidelity_out))
@@ -458,7 +459,7 @@ def run_verification(max_n: int = 3, seed: int = 7, draws: int = 20,
                 res_p = dp.pure_filter_fidelity(theta, ch)
                 sigma_p = oracle.oracle_pure_post_state(
                     theta, oracle.oracle_effective_povm([p_hom] * n, eps, n))
-                orc_p = oracle.distill_result(sigma_p, res_p.fidelity_in)
+                orc_p = oracle.distill_result(sigma_p)
                 dev["pure_fidelity"] = max(dev["pure_fidelity"],
                                            abs(res_p.fidelity_out - orc_p.fidelity_out))
                 dev["pure_p_succ"] = max(dev["pure_p_succ"], abs(res_p.p_succ - orc_p.p_succ))
@@ -575,7 +576,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(run=cmd_tables)
     _add_io_args(sub)
 
-    sub = subs.add_parser("sweep", help="evaluate a quantity over a parameter grid")
+    sub = subs.add_parser("sweep", help="evaluate a quantity over a parameter grid",
+                          epilog="lower_bound is the threshold L: above F = 1/4, one round "
+                                 "raises F exactly for F in (L, 1), so L >= 1 means that "
+                                 "window is empty.")
     sub.set_defaults(run=cmd_sweep)
     sub.add_argument("--quantity", choices=QUANTITIES, required=True)
     sub.add_argument("--p", type=_float_axis, help="axis: 'a,b,c' or 'start:stop:count'")

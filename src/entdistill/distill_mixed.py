@@ -50,8 +50,6 @@ class ParityWeights:
 
     r_even: float | np.ndarray
     r_odd: float | np.ndarray
-    n: int
-    m: int
 
     def __post_init__(self):
         negative = (self.r_even < 0.0) | (self.r_odd < 0.0)
@@ -68,7 +66,6 @@ class DistillResult:
 
     fidelity_out: float
     p_succ: float
-    fidelity_in: float
 
 
 def parity_weights(
@@ -87,23 +84,7 @@ def parity_weights(
     return ParityWeights(
         r_even=a.r0 * b.r0 + a.r1 * b.r1,
         r_odd=a.r0 * b.r1 + a.r1 * b.r0,
-        n=a.n,
-        m=b.n,
     )
-
-
-def _map_terms(f, weights: ParityWeights):
-    """(numerator, denominator, g) of the fidelity map at input fraction f.
-
-    Elementwise over arrays of f and of the weights.
-    """
-    if _any(weights.r_even <= 0.0):
-        raise ValueError("r_even must be positive")
-    w = (1.0 - f) / 3.0
-    g = (f * w + w * w) * (weights.r_odd / weights.r_even)
-    num = f * f + w * w + g
-    den = f * f + 2.0 * f * w + 5.0 * w * w + 4.0 * g
-    return num, den, g
 
 
 def distill_map(f: float | np.ndarray, weights: ParityWeights) -> DistillResult:
@@ -115,12 +96,13 @@ def distill_map(f: float | np.ndarray, weights: ParityWeights) -> DistillResult:
     arrays equal bit for bit to the scalar calls.
     """
     f = _check_fraction(f, "input fidelity", closed=True)
-    num, den, _ = _map_terms(f, weights)
-    return DistillResult(
-        fidelity_out=num / den,
-        p_succ=weights.r_even * den,
-        fidelity_in=f,
-    )
+    if _any(weights.r_even <= 0.0):
+        raise ValueError("r_even must be positive")
+    w = (1.0 - f) / 3.0
+    g = (f * w + w * w) * (weights.r_odd / weights.r_even)
+    num = f * f + w * w + g
+    den = f * f + 2.0 * f * w + 5.0 * w * w + 4.0 * g
+    return DistillResult(fidelity_out=num / den, p_succ=weights.r_even * den)
 
 
 def post_state_unnormalized(f: float, weights: ParityWeights) -> np.ndarray:
@@ -149,9 +131,9 @@ def post_state_unnormalized(f: float, weights: ParityWeights) -> np.ndarray:
 def lower_bound(weights: ParityWeights) -> float:
     """Threshold L = (r_even + r_odd) / (2 (r_even - r_odd)).
 
-    One distillation round strictly increases the singlet fraction
-    exactly for F in (L, 1). Requires r_even > r_odd; otherwise no
-    window of improvement exists.
+    Above F = 1/4, one distillation round strictly increases the singlet
+    fraction exactly for F in (L, 1). Requires r_even > r_odd; otherwise
+    no window of improvement exists.
     """
     if weights.r_even <= weights.r_odd:
         raise ValueError(

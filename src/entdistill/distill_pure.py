@@ -30,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distill_mixed import DistillResult
-from .noise import PurifiedCoeffs, _check_fraction, asymptotic_ratio
-from .qmat import I2, P0, P1, PHI_PLUS, projector, singlet_fraction
-from .states import pure_theta
+from .noise import PurifiedCoeffs, asymptotic_ratio
+from .qmat import I2, P0, P1, PHI_PLUS, projector
+from .states import _check_theta
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,6 @@ class FilterOps:
     k1: np.ndarray
     w: np.ndarray
     u: np.ndarray
-    theta: float
 
 
 def filter_ops(theta: float) -> FilterOps:
@@ -53,21 +52,19 @@ def filter_ops(theta: float) -> FilterOps:
     controlled-W on (system, ancilla) reproduces K_m as the ancilla
     matrix element <m| U |0>. At theta = pi/4, K0 = I and K1 = 0.
     """
-    if not 0.0 < theta <= np.pi / 4:
-        raise ValueError(f"theta must lie in (0, pi/4], got {theta}")
+    _check_theta(theta)
     t = np.tan(theta)
     r = np.sqrt(1.0 - t * t)
     k0 = np.array([[1.0, 0.0], [0.0, t]], dtype=complex)
     k1 = np.array([[0.0, 0.0], [0.0, r]], dtype=complex)
     w = np.array([[t, -r], [r, t]], dtype=complex)
     u = np.kron(P0, I2) + np.kron(P1, w)
-    return FilterOps(k0=k0, k1=k1, w=w, u=u, theta=theta)
+    return FilterOps(k0=k0, k1=k1, w=w, u=u)
 
 
 def pure_post_state_unnormalized(theta: float, coeffs: PurifiedCoeffs) -> np.ndarray:
     """Unnormalized accepted state after filtering with purified weights."""
-    if not 0.0 < theta <= np.pi / 4:
-        raise ValueError(f"theta must lie in (0, pi/4], got {theta}")
+    _check_theta(theta)
     t2 = 2.0 * np.sin(theta) ** 2
     out = coeffs.r0 * t2 * projector(PHI_PLUS)
     out[3, 3] += coeffs.r1 * (1.0 - t2)
@@ -76,18 +73,13 @@ def pure_post_state_unnormalized(theta: float, coeffs: PurifiedCoeffs) -> np.nda
 
 def pure_filter_fidelity(theta: float, coeffs: PurifiedCoeffs) -> DistillResult:
     """Fidelity and success probability of the filter with a purified measurement."""
-    if not 0.0 < theta <= np.pi / 4:
-        raise ValueError(f"theta must lie in (0, pi/4], got {theta}")
+    _check_theta(theta)
     t2 = 2.0 * np.sin(theta) ** 2
     p_succ = coeffs.r0 * t2 + coeffs.r1 * (1.0 - t2)
     if p_succ <= 0.0:
         raise ValueError("filter success probability is zero")
     fidelity = (coeffs.r0 * t2 + 0.5 * coeffs.r1 * (1.0 - t2)) / p_succ
-    return DistillResult(
-        fidelity_out=fidelity,
-        p_succ=p_succ,
-        fidelity_in=singlet_fraction(projector(pure_theta(theta))),
-    )
+    return DistillResult(fidelity_out=fidelity, p_succ=p_succ)
 
 
 def pure_filter_fidelity_limit(theta: float, p: float, epsilon: float) -> float:
@@ -99,12 +91,10 @@ def pure_filter_fidelity_limit(theta: float, p: float, epsilon: float) -> float:
                   / [2 sin^2 t + s (1 - 2 sin^2 t)].
 
     Defined for epsilon > 0; with ideal CNOTs the limit is exactly 1.
+    ``asymptotic_ratio`` checks p and epsilon.
     """
     if not 0.0 < theta < np.pi / 4:
         raise ValueError(f"theta must lie in (0, pi/4), got {theta}")
-    _check_fraction(p, "p")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     s = asymptotic_ratio(p, epsilon)
     t2 = 2.0 * np.sin(theta) ** 2
     return (t2 + 0.5 * s * (1.0 - t2)) / (t2 + s * (1.0 - t2))

@@ -24,6 +24,10 @@ epsilon, (r0, r1) instead follow the affine recurrence
 
 started from (1 - p/2, p/2), and the ratio r1/r0 converges to a strictly
 positive fixed point s instead of zero.
+
+Every rate p and CNOT noise epsilon lies in [0, 1): each entry point,
+the channel ``depolarized_cnot_apply`` included, rejects 1 with "...
+must lie in [0, 1)". ``asymptotic_ratio`` also needs epsilon > 0.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from collections.abc import Sequence
 import numpy as np
 
 # embed_op is unused here but stays bound: the benchmark's tests check noise.embed_op.
-from .qmat import I2, P0, P1, X, embed_op, tensor  # noqa: F401
+from .qmat import embed_op  # noqa: F401
 
 
 def _any(mask):
@@ -111,17 +115,6 @@ def noisy_povm_element(outcome: int, p: float) -> np.ndarray:
     return m
 
 
-def collective_cnot(n: int) -> np.ndarray:
-    """Fan-out gate |0><0| x I^(n-1) + |1><1| x X^(n-1); identity for n=1."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n == 1:
-        return I2.copy()
-    xs = tensor(*([X] * (n - 1)))
-    eye = np.eye(2 ** (n - 1), dtype=complex)
-    return np.kron(P0, eye) + np.kron(P1, xs)
-
-
 def depolarized_cnot_apply(
     rho: np.ndarray,
     control: int,
@@ -139,9 +132,7 @@ def depolarized_cnot_apply(
     blocks of the (2,)*2n tensor, written back into each with weight 1/4.
     """
     rho = np.asarray(rho, dtype=complex)
-    epsilon = float(epsilon)
-    if not 0.0 <= epsilon <= 1.0:  # closed interval: eps = 1 is full depolarization
-        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
+    epsilon = _check_fraction(epsilon, "epsilon")
     d = rho.shape[0]
     nq = d.bit_length() - 1
     if 2 ** nq != d or rho.shape != (d, d):

@@ -30,7 +30,7 @@ from .distill_mixed import DistillResult
 from .distill_pure import filter_ops
 from .noise import _check_fraction, depolarized_cnot_apply, noisy_povm_element
 # embed_op is unused here but stays bound: the benchmark's tests check oracle.embed_op.
-from .qmat import KET0, PHI_PLUS, embed_op, projector, singlet_fraction, tensor  # noqa: F401
+from .qmat import KET0, PHI_PLUS, embed_op, projector, tensor  # noqa: F401
 from .states import isotropic, pure_theta
 
 MAX_GADGET_QUBITS = 6
@@ -101,11 +101,11 @@ def _bilateral_cnots(rho: np.ndarray) -> np.ndarray:
     return depolarized_cnot_apply(depolarized_cnot_apply(rho, 0, 2, 0.0), 1, 3, 0.0)
 
 
-def distill_result(sigma: np.ndarray, fidelity_in: float) -> DistillResult:
+def distill_result(sigma: np.ndarray) -> DistillResult:
     """Success probability tr sigma and fidelity <phi+|sigma|phi+> / tr sigma of an accepted state."""
     p_succ = float(np.trace(sigma).real)
     fidelity = float((PHI_PLUS.conj() @ sigma @ PHI_PLUS).real) / p_succ
-    return DistillResult(fidelity_out=fidelity, p_succ=p_succ, fidelity_in=float(fidelity_in))
+    return DistillResult(fidelity_out=fidelity, p_succ=p_succ)
 
 
 def oracle_mixed_post_state(f: float, qa: EffectivePovm, qb: EffectivePovm) -> np.ndarray:
@@ -115,8 +115,6 @@ def oracle_mixed_post_state(f: float, qa: EffectivePovm, qb: EffectivePovm) -> n
     the second pair is contracted with Alice's element ``qa`` and Bob's
     ``qb``, summed over the two equal-outcome branches.
     """
-    if not 0.0 <= f <= 1.0:
-        raise ValueError(f"input fidelity must lie in [0, 1], got {f}")
     rho = _bilateral_cnots(np.kron(isotropic(f), isotropic(f)))
     return _measure(rho, np.kron(qa.q0, qb.q0) + np.kron(qa.q1, qb.q1))
 
@@ -130,7 +128,7 @@ def oracle_distill_mixed(
     """Fidelity map and success probability from the density-matrix protocol."""
     qa = oracle_effective_povm(p_a, epsilon, len(p_a))
     qb = oracle_effective_povm(p_b, epsilon, len(p_b))
-    return distill_result(oracle_mixed_post_state(f, qa, qb), f)
+    return distill_result(oracle_mixed_post_state(f, qa, qb))
 
 
 def oracle_mixed_post_state_direct(
@@ -145,8 +143,6 @@ def oracle_mixed_post_state_direct(
     depths (n, m) this is 2 + n + m qubits, so n = m = 3 exercises an
     8-qubit simulation. Certifies the effective-POVM reduction.
     """
-    if not 0.0 <= f <= 1.0:
-        raise ValueError(f"input fidelity must lie in [0, 1], got {f}")
     epsilon = _check_fraction(epsilon, "epsilon")
     n, m = len(p_a), len(p_b)
     nq = 4 + (n - 1) + (m - 1)
@@ -183,8 +179,8 @@ def oracle_pure_post_state(theta: float, q: EffectivePovm) -> np.ndarray:
 
 def oracle_distill_pure(theta: float, p: float, epsilon: float, n: int) -> DistillResult:
     """Filtered fidelity and success probability from the density-matrix circuit."""
-    sigma = oracle_pure_post_state(theta, oracle_effective_povm([p] * n, epsilon, n))
-    return distill_result(sigma, singlet_fraction(projector(pure_theta(theta))))
+    return distill_result(
+        oracle_pure_post_state(theta, oracle_effective_povm([p] * n, epsilon, n)))
 
 
 def oracle_pure_post_state_direct(theta: float, p: float, epsilon: float, n: int) -> np.ndarray:

@@ -7,9 +7,10 @@ import numpy as np
 from .qmat import PHI_PLUS, projector, singlet_fraction
 
 
-def bell_phi_plus() -> np.ndarray:
-    """The ebit (|00> + |11>) / sqrt(2) as a ket."""
-    return PHI_PLUS.copy()
+def _check_theta(theta: float) -> None:
+    """Reject a Schmidt angle outside (0, pi/4]."""
+    if not 0.0 < theta <= np.pi / 4:
+        raise ValueError(f"theta must lie in (0, pi/4], got {theta}")
 
 
 def pure_theta(theta: float) -> np.ndarray:
@@ -17,8 +18,7 @@ def pure_theta(theta: float) -> np.ndarray:
 
     theta = pi/4 is the (already maximally entangled) boundary.
     """
-    if not 0.0 < theta <= np.pi / 4:
-        raise ValueError(f"theta must lie in (0, pi/4], got {theta}")
+    _check_theta(theta)
     v = np.zeros(4, dtype=complex)
     v[0] = np.sin(theta)
     v[3] = np.cos(theta)
@@ -41,8 +41,6 @@ def twirl(rho: np.ndarray) -> np.ndarray:
 
     The symmetrization preserves the singlet fraction, so the result is
     simply the isotropic state with the same overlap. Idempotent.
+    ``singlet_fraction`` rejects anything but a two-qubit state.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"twirl needs a two-qubit state, got shape {rho.shape}")
     return isotropic(singlet_fraction(rho))

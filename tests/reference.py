@@ -1,0 +1,115 @@
+"""Dense reference operations that only the tests use.
+
+The library applies its channels on qubit axes and never needs these;
+the tests use them to build the same results the slow, obvious way.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Iterable, Sequence
+
+import numpy as np
+
+from entdistill.qmat import I2, P0, P1, tensor
+
+# Validation tolerances for density matrices and unitaries.
+HERMITIAN_TOL = 1e-9
+TRACE_TOL = 1e-9
+EIGENVALUE_TOL = 1e-9
+UNITARY_TOL = 1e-9
+
+X = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def dag(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose."""
+    return np.asarray(m).conj().T
+
+
+def _qubit_dims(mat: np.ndarray, dims: Sequence[int] | None) -> list[int]:
+    d = mat.shape[0]
+    if dims is not None:
+        dims = list(dims)
+        if int(np.prod(dims)) != d:
+            raise ValueError(f"dims {dims} do not multiply to matrix dimension {d}")
+        return dims
+    n = d.bit_length() - 1
+    if 2 ** n != d:
+        raise ValueError(f"matrix dimension {d} is not a power of two; pass dims explicitly")
+    return [2] * n
+
+
+def partial_trace(
+    rho: np.ndarray,
+    keep: Iterable[int],
+    dims: Sequence[int] | None = None,
+) -> np.ndarray:
+    """Trace out all subsystems not listed in ``keep``.
+
+    Kept subsystems stay in their original relative order. ``dims``
+    defaults to an all-qubit factorization of the matrix dimension.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    dims = _qubit_dims(rho, dims)
+    n = len(dims)
+    keep = sorted(set(int(k) for k in keep))
+    if not keep:
+        raise ValueError("keep must contain at least one subsystem index")
+    if keep[0] < 0 or keep[-1] >= n:
+        raise ValueError(f"keep indices {keep} out of range for {n} subsystems")
+    t = rho.reshape(dims + dims)
+    remaining = list(dims)
+    for idx in reversed(range(n)):
+        if idx in keep:
+            continue
+        t = np.trace(t, axis1=idx, axis2=idx + len(remaining))
+        del remaining[idx]
+    d = int(np.prod(remaining))
+    return t.reshape(d, d)
+
+
+def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
+    u = np.asarray(u, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        return False
+    return bool(np.abs(u @ dag(u) - np.eye(u.shape[0])).max() <= tol)
+
+
+def conjugate(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """u rho u^dagger for unitary u; preserves trace and spectrum."""
+    u = np.asarray(u, dtype=complex)
+    rho = np.asarray(rho, dtype=complex)
+    if u.shape != rho.shape:
+        raise ValueError(f"dimension mismatch: u is {u.shape}, rho is {rho.shape}")
+    if not is_unitary(u):
+        raise ValueError("u is not unitary within tolerance")
+    return u @ rho @ dag(u)
+
+
+def validate_density_matrix(rho: np.ndarray, dims: Sequence[int] | None = None) -> None:
+    """Raise ValueError unless rho is Hermitian, unit-trace and PSD.
+
+    Tolerances: max entry deviation 1e-9 for Hermiticity, 1e-9 on the
+    trace, eigenvalues allowed down to -1e-9.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError(f"density matrix must be square, got shape {rho.shape}")
+    _qubit_dims(rho, dims)
+    if np.abs(rho - dag(rho)).max() > HERMITIAN_TOL:
+        raise ValueError("density matrix is not Hermitian within 1e-9")
+    if abs(np.trace(rho).real - 1.0) > TRACE_TOL:
+        raise ValueError(f"density matrix trace {np.trace(rho).real} is not 1 within 1e-9")
+    if np.linalg.eigvalsh(rho).min() < -EIGENVALUE_TOL:
+        raise ValueError("density matrix has an eigenvalue below -1e-9")
+
+
+def collective_cnot(n: int) -> np.ndarray:
+    """Fan-out gate |0><0| x I^(n-1) + |1><1| x X^(n-1); identity for n=1."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if n == 1:
+        return I2.copy()
+    xs = tensor(*([X] * (n - 1)))
+    eye = np.eye(2 ** (n - 1), dtype=complex)
+    return np.kron(P0, eye) + np.kron(P1, xs)

@@ -275,9 +275,15 @@ def test_sweep_rejects_nonpositive_draws(capsys):
                   "--F", "0.7", "--draws", "-3"], "--draws", capsys)
 
 
-def test_sweep_rejects_draws_outside_het_band_mode(capsys):
-    _usage_error(["sweep", "--quantity", "lower_bound", "--p", "0.1", "--draws", "5"],
-                 "--draws", capsys)
+@pytest.mark.parametrize("flag", ["--draws", "--seed"])
+@pytest.mark.parametrize("argv", [
+    ["--quantity", "lower_bound", "--p", "0.1"],
+    ["--quantity", "mixed_fidelity_map", "--p", "0.1", "--F", "0.7"],
+], ids=["lower_bound", "mixed_fidelity_map"])
+def test_sweep_rejects_draws_outside_het_band_mode(argv, flag, capsys):
+    code, out, err = run_cli(["sweep", *argv, flag, "5"], capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: {flag} only applies in --het-band mode\n")
 
 
 @pytest.mark.parametrize("argv,flag", [

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from reference import validate_density_matrix
 
 from entdistill.distill_mixed import (
     ParityWeights,
@@ -13,9 +14,9 @@ from entdistill.distill_mixed import (
     post_state_unnormalized,
 )
 from entdistill.noise import purified_coeffs_gate_noisy
-from entdistill.qmat import PHI_PLUS, projector, singlet_fraction, validate_density_matrix
+from entdistill.qmat import PHI_PLUS, projector, singlet_fraction
 
-NOISELESS = ParityWeights(r_even=1.0, r_odd=0.0, n=1, m=1)
+NOISELESS = ParityWeights(r_even=1.0, r_odd=0.0)
 
 # thresholds from the product formulas, frozen at 12 digits
 L_EXACT_P02 = {
@@ -140,9 +141,9 @@ def test_lower_bound_values():
 
 def test_lower_bound_requires_distillable_window():
     with pytest.raises(ValueError):
-        lower_bound(ParityWeights(r_even=0.4, r_odd=0.4, n=1, m=1))
+        lower_bound(ParityWeights(r_even=0.4, r_odd=0.4))
     with pytest.raises(ValueError):
-        lower_bound(ParityWeights(r_even=0.3, r_odd=0.4, n=1, m=1))
+        lower_bound(ParityWeights(r_even=0.3, r_odd=0.4))
 
 
 def test_gate_noisy_lower_bounds_frozen():
@@ -223,6 +224,40 @@ def test_parity_weights_invariants_on_grid():
 
 
 FRACTION = st.floats(0.0, 1.0, exclude_max=True)
+RATES = st.lists(FRACTION, min_size=1, max_size=7)
+
+
+def _threshold(p_a, p_b, eps=0.0):
+    """L, or inf where r_even <= r_odd leaves no window."""
+    try:
+        return lower_bound(parity_weights(p_a, p_b, eps))
+    except ValueError:
+        return np.inf
+
+
+@settings(max_examples=300, deadline=None)
+@given(RATES, RATES, FRACTION)
+def test_threshold_is_at_least_one_half_wherever_it_exists(p_a, p_b, eps):
+    assert _threshold(p_a, p_b, eps) >= 0.5
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(FRACTION, min_size=1, max_size=6), st.lists(FRACTION, min_size=1, max_size=6),
+       FRACTION)
+def test_threshold_never_rises_with_another_measurement(p_a, p_b, p):
+    # One more purifying measurement on either side, at any rate, cannot
+    # raise L. Rounding can, by a few ulps of r_even - r_odd: that
+    # difference cancels, so its relative error, and L's, grows like 2L ulps.
+    # From L ~ 2^52 on (a rate within a few ulps of 1) the difference is an
+    # ulp or two of r_even and rounding can close the window outright:
+    # [0.75] vs [1 - 2^-53] gives L = 2^53, one more rate 0.5 for Alice
+    # gives r_even == r_odd. So the order is checked below 2^50.
+    big_l = _threshold(p_a, p_b)
+    if big_l >= 2.0 ** 50:
+        return
+    slack = 4 * np.spacing(big_l) * max(1.0, 2.0 * big_l)
+    for longer in (_threshold(p_a + [p], p_b), _threshold(p_a, p_b + [p])):
+        assert longer <= big_l + slack
 
 
 @st.composite

