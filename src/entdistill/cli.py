@@ -15,7 +15,8 @@ output. JSON output is one record per line, each carrying a
 ``schema_version`` field; records re-serialize to the same bytes after a
 parse/format round trip.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure or an output that cannot be
+written, 2 usage error.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import defaultdict
 from itertools import product
 from pathlib import Path
 
@@ -316,19 +318,15 @@ def table_records() -> list[tuple[str, Records]]:
     return tables
 
 
-def cmd_tables(args, parser) -> int:
+def cmd_tables(args) -> int:
     outdir = Path(args.out if args.out not in (None, "-") else ".")
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-        ext = "json" if args.format == "json" else "csv"
-        for name, recs in table_records():
-            path = outdir / f"{name}.{ext}"
-            with open(path, "w", newline="\n") as fh:
-                emit_records(recs, args.format, fh)
-            print(f"wrote {path}", file=sys.stderr)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    outdir.mkdir(parents=True, exist_ok=True)
+    ext = "json" if args.format == "json" else "csv"
+    for name, recs in table_records():
+        path = outdir / f"{name}.{ext}"
+        with open(path, "w", newline="\n") as fh:
+            emit_records(recs, args.format, fh)
+        print(f"wrote {path}", file=sys.stderr)
     return 0
 
 
@@ -344,18 +342,18 @@ AXIS_DEFAULTS = {"epsilon": [0.0], "n": [1], "m": [1]}
 HET_DRAWS = 20
 
 
-def _sweep_records(args, parser) -> Records:
+def _sweep_records(args) -> Records:
     q, het = args.quantity, args.het_band is not None
     names, _ = QUANTITIES[q]
     if het and q != "mixed_fidelity_map":
-        parser.error("--het-band only applies to the mixed_fidelity_map quantity")
+        raise ValueError("--het-band only applies to the mixed_fidelity_map quantity")
     if het and args.het_band[0] > args.het_band[1]:
-        parser.error(f"--het-band needs LO <= HI, got {args.het_band[0]} {args.het_band[1]}")
+        raise ValueError(f"--het-band needs LO <= HI, got {args.het_band[0]} {args.het_band[1]}")
     if het and args.p is not None:
-        parser.error("give --p or --het-band, not both: --het-band draws the rates")
+        raise ValueError("give --p or --het-band, not both: --het-band draws the rates")
     for flag in ("draws", "seed"):
         if not het and getattr(args, flag) is not None:
-            parser.error(f"--{flag} only applies in --het-band mode")
+            raise ValueError(f"--{flag} only applies in --het-band mode")
     if het:
         names = tuple(a for a in names if a != "p")
     axes = dict(AXIS_DEFAULTS)
@@ -363,16 +361,13 @@ def _sweep_records(args, parser) -> Records:
         values = getattr(args, flag[2:].replace("-", "_"))
         if values is not None:
             if axis not in names:
-                parser.error(f"quantity {q} takes no {flag} axis")
+                raise ValueError(f"quantity {q} takes no {flag} axis")
             axes[axis] = values
     for axis in names:
         if axis not in axes:
             flags = " or ".join(f for f, a in AXIS_OF_FLAG.items() if a == axis)
-            parser.error(f"quantity {q} needs a {flags} axis")
-    try:
-        return _het_records(args, axes) if het else _grid(q, axes)
-    except ValueError as exc:
-        parser.error(str(exc))
+            raise ValueError(f"quantity {q} needs a {flags} axis")
+    return _het_records(args, axes) if het else _grid(q, axes)
 
 
 def _het_records(args, axes) -> Records:
@@ -404,8 +399,8 @@ def _het_records(args, axes) -> Records:
     return records
 
 
-def cmd_sweep(args, parser) -> int:
-    return _write(_sweep_records(args, parser), args)
+def cmd_sweep(args) -> int:
+    return _write(_sweep_records(args), args)
 
 
 # ---------------------------------------------------------------------------
@@ -416,14 +411,10 @@ VERIFY_TOL = 1e-10
 
 def run_verification(max_n: int = 3, seed: int = 7, draws: int = 20,
                      full: bool = False) -> dict[str, float]:
-    """Max |analytic - oracle| per quantity over a seeded random grid."""
+    """Max |analytic - oracle| per quantity over a seeded random grid; NaN if any gap is NaN."""
     rng = np.random.RandomState(seed)
     eps_grid = [0.0, 0.05, 0.1]
-    dev = {k: 0.0 for k in [
-        "povm_coeffs", "povm_offdiag",
-        "mixed_fidelity", "mixed_p_succ", "mixed_state",
-        "pure_fidelity", "pure_p_succ", "pure_state",
-    ]}
+    gaps = defaultdict(list)
 
     for _ in range(draws):
         f = float(rng.uniform(0.26, 0.99))
@@ -433,11 +424,9 @@ def run_verification(max_n: int = 3, seed: int = 7, draws: int = 20,
                 p_list = list(rng.uniform(0.02, 0.3, n))
                 c = noise.purified_coeffs_general(p_list, eps)
                 ep = oracle.oracle_effective_povm(p_list, eps, n)
-                dev["povm_coeffs"] = max(dev["povm_coeffs"],
-                                         abs(ep.r0 - c.r0), abs(ep.r1 - c.r1))
-                dev["povm_offdiag"] = max(dev["povm_offdiag"],
-                                          float(np.abs(ep.q0 - np.diag(np.diag(ep.q0))).max()),
-                                          float(np.abs(ep.q1 - np.diag(np.diag(ep.q1))).max()))
+                gaps["povm_coeffs"] += [abs(ep.r0 - c.r0), abs(ep.r1 - c.r1)]
+                gaps["povm_offdiag"] += [float(np.abs(q - np.diag(np.diag(q))).max())
+                                         for q in (ep.q0, ep.q1)]
 
                 m = int(rng.randint(1, max_n + 1))
                 q_list = list(rng.uniform(0.02, 0.3, m))
@@ -446,12 +435,9 @@ def run_verification(max_n: int = 3, seed: int = 7, draws: int = 20,
                 sigma = oracle.oracle_mixed_post_state(
                     f, ep, oracle.oracle_effective_povm(q_list, eps, m))
                 orc = oracle.distill_result(sigma)
-                dev["mixed_fidelity"] = max(
-                    dev["mixed_fidelity"],
-                    abs(res.fidelity_out - orc.fidelity_out))
-                dev["mixed_p_succ"] = max(dev["mixed_p_succ"], abs(res.p_succ - orc.p_succ))
-                dev["mixed_state"] = max(
-                    dev["mixed_state"],
+                gaps["mixed_fidelity"].append(abs(res.fidelity_out - orc.fidelity_out))
+                gaps["mixed_p_succ"].append(abs(res.p_succ - orc.p_succ))
+                gaps["mixed_state"].append(
                     float(np.abs(dm.post_state_unnormalized(f, w) - sigma).max()))
 
                 p_hom = float(rng.uniform(0.02, 0.3))
@@ -460,34 +446,29 @@ def run_verification(max_n: int = 3, seed: int = 7, draws: int = 20,
                 sigma_p = oracle.oracle_pure_post_state(
                     theta, oracle.oracle_effective_povm([p_hom] * n, eps, n))
                 orc_p = oracle.distill_result(sigma_p)
-                dev["pure_fidelity"] = max(dev["pure_fidelity"],
-                                           abs(res_p.fidelity_out - orc_p.fidelity_out))
-                dev["pure_p_succ"] = max(dev["pure_p_succ"], abs(res_p.p_succ - orc_p.p_succ))
-                dev["pure_state"] = max(
-                    dev["pure_state"],
+                gaps["pure_fidelity"].append(abs(res_p.fidelity_out - orc_p.fidelity_out))
+                gaps["pure_p_succ"].append(abs(res_p.p_succ - orc_p.p_succ))
+                gaps["pure_state"].append(
                     float(np.abs(dp.pure_post_state_unnormalized(theta, ch) - sigma_p).max()))
 
     if full:
-        dev["direct_register"] = 0.0
         for (n, m, eps) in [(2, 2, 0.0), (2, 2, 0.1), (3, 3, 0.05)]:
             f = float(rng.uniform(0.5, 0.95))
             p_a = list(rng.uniform(0.02, 0.3, n))
             p_b = list(rng.uniform(0.02, 0.3, m))
             direct = oracle.oracle_mixed_post_state_direct(f, p_a, p_b, eps)
             w = dm.parity_weights(p_a, p_b, eps)
-            dev["direct_register"] = max(
-                dev["direct_register"],
+            gaps["direct_register"].append(
                 float(np.abs(direct - dm.post_state_unnormalized(f, w)).max()))
-    return dev
+    # np.max, not max: max(0.0, nan) is 0.0, and a NaN gap must fail.
+    return {name: float(np.max(v)) for name, v in gaps.items()}
 
 
-def cmd_verify(args, parser) -> int:
+def cmd_verify(args) -> int:
     dev = run_verification(max_n=args.max_n, seed=args.seed, draws=args.draws, full=args.full)
-    ok = True
+    ok = all(v < VERIFY_TOL for v in dev.values())
     for name in sorted(dev):
         status = "ok" if dev[name] < VERIFY_TOL else "FAIL"
-        if dev[name] >= VERIFY_TOL:
-            ok = False
         print(f"{name:<20s} max|dev| = {dev[name]:.3e}  [{status}]")
     print(f"verification {'passed' if ok else 'FAILED'} "
           f"(tolerance {VERIFY_TOL:.0e}, max_n={args.max_n}, seed={args.seed}, draws={args.draws})")
@@ -497,30 +478,27 @@ def cmd_verify(args, parser) -> int:
 # ---------------------------------------------------------------------------
 # single-shot protocol commands
 
-def cmd_distill_mixed(args, parser) -> int:
+def cmd_distill_mixed(args) -> int:
     if args.pA or args.pB:
         if not (args.pA and args.pB):
-            parser.error("--pA and --pB must be given together")
+            raise ValueError("--pA and --pB must be given together")
         if args.p is not None:
-            parser.error("give either --p or --pA/--pB, not both")
+            raise ValueError("give either --p or --pA/--pB, not both")
         for flag in ("n", "m"):
             if getattr(args, flag) is not None:
-                parser.error(f"--{flag} does not apply with --pA/--pB: the lists' lengths "
-                             "are the depths")
+                raise ValueError(f"--{flag} does not apply with --pA/--pB: the lists' "
+                                 "lengths are the depths")
         p_a, p_b = args.pA, args.pB
     else:
         if args.p is None:
-            parser.error("distill-mixed needs --p or --pA/--pB")
+            raise ValueError("distill-mixed needs --p or --pA/--pB")
         p_a, p_b = [args.p] * (args.n or 1), [args.p] * (args.m or 1)
     rounds, f = [], args.F
-    try:
-        weights = dm.parity_weights(p_a, p_b, args.epsilon)
-        for _ in range(args.rounds):
-            res = dm.distill_map(f, weights)
-            rounds.append((f, res.fidelity_out, res.p_succ))
-            f = res.fidelity_out
-    except ValueError as exc:
-        parser.error(str(exc))
+    weights = dm.parity_weights(p_a, p_b, args.epsilon)
+    for _ in range(args.rounds):
+        res = dm.distill_map(f, weights)
+        rounds.append((f, res.fidelity_out, res.p_succ))
+        f = res.fidelity_out
     f_col, value, p_succ = map(np.array, zip(*rounds))
     records = Records()
     records.add({"quantity": "mixed_fidelity_map", "pA": _rates_field(p_a),
@@ -530,28 +508,21 @@ def cmd_distill_mixed(args, parser) -> int:
     return _write(records, args)
 
 
-def cmd_distill_pure(args, parser) -> int:
+def cmd_distill_pure(args) -> int:
     theta = args.theta if args.theta is not None else args.theta_frac_pi * np.pi
-    try:
-        records = _grid("pure_fidelity", {"p": [args.p], "epsilon": [args.epsilon],
-                                          "n": [args.n], "theta": [theta]})
-    except ValueError as exc:
-        parser.error(str(exc))
-    return _write(records, args)
+    return _write(_grid("pure_fidelity", {"p": [args.p], "epsilon": [args.epsilon],
+                                          "n": [args.n], "theta": [theta]}), args)
 
 
-def cmd_povm_purify(args, parser) -> int:
+def cmd_povm_purify(args) -> int:
     if args.pList is not None and args.n is not None:
-        parser.error("--n does not apply with --pList: the list's length is the depth")
-    try:
-        if args.pList is not None:
-            c = noise.purified_coeffs_general(args.pList, args.epsilon)
-            p_field = _rates_field(args.pList)
-        else:
-            c = noise.purified_coeffs_gate_noisy(args.p, args.epsilon, args.n or 1)
-            p_field = args.p
-    except ValueError as exc:
-        parser.error(str(exc))
+        raise ValueError("--n does not apply with --pList: the list's length is the depth")
+    if args.pList is not None:
+        c = noise.purified_coeffs_general(args.pList, args.epsilon)
+        p_field = _rates_field(args.pList)
+    else:
+        c = noise.purified_coeffs_gate_noisy(args.p, args.epsilon, args.n or 1)
+        p_field = args.p
     records = Records()
     records.add({"quantity": "povm_fidelity", "p": p_field, "epsilon": args.epsilon, "n": c.n,
                  "r0": c.r0, "r1": c.r1, "value": c.fidelity, "p_succ": c.acceptance})
@@ -648,7 +619,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.run(args, parser)
+        try:
+            return args.run(args)
+        except ValueError as exc:
+            parser.error(str(exc))
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     except SystemExit as exc:
         if isinstance(exc.code, int):
             return exc.code

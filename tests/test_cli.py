@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entdistill import cli
+from entdistill import cli, distill_mixed, distill_pure, noise
 from entdistill.distill_mixed import distill_map, lower_bound, lower_bound_limit, parity_weights
 from entdistill.distill_pure import pure_filter_fidelity, pure_filter_fidelity_limit
 from entdistill.noise import purified_coeffs_gate_noisy
@@ -169,20 +169,56 @@ def test_verify_full_includes_direct_register(capsys):
     assert "direct_register" in out
 
 
-def test_verify_corrupt_hook_fails(monkeypatch, capsys):
-    """A 1e-6 bias on the analytic map's fidelity fails verification."""
-    from entdistill import distill_mixed
+#: Each analytic output that verify compares: its module, function and field
+#: (None for a returned state matrix), and the verify line it feeds.
+CORRUPTIONS = [
+    (noise, "purified_coeffs_general", "r0", "povm_coeffs"),
+    (distill_mixed, "distill_map", "fidelity_out", "mixed_fidelity"),
+    (distill_mixed, "distill_map", "p_succ", "mixed_p_succ"),
+    (distill_mixed, "post_state_unnormalized", None, "mixed_state"),
+    (distill_pure, "pure_filter_fidelity", "fidelity_out", "pure_fidelity"),
+    (distill_pure, "pure_filter_fidelity", "p_succ", "pure_p_succ"),
+    (distill_pure, "pure_post_state_unnormalized", None, "pure_state"),
+]
 
-    exact = distill_mixed.distill_map
 
-    def biased(f, weights):
-        res = exact(f, weights)
-        return dataclasses.replace(res, fidelity_out=res.fidelity_out + 1e-6)
+# The bias is negative: r0 + 1e-6 can push r0 + r1 past 1, which PurifiedCoeffs rejects.
+@pytest.mark.parametrize("corrupt", [lambda x: x - 1e-6, lambda x: x * np.nan],
+                         ids=["bias", "nan"])
+@pytest.mark.parametrize("module,func,field,line", CORRUPTIONS, ids=[c[3] for c in CORRUPTIONS])
+def test_verify_corrupt_hook_fails(module, func, field, line, corrupt, monkeypatch, capsys):
+    """A -1e-6 bias or a NaN in one analytic output fails the verify line it feeds.
 
-    monkeypatch.setattr(distill_mixed, "distill_map", biased)
+    The first call stays exact: Python's max() from an exact gap skips a later NaN.
+    """
+    exact, calls = getattr(module, func), []
+
+    def corrupted(*args, **kwargs):
+        res = exact(*args, **kwargs)
+        calls.append(res)
+        if len(calls) == 1:
+            return res
+        if field is None:
+            return corrupt(res)
+        return dataclasses.replace(res, **{field: corrupt(getattr(res, field))})
+
+    monkeypatch.setattr(module, func, corrupted)
     code, out, _ = run_cli(["verify", "--max-n", "1", "--draws", "2"], capsys)
-    assert code == 1
-    assert "FAIL" in out
+    *checks, summary = out.splitlines()
+    status = {text.split()[0]: text.split()[-1] for text in checks}
+    assert code == 1 and summary.startswith("verification FAILED")
+    assert status[line] == "[FAIL]"
+
+
+@pytest.mark.parametrize("seed", ["-1", "4294967296"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--max-n", "1", "--draws", "1"],
+    ["sweep", "--quantity", "mixed_fidelity_map", "--het-band", "0.05", "0.1", "--F", "0.7"],
+], ids=["verify", "sweep"])
+def test_seed_outside_the_generator_range_is_a_usage_error(argv, seed, capsys):
+    code, out, err = run_cli(argv + ["--seed", seed], capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "entdistill: error: Seed must be between 0 and 2**32 - 1"
 
 
 def test_distill_mixed_iterated_rounds(capsys):
@@ -257,6 +293,21 @@ def test_out_file_writing(tmp_path, capsys):
     assert out == ""
     text = path.read_text()
     assert text.endswith("\n") and "\r" not in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["tables"],
+    ["sweep", "--quantity", "lower_bound", "--p", "0.1"],
+    ["distill-mixed", "--F", "0.7", "--p", "0.1"],
+    ["distill-pure", "--theta", "0.3", "--p", "0.1"],
+    ["povm-purify", "--p", "0.1"],
+], ids=lambda argv: argv[0])
+def test_out_that_cannot_be_written_exits_1(argv, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run_cli(argv + ["--out", str(blocker / "x.csv")], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
 
 
 def _usage_error(argv, flag, capsys):
@@ -353,17 +404,24 @@ MAP = ["sweep", "--quantity", "mixed_fidelity_map"]
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["--het-band", "0.5", "1.5", "--F", "0.7", "--n", "1:2", "--m", "1:2", "--draws", "2",
-      "--seed", "1"], "measurement noise fraction must lie in [0, 1), got 1.220324493442158"),
-    (["--het-band", "0.02", "0.2", "--epsilon", "1", "--F", "0.7", "--draws", "1"],
+    (MAP + ["--het-band", "0.5", "1.5", "--F", "0.7", "--n", "1:2", "--m", "1:2", "--draws", "2",
+            "--seed", "1"], "measurement noise fraction must lie in [0, 1), got 1.220324493442158"),
+    (MAP + ["--het-band", "0.02", "0.2", "--epsilon", "1", "--F", "0.7", "--draws", "1"],
      "epsilon must lie in [0, 1), got 1.0"),
-    (["--p", "0.1", "--F", "0.5,1.5"], "input fidelity must lie in [0, 1], got 1.5"),
-    (["--p", "0.1,1.0", "--F", "0.7"], "measurement noise fraction must lie in [0, 1), got 1.0"),
-    (["--p", "0.1", "--epsilon", "0,1", "--F", "0.7"], "epsilon must lie in [0, 1), got 1.0"),
+    (MAP + ["--p", "0.1", "--F", "0.5,1.5"], "input fidelity must lie in [0, 1], got 1.5"),
+    (MAP + ["--p", "0.1,1.0", "--F", "0.7"],
+     "measurement noise fraction must lie in [0, 1), got 1.0"),
+    (MAP + ["--p", "0.1", "--epsilon", "0,1", "--F", "0.7"], "epsilon must lie in [0, 1), got 1.0"),
+    (["distill-mixed", "--F", "0.7", "--p", "0.1", "--epsilon", "1"],
+     "epsilon must lie in [0, 1), got 1.0"),
+    (["distill-pure", "--theta", "0.3", "--p", "1.0"],
+     "measurement noise fraction must lie in [0, 1), got 1.0"),
+    (["povm-purify", "--p", "0.1", "--epsilon", "1"], "epsilon must lie in [0, 1), got 1.0"),
 ])
 def test_sweep_domain_errors_leave_no_output(argv, message, tmp_path, capsys):
+    """A value the library rejects, in a sweep or a single-point command, writes nothing."""
     path = tmp_path / "out.csv"
-    code, out, err = run_cli(MAP + argv + ["--out", str(path)], capsys)
+    code, out, err = run_cli(argv + ["--out", str(path)], capsys)
     assert code == 2 and out == ""
     assert not path.exists()
     assert err.splitlines()[-1] == f"entdistill: error: {message}"

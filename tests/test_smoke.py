@@ -59,6 +59,33 @@ def test_library_modules_use_every_name_they_import():
     assert unused == pinned
 
 
+def test_only_main_turns_cli_errors_into_exit_codes():
+    """Commands raise; main alone calls parser.error and catches what they raise.
+
+    A ValueError may also be caught in _het_records, which re-raises the first
+    failing row's, and in the argparse type functions, which re-raise it as
+    ArgumentTypeError.
+    """
+    tree = ast.parse((ROOT / "src" / "entdistill" / "cli.py").read_text())
+    arg_types = {kw.value.id for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 for kw in node.keywords if kw.arg == "type" and isinstance(kw.value, ast.Name)}
+    error_calls, value_error_catches, commands = set(), set(), {}
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        if owner and owner.startswith("cmd_"):
+            commands[owner] = [a.arg for a in top.args.args]
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr == "error":
+                error_calls.add(owner)
+            if isinstance(node, ast.ExceptHandler) and (node.type is None or {
+                    n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)} & {
+                    "ValueError", "Exception", "BaseException"}):
+                value_error_catches.add(owner)
+    assert error_calls == {"main"}
+    assert value_error_catches - arg_types == {"main", "_het_records"}
+    assert commands and all(params == ["args"] for params in commands.values()), commands
+
+
 def test_five_demos_exist():
     assert len(DEMOS) == 5
 
