@@ -115,7 +115,8 @@ def emit_records(records: Records, fmt: str, out) -> None:
 
     A chunk's constants are formatted once into a %-template with one
     slot per column, and its rows are that template filled from the
-    columns; a chunk without columns is the template alone, one row.
+    columns; a chunk without columns is the template alone, one row,
+    except in JSON, where it is one ``json.dumps`` of the constants.
     JSON keys come in ``sort_keys`` order.
     """
     if fmt == "csv":
@@ -125,6 +126,9 @@ def emit_records(records: Records, fmt: str, out) -> None:
     for constants, columns in records.chunks:
         if fmt == "json":
             constants = {**constants, "schema_version": SCHEMA_VERSION}
+            if not columns:
+                out.write(json.dumps(constants, sort_keys=True) + "\n")
+                continue
             fields = sorted([*constants, *columns])
         parts, values = [], []
         for f in fields:
@@ -165,7 +169,10 @@ def _rates_field(rates) -> str:
 # argument types: each raises ArgumentTypeError, so the message names the flag
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
@@ -537,20 +544,12 @@ def _add_io_args(sub):
                      help="output file (default stdout); a directory for 'tables'")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="entdistill",
-        description="Noisy-measurement purification and entanglement distillation.")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("tables", help="write the five reference tables")
+def _add_tables_args(sub):
     sub.set_defaults(run=cmd_tables)
     _add_io_args(sub)
 
-    sub = subs.add_parser("sweep", help="evaluate a quantity over a parameter grid",
-                          epilog="lower_bound is the threshold L: above F = 1/4, one round "
-                                 "raises F exactly for F in (L, 1), so L >= 1 means that "
-                                 "window is empty.")
+
+def _add_sweep_args(sub):
     sub.set_defaults(run=cmd_sweep)
     sub.add_argument("--quantity", choices=QUANTITIES, required=True)
     sub.add_argument("--p", type=_float_axis, help="axis: 'a,b,c' or 'start:stop:count'")
@@ -571,7 +570,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="seed for --het-band mode")
     _add_io_args(sub)
 
-    sub = subs.add_parser("verify", help="analytic layer vs density-matrix oracle")
+
+def _add_verify_args(sub):
     sub.set_defaults(run=cmd_verify)
     sub.add_argument("--max-n", dest="max_n", type=int, default=3, choices=[1, 2, 3, 4])
     sub.add_argument("--seed", type=int, default=7)
@@ -579,7 +579,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--full", action="store_true",
                      help="also run the direct full-register checks (up to 8 qubits)")
 
-    sub = subs.add_parser("distill-mixed", help="two-way distillation of isotropic states")
+
+def _add_distill_mixed_args(sub):
     sub.set_defaults(run=cmd_distill_mixed)
     sub.add_argument("--F", type=float, required=True)
     sub.add_argument("--p", type=float)
@@ -593,7 +594,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "output is twirled back to an isotropic state before the next")
     _add_io_args(sub)
 
-    sub = subs.add_parser("distill-pure", help="filter a Schmidt-form pure state")
+
+def _add_distill_pure_args(sub):
     sub.set_defaults(run=cmd_distill_pure)
     theta = sub.add_mutually_exclusive_group(required=True)
     theta.add_argument("--theta", type=float)
@@ -603,7 +605,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n", type=_positive_int, default=1)
     _add_io_args(sub)
 
-    sub = subs.add_parser("povm-purify", help="purified-measurement coefficients")
+
+def _add_povm_purify_args(sub):
     sub.set_defaults(run=cmd_povm_purify)
     rates = sub.add_mutually_exclusive_group(required=True)
     rates.add_argument("--p", type=float)
@@ -612,11 +615,51 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n", type=_positive_int, help="depth with --p (default 1)")
     _add_io_args(sub)
 
+
+#: Each subcommand, in help order: the function that sets its run
+#: function and adds its arguments, and the ``add_parser`` keywords of its
+#: help text. The run function is looked up when the parser is built, so a
+#: wrapper put on a module's ``cmd_*`` binding is the one that runs.
+COMMANDS = {
+    "tables": (_add_tables_args, {"help": "write the five reference tables"}),
+    "sweep": (_add_sweep_args, {
+        "help": "evaluate a quantity over a parameter grid",
+        "epilog": "lower_bound is the threshold L: above F = 1/4, one round raises F exactly "
+                  "for F in (L, 1), so L >= 1 means that window is empty."}),
+    "verify": (_add_verify_args, {"help": "analytic layer vs density-matrix oracle"}),
+    "distill-mixed": (_add_distill_mixed_args,
+                      {"help": "two-way distillation of isotropic states"}),
+    "distill-pure": (_add_distill_pure_args, {"help": "filter a Schmidt-form pure state"}),
+    "povm-purify": (_add_povm_purify_args, {"help": "purified-measurement coefficients"}),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; with ``command`` one of COMMANDS, only that subcommand's.
+
+    Building a subparser costs far more than parsing, so ``main`` builds
+    only the one that ``argv[0]`` names. The usage line names every
+    command either way: ``parser.error`` prints it. The full parser keeps
+    argparse's default metavar, from which the "required: command" error
+    is built.
+    """
+    parser = argparse.ArgumentParser(
+        prog="entdistill",
+        description="Noisy-measurement purification and entanglement distillation.")
+    names = [command] if command in COMMANDS else list(COMMANDS)
+    subs = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None)
+    for name in names:
+        add_args, help_text = COMMANDS[name]
+        add_args(subs.add_parser(name, **help_text))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run the CLI on ``argv`` (default ``sys.argv[1:]``) in-process; returns the exit code."""
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         try:

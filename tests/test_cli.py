@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -137,20 +138,17 @@ def test_sweep_json_round_trip_idempotent(capsys):
         assert json.dumps(rec, sort_keys=True) == line
 
 
+SWEEP_USAGE_ERRORS = [
+    ["sweep", "--quantity", "lower_bound", "--p", "0.1", "--seed", "3"],  # --seed outside het-band
+    ["sweep", "--quantity", "pure_fidelity", "--p", "0.1"],  # missing required axis
+    ["sweep", "--quantity", "lower_bound", "--p", "abc"],  # malformed axis
+    ["sweep", "--quantity", "nope", "--p", "0.1"],  # unknown quantity
+]
+
+
 def test_sweep_usage_errors(capsys):
-    # --seed outside the heterogeneous mode
-    code, _, _ = run_cli(
-        ["sweep", "--quantity", "lower_bound", "--p", "0.1", "--seed", "3"], capsys)
-    assert code == 2
-    # missing required axis
-    code, _, _ = run_cli(["sweep", "--quantity", "pure_fidelity", "--p", "0.1"], capsys)
-    assert code == 2
-    # malformed axis
-    code, _, _ = run_cli(["sweep", "--quantity", "lower_bound", "--p", "abc"], capsys)
-    assert code == 2
-    # unknown quantity
-    code, _, _ = run_cli(["sweep", "--quantity", "nope", "--p", "0.1"], capsys)
-    assert code == 2
+    for argv in SWEEP_USAGE_ERRORS:
+        assert run_cli(argv, capsys)[0] == 2, argv
 
 
 def test_verify_passes(capsys):
@@ -210,11 +208,15 @@ def test_verify_corrupt_hook_fails(module, func, field, line, corrupt, monkeypat
     assert status[line] == "[FAIL]"
 
 
-@pytest.mark.parametrize("seed", ["-1", "4294967296"])
-@pytest.mark.parametrize("argv", [
+SEEDED = [
     ["verify", "--max-n", "1", "--draws", "1"],
     ["sweep", "--quantity", "mixed_fidelity_map", "--het-band", "0.05", "0.1", "--F", "0.7"],
-], ids=["verify", "sweep"])
+]
+BAD_SEEDS = ["-1", "4294967296"]
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+@pytest.mark.parametrize("argv", SEEDED, ids=["verify", "sweep"])
 def test_seed_outside_the_generator_range_is_a_usage_error(argv, seed, capsys):
     code, out, err = run_cli(argv + ["--seed", seed], capsys)
     assert (code, out) == (2, "")
@@ -242,12 +244,17 @@ def test_distill_mixed_heterogeneous_rates(capsys):
     assert int(row["n"]) == 2 and int(row["m"]) == 1
 
 
+DISTILL_MIXED_USAGE_ERRORS = [
+    ["distill-mixed", "--F", "0.7"],
+    ["distill-mixed", "--F", "1.5", "--p", "0.1"],
+    ["distill-mixed", "--F", "0.7", "--p", "0.1", "--pA", "0.1", "--pB", "0.1"],
+    ["distill-mixed", "--F", "0.7", "--pA", "0.1"],
+]
+
+
 def test_distill_mixed_usage_errors(capsys):
-    assert run_cli(["distill-mixed", "--F", "0.7"], capsys)[0] == 2
-    assert run_cli(["distill-mixed", "--F", "1.5", "--p", "0.1"], capsys)[0] == 2
-    assert run_cli(["distill-mixed", "--F", "0.7", "--p", "0.1", "--pA", "0.1", "--pB", "0.1"],
-                   capsys)[0] == 2
-    assert run_cli(["distill-mixed", "--F", "0.7", "--pA", "0.1"], capsys)[0] == 2
+    for argv in DISTILL_MIXED_USAGE_ERRORS:
+        assert run_cli(argv, capsys)[0] == 2, argv
 
 
 def test_distill_pure_theta_conventions_agree(capsys):
@@ -261,10 +268,15 @@ def test_distill_pure_theta_conventions_agree(capsys):
     assert v1 == pytest.approx(0.999116807665, abs=1e-10)
 
 
+THETA_USAGE_ERRORS = [
+    ["distill-pure", "--p", "0.1"],
+    ["distill-pure", "--p", "0.1", "--theta", "0.3", "--theta-frac-pi", "0.1"],
+]
+
+
 def test_distill_pure_requires_exactly_one_theta(capsys):
-    assert run_cli(["distill-pure", "--p", "0.1"], capsys)[0] == 2
-    assert run_cli(["distill-pure", "--p", "0.1", "--theta", "0.3",
-                    "--theta-frac-pi", "0.1"], capsys)[0] == 2
+    for argv in THETA_USAGE_ERRORS:
+        assert run_cli(argv, capsys)[0] == 2, argv
 
 
 def test_povm_purify_record(capsys):
@@ -317,51 +329,78 @@ def _usage_error(argv, flag, capsys):
     assert flag in err
 
 
-def test_distill_mixed_rejects_zero_rounds(capsys):
-    _usage_error(["distill-mixed", "--F", "0.7", "--p", "0.1", "--rounds", "0"], "--rounds", capsys)
-
-
-def test_sweep_rejects_nonpositive_draws(capsys):
-    _usage_error(["sweep", "--quantity", "mixed_fidelity_map", "--het-band", "0.05", "0.1",
-                  "--F", "0.7", "--draws", "-3"], "--draws", capsys)
-
-
-@pytest.mark.parametrize("flag", ["--draws", "--seed"])
-@pytest.mark.parametrize("argv", [
-    ["--quantity", "lower_bound", "--p", "0.1"],
-    ["--quantity", "mixed_fidelity_map", "--p", "0.1", "--F", "0.7"],
-], ids=["lower_bound", "mixed_fidelity_map"])
-def test_sweep_rejects_draws_outside_het_band_mode(argv, flag, capsys):
-    code, out, err = run_cli(["sweep", *argv, flag, "5"], capsys)
-    assert (code, out) == (2, "")
-    assert err.endswith(f"error: {flag} only applies in --het-band mode\n")
-
-
-@pytest.mark.parametrize("argv,flag", [
+#: Usage errors that name one flag: (argv, flag).
+ZERO_ROUNDS = (["distill-mixed", "--F", "0.7", "--p", "0.1", "--rounds", "0"], "--rounds")
+NONPOSITIVE_DRAWS = (["sweep", "--quantity", "mixed_fidelity_map", "--het-band", "0.05", "0.1",
+                      "--F", "0.7", "--draws", "-3"], "--draws")
+INVERTED_HET_BAND = (["sweep", "--quantity", "mixed_fidelity_map", "--het-band", "0.3", "0.1",
+                      "--F", "0.7"], "--het-band")
+ZERO_VERIFY_DRAWS = (["verify", "--draws", "0"], "--draws")
+DEPTH_FLAGS_WITH_RATE_LISTS = [
     (["povm-purify", "--pList", "0.1,0.2", "--n", "5"], "--n"),
     (["distill-mixed", "--F", "0.7", "--pA", "0.1", "--pB", "0.1,0.2", "--n", "4", "--m", "3"],
      "--n"),
     (["distill-mixed", "--F", "0.7", "--pA", "0.1", "--pB", "0.1,0.2", "--m", "2"], "--m"),
-])
-def test_depth_flags_with_rate_lists_are_rejected(argv, flag, capsys):
-    _usage_error(argv, flag, capsys)
-
-
-def test_sweep_rejects_inverted_het_band(capsys):
-    _usage_error(["sweep", "--quantity", "mixed_fidelity_map", "--het-band", "0.3", "0.1",
-                  "--F", "0.7"], "--het-band", capsys)
-
-
-@pytest.mark.parametrize("argv,flag", [
+]
+DEPTHS_BELOW_ONE = [
     (["sweep", "--quantity", "lower_bound", "--p", "0.1", "--n", "0"], "--n"),
     (["sweep", "--quantity", "lower_bound", "--p", "0.1", "--m", "0:2"], "--m"),
     (["distill-mixed", "--F", "0.7", "--p", "0.1", "--n", "0"], "--n"),
     (["distill-mixed", "--F", "0.7", "--p", "0.1", "--m", "-1"], "--m"),
     (["distill-pure", "--theta", "0.3", "--p", "0.1", "--n", "0"], "--n"),
     (["povm-purify", "--p", "0.1", "--n", "0"], "--n"),
-])
+]
+NON_INTEGER_COUNTS = [
+    (["distill-pure", "--theta", "0.1", "--p", "0.1", "--n", "abc"], "--n"),
+    (["verify", "--draws", "x"], "--draws"),
+    (["distill-mixed", "--F", "0.7", "--p", "0.1", "--rounds", "x"], "--rounds"),
+]
+
+
+def test_distill_mixed_rejects_zero_rounds(capsys):
+    _usage_error(*ZERO_ROUNDS, capsys)
+
+
+def test_sweep_rejects_nonpositive_draws(capsys):
+    _usage_error(*NONPOSITIVE_DRAWS, capsys)
+
+
+DRAWS_OUTSIDE_HET_BAND = [
+    ["--quantity", "lower_bound", "--p", "0.1"],
+    ["--quantity", "mixed_fidelity_map", "--p", "0.1", "--F", "0.7"],
+]
+HET_BAND_ONLY_FLAGS = ["--draws", "--seed"]
+
+
+@pytest.mark.parametrize("flag", HET_BAND_ONLY_FLAGS)
+@pytest.mark.parametrize("argv", DRAWS_OUTSIDE_HET_BAND, ids=["lower_bound", "mixed_fidelity_map"])
+def test_sweep_rejects_draws_outside_het_band_mode(argv, flag, capsys):
+    code, out, err = run_cli(["sweep", *argv, flag, "5"], capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: {flag} only applies in --het-band mode\n")
+
+
+@pytest.mark.parametrize("argv,flag", DEPTH_FLAGS_WITH_RATE_LISTS)
+def test_depth_flags_with_rate_lists_are_rejected(argv, flag, capsys):
+    _usage_error(argv, flag, capsys)
+
+
+def test_sweep_rejects_inverted_het_band(capsys):
+    _usage_error(*INVERTED_HET_BAND, capsys)
+
+
+@pytest.mark.parametrize("argv,flag", DEPTHS_BELOW_ONE)
 def test_depths_below_one_are_rejected_by_flag(argv, flag, capsys):
     _usage_error(argv, flag, capsys)
+
+
+@pytest.mark.parametrize("argv,flag", NON_INTEGER_COUNTS)
+def test_non_integer_counts_name_the_flag(argv, flag, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith(
+        f"error: argument {flag}: expected an integer >= 1, got {argv[-1]!r}")
+    assert "_positive_int" not in err
 
 
 #: A valid argv for each quantity, giving every axis the quantity takes.
@@ -378,9 +417,12 @@ AXIS_VALUES = {"--p": "0.1", "--epsilon": "0.1", "--n": "2", "--m": "2", "--F": 
                "--theta": "0.3", "--theta-frac-pi": "0.1"}
 
 
-@pytest.mark.parametrize("quantity,flag", [
+AXES_NOT_TAKEN = [
     (q, flag) for q, argv in TAKES.items() for flag in AXIS_VALUES
-    if flag not in argv and not (flag == "--theta-frac-pi" and "--theta" in argv)])
+    if flag not in argv and not (flag == "--theta-frac-pi" and "--theta" in argv)]
+
+
+@pytest.mark.parametrize("quantity,flag", AXES_NOT_TAKEN)
 def test_sweep_rejects_axes_the_quantity_does_not_take(quantity, flag, capsys):
     argv = ["sweep", "--quantity", quantity] + TAKES[quantity]
     assert run_cli(argv, capsys)[0] == 0
@@ -390,12 +432,15 @@ def test_sweep_rejects_axes_the_quantity_does_not_take(quantity, flag, capsys):
 
 
 def test_verify_rejects_zero_draws(capsys):
-    _usage_error(["verify", "--draws", "0"], "--draws", capsys)
+    _usage_error(*ZERO_VERIFY_DRAWS, capsys)
+
+
+P_AXIS_IN_HET_BAND = ["sweep", "--quantity", "mixed_fidelity_map", "--het-band", "0.05", "0.1",
+                      "--p", "0.9", "--F", "0.7", "--draws", "1"]
 
 
 def test_sweep_rejects_p_axis_in_het_band_mode(capsys):
-    code, out, err = run_cli(["sweep", "--quantity", "mixed_fidelity_map", "--het-band", "0.05",
-                              "0.1", "--p", "0.9", "--F", "0.7", "--draws", "1"], capsys)
+    code, out, err = run_cli(P_AXIS_IN_HET_BAND, capsys)
     assert code == 2 and out == ""
     assert "--p" in err and "--het-band" in err
 
@@ -403,7 +448,7 @@ def test_sweep_rejects_p_axis_in_het_band_mode(capsys):
 MAP = ["sweep", "--quantity", "mixed_fidelity_map"]
 
 
-@pytest.mark.parametrize("argv,message", [
+DOMAIN_ERRORS = [
     (MAP + ["--het-band", "0.5", "1.5", "--F", "0.7", "--n", "1:2", "--m", "1:2", "--draws", "2",
             "--seed", "1"], "measurement noise fraction must lie in [0, 1), got 1.220324493442158"),
     (MAP + ["--het-band", "0.02", "0.2", "--epsilon", "1", "--F", "0.7", "--draws", "1"],
@@ -417,7 +462,10 @@ MAP = ["sweep", "--quantity", "mixed_fidelity_map"]
     (["distill-pure", "--theta", "0.3", "--p", "1.0"],
      "measurement noise fraction must lie in [0, 1), got 1.0"),
     (["povm-purify", "--p", "0.1", "--epsilon", "1"], "epsilon must lie in [0, 1), got 1.0"),
-])
+]
+
+
+@pytest.mark.parametrize("argv,message", DOMAIN_ERRORS)
 def test_sweep_domain_errors_leave_no_output(argv, message, tmp_path, capsys):
     """A value the library rejects, in a sweep or a single-point command, writes nothing."""
     path = tmp_path / "out.csv"
@@ -440,16 +488,87 @@ def _first_row_error(lo, hi, seed, eps, n, m, fs, draws):
     return None
 
 
-@pytest.mark.parametrize("seed", range(8))
-@pytest.mark.parametrize("eps,fs", [(0.05, [0.7]), (1.0, [0.7]), (0.05, [1.2, 0.7])])
+def _failing_het_band(seed, eps, fs):
+    return MAP + ["--het-band", "0.6", "1.3", "--epsilon", str(eps), "--n", "2", "--m", "3",
+                  "--F", ",".join(map(str, fs)), "--draws", "3", "--seed", str(seed)]
+
+
+FAILING_HET_BAND_SEEDS = range(8)
+FAILING_HET_BAND_CELLS = [(0.05, [0.7]), (1.0, [0.7]), (0.05, [1.2, 0.7])]
+
+
+@pytest.mark.parametrize("seed", FAILING_HET_BAND_SEEDS)
+@pytest.mark.parametrize("eps,fs", FAILING_HET_BAND_CELLS)
 def test_het_band_error_names_the_first_failing_row(seed, eps, fs, capsys):
     """A cell is evaluated as columns, but its error is the row-by-row one."""
     expected = _first_row_error(0.6, 1.3, seed, eps, 2, 3, fs, 3)
-    code, out, err = run_cli(MAP + ["--het-band", "0.6", "1.3", "--epsilon", str(eps),
-                                    "--n", "2", "--m", "3", "--F", ",".join(map(str, fs)),
-                                    "--draws", "3", "--seed", str(seed)], capsys)
+    code, out, err = run_cli(_failing_het_band(seed, eps, fs), capsys)
     assert code == 2 and out == ""
     assert err.splitlines()[-1] == f"entdistill: error: {expected}"
+
+
+#: Every usage error exercised above, gathered in one list.
+USAGE_ERRORS = [
+    *SWEEP_USAGE_ERRORS,
+    *(argv + ["--seed", seed] for argv in SEEDED for seed in BAD_SEEDS),
+    *DISTILL_MIXED_USAGE_ERRORS,
+    *THETA_USAGE_ERRORS,
+    ["povm-purify"],
+    *(argv for argv, _ in [ZERO_ROUNDS, NONPOSITIVE_DRAWS, INVERTED_HET_BAND, ZERO_VERIFY_DRAWS,
+                           *DEPTH_FLAGS_WITH_RATE_LISTS, *DEPTHS_BELOW_ONE, *NON_INTEGER_COUNTS]),
+    *(["sweep", *argv, flag, "5"] for argv in DRAWS_OUTSIDE_HET_BAND
+      for flag in HET_BAND_ONLY_FLAGS),
+    *(["sweep", "--quantity", q, *TAKES[q], flag, AXIS_VALUES[flag]] for q, flag in AXES_NOT_TAKEN),
+    P_AXIS_IN_HET_BAND,
+    *(argv for argv, _ in DOMAIN_ERRORS),
+    *(_failing_het_band(seed, eps, fs) for seed in FAILING_HET_BAND_SEEDS
+      for eps, fs in FAILING_HET_BAND_CELLS),
+]
+#: Help, no arguments, an unknown command and an unrecognized trailing flag.
+PARSER_ONLY = [["-h"], *([name, "-h"] for name in cli.COMMANDS), [], ["bogus"],
+               ["povm-purify", "--p", "0.1", "--bogus"]]
+
+
+@pytest.mark.parametrize("columns", ["40", "80"])
+def test_narrowed_parser_prints_what_the_full_parser_prints(columns, monkeypatch, capsys):
+    """main builds only argv[0]'s subparser; stdout, stderr and exit code stay the full parser's."""
+    monkeypatch.setenv("COLUMNS", columns)
+    narrowed = [run_cli(argv, capsys) for argv in USAGE_ERRORS + PARSER_ONLY]
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser())
+    full = [run_cli(argv, capsys) for argv in USAGE_ERRORS + PARSER_ONLY]
+    assert all(code == 2 for code, _, _ in full[:len(USAGE_ERRORS)])
+    assert narrowed == full
+
+
+def test_main_adds_only_the_named_subparser(monkeypatch, capsys):
+    """One subparser per call for a command, every one for help or an unknown command."""
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    for argv, expected in [*(([name, "-h"], [name]) for name in cli.COMMANDS),
+                           *((argv, list(cli.COMMANDS)) for argv in ([], ["-h"], ["bogus"]))]:
+        for _ in range(2):  # no parser is kept from one call to the next
+            added.clear()
+            cli.main(argv)
+            capsys.readouterr()
+            assert added == expected, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["tables"], ["sweep", "--quantity", "lower_bound"], ["verify"], ["distill-mixed", "--F", "0.7"],
+    ["distill-pure", "--theta", "0.3", "--p", "0.1"], ["povm-purify", "--p", "0.1"],
+], ids=lambda argv: argv[0])
+def test_main_runs_the_module_binding_of_the_command(argv, monkeypatch):
+    """A wrapper put on ``cli.cmd_*`` runs, as bench/tracing.py's span wrappers must."""
+    name = "cmd_" + argv[0].replace("-", "_")
+    monkeypatch.setattr(cli, name, lambda args: 7)
+    assert cli.main(argv) == 7
 
 
 def _reference_emit(rows, fmt):
