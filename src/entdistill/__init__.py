@@ -43,6 +43,7 @@ from .noise import (
     noisy_povm_element,
     purified_coeffs_gate_noisy,
     purified_coeffs_general,
+    purified_coeffs_prefixes,
     purified_povm_element,
 )
 from .oracle import (

@@ -115,9 +115,9 @@ def emit_records(records: Records, fmt: str, out) -> None:
 
     A chunk's constants are formatted once into a %-template with one
     slot per column, and its rows are that template filled from the
-    columns; a chunk without columns is the template alone, one row,
-    except in JSON, where it is one ``json.dumps`` of the constants.
-    JSON keys come in ``sort_keys`` order.
+    columns; a chunk without columns is the template alone, one row.
+    In JSON a one-row chunk, with or without columns, is one
+    ``json.dumps`` of its row. JSON keys come in ``sort_keys`` order.
     """
     if fmt == "csv":
         fields = _ordered_fields(records)
@@ -126,8 +126,10 @@ def emit_records(records: Records, fmt: str, out) -> None:
     for constants, columns in records.chunks:
         if fmt == "json":
             constants = {**constants, "schema_version": SCHEMA_VERSION}
-            if not columns:
-                out.write(json.dumps(constants, sort_keys=True) + "\n")
+            if all(len(column) == 1 for column in columns.values()):
+                row = {f: _rates_field(c[0].tolist()) if c.ndim == 2 else c[0].item()
+                       for f, c in columns.items()}
+                out.write(json.dumps({**constants, **row}, sort_keys=True) + "\n")
                 continue
             fields = sorted([*constants, *columns])
         parts, values = [], []
@@ -231,14 +233,15 @@ def _rates(spec: str) -> list[float]:
 # the quantity table and the grid
 
 def _pointwise(closed_form):
-    """A kernel calling ``closed_form(*axis values)`` -> (value,) or (value, p_succ) per row.
+    """A kernel calling ``closed_form(*point, value)`` -> (value,) or (value, p_succ) per row.
 
     Scalar calls, not numpy arrays: Python's float ``x ** 2`` is C ``pow``,
     which an array's ``x * x`` differs from in the last bit for some x.
     """
-    def kernel(point: tuple, column: np.ndarray) -> dict[str, np.ndarray]:
-        outputs = [closed_form(*point, v) for v in column.tolist()]
-        return dict(zip(("value", "p_succ"), map(np.array, zip(*outputs))))
+    def kernel(points: list[tuple], column: np.ndarray) -> dict[str, np.ndarray]:
+        values = column.tolist()
+        outputs = np.array([[closed_form(*point, v) for v in values] for point in points])
+        return dict(zip(("value", "p_succ"), np.moveaxis(outputs, -1, 0)))
     return kernel
 
 
@@ -256,16 +259,31 @@ def _pure_fidelity(p, eps, n, theta):
     return res.fidelity_out, res.p_succ
 
 
-def _map_kernel(point: tuple, f_column: np.ndarray) -> dict[str, np.ndarray]:
-    """The fidelity map on the whole F column, with the cell's weights."""
-    p, eps, n, m = point
-    res = dm.distill_map(f_column, dm.parity_weights([p] * n, [p] * m, eps))
+def _map_kernel(points: list[tuple], f_column: np.ndarray) -> dict[str, np.ndarray]:
+    """The fidelity map on (points x F), with weights read off prefix recurrences.
+
+    One recurrence per distinct (p, eps), up to the points' largest depth,
+    holds Alice's (r0, r1) at depth n and Bob's at m for every point: the
+    bits of ``parity_weights([p] * n, [p] * m, eps)``. Then one
+    ``distill_map`` runs on the whole (points x F) array.
+    """
+    index: dict[tuple, int] = {}
+    k, n, m = np.array([(index.setdefault((p, eps), len(index)), n - 1, m - 1)
+                        for p, eps, n, m in points]).T
+    depth = int(max(n.max(), m.max())) + 1
+    prefixes = [noise.purified_coeffs_prefixes(p, eps, depth) for p, eps in index]
+    r0, r1 = np.array([c.r0 for c in prefixes]), np.array([c.r1 for c in prefixes])
+    a0, a1, b0, b1 = r0[k, n], r1[k, n], r0[k, m], r1[k, m]
+    weights = dm.ParityWeights(r_even=(a0 * b0 + a1 * b1)[:, None],
+                               r_odd=(a0 * b1 + a1 * b0)[:, None])
+    res = dm.distill_map(f_column, weights)
     return {"value": res.fidelity_out, "p_succ": res.p_succ}
 
 
-#: Each quantity's axes in row order, and its kernel: ``kernel(point,
-#: column)`` evaluates one point of every axis but the last over the
-#: last axis, given as a numpy column, and returns the output columns.
+#: Each quantity's axes in row order, and its kernel: ``kernel(points,
+#: column)`` evaluates a list of points of every axis but the last over
+#: the last axis, given as a numpy column, and returns each output as a
+#: (points x column) array.
 QUANTITIES = {
     "povm_fidelity": (("p", "epsilon", "n"), _pointwise(_povm_fidelity)),
     "mixed_fidelity_map": (("p", "epsilon", "n", "m", "F"), _map_kernel),
@@ -284,16 +302,28 @@ def _grid(quantity: str, *grids: dict[str, list]) -> Records:
     Rows come in lexicographic order, the last axis varying fastest:
     one chunk per point of every axis but the last, with that point's
     values as constants and the last axis as one column that every
-    chunk shares. Every chunk is computed, and so every input checked,
-    before the first byte is written.
+    chunk shares. The kernel runs once per slab, the points that share
+    one value of the first axis, and each chunk's outputs are rows of
+    its slab's: the kernel's temporaries are one slab's, never the
+    whole grid's. Every chunk is computed, and so every input checked, before the first
+    byte is written; a slab that fails runs again point by point, so
+    the error is the first failing row's.
     """
     (*outer, last), kernel = QUANTITIES[quantity]
     records = Records()
     for axes in grids:
         column = np.array(axes[last])
-        for point in product(*(axes[a] for a in outer)):
-            records.add({"quantity": quantity, **dict(zip(outer, point))},
-                        {last: column, **kernel(point, column)})
+        for head in axes[outer[0]]:
+            slab = list(product([head], *(axes[a] for a in outer[1:])))
+            try:
+                outputs = kernel(slab, column)
+            except ValueError:
+                for point in slab:
+                    kernel([point], column)
+                raise
+            for point, *rows in zip(slab, *outputs.values()):
+                records.add({"quantity": quantity, **dict(zip(outer, point))},
+                            {last: column, **dict(zip(outputs, rows))})
     return records
 
 
@@ -472,13 +502,26 @@ def run_verification(max_n: int = 3, seed: int = 7, draws: int = 20,
 
 
 def cmd_verify(args) -> int:
-    dev = run_verification(max_n=args.max_n, seed=args.seed, draws=args.draws, full=args.full)
+    """Print each check's deviation and the verdict; exit 1 on a failed check.
+
+    A bad ``--seed`` is a usage error. Every other ``ValueError`` comes
+    from the library while the checks run, a broken invariant of a
+    closed form, and so fails the verification.
+    """
+    if not 0 <= args.seed < 2 ** 32:
+        raise ValueError("Seed must be between 0 and 2**32 - 1")  # numpy's RandomState message
+    settings = (f"tolerance {VERIFY_TOL:.0e}, max_n={args.max_n}, seed={args.seed}, "
+                f"draws={args.draws}")
+    try:
+        dev = run_verification(max_n=args.max_n, seed=args.seed, draws=args.draws, full=args.full)
+    except ValueError as exc:
+        print(f"verification FAILED: {exc} ({settings})")
+        return 1
     ok = all(v < VERIFY_TOL for v in dev.values())
     for name in sorted(dev):
         status = "ok" if dev[name] < VERIFY_TOL else "FAIL"
         print(f"{name:<20s} max|dev| = {dev[name]:.3e}  [{status}]")
-    print(f"verification {'passed' if ok else 'FAILED'} "
-          f"(tolerance {VERIFY_TOL:.0e}, max_n={args.max_n}, seed={args.seed}, draws={args.draws})")
+    print(f"verification {'passed' if ok else 'FAILED'} ({settings})")
     return 0 if ok else 1
 
 

@@ -207,6 +207,27 @@ def purified_coeffs_gate_noisy(p: float, epsilon: float, n: int) -> PurifiedCoef
     return purified_coeffs_general([p] * n, epsilon=epsilon)
 
 
+def purified_coeffs_prefixes(p: float, epsilon: float, depth: int) -> PurifiedCoeffs:
+    """Homogeneous-rate coefficients at every depth 1..``depth``, as arrays.
+
+    Entry k is depth k + 1: the start (1 - p/2, p/2) with k recurrence
+    steps applied. With equal rates ``purified_coeffs_general`` does the
+    same float operations in the same order, so entry k equals
+    ``purified_coeffs_gate_noisy(p, epsilon, k + 1)`` bit for bit. ``n``
+    is ``depth``.
+    """
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    p = _check_fraction(p, "measurement noise fraction")
+    epsilon = _check_fraction(epsilon, "epsilon")
+    r0, r1 = [1.0 - p / 2.0], [p / 2.0]
+    for _ in range(depth - 1):
+        step = _recurrence_step(r0[-1], r1[-1], p, epsilon)
+        r0.append(step[0])
+        r1.append(step[1])
+    return PurifiedCoeffs(r0=np.array(r0), r1=np.array(r1), n=depth)
+
+
 def asymptotic_ratio(p: float, epsilon: float) -> float:
     """Limit s of r1/r0 as the number of purification rounds grows.
 

@@ -208,6 +208,21 @@ def test_verify_corrupt_hook_fails(module, func, field, line, corrupt, monkeypat
     assert status[line] == "[FAIL]"
 
 
+def test_verify_reports_a_broken_invariant_as_a_failure(monkeypatch, capsys):
+    """A closed form that the library itself rejects fails verify; no flag is at fault."""
+    exact = noise.purified_coeffs_general
+
+    def biased(*args, **kwargs):
+        c = exact(*args, **kwargs)
+        return dataclasses.replace(c, r0=c.r0 + 1e-6)
+
+    monkeypatch.setattr(noise, "purified_coeffs_general", biased)
+    code, out, err = run_cli(["verify", "--max-n", "1", "--draws", "2"], capsys)
+    assert (code, err) == (1, "")
+    assert out == ("verification FAILED: r0 + r1 = 1.0000010000000001 exceeds 1 "
+                   "(tolerance 1e-10, max_n=1, seed=7, draws=2)\n")
+
+
 SEEDED = [
     ["verify", "--max-n", "1", "--draws", "1"],
     ["sweep", "--quantity", "mixed_fidelity_map", "--het-band", "0.05", "0.1", "--F", "0.7"],
@@ -457,6 +472,9 @@ DOMAIN_ERRORS = [
     (MAP + ["--p", "0.1,1.0", "--F", "0.7"],
      "measurement noise fraction must lie in [0, 1), got 1.0"),
     (MAP + ["--p", "0.1", "--epsilon", "0,1", "--F", "0.7"], "epsilon must lie in [0, 1), got 1.0"),
+    # the first row's F fails before the second row's eps is read
+    (MAP + ["--p", "0.1", "--epsilon", "0,1", "--F", "1.5"],
+     "input fidelity must lie in [0, 1], got 1.5"),
     (["distill-mixed", "--F", "0.7", "--p", "0.1", "--epsilon", "1"],
      "epsilon must lie in [0, 1), got 1.0"),
     (["distill-pure", "--theta", "0.3", "--p", "1.0"],
@@ -693,3 +711,22 @@ def test_sweep_rows_equal_the_scalar_closed_forms(quantity, data):
         with contextlib.redirect_stdout(io.StringIO()) as buf:
             assert cli.main(argv + ["--format", fmt]) == 0
         assert buf.getvalue() == _reference_emit(rows, fmt)
+
+
+def test_map_grid_rows_equal_the_scalar_calls_beyond_depth_four():
+    """Unsorted and repeated depths up to 7, F = 0 and F = 1, several (p, eps) per slab."""
+    flags = {"--p": "0.02,0.3,0.9", "--epsilon": "0:0.3:4", "--n": "7,1,3", "--m": "1:7",
+             "--F": "0:1:11"}
+    parse = {"--n": cli._depth_axis, "--m": cli._depth_axis}
+    values = [parse.get(flag, cli._float_axis)(spec) for flag, spec in flags.items()]
+    rows = [{"quantity": "mixed_fidelity_map", **dict(zip(("p", "epsilon", "n", "m", "F"), point)),
+             **_mixed_fidelity_map(*point)} for point in product(*values)]
+    argv = ["sweep", "--quantity", "mixed_fidelity_map", *(x for kv in flags.items() for x in kv)]
+    for fmt in ("csv", "json"):
+        with contextlib.redirect_stdout(io.StringIO()) as buf:
+            assert cli.main(argv + ["--format", fmt]) == 0
+        assert buf.getvalue() == _reference_emit(rows, fmt)
+    # JSON prints repr, so the values parse back to the scalar calls' bits
+    records = [json.loads(line) for line in buf.getvalue().splitlines()]
+    assert [(r["value"], r["p_succ"]) for r in records] == [
+        (row["value"], row["p_succ"]) for row in rows]

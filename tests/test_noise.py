@@ -14,6 +14,7 @@ from entdistill.noise import (
     noisy_povm_element,
     purified_coeffs_gate_noisy,
     purified_coeffs_general,
+    purified_coeffs_prefixes,
     purified_povm_element,
 )
 from entdistill.qmat import I2, embed_op, ket, permute_qubits, projector, tensor
@@ -299,3 +300,24 @@ def test_coefficients_are_probabilities_over_the_whole_domain(p_list, eps):
 @given(FRACTION, st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
 def test_asymptotic_ratio_is_nonnegative_over_the_whole_domain(p, eps):
     assert asymptotic_ratio(p, eps) >= 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(FRACTION, FRACTION, st.integers(1, 12))
+def test_prefix_entries_are_the_scalar_calls_bit_for_bit(p, eps, depth):
+    c = purified_coeffs_prefixes(p, eps, depth)
+    assert c.n == depth and c.r0.shape == c.r1.shape == (depth,)
+    scalar = [purified_coeffs_gate_noisy(p, eps, n) for n in range(1, depth + 1)]
+    assert c.r0.tolist() == [s.r0 for s in scalar]
+    assert c.r1.tolist() == [s.r1 for s in scalar]
+
+
+@pytest.mark.parametrize("args,message", [
+    ((1.0, 0.1, 3), r"measurement noise fraction must lie in \[0, 1\), got 1\.0$"),
+    ((0.1, 1.0, 3), r"epsilon must lie in \[0, 1\), got 1\.0$"),
+    ((1.0, 1.0, 3), "measurement noise fraction"),  # p first, as purified_coeffs_general
+    ((0.1, 0.1, 0), r"depth must be >= 1, got 0$"),
+])
+def test_prefixes_reject_inputs_outside_the_domain(args, message):
+    with pytest.raises(ValueError, match=message):
+        purified_coeffs_prefixes(*args)

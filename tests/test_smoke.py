@@ -62,9 +62,10 @@ def test_library_modules_use_every_name_they_import():
 def test_only_main_turns_cli_errors_into_exit_codes():
     """Commands raise; main alone calls parser.error and catches what they raise.
 
-    A ValueError may also be caught in _het_records, which re-raises the first
-    failing row's, and in the argparse type functions, which re-raise it as
-    ArgumentTypeError.
+    A ValueError may also be caught in _het_records and _grid, which re-raise
+    the first failing row's, in cmd_verify, where a broken invariant during
+    the checks fails the verification, and in the argparse type functions,
+    which re-raise it as ArgumentTypeError.
     """
     tree = ast.parse((ROOT / "src" / "entdistill" / "cli.py").read_text())
     arg_types = {kw.value.id for node in ast.walk(tree) if isinstance(node, ast.Call)
@@ -82,7 +83,7 @@ def test_only_main_turns_cli_errors_into_exit_codes():
                     "ValueError", "Exception", "BaseException"}):
                 value_error_catches.add(owner)
     assert error_calls == {"main"}
-    assert value_error_catches - arg_types == {"main", "_het_records"}
+    assert value_error_catches - arg_types == {"main", "_het_records", "_grid", "cmd_verify"}
     assert commands and all(params == ["args"] for params in commands.values()), commands
 
 
