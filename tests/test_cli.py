@@ -472,14 +472,14 @@ DOMAIN_ERRORS = [
     (MAP + ["--p", "0.1,1.0", "--F", "0.7"],
      "measurement noise fraction must lie in [0, 1), got 1.0"),
     (MAP + ["--p", "0.1", "--epsilon", "0,1", "--F", "0.7"], "epsilon must lie in [0, 1), got 1.0"),
-    # the first row's F fails before the second row's eps is read
-    (MAP + ["--p", "0.1", "--epsilon", "0,1", "--F", "1.5"],
-     "input fidelity must lie in [0, 1], got 1.5"),
     (["distill-mixed", "--F", "0.7", "--p", "0.1", "--epsilon", "1"],
      "epsilon must lie in [0, 1), got 1.0"),
     (["distill-pure", "--theta", "0.3", "--p", "1.0"],
      "measurement noise fraction must lie in [0, 1), got 1.0"),
     (["povm-purify", "--p", "0.1", "--epsilon", "1"], "epsilon must lie in [0, 1), got 1.0"),
+    # the first row's F fails before the second row's eps is read
+    (MAP + ["--p", "0.1", "--epsilon", "0,1", "--F", "1.5"],
+     "input fidelity must lie in [0, 1], got 1.5"),
 ]
 
 
