@@ -250,34 +250,43 @@ def _povm_fidelity(p, eps, n):
     return c.fidelity, c.acceptance
 
 
-def _lower_bound(p, eps, n, m):
-    return (dm.lower_bound(dm.parity_weights([p] * n, [p] * m, eps)),)
-
-
 def _pure_fidelity(p, eps, n, theta):
     res = dp.pure_filter_fidelity(theta, noise.purified_coeffs_gate_noisy(p, eps, n))
     return res.fidelity_out, res.p_succ
 
 
-def _map_kernel(points: list[tuple], f_column: np.ndarray) -> dict[str, np.ndarray]:
-    """The fidelity map on (points x F), with weights read off prefix recurrences.
+def _prefix_weights(cells: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """r_even and r_odd of ``parity_weights([p] * n, [p] * m, eps)`` per (p, eps, n, m) cell.
 
-    One recurrence per distinct (p, eps), up to the points' largest depth,
-    holds Alice's (r0, r1) at depth n and Bob's at m for every point: the
-    bits of ``parity_weights([p] * n, [p] * m, eps)``. Then one
-    ``distill_map`` runs on the whole (points x F) array.
+    One recurrence per distinct (p, eps), up to the cells' largest depth,
+    holds Alice's (r0, r1) at depth n and Bob's at m for every cell, and
+    the weights are ``parity_weights``' operations on them in the same
+    order: each entry equals that call's bit for bit.
     """
     index: dict[tuple, int] = {}
     k, n, m = np.array([(index.setdefault((p, eps), len(index)), n - 1, m - 1)
-                        for p, eps, n, m in points]).T
+                        for p, eps, n, m in cells]).T
     depth = int(max(n.max(), m.max())) + 1
     prefixes = [noise.purified_coeffs_prefixes(p, eps, depth) for p, eps in index]
     r0, r1 = np.array([c.r0 for c in prefixes]), np.array([c.r1 for c in prefixes])
     a0, a1, b0, b1 = r0[k, n], r1[k, n], r0[k, m], r1[k, m]
-    weights = dm.ParityWeights(r_even=(a0 * b0 + a1 * b1)[:, None],
-                               r_odd=(a0 * b1 + a1 * b0)[:, None])
+    return a0 * b0 + a1 * b1, a0 * b1 + a1 * b0
+
+
+def _map_kernel(points: list[tuple], f_column: np.ndarray) -> dict[str, np.ndarray]:
+    """The fidelity map on (points x F): one ``distill_map`` on the whole array."""
+    r_even, r_odd = _prefix_weights(points)
+    weights = dm.ParityWeights(r_even=r_even[:, None], r_odd=r_odd[:, None])
     res = dm.distill_map(f_column, weights)
     return {"value": res.fidelity_out, "p_succ": res.p_succ}
+
+
+def _lower_bound_kernel(points: list[tuple], m_column: np.ndarray) -> dict[str, np.ndarray]:
+    """The threshold L on (points x m), one scalar ``lower_bound`` per cell."""
+    r_even, r_odd = _prefix_weights([(*point, m) for point in points for m in m_column.tolist()])
+    values = [dm.lower_bound(dm.ParityWeights(r_even=e, r_odd=o))
+              for e, o in zip(r_even.tolist(), r_odd.tolist())]
+    return {"value": np.reshape(values, (len(points), len(m_column)))}
 
 
 #: Each quantity's axes in row order, and its kernel: ``kernel(points,
@@ -287,7 +296,7 @@ def _map_kernel(points: list[tuple], f_column: np.ndarray) -> dict[str, np.ndarr
 QUANTITIES = {
     "povm_fidelity": (("p", "epsilon", "n"), _pointwise(_povm_fidelity)),
     "mixed_fidelity_map": (("p", "epsilon", "n", "m", "F"), _map_kernel),
-    "lower_bound": (("p", "epsilon", "n", "m"), _pointwise(_lower_bound)),
+    "lower_bound": (("p", "epsilon", "n", "m"), _lower_bound_kernel),
     "lower_bound_limit": (("p", "epsilon"),
                           _pointwise(lambda p, eps: (dm.lower_bound_limit(p, eps),))),
     "pure_fidelity": (("p", "epsilon", "n", "theta"), _pointwise(_pure_fidelity)),
@@ -448,45 +457,64 @@ VERIFY_TOL = 1e-10
 
 def run_verification(max_n: int = 3, seed: int = 7, draws: int = 20,
                      full: bool = False) -> dict[str, float]:
-    """Max |analytic - oracle| per quantity over a seeded random grid; NaN if any gap is NaN."""
+    """Max |analytic - oracle| per quantity over a seeded random grid; NaN if any gap is NaN.
+
+    Every input is drawn first, in the order of a point-by-point loop.
+    Then the oracle's POVMs are evaluated as one stack per (role, eps,
+    depth), the roles being Alice's rates, Bob's and the pure filter's
+    homogeneous rate, and each draw's mixed register and filtered ket
+    are built once for all its points. The closed forms run point by
+    point, in loop order.
+    """
     rng = np.random.RandomState(seed)
     eps_grid = [0.0, 0.05, 0.1]
-    gaps = defaultdict(list)
-
+    drawn, stacks = [], defaultdict(list)
     for _ in range(draws):
         f = float(rng.uniform(0.26, 0.99))
         theta = float(rng.uniform(0.05, np.pi / 4 - 0.01))
+        points = []
         for eps in eps_grid:
             for n in range(1, max_n + 1):
                 p_list = list(rng.uniform(0.02, 0.3, n))
-                c = noise.purified_coeffs_general(p_list, eps)
-                ep = oracle.oracle_effective_povm(p_list, eps, n)
-                gaps["povm_coeffs"] += [abs(ep.r0 - c.r0), abs(ep.r1 - c.r1)]
-                gaps["povm_offdiag"] += [float(np.abs(q - np.diag(np.diag(q))).max())
-                                         for q in (ep.q0, ep.q1)]
-
                 m = int(rng.randint(1, max_n + 1))
                 q_list = list(rng.uniform(0.02, 0.3, m))
-                w = dm.parity_weights(p_list, q_list, eps)
-                res = dm.distill_map(f, w)
-                sigma = oracle.oracle_mixed_post_state(
-                    f, ep, oracle.oracle_effective_povm(q_list, eps, m))
-                orc = oracle.distill_result(sigma)
-                gaps["mixed_fidelity"].append(abs(res.fidelity_out - orc.fidelity_out))
-                gaps["mixed_p_succ"].append(abs(res.p_succ - orc.p_succ))
-                gaps["mixed_state"].append(
-                    float(np.abs(dm.post_state_unnormalized(f, w) - sigma).max()))
-
                 p_hom = float(rng.uniform(0.02, 0.3))
-                ch = noise.purified_coeffs_gate_noisy(p_hom, eps, n)
-                res_p = dp.pure_filter_fidelity(theta, ch)
-                sigma_p = oracle.oracle_pure_post_state(
-                    theta, oracle.oracle_effective_povm([p_hom] * n, eps, n))
-                orc_p = oracle.distill_result(sigma_p)
-                gaps["pure_fidelity"].append(abs(res_p.fidelity_out - orc_p.fidelity_out))
-                gaps["pure_p_succ"].append(abs(res_p.p_succ - orc_p.p_succ))
-                gaps["pure_state"].append(
-                    float(np.abs(dp.pure_post_state_unnormalized(theta, ch) - sigma_p).max()))
+                points.append((eps, p_list, q_list, p_hom))
+                for role, rates in (("A", p_list), ("B", q_list), ("hom", [p_hom] * n)):
+                    stacks[role, eps, len(rates)].append(rates)
+        drawn.append((f, theta, points))
+    # Each stack's POVMs, handed out in the order its rows were added.
+    povms = {key: map(oracle.EffectivePovm, *oracle.oracle_effective_povms(rows, key[1]))
+             for key, rows in stacks.items()}
+
+    gaps = defaultdict(list)
+    for f, theta, points in drawn:
+        register, psi = oracle.mixed_register(f), oracle.filtered_ket(theta)
+        for eps, p_list, q_list, p_hom in points:
+            n = len(p_list)
+            c = noise.purified_coeffs_general(p_list, eps)
+            ep = next(povms["A", eps, n])
+            gaps["povm_coeffs"] += [abs(ep.r0 - c.r0), abs(ep.r1 - c.r1)]
+            gaps["povm_offdiag"] += [float(np.abs(q - np.diag(np.diag(q))).max())
+                                     for q in (ep.q0, ep.q1)]
+
+            w = dm.parity_weights(p_list, q_list, eps)
+            res = dm.distill_map(f, w)
+            sigma = oracle.oracle_mixed_post_state(register, ep, next(povms["B", eps, len(q_list)]))
+            orc = oracle.distill_result(sigma)
+            gaps["mixed_fidelity"].append(abs(res.fidelity_out - orc.fidelity_out))
+            gaps["mixed_p_succ"].append(abs(res.p_succ - orc.p_succ))
+            gaps["mixed_state"].append(
+                float(np.abs(dm.post_state_unnormalized(f, w) - sigma).max()))
+
+            ch = noise.purified_coeffs_gate_noisy(p_hom, eps, n)
+            res_p = dp.pure_filter_fidelity(theta, ch)
+            sigma_p = oracle.oracle_pure_post_state(psi, next(povms["hom", eps, n]))
+            orc_p = oracle.distill_result(sigma_p)
+            gaps["pure_fidelity"].append(abs(res_p.fidelity_out - orc_p.fidelity_out))
+            gaps["pure_p_succ"].append(abs(res_p.p_succ - orc_p.p_succ))
+            gaps["pure_state"].append(
+                float(np.abs(dp.pure_post_state_unnormalized(theta, ch) - sigma_p).max()))
 
     if full:
         for (n, m, eps) in [(2, 2, 0.0), (2, 2, 0.1), (3, 3, 0.05)]:

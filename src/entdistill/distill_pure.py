@@ -31,7 +31,7 @@ import numpy as np
 
 from .distill_mixed import DistillResult
 from .noise import PurifiedCoeffs, asymptotic_ratio
-from .qmat import I2, P0, P1, PHI_PLUS, projector
+from .qmat import I2, P0, P1, PHI_PLUS, projector, tensor
 from .states import _check_theta
 
 
@@ -58,7 +58,7 @@ def filter_ops(theta: float) -> FilterOps:
     k0 = np.array([[1.0, 0.0], [0.0, t]], dtype=complex)
     k1 = np.array([[0.0, 0.0], [0.0, r]], dtype=complex)
     w = np.array([[t, -r], [r, t]], dtype=complex)
-    u = np.kron(P0, I2) + np.kron(P1, w)
+    u = tensor(P0, I2) + tensor(P1, w)
     return FilterOps(k0=k0, k1=k1, w=w, u=u)
 
 

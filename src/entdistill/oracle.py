@@ -10,6 +10,13 @@ depolarizing step a sum over four diagonal blocks (see
 |0> an index, and a measurement one contraction with its POVM element.
 No dense operator is embedded into the register.
 
+The gadgets are evaluated on stacks: ``oracle_effective_povms`` takes
+one gadget per row of a rate matrix and pulls the whole stack through
+each depolarized CNOT at once (the channel takes a leading batch axis);
+``oracle_effective_povm`` is a stack of one. The post-state functions
+take their prepared input, ``mixed_register(f)`` or
+``filtered_ket(theta)``, so that many POVMs can share one.
+
 Two levels are provided for the distillation protocols. The fast path
 first reduces each purification gadget to an effective single-qubit POVM
 (the gadget touches only the measured qubit and its private ancillas),
@@ -46,8 +53,14 @@ class EffectivePovm:
 
     q0: np.ndarray
     q1: np.ndarray
-    r0: float
-    r1: float
+
+    @property
+    def r0(self) -> float:
+        return float(self.q0[0, 0].real)
+
+    @property
+    def r1(self) -> float:
+        return float(self.q0[1, 1].real)
 
 
 def apply_depolarized_cnot_chain(rho: np.ndarray, targets: Sequence[int], control: int, epsilon: float) -> np.ndarray:
@@ -57,37 +70,60 @@ def apply_depolarized_cnot_chain(rho: np.ndarray, targets: Sequence[int], contro
     return rho
 
 
-def oracle_effective_povm(p_list: Sequence[float], epsilon: float, n: int) -> EffectivePovm:
-    """Post-selected POVM elements from the explicit gadget circuit.
+def oracle_effective_povms(rates, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """Post-selected POVM elements of a stack of gadgets, one per row of ``rates``.
 
-    Builds the n-qubit register operator-side: the product of noisy
-    per-qubit elements for a unanimous outcome string is pulled back
-    through the adjoint of each depolarized CNOT (the CNOTs act on the
-    state in ascending ancilla order, so their adjoints are folded in
-    descending order), then the ancillas are sandwiched out in |0...0>.
+    ``rates`` is a (B x n) matrix: row b holds gadget b's per-qubit
+    rates, the measured qubit's first. Returns the (B, 2, 2) stacks q0
+    and q1 of the elements for unanimous outcomes 0^n and 1^n.
+
+    Each gadget is built operator-side on its n-qubit register. Its
+    noisy elements are diagonal, so their product for a unanimous
+    outcome is the outer product of the per-qubit diagonals, in register
+    order; outcome 1^n's is outcome 0^n's reversed. The pair of stacks
+    is pulled back through the adjoint of each depolarized CNOT (the
+    CNOTs act on the state in ascending ancilla order, so their adjoints
+    are folded in descending order), then the ancillas are sandwiched
+    out in |0...0>. Each row equals its gadget's ``oracle_effective_povm``
+    bit for bit.
     """
-    p_list = [_check_fraction(p, "measurement noise fraction") for p in p_list]
-    if len(p_list) != n:
-        raise ValueError(f"p_list has length {len(p_list)}, expected n = {n}")
+    rates = _check_fraction(np.asarray(rates, dtype=float), "measurement noise fraction")
     epsilon = _check_fraction(epsilon, "epsilon")
+    if rates.ndim != 2:
+        raise ValueError(f"rates must be a (B x n) matrix, got shape {rates.shape}")
+    b, n = rates.shape
     if n < 1 or n > MAX_GADGET_QUBITS:
         raise ValueError(f"n must lie in 1..{MAX_GADGET_QUBITS}, got {n}")
 
-    d = 2 ** (n - 1)
-    elements = []
-    for outcome in (0, 1):
-        op = tensor(*[noisy_povm_element(outcome, p) for p in p_list])
-        # The depolarized CNOT is its own adjoint: V is a real symmetric
-        # involution and replacing the pair by I/4 is a self-adjoint map, so
-        # the Schroedinger-picture channel also pulls observables back.
-        for j in reversed(range(1, n)):
-            op = depolarized_cnot_apply(op, 0, j, epsilon)
-        # <0...0| op |0...0> on the ancillas: the measured qubit's rows and
-        # columns at ancilla index 0.
-        elements.append(op.reshape(2, d, 2, d)[:, 0, :, 0])
+    # Each qubit's noisy element for outcome 0 is diag(1 - p/2, p/2).
+    half = rates / 2.0
+    factors = np.empty((b, n, 2))
+    factors[..., 0], factors[..., 1] = 1.0 - half, half
+    diagonal = factors[:, 0]
+    for k in range(1, n):
+        diagonal = (diagonal[:, :, None] * factors[:, k, None, :]).reshape(b, -1)
+    d = 2 ** n
+    op = np.zeros((2, b, d * d), dtype=complex)
+    op[0, :, ::d + 1] = diagonal
+    op[1, :, ::d + 1] = diagonal[:, ::-1]
+    op = op.reshape(2, b, d, d)
+    # The depolarized CNOT is its own adjoint: V is a real symmetric
+    # involution and replacing the pair by I/4 is a self-adjoint map, so
+    # the Schroedinger-picture channel also pulls observables back.
+    for j in reversed(range(1, n)):
+        op = depolarized_cnot_apply(op, 0, j, epsilon)
+    # <0...0| op |0...0> on the ancillas: the measured qubit's rows and
+    # columns at ancilla index 0, rows and columns 0 and d/2.
+    q = op[..., ::d // 2, ::d // 2]
+    return q[0], q[1]
 
-    q0, q1 = elements
-    return EffectivePovm(q0=q0, q1=q1, r0=float(q0[0, 0].real), r1=float(q0[1, 1].real))
+
+def oracle_effective_povm(p_list: Sequence[float], epsilon: float, n: int) -> EffectivePovm:
+    """Post-selected POVM elements from the explicit gadget circuit: a stack of one."""
+    if len(p_list) != n:
+        raise ValueError(f"p_list has length {len(p_list)}, expected n = {n}")
+    q0, q1 = oracle_effective_povms([p_list], epsilon)
+    return EffectivePovm(q0=q0[0], q1=q1[0])
 
 
 def _measure(rho: np.ndarray, element: np.ndarray) -> np.ndarray:
@@ -108,15 +144,21 @@ def distill_result(sigma: np.ndarray) -> DistillResult:
     return DistillResult(fidelity_out=fidelity, p_succ=p_succ)
 
 
-def oracle_mixed_post_state(f: float, qa: EffectivePovm, qb: EffectivePovm) -> np.ndarray:
+def mixed_register(f: float) -> np.ndarray:
+    """Two copies of ``isotropic(f)``, ordered A1 B1 A2 B2, after the ideal bilateral CNOTs."""
+    return _bilateral_cnots(tensor(isotropic(f), isotropic(f)))
+
+
+def oracle_mixed_post_state(register: np.ndarray, qa: EffectivePovm,
+                            qb: EffectivePovm) -> np.ndarray:
     """Unnormalized accepted state of the two-way round, with the gadgets' effective POVMs.
 
-    Register order A1 B1 A2 B2; ideal bilateral CNOTs A1->A2 and B1->B2;
-    the second pair is contracted with Alice's element ``qa`` and Bob's
-    ``qb``, summed over the two equal-outcome branches.
+    ``register`` is ``mixed_register(f)``: register order A1 B1 A2 B2,
+    ideal bilateral CNOTs A1->A2 and B1->B2. The second pair is
+    contracted with Alice's element ``qa`` and Bob's ``qb``, summed over
+    the two equal-outcome branches.
     """
-    rho = _bilateral_cnots(np.kron(isotropic(f), isotropic(f)))
-    return _measure(rho, np.kron(qa.q0, qb.q0) + np.kron(qa.q1, qb.q1))
+    return _measure(register, tensor(qa.q0, qb.q0) + tensor(qa.q1, qb.q1))
 
 
 def oracle_distill_mixed(
@@ -128,7 +170,7 @@ def oracle_distill_mixed(
     """Fidelity map and success probability from the density-matrix protocol."""
     qa = oracle_effective_povm(p_a, epsilon, len(p_a))
     qb = oracle_effective_povm(p_b, epsilon, len(p_b))
-    return distill_result(oracle_mixed_post_state(f, qa, qb))
+    return distill_result(oracle_mixed_post_state(mixed_register(f), qa, qb))
 
 
 def oracle_mixed_post_state_direct(
@@ -149,10 +191,7 @@ def oracle_mixed_post_state_direct(
     if nq > 8:
         raise ValueError(f"direct register would need {nq} qubits, max is 8")
 
-    rho = np.kron(isotropic(f), isotropic(f))
-    if nq > 4:
-        rho = np.kron(rho, tensor(*([projector(KET0)] * (nq - 4))))
-    rho = _bilateral_cnots(rho)
+    rho = _bilateral_cnots(tensor(isotropic(f), isotropic(f), *([projector(KET0)] * (nq - 4))))
     alice_anc = list(range(4, 4 + n - 1))
     bob_anc = list(range(4 + n - 1, nq))
     rho = apply_depolarized_cnot_chain(rho, alice_anc, control=2, epsilon=epsilon)
@@ -164,23 +203,26 @@ def oracle_mixed_post_state_direct(
     return _measure(rho, element)
 
 
-def oracle_pure_post_state(theta: float, q: EffectivePovm) -> np.ndarray:
+def filtered_ket(theta: float) -> np.ndarray:
+    """(I x U)(|theta> x |0>) as a 4 x 2 matrix, rows AB and columns E; U the controlled-W."""
+    u = filter_ops(theta).u
+    return (tensor(pure_theta(theta), KET0).reshape(2, 4) @ u.T).reshape(4, 2)
+
+
+def oracle_pure_post_state(psi: np.ndarray, q: EffectivePovm) -> np.ndarray:
     """Unnormalized accepted state of the filtering circuit, with the gadget's effective POVM.
 
-    Register order A B E; the controlled-W acts on (B, E) of the ket, and
-    the purified measurement of E keeps only the unanimous-zeros branch,
-    with element ``q.q0``.
+    ``psi`` is ``filtered_ket(theta)``: register order A B E, the
+    controlled-W applied to (B, E). The purified measurement of E keeps
+    only the unanimous-zeros branch, with element ``q.q0``.
     """
-    u = filter_ops(theta).u
-    # |psi> = (I x U)(|theta> x |0>), as a 4 x 2 matrix with rows AB and columns E.
-    psi = (np.kron(pure_theta(theta), KET0).reshape(2, 4) @ u.T).reshape(4, 2)
     return psi @ q.q0.T @ psi.conj().T
 
 
 def oracle_distill_pure(theta: float, p: float, epsilon: float, n: int) -> DistillResult:
     """Filtered fidelity and success probability from the density-matrix circuit."""
     return distill_result(
-        oracle_pure_post_state(theta, oracle_effective_povm([p] * n, epsilon, n)))
+        oracle_pure_post_state(filtered_ket(theta), oracle_effective_povm([p] * n, epsilon, n)))
 
 
 def oracle_pure_post_state_direct(theta: float, p: float, epsilon: float, n: int) -> np.ndarray:

@@ -49,16 +49,25 @@ def projector(psi: np.ndarray) -> np.ndarray:
 
 
 def tensor(*ops: np.ndarray) -> np.ndarray:
-    """Kronecker product of one or more matrices (or kets).
+    """Kronecker product of one or more matrices, or of one or more kets.
 
     The first factor occupies the most significant qubits, matching the
-    |x1 x2 ... xn> labelling used throughout.
+    |x1 x2 ... xn> labelling used throughout. Entry (i k, j l) of
+    ``tensor(a, b)`` is a[i, j] * b[k, l], the product ``np.kron`` forms,
+    taken here as one broadcast multiply: at these sizes ``np.kron``'s
+    axis bookkeeping costs several times its arithmetic.
     """
     if not ops:
         raise ValueError("tensor requires at least one factor")
     out = np.asarray(ops[0], dtype=complex)
     for op in ops[1:]:
-        out = np.kron(out, np.asarray(op, dtype=complex))
+        op = np.asarray(op, dtype=complex)
+        if op.ndim != out.ndim:
+            raise ValueError(f"tensor factors must all be kets or all matrices, "
+                             f"got ranks {out.ndim} and {op.ndim}")
+        dims = list(zip(out.shape, op.shape))
+        out = (out.reshape([s for a, _ in dims for s in (a, 1)])
+               * op.reshape([s for _, b in dims for s in (1, b)])).reshape([a * b for a, b in dims])
     return out
 
 

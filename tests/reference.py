@@ -1,4 +1,4 @@
-"""Dense reference operations that only the tests use.
+"""Dense reference operations, and a per-point ``verify``, that only the tests use.
 
 The library applies its channels on qubit axes and never needs these;
 the tests use them to build the same results the slow, obvious way.
@@ -6,10 +6,14 @@ the tests use them to build the same results the slow, obvious way.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Iterable, Sequence
 
 import numpy as np
 
+from entdistill import distill_mixed as dm
+from entdistill import distill_pure as dp
+from entdistill import noise, oracle
 from entdistill.qmat import I2, P0, P1, tensor
 
 # Validation tolerances for density matrices and unitaries.
@@ -113,3 +117,62 @@ def collective_cnot(n: int) -> np.ndarray:
     xs = tensor(*([X] * (n - 1)))
     eye = np.eye(2 ** (n - 1), dtype=complex)
     return np.kron(P0, eye) + np.kron(P1, xs)
+
+
+def run_verification(max_n: int = 3, seed: int = 7, draws: int = 20,
+                     full: bool = False) -> dict[str, float]:
+    """``cli.run_verification`` point by point: one oracle gadget per role and point.
+
+    The loop that the CLI ran before it drew every input first and
+    evaluated the oracle on stacks; its dict is the CLI's, float for
+    float.
+    """
+    rng = np.random.RandomState(seed)
+    eps_grid = [0.0, 0.05, 0.1]
+    gaps = defaultdict(list)
+
+    for _ in range(draws):
+        f = float(rng.uniform(0.26, 0.99))
+        theta = float(rng.uniform(0.05, np.pi / 4 - 0.01))
+        for eps in eps_grid:
+            for n in range(1, max_n + 1):
+                p_list = list(rng.uniform(0.02, 0.3, n))
+                c = noise.purified_coeffs_general(p_list, eps)
+                ep = oracle.oracle_effective_povm(p_list, eps, n)
+                gaps["povm_coeffs"] += [abs(ep.r0 - c.r0), abs(ep.r1 - c.r1)]
+                gaps["povm_offdiag"] += [float(np.abs(q - np.diag(np.diag(q))).max())
+                                         for q in (ep.q0, ep.q1)]
+
+                m = int(rng.randint(1, max_n + 1))
+                q_list = list(rng.uniform(0.02, 0.3, m))
+                w = dm.parity_weights(p_list, q_list, eps)
+                res = dm.distill_map(f, w)
+                sigma = oracle.oracle_mixed_post_state(
+                    oracle.mixed_register(f), ep, oracle.oracle_effective_povm(q_list, eps, m))
+                orc = oracle.distill_result(sigma)
+                gaps["mixed_fidelity"].append(abs(res.fidelity_out - orc.fidelity_out))
+                gaps["mixed_p_succ"].append(abs(res.p_succ - orc.p_succ))
+                gaps["mixed_state"].append(
+                    float(np.abs(dm.post_state_unnormalized(f, w) - sigma).max()))
+
+                p_hom = float(rng.uniform(0.02, 0.3))
+                ch = noise.purified_coeffs_gate_noisy(p_hom, eps, n)
+                res_p = dp.pure_filter_fidelity(theta, ch)
+                sigma_p = oracle.oracle_pure_post_state(
+                    oracle.filtered_ket(theta), oracle.oracle_effective_povm([p_hom] * n, eps, n))
+                orc_p = oracle.distill_result(sigma_p)
+                gaps["pure_fidelity"].append(abs(res_p.fidelity_out - orc_p.fidelity_out))
+                gaps["pure_p_succ"].append(abs(res_p.p_succ - orc_p.p_succ))
+                gaps["pure_state"].append(
+                    float(np.abs(dp.pure_post_state_unnormalized(theta, ch) - sigma_p).max()))
+
+    if full:
+        for (n, m, eps) in [(2, 2, 0.0), (2, 2, 0.1), (3, 3, 0.05)]:
+            f = float(rng.uniform(0.5, 0.95))
+            p_a = list(rng.uniform(0.02, 0.3, n))
+            p_b = list(rng.uniform(0.02, 0.3, m))
+            direct = oracle.oracle_mixed_post_state_direct(f, p_a, p_b, eps)
+            w = dm.parity_weights(p_a, p_b, eps)
+            gaps["direct_register"].append(
+                float(np.abs(direct - dm.post_state_unnormalized(f, w)).max()))
+    return {name: float(np.max(v)) for name, v in gaps.items()}

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
+
 from entdistill import cli, distill_mixed, distill_pure, noise
 from entdistill.distill_mixed import distill_map, lower_bound, lower_bound_limit, parity_weights
 from entdistill.distill_pure import pure_filter_fidelity, pure_filter_fidelity_limit
@@ -146,6 +148,23 @@ SWEEP_USAGE_ERRORS = [
 ]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_lower_bound_sweep_is_the_scalar_calls_bit_for_bit(fmt, capsys):
+    """The prefix-recurrence kernel prints each row's scalar lower_bound(parity_weights(...))."""
+    code, out, _ = run_cli(["sweep", "--quantity", "lower_bound", "--p", "0.02,0.15",
+                            "--epsilon", "0,0.05", "--n", "4,1,3", "--m", "1:4",
+                            "--format", fmt], capsys)
+    assert code == 0
+    rows = ([json.loads(line) for line in out.splitlines()] if fmt == "json"
+            else list(csv.DictReader(out.splitlines())))
+    cells = list(product([0.02, 0.15], [0.0, 0.05], [4, 1, 3], [1, 2, 3, 4]))
+    assert len(rows) == len(cells)
+    for row, (p, eps, n, m) in zip(rows, cells):
+        expected = lower_bound(parity_weights([p] * n, [p] * m, eps))
+        assert (float(row["p"]), float(row["epsilon"]), int(row["n"]), int(row["m"])) == (p, eps, n, m)
+        assert row["value"] == (expected if fmt == "json" else f"{expected:.12g}")
+
+
 def test_sweep_usage_errors(capsys):
     for argv in SWEEP_USAGE_ERRORS:
         assert run_cli(argv, capsys)[0] == 2, argv
@@ -165,6 +184,15 @@ def test_verify_full_includes_direct_register(capsys):
     code, out, _ = run_cli(["verify", "--max-n", "2", "--draws", "2", "--full"], capsys)
     assert code == 0
     assert "direct_register" in out
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["gadget", "full"])
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 32 - 1])
+def test_verify_equals_the_per_point_reference(seed, full):
+    """The stacked oracle evaluation returns the per-point loop's dict, float for float."""
+    for max_n, draws in product(range(1, 5), (1, 5)):
+        expected = reference.run_verification(max_n=max_n, seed=seed, draws=draws, full=full)
+        assert cli.run_verification(max_n=max_n, seed=seed, draws=draws, full=full) == expected
 
 
 #: Each analytic output that verify compares: its module, function and field
@@ -480,6 +508,11 @@ DOMAIN_ERRORS = [
     # the first row's F fails before the second row's eps is read
     (MAP + ["--p", "0.1", "--epsilon", "0,1", "--F", "1.5"],
      "input fidelity must lie in [0, 1], got 1.5"),
+    (["sweep", "--quantity", "lower_bound", "--p", "0.1,1.0", "--n", "1:2", "--m", "1:2"],
+     "measurement noise fraction must lie in [0, 1), got 1.0"),
+    # the p = 0.1 slab's second point fails on eps before the p = 1.0 slab is read
+    (["sweep", "--quantity", "lower_bound", "--p", "0.1,1.0", "--epsilon", "0,1", "--n", "2",
+      "--m", "1:3"], "epsilon must lie in [0, 1), got 1.0"),
 ]
 
 

@@ -94,6 +94,27 @@ def test_depolarized_cnot_matches_dense_reference(nq, rng):
                 rtol=0, atol=1e-12 * np.abs(rho).max())
 
 
+@pytest.mark.parametrize("nq", [2, 3, 4, 5, 6])
+def test_depolarized_cnot_on_a_stack_is_the_call_per_operator(nq, rng):
+    # a (3, d, d) stack: each slice is its own unstacked call, bit for bit
+    d = 2 ** nq
+    for control, target in permutations(range(nq), 2):
+        stack = rng.randn(3, d, d) + 1j * rng.randn(3, d, d)
+        for eps in (0.0, float(rng.uniform()), float(rng.uniform())):
+            out = depolarized_cnot_apply(stack, control, target, eps)
+            assert out.shape == stack.shape
+            for rho, got in zip(stack, out):
+                assert np.array_equal(got, depolarized_cnot_apply(rho, control, target, eps))
+                np.testing.assert_allclose(got, dense_depolarized_cnot(rho, control, target, eps),
+                                           rtol=0, atol=1e-12 * np.abs(rho).max())
+
+
+def test_depolarized_cnot_rejects_shapes_that_are_no_stack_of_operators():
+    for shape in [(), (4,), (4, 2), (3, 4, 2), (3, 3), (2, 6, 6)]:
+        with pytest.raises(ValueError, match=r"is not a square power of two$"):
+            depolarized_cnot_apply(np.zeros(shape), 0, 1, 0.1)
+
+
 def test_depolarized_cnot_noiseless_limit(rng):
     rho = rand_density_matrix(rng, 3)
     v = embed_op(collective_cnot(2), [0, 2], 3)

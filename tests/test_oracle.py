@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import rand_density_matrix
 
-from entdistill import cli
+from entdistill import cli, noise, oracle
 from entdistill.distill_mixed import (
     distill_map,
     parity_weights,
@@ -19,9 +19,12 @@ from entdistill.noise import (
 )
 from entdistill.oracle import (
     distill_result,
+    filtered_ket,
+    mixed_register,
     oracle_distill_mixed,
     oracle_distill_pure,
     oracle_effective_povm,
+    oracle_effective_povms,
     oracle_mixed_post_state,
     oracle_mixed_post_state_direct,
     oracle_pure_post_state,
@@ -97,6 +100,46 @@ def test_effective_povm_guards():
         oracle_effective_povm([0.1, 0.1], 0.0, 3)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_effective_povm_stack_rows_are_the_single_calls(n, rng):
+    rates = rng.uniform(0.0, 1.0, (4, n))
+    for eps in (0.0, 0.05, 0.1, 0.37):
+        q0, q1 = oracle_effective_povms(rates, eps)
+        assert q0.shape == q1.shape == (4, 2, 2)
+        for row, a, b in zip(rates, q0, q1):
+            ep = oracle_effective_povm(list(row), eps, n)
+            assert np.array_equal(a, ep.q0) and np.array_equal(b, ep.q1)
+
+
+def test_effective_povm_stack_guards():
+    with pytest.raises(ValueError, match=r"fraction must lie in \[0, 1\), got -0\.2$"):
+        oracle_effective_povms([[0.1, -0.2], [1.5, 0.1]], 0.0)
+    with pytest.raises(ValueError, match=r"fraction must lie in \[0, 1\), got 1\.5$"):
+        oracle_effective_povms([[0.1, 0.2], [1.5, -0.1]], 0.0)
+    with pytest.raises(ValueError, match=r"^epsilon must lie in \[0, 1\), got 1\.0$"):
+        oracle_effective_povms([[0.1]], 1.0)
+    with pytest.raises(ValueError, match=r"^rates must be a \(B x n\) matrix, got shape \(2,\)$"):
+        oracle_effective_povms([0.1, 0.2], 0.0)
+    with pytest.raises(ValueError, match=r"^n must lie in 1\.\.6, got 7$"):
+        oracle_effective_povms([[0.1] * 7], 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_effective_povm_checks_each_input_once(n, monkeypatch):
+    # the rate matrix once, eps once at entry and once per depolarized CNOT
+    checked = []
+
+    def counted(value, name, closed=False):
+        checked.append(name)
+        return exact(value, name, closed)
+
+    exact = noise._check_fraction
+    monkeypatch.setattr(noise, "_check_fraction", counted)
+    monkeypatch.setattr(oracle, "_check_fraction", counted)
+    oracle_effective_povm([0.1] * n, 0.05, n)
+    assert sorted(checked) == ["epsilon"] * n + ["measurement noise fraction"]
+
+
 def test_schroedinger_and_adjoint_pictures_are_dual(rng):
     # tr[E(A) B] == tr[A E(B)]: the depolarized CNOT is its own adjoint, so
     # the oracle may pull observables back through the same function. A and
@@ -159,7 +202,7 @@ def test_mixed_oracle_state_matches_analytic_state(rng):
         p_a = list(rng.uniform(0.02, 0.3, 2))
         p_b = list(rng.uniform(0.02, 0.3, 2))
         eps = float(rng.choice([0.0, 0.1]))
-        sigma = oracle_mixed_post_state(f, povm(p_a, eps), povm(p_b, eps))
+        sigma = oracle_mixed_post_state(mixed_register(f), povm(p_a, eps), povm(p_b, eps))
         np.testing.assert_allclose(
             sigma, post_state_unnormalized(f, parity_weights(p_a, p_b, eps)), atol=TOL)
 
@@ -169,10 +212,10 @@ def test_two_twirled_oracle_rounds_match_the_iterated_map_and_the_cli(capsys):
     # isotropic state; the oracle runs that protocol: a round, a twirl, a round.
     f, p_a, p_b, eps = 0.7, [0.1, 0.2], [0.05, 0.15, 0.1], 0.05
     qa, qb = povm(p_a, eps), povm(p_b, eps)
-    sigma = oracle_mixed_post_state(f, qa, qb)
+    sigma = oracle_mixed_post_state(mixed_register(f), qa, qb)
     first = distill_result(sigma)
     f2 = singlet_fraction(twirl(sigma / np.trace(sigma).real))
-    second = distill_result(oracle_mixed_post_state(f2, qa, qb))
+    second = distill_result(oracle_mixed_post_state(mixed_register(f2), qa, qb))
 
     w = parity_weights(p_a, p_b, eps)
     map1 = distill_map(f, w)
@@ -197,7 +240,7 @@ def test_direct_register_matches_reduction_six_qubits(rng):
         p_a = list(rng.uniform(0.02, 0.3, 2))
         p_b = list(rng.uniform(0.02, 0.3, 2))
         direct = oracle_mixed_post_state_direct(f, p_a, p_b, eps)
-        reduced = oracle_mixed_post_state(f, povm(p_a, eps), povm(p_b, eps))
+        reduced = oracle_mixed_post_state(mixed_register(f), povm(p_a, eps), povm(p_b, eps))
         np.testing.assert_allclose(direct, reduced, atol=TOL)
 
 
@@ -241,14 +284,14 @@ def test_pure_oracle_matches_analytic(rng):
         assert abs(res.fidelity_out - orc.fidelity_out) < TOL
         assert abs(res.p_succ - orc.p_succ) < TOL
         np.testing.assert_allclose(
-            oracle_pure_post_state(theta, povm([p] * n, eps)),
+            oracle_pure_post_state(filtered_ket(theta), povm([p] * n, eps)),
             pure_post_state_unnormalized(theta, coeffs), atol=TOL)
 
 
 def test_pure_direct_register_matches_reduction():
     for (n, eps) in [(2, 0.0), (3, 0.07)]:
         direct = oracle_pure_post_state_direct(0.3, 0.12, eps, n)
-        reduced = oracle_pure_post_state(0.3, povm([0.12] * n, eps))
+        reduced = oracle_pure_post_state(filtered_ket(0.3), povm([0.12] * n, eps))
         np.testing.assert_allclose(direct, reduced, atol=TOL)
 
 

@@ -48,6 +48,16 @@ def test_tensor_needs_a_factor():
         tensor()
 
 
+def test_tensor_is_np_kron_bit_for_bit(rng):
+    # random complex matrices of unequal shapes, and kets
+    for a, b in [(rng.randn(2, 4) + 1j * rng.randn(2, 4), rng.randn(4, 2) + 1j * rng.randn(4, 2)),
+                 (rng.randn(4, 4) + 1j * rng.randn(4, 4), rng.randn(4, 4) + 1j * rng.randn(4, 4)),
+                 (rng.randn(4) + 1j * rng.randn(4), rng.randn(2) + 1j * rng.randn(2))]:
+        assert np.array_equal(tensor(a, b), np.kron(a, b))
+    with pytest.raises(ValueError, match=r"^tensor factors must all be kets or all matrices"):
+        tensor(KET0, I2)
+
+
 def test_ket_indexing():
     assert np.array_equal(ket("10"), np.array([0, 0, 1, 0], dtype=complex))
     with pytest.raises(ValueError):
