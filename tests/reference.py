@@ -1,4 +1,5 @@
-"""Dense reference operations, and a per-point ``verify``, that only the tests use.
+"""Dense reference operations, a per-point ``verify`` and a per-chunk emitter,
+that only the tests use.
 
 The library applies its channels on qubit axes and never needs these;
 the tests use them to build the same results the slow, obvious way.
@@ -6,6 +7,7 @@ the tests use them to build the same results the slow, obvious way.
 
 from __future__ import annotations
 
+import json
 from collections import defaultdict
 from collections.abc import Iterable, Sequence
 
@@ -13,7 +15,7 @@ import numpy as np
 
 from entdistill import distill_mixed as dm
 from entdistill import distill_pure as dp
-from entdistill import noise, oracle
+from entdistill import cli, noise, oracle
 from entdistill.qmat import I2, P0, P1, tensor
 
 # Validation tolerances for density matrices and unitaries.
@@ -176,3 +178,71 @@ def run_verification(max_n: int = 3, seed: int = 7, draws: int = 20,
             gaps["direct_register"].append(
                 float(np.abs(direct - dm.post_state_unnormalized(f, w)).max()))
     return {name: float(np.max(v)) for name, v in gaps.items()}
+
+
+def _slot(column: np.ndarray, fmt: str, seen: dict) -> tuple[str, list[list]]:
+    """A column's %-template slot and the value lists that fill it.
+
+    '%.12g' % x and '%r' % x give the bytes of f"{x:.12g}" and of
+    json.dumps(x) for a finite float x. A 2-D column is a rate-list field:
+    each row prints as its rates joined by ';', a string in JSON (the
+    digits need no escaping). A column that several chunks share is
+    formatted to strings once, at its second use; ``seen`` holds what
+    earlier chunks used.
+    """
+    key = id(column)
+    if seen.get(key):  # formatted at an earlier chunk
+        return seen[key]
+    kind, lists = column.dtype.kind, [column.tolist()]
+    if column.ndim == 2:
+        slot = ";".join(["%.12g"] * column.shape[1])
+        slot, lists = (slot if fmt == "csv" else f'"{slot}"'), column.T.tolist()
+    elif kind == "f" and (fmt == "csv" or np.isfinite(column).all()):
+        slot = "%.12g" if fmt == "csv" else "%r"
+    elif kind in "iu":
+        slot = "%d"
+    elif fmt == "csv":
+        slot = "%s"
+    else:
+        slot, lists = "%s", [list(map(json.dumps, lists[0]))]
+    if key in seen:  # second use: format once, for this chunk and the later ones
+        seen[key] = "%s", [[slot % row for row in zip(*lists)]]
+        return seen[key]
+    seen[key] = None
+    return slot, lists
+
+
+def emit_records(records: cli.Records, fmt: str, out) -> None:
+    """``cli.emit_records`` one %-template per chunk, CSV and JSON alike.
+
+    The emitter that the CLI ran before CSV batches were formatted as
+    columns; its bytes are the CLI's, for every input.
+    """
+    if fmt == "csv":
+        fields = [f for f in cli.FIELD_ORDER
+                  if any(f in constants or f in columns for constants, columns in records.chunks)]
+        out.write(",".join(fields) + "\n")
+    seen: dict = {}
+    for constants, columns in records.chunks:
+        if fmt == "json":
+            constants = {**constants, "schema_version": cli.SCHEMA_VERSION}
+            if all(len(column) == 1 for column in columns.values()):
+                row = {f: ";".join(["%.12g"] * c.shape[1]) % tuple(c[0].tolist()) if c.ndim == 2
+                       else c[0].item() for f, c in columns.items()}
+                out.write(json.dumps({**constants, **row}, sort_keys=True) + "\n")
+                continue
+            fields = sorted([*constants, *columns])
+        parts, values = [], []
+        for f in fields:
+            if f in columns:
+                slot, lists = _slot(columns[f], fmt, seen)
+                values += lists
+            elif f in constants:
+                const = constants[f]
+                text = f"{const:.12g}" if isinstance(const, float) else str(const)
+                slot = (json.dumps(const) if fmt == "json" else text).replace("%", "%%")
+            else:
+                slot = ""
+            parts.append(slot if fmt == "csv" else f"{json.dumps(f)}: {slot}")
+        template = (",".join(parts) if fmt == "csv" else "{" + ", ".join(parts) + "}") + "\n"
+        out.write("".join(map(template.__mod__, zip(*values) if values else [()])))

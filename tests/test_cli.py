@@ -513,12 +513,17 @@ DOMAIN_ERRORS = [
     # the p = 0.1 slab's second point fails on eps before the p = 1.0 slab is read
     (["sweep", "--quantity", "lower_bound", "--p", "0.1,1.0", "--epsilon", "0,1", "--n", "2",
       "--m", "1:3"], "epsilon must lie in [0, 1), got 1.0"),
+    # bands that numpy's RandomState.uniform cannot draw from, and an inverted one
+    (MAP + ["--het-band", "0.1", "inf", "--F", "0.6"], "--het-band needs a finite band, got 0.1 inf"),
+    (MAP + ["--het-band", "nan", "0.2", "--F", "0.6"], "--het-band needs a finite band, got nan 0.2"),
+    (MAP + ["--het-band", "0.1", "nan", "--F", "0.6"], "--het-band needs a finite band, got 0.1 nan"),
+    (INVERTED_HET_BAND[0], "--het-band needs LO <= HI, got 0.3 0.1"),
 ]
 
 
 @pytest.mark.parametrize("argv,message", DOMAIN_ERRORS)
 def test_sweep_domain_errors_leave_no_output(argv, message, tmp_path, capsys):
-    """A value the library rejects, in a sweep or a single-point command, writes nothing."""
+    """A value the library or the CLI rejects, in a sweep or a single-point command, writes nothing."""
     path = tmp_path / "out.csv"
     code, out, err = run_cli(argv + ["--out", str(path)], capsys)
     assert code == 2 and out == ""
