@@ -509,20 +509,21 @@ QUANTITIES = {
 }
 
 
-def _grid(quantity: str, *grids: dict[str, list]) -> Records:
+def _grid(quantity: str, *grids: dict[str, list], spec: tuple | None = None) -> Records:
     """A quantity's rows over the product of its axes, grid after grid.
 
-    Rows come in lexicographic order, the last axis varying fastest:
-    one chunk per point of every axis but the last, with that point's
-    values as constants and the last axis as one column that every
-    chunk shares. The kernel runs once per slab, the points that share
-    one value of the first axis, and each chunk's outputs are rows of
-    its slab's: the kernel's temporaries are one slab's, never the
-    whole grid's. Every chunk is computed, and so every input checked, before the first
-    byte is written; a slab that fails runs again point by point, so
-    the error is the first failing row's.
+    ``spec`` is the (axes, kernel) pair, ``QUANTITIES[quantity]`` by
+    default. Rows come in lexicographic order, the last axis varying
+    fastest: one chunk per point of every axis but the last, with that
+    point's values as constants and the last axis as one column that
+    every chunk shares. The kernel runs once per slab, the points that
+    share one value of the first axis, and each chunk's outputs are rows
+    of its slab's: the kernel's temporaries are one slab's, never the
+    whole grid's. Every chunk is computed, and so every input checked,
+    before the first byte is written; a slab that fails runs again point
+    by point, so the error is the first failing row's.
     """
-    (*outer, last), kernel = QUANTITIES[quantity]
+    (*outer, last), kernel = spec or QUANTITIES[quantity]
     records = Records()
     for axes in grids:
         column = np.array(axes[last])
@@ -597,11 +598,10 @@ def _sweep_records(args) -> Records:
     names, _ = QUANTITIES[q]
     if het and q != "mixed_fidelity_map":
         raise ValueError("--het-band only applies to the mixed_fidelity_map quantity")
-    if het and not np.isfinite(args.het_band[1] - args.het_band[0]):  # inf, NaN or overflow
-        raise ValueError("--het-band needs a finite band, got "
+    # HI < 1, not <= 1: RandomState.uniform may round a draw up to HI. NaN fails too.
+    if het and not 0 <= args.het_band[0] <= args.het_band[1] < 1:
+        raise ValueError("--het-band needs 0 <= LO <= HI < 1, got "
                          f"{args.het_band[0]} {args.het_band[1]}")
-    if het and args.het_band[0] > args.het_band[1]:
-        raise ValueError(f"--het-band needs LO <= HI, got {args.het_band[0]} {args.het_band[1]}")
     if het and args.p is not None:
         raise ValueError("give --p or --het-band, not both: --het-band draws the rates")
     for flag in ("draws", "seed"):
@@ -620,36 +620,33 @@ def _sweep_records(args) -> Records:
         if axis not in axes:
             flags = " or ".join(f for f, a in AXIS_OF_FLAG.items() if a == axis)
             raise ValueError(f"quantity {q} needs a {flags} axis")
-    return _het_records(args, axes) if het else _grid(q, axes)
-
-
-def _het_records(args, axes) -> Records:
-    """mixed_fidelity_map rows with drawn rates: one chunk per (eps, n, m) cell.
-
-    Rates are drawn per row, (F, draw) row-major within a cell. One draw
-    of rows x (n + m) consumes the RandomState as per-row uniform(n) then
-    uniform(m) calls would.
-    """
-    records = Records()
-    lo, hi = args.het_band
+    if not het:
+        return _grid(q, axes)
     draws = args.draws if args.draws is not None else HET_DRAWS
+    draw = np.tile(np.arange(draws), len(axes["F"]))
+    axes["F"] = np.repeat(axes["F"], draws)
     rng = np.random.RandomState(args.seed if args.seed is not None else 0)
-    f_col = np.repeat(axes["F"], draws)
-    draw_col = np.tile(np.arange(draws), len(axes["F"]))
-    for eps, n, m in product(axes["epsilon"], axes["n"], axes["m"]):
-        rates = rng.uniform(lo, hi, len(f_col) * (n + m)).reshape(len(f_col), n + m)
-        p_a, p_b = rates[:, :n], rates[:, n:]
-        try:
-            res = dm.distill_map(f_col, dm.parity_weights(p_a, p_b, eps))
-        except ValueError:
-            # Name the first failing row's error, as a row-by-row evaluation does.
-            for f, pa, pb in zip(f_col, p_a, p_b):
-                dm.distill_map(f, dm.parity_weights(pa, pb, eps))
-            raise
-        records.add({"quantity": "mixed_fidelity_map", "epsilon": eps, "n": n, "m": m},
-                    {"pA": p_a, "pB": p_b, "F": f_col,
-                     "draw": draw_col, "value": res.fidelity_out, "p_succ": res.p_succ})
-    return records
+    return _grid(q, axes, spec=(names, _het_kernel(*args.het_band, draw, rng)))
+
+
+def _het_kernel(lo: float, hi: float, draw: np.ndarray, rng: np.random.RandomState):
+    """The mixed_fidelity_map kernel on rates drawn from [lo, hi), a rate matrix per cell.
+
+    A point is an (eps, n, m) cell and the column is F, each value once
+    per draw; ``draw`` numbers the draws and every chunk shares it.
+    Rates are drawn per row, (F, draw) row-major within a cell: one draw
+    of rows x (n + m) consumes the RandomState as per-row uniform(n) then
+    uniform(m) calls would. The band lies in [0, 1), so a cell fails
+    only on eps or F, whatever the draws.
+    """
+    def kernel(points: list[tuple], f_column: np.ndarray) -> dict[str, tuple]:
+        cells = []
+        for eps, n, m in points:
+            rates = rng.uniform(lo, hi, len(f_column) * (n + m)).reshape(len(f_column), n + m)
+            res = dm.distill_map(f_column, dm.parity_weights(rates[:, :n], rates[:, n:], eps))
+            cells.append((rates[:, :n], rates[:, n:], draw, res.fidelity_out, res.p_succ))
+        return dict(zip(("pA", "pB", "draw", "value", "p_succ"), zip(*cells)))
+    return kernel
 
 
 def cmd_sweep(args) -> int:
@@ -841,7 +838,8 @@ def _add_sweep_args(sub):
                        help="axis of Schmidt angles as multiples of pi")
     sub.add_argument("--het-band", dest="het_band", nargs=2, type=float,
                      metavar=("LO", "HI"),
-                     help="draw per-measurement rates uniformly from (LO, HI)")
+                     help="draw per-measurement rates uniformly from [LO, HI) with "
+                          "0 <= LO <= HI < 1")
     sub.add_argument("--draws", type=_positive_int,
                      help=f"random draws per grid point in --het-band mode (default {HET_DRAWS})")
     sub.add_argument("--seed", type=int, default=None,

@@ -182,14 +182,15 @@ def oracle_mixed_post_state_direct(
     """Same accepted state from the full register including every gadget ancilla.
 
     Register order [A1, B1, A2, B2, Alice ancillas, Bob ancillas]; with
-    depths (n, m) this is 2 + n + m qubits, so n = m = 3 exercises an
-    8-qubit simulation. Certifies the effective-POVM reduction.
+    depths (n, m) this is 2 + n + m qubits, at most 10, so n = m = 4, the
+    tables' largest depth, is a 10-qubit simulation. Certifies the
+    effective-POVM reduction.
     """
     epsilon = _check_fraction(epsilon, "epsilon")
     n, m = len(p_a), len(p_b)
     nq = 4 + (n - 1) + (m - 1)
-    if nq > 8:
-        raise ValueError(f"direct register would need {nq} qubits, max is 8")
+    if nq > 10:
+        raise ValueError(f"direct register would need {nq} qubits, max is 10")
 
     rho = _bilateral_cnots(tensor(isotropic(f), isotropic(f), *([projector(KET0)] * (nq - 4))))
     alice_anc = list(range(4, 4 + n - 1))

@@ -7,7 +7,7 @@ follows the usual binary-string convention: the leftmost qubit label is
 the most significant bit, so ``tensor(a, b)`` puts ``a`` on the high
 bits.
 
-Registers stay small (at most 8 qubits, 256 x 256), so states are
+Registers stay small (at most 10 qubits, 1024 x 1024), so states are
 stored densely. Channels on a register need not be: the oracle applies
 them on qubit axes (an index permutation, a sum over diagonal blocks, a
 contraction with one POVM element) instead of building 2^n x 2^n

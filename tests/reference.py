@@ -1,5 +1,5 @@
-"""Dense reference operations, a per-point ``verify`` and a per-chunk emitter,
-that only the tests use.
+"""Dense reference operations, a per-point ``verify``, a per-cell ``--het-band``
+sweep and a per-chunk emitter, that only the tests use.
 
 The library applies its channels on qubit axes and never needs these;
 the tests use them to build the same results the slow, obvious way.
@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from collections.abc import Iterable, Sequence
+from itertools import product
 
 import numpy as np
 
@@ -178,6 +179,32 @@ def run_verification(max_n: int = 3, seed: int = 7, draws: int = 20,
             gaps["direct_register"].append(
                 float(np.abs(direct - dm.post_state_unnormalized(f, w)).max()))
     return {name: float(np.max(v)) for name, v in gaps.items()}
+
+
+def het_records(args, axes) -> cli.Records:
+    """``sweep --het-band`` rows cell by cell: one chunk per (eps, n, m) cell.
+
+    The loop that the CLI ran before het mode became a kernel of
+    ``cli._grid``; its records are the CLI's, byte for byte once
+    emitted. Rates are drawn per row, (F, draw) row-major within a cell.
+    One draw of rows x (n + m) consumes the RandomState as per-row
+    uniform(n) then uniform(m) calls would. Its row-by-row replay of a
+    failing cell is left out: the tests give it valid bands only.
+    """
+    records = cli.Records()
+    lo, hi = args.het_band
+    draws = args.draws if args.draws is not None else cli.HET_DRAWS
+    rng = np.random.RandomState(args.seed if args.seed is not None else 0)
+    f_col = np.repeat(axes["F"], draws)
+    draw_col = np.tile(np.arange(draws), len(axes["F"]))
+    for eps, n, m in product(axes["epsilon"], axes["n"], axes["m"]):
+        rates = rng.uniform(lo, hi, len(f_col) * (n + m)).reshape(len(f_col), n + m)
+        p_a, p_b = rates[:, :n], rates[:, n:]
+        res = dm.distill_map(f_col, dm.parity_weights(p_a, p_b, eps))
+        records.add({"quantity": "mixed_fidelity_map", "epsilon": eps, "n": n, "m": m},
+                    {"pA": p_a, "pB": p_b, "F": f_col,
+                     "draw": draw_col, "value": res.fidelity_out, "p_succ": res.p_succ})
+    return records
 
 
 def _slot(column: np.ndarray, fmt: str, seen: dict) -> tuple[str, list[list]]:

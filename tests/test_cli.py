@@ -489,11 +489,12 @@ def test_sweep_rejects_p_axis_in_het_band_mode(capsys):
 
 
 MAP = ["sweep", "--quantity", "mixed_fidelity_map"]
+HET_BAND_RULE = "--het-band needs 0 <= LO <= HI < 1, got "
 
 
 DOMAIN_ERRORS = [
     (MAP + ["--het-band", "0.5", "1.5", "--F", "0.7", "--n", "1:2", "--m", "1:2", "--draws", "2",
-            "--seed", "1"], "measurement noise fraction must lie in [0, 1), got 1.220324493442158"),
+            "--seed", "1"], HET_BAND_RULE + "0.5 1.5"),
     (MAP + ["--het-band", "0.02", "0.2", "--epsilon", "1", "--F", "0.7", "--draws", "1"],
      "epsilon must lie in [0, 1), got 1.0"),
     (MAP + ["--p", "0.1", "--F", "0.5,1.5"], "input fidelity must lie in [0, 1], got 1.5"),
@@ -513,11 +514,18 @@ DOMAIN_ERRORS = [
     # the p = 0.1 slab's second point fails on eps before the p = 1.0 slab is read
     (["sweep", "--quantity", "lower_bound", "--p", "0.1,1.0", "--epsilon", "0,1", "--n", "2",
       "--m", "1:3"], "epsilon must lie in [0, 1), got 1.0"),
-    # bands that numpy's RandomState.uniform cannot draw from, and an inverted one
-    (MAP + ["--het-band", "0.1", "inf", "--F", "0.6"], "--het-band needs a finite band, got 0.1 inf"),
-    (MAP + ["--het-band", "nan", "0.2", "--F", "0.6"], "--het-band needs a finite band, got nan 0.2"),
-    (MAP + ["--het-band", "0.1", "nan", "--F", "0.6"], "--het-band needs a finite band, got 0.1 nan"),
-    (INVERTED_HET_BAND[0], "--het-band needs LO <= HI, got 0.3 0.1"),
+    # bands outside 0 <= LO <= HI < 1: non-finite, inverted, reaching 1 or below 0
+    (MAP + ["--het-band", "0.1", "inf", "--F", "0.6"], HET_BAND_RULE + "0.1 inf"),
+    (MAP + ["--het-band", "nan", "0.2", "--F", "0.6"], HET_BAND_RULE + "nan 0.2"),
+    (MAP + ["--het-band", "0.1", "nan", "--F", "0.6"], HET_BAND_RULE + "0.1 nan"),
+    (INVERTED_HET_BAND[0], HET_BAND_RULE + "0.3 0.1"),
+    # the band is checked before any draw: whether a draw reaches 1 depends on the seed
+    *((MAP + ["--het-band", "0.9", "1.05", "--F", "0.7", "--draws", "2", "--seed", str(seed)],
+       HET_BAND_RULE + "0.9 1.05") for seed in range(6)),
+    (MAP + ["--het-band", "-0.001", "0.2", "--F", "0.7"], HET_BAND_RULE + "-0.001 0.2"),
+    (MAP + ["--het-band", "0.5", "1", "--F", "0.7"], HET_BAND_RULE + "0.5 1.0"),
+    (MAP + ["--het-band", "0.02", "0.2", "--F", "0.7,1.2"],
+     "input fidelity must lie in [0, 1], got 1.2"),
 ]
 
 
@@ -531,36 +539,35 @@ def test_sweep_domain_errors_leave_no_output(argv, message, tmp_path, capsys):
     assert err.splitlines()[-1] == f"entdistill: error: {message}"
 
 
-def _first_row_error(lo, hi, seed, eps, n, m, fs, draws):
-    """The error of the first failing row when every row is evaluated on its own."""
-    rng = np.random.RandomState(seed)
-    for f in fs:
-        for _ in range(draws):
-            p_a, p_b = rng.uniform(lo, hi, n), rng.uniform(lo, hi, m)
-            try:
-                distill_map(f, parity_weights(p_a, p_b, eps))
-            except ValueError as exc:
-                return str(exc)
-    return None
+#: Valid --het-band bands: LO = HI and LO = 0 included.
+HET_BANDS = st.one_of(
+    st.floats(0, 1, exclude_max=True).flatmap(
+        lambda lo: st.tuples(st.just(lo), st.just(lo) | st.floats(lo, 1, exclude_max=True))),
+    st.tuples(st.just(0.0), st.floats(0, 1, exclude_max=True)))
 
 
-def _failing_het_band(seed, eps, fs):
-    return MAP + ["--het-band", "0.6", "1.3", "--epsilon", str(eps), "--n", "2", "--m", "3",
-                  "--F", ",".join(map(str, fs)), "--draws", "3", "--seed", str(seed)]
+def _axis(values) -> str:
+    return ",".join(map(repr, values))
 
 
-FAILING_HET_BAND_SEEDS = range(8)
-FAILING_HET_BAND_CELLS = [(0.05, [0.7]), (1.0, [0.7]), (0.05, [1.2, 0.7])]
-
-
-@pytest.mark.parametrize("seed", FAILING_HET_BAND_SEEDS)
-@pytest.mark.parametrize("eps,fs", FAILING_HET_BAND_CELLS)
-def test_het_band_error_names_the_first_failing_row(seed, eps, fs, capsys):
-    """A cell is evaluated as columns, but its error is the row-by-row one."""
-    expected = _first_row_error(0.6, 1.3, seed, eps, 2, 3, fs, 3)
-    code, out, err = run_cli(_failing_het_band(seed, eps, fs), capsys)
-    assert code == 2 and out == ""
-    assert err.splitlines()[-1] == f"entdistill: error: {expected}"
+@settings(max_examples=60, deadline=None)
+@given(band=HET_BANDS, eps=st.lists(st.floats(0, 1, exclude_max=True), min_size=1, max_size=3),
+       n=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+       m=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+       fs=st.lists(st.floats(0, 1), min_size=1, max_size=4), draws=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_het_band_sweep_is_the_per_cell_reference(band, eps, n, m, fs, draws, seed):
+    """Het mode as a _grid kernel writes the bytes of the per-cell loop, in CSV and JSON."""
+    args = cli.build_parser("sweep").parse_args(
+        [*MAP, "--het-band", *map(repr, band), "--epsilon", _axis(eps), "--n", _axis(n),
+         "--m", _axis(m), "--F", _axis(fs), "--draws", str(draws), "--seed", str(seed)])
+    expected = reference.het_records(args, {"epsilon": eps, "n": n, "m": m, "F": fs})
+    records = cli._sweep_records(args)
+    for fmt in ("csv", "json"):
+        got, want = io.StringIO(), io.StringIO()
+        cli.emit_records(records, fmt, got)
+        cli.emit_records(expected, fmt, want)
+        assert got.getvalue() == want.getvalue()
 
 
 #: Every usage error exercised above, gathered in one list.
@@ -577,8 +584,6 @@ USAGE_ERRORS = [
     *(["sweep", "--quantity", q, *TAKES[q], flag, AXIS_VALUES[flag]] for q, flag in AXES_NOT_TAKEN),
     P_AXIS_IN_HET_BAND,
     *(argv for argv, _ in DOMAIN_ERRORS),
-    *(_failing_het_band(seed, eps, fs) for seed in FAILING_HET_BAND_SEEDS
-      for eps, fs in FAILING_HET_BAND_CELLS),
 ]
 #: Help, no arguments, an unknown command and an unrecognized trailing flag.
 PARSER_ONLY = [["-h"], *([name, "-h"] for name in cli.COMMANDS), [], ["bogus"],

@@ -256,9 +256,20 @@ def test_direct_register_eight_qubit_check():
     assert np.trace(direct).real == pytest.approx(res.p_succ, abs=TOL)
 
 
+@pytest.mark.parametrize("eps", [0.0, 0.05])
+def test_direct_register_ten_qubit_check(eps):
+    """The tables' largest depth, n = m = 4, on the full 10-qubit register."""
+    f = 0.71
+    p_a = [0.12, 0.05, 0.21, 0.08]
+    p_b = [0.03, 0.16, 0.1, 0.27]
+    direct = oracle_mixed_post_state_direct(f, p_a, p_b, eps)
+    expected = post_state_unnormalized(f, parity_weights(p_a, p_b, eps))
+    assert np.abs(direct - expected).max() < TOL
+
+
 def test_direct_register_guard():
-    with pytest.raises(ValueError):
-        oracle_mixed_post_state_direct(0.7, [0.1] * 4, [0.1] * 4, 0.0)
+    with pytest.raises(ValueError, match="would need 11 qubits, max is 10"):
+        oracle_mixed_post_state_direct(0.7, [0.1] * 5, [0.1] * 4, 0.0)
 
 
 def test_pure_oracle_frozen_values():

@@ -1,7 +1,11 @@
-"""Fresh-interpreter checks: the CLI entry point, the import surface, the demos."""
+"""Whole-program checks: the CLI entry point, the import surface, the demos, the README.
+
+Each check but the README's runs in a fresh interpreter.
+"""
 
 import ast
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -62,10 +66,10 @@ def test_library_modules_use_every_name_they_import():
 def test_only_main_turns_cli_errors_into_exit_codes():
     """Commands raise; main alone calls parser.error and catches what they raise.
 
-    A ValueError may also be caught in _het_records and _grid, which re-raise
-    the first failing row's, in cmd_verify, where a broken invariant during
-    the checks fails the verification, and in the argparse type functions,
-    which re-raise it as ArgumentTypeError.
+    A ValueError may also be caught in _grid, the one evaluation path of
+    every sweep, which re-raises the first failing row's, in cmd_verify,
+    where a broken invariant during the checks fails the verification, and
+    in the argparse type functions, which re-raise it as ArgumentTypeError.
     """
     tree = ast.parse((ROOT / "src" / "entdistill" / "cli.py").read_text())
     arg_types = {kw.value.id for node in ast.walk(tree) if isinstance(node, ast.Call)
@@ -83,7 +87,7 @@ def test_only_main_turns_cli_errors_into_exit_codes():
                     "ValueError", "Exception", "BaseException"}):
                 value_error_catches.add(owner)
     assert error_calls == {"main"}
-    assert value_error_catches - arg_types == {"main", "_het_records", "_grid", "cmd_verify"}
+    assert value_error_catches - arg_types == {"main", "_grid", "cmd_verify"}
     assert commands and all(params == ["args"] for params in commands.values()), commands
 
 
@@ -95,3 +99,25 @@ def test_five_demos_exist():
 def test_demo_runs(demo, tmp_path):
     proc = _python(str(demo), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def _readme_block(heading: str, lang: str) -> str:
+    """The first fenced ``lang`` block after the README heading ``## heading``."""
+    text = (ROOT / "README.md").read_text()
+    section = text[text.index(f"\n## {heading}\n"):]
+    start = section.index(f"```{lang}\n") + len(f"```{lang}\n")
+    return section[start:section.index("```", start)]
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    """Each command of the "Command line" block exits 0 in-process; the library tour runs."""
+    from entdistill import cli
+
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_block("Command line", "sh").replace("\\\n", " ").splitlines()
+    argvs = [shlex.split(line, comments=True) for line in lines]
+    assert argvs and all(argv[0] == "entdistill" for argv in argvs)
+    for argv in argvs:
+        assert cli.main(argv[1:]) == 0, argv
+    capsys.readouterr()
+    exec(_readme_block("Library tour", "python"), {})
