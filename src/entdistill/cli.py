@@ -78,24 +78,23 @@ def _ordered_fields(records: Records) -> list[str]:
     return [f for f in FIELD_ORDER if f in present]
 
 
-def _slot(column: np.ndarray, fmt: str, seen: dict) -> tuple[str, list[list]]:
+def _slot(column: np.ndarray, fmt: str, seen: dict, chunks: list) -> tuple[str, list[list]]:
     """A column's %-template slot and the value lists that fill it.
 
     '%.12g' % x and '%r' % x give the bytes of f"{x:.12g}" and of
-    json.dumps(x) for a finite float x. A 2-D column is a rate-list field:
-    each row prints as its rates joined by ';', a string in JSON (the
-    digits need no escaping). A column that several chunks share is
-    formatted to strings once, at its second use; ``seen`` holds what
-    earlier chunks used.
+    json.dumps(x) for a finite float x. A column that several chunks
+    share is formatted to strings once, at its second use; ``seen`` holds
+    what earlier chunks used. The first 2-D column met formats every
+    rate list of ``chunks`` (``_rate_lists``) into ``seen``.
     """
     key = id(column)
     if seen.get(key):  # formatted at an earlier chunk
         return seen[key]
-    kind, lists = column.dtype.kind, [column.tolist()]
     if column.ndim == 2:
-        slot = _rates_template(column.shape[1])
-        slot, lists = (slot if fmt == "csv" else f'"{slot}"'), column.T.tolist()
-    elif kind == "f" and (fmt == "csv" or np.isfinite(column).all()):
+        seen.update(_rate_lists(chunks, fmt))
+        return seen[key]
+    kind, lists = column.dtype.kind, [column.tolist()]
+    if kind == "f" and (fmt == "csv" or np.isfinite(column).all()):
         slot = "%.12g" if fmt == "csv" else "%r"
     elif kind in "iu":
         slot = "%d"
@@ -110,13 +109,41 @@ def _slot(column: np.ndarray, fmt: str, seen: dict) -> tuple[str, list[list]]:
     return slot, lists
 
 
+def _rate_lists(chunks: list, fmt: str) -> dict[int, tuple[str, list[list]]]:
+    """Every 2-D column of ``chunks`` as ``_slot`` gives it, keyed by ``id``.
+
+    A 2-D column is a rate-list field: each row prints as its rates to 12
+    digits joined by ';', a string in JSON (the digits need no escaping).
+    The rates of every column of one width, a column that chunks share
+    once, are formatted by one ``_format_g12`` call and laid out with
+    their separators as one byte block, split into the rows' strings.
+    """
+    widths: dict[int, dict[int, np.ndarray]] = defaultdict(dict)
+    for _, columns in chunks:
+        for column in columns.values():
+            if column.ndim == 2:
+                widths[column.shape[1]][id(column)] = column
+    slot, out = "%s" if fmt == "csv" else '"%s"', {}
+    for width, found in widths.items():
+        rates = np.concatenate(list(found.values()), dtype=np.float64)
+        chars = _format_g12(rates.ravel()).reshape(len(rates), width, 32)
+        ends = np.full((len(rates), width, 1), ord(";"), np.uint8)
+        ends[:, -1] = ord("\n")
+        text = np.concatenate([chars, ends], axis=2).tobytes().translate(None, b"\0").decode()
+        strings, start = text.split("\n"), 0
+        for key, column in found.items():
+            out[key] = slot, [strings[start:start + len(column)]]
+            start += len(column)
+    return out
+
+
 def _template_rows(constants: dict, columns: dict, fields: list[str], fmt: str,
-                   seen: dict) -> str:
+                   seen: dict, chunks: list) -> str:
     """One chunk's rows: a %-template of its constants, with a slot per column."""
     parts, values = [], []
     for f in fields:
         if f in columns:
-            slot, lists = _slot(columns[f], fmt, seen)
+            slot, lists = _slot(columns[f], fmt, seen, chunks)
             values += lists
         elif f in constants:
             const = constants[f]
@@ -152,7 +179,9 @@ def emit_records(records: Records, fmt: str, out) -> None:
     column, filled from the columns. A chunk without columns is the
     template alone, one row. In JSON every chunk is a template, and a
     one-row chunk, with or without columns, is one ``json.dumps`` of its
-    row. JSON keys come in ``sort_keys`` order.
+    row. JSON keys come in ``sort_keys`` order. In both formats the
+    templates' rate lists are formatted by ``_format_g12``, one call per
+    width for all the records (``_rate_lists``).
     """
     seen: dict = {}
     if fmt == "csv":
@@ -166,7 +195,7 @@ def emit_records(records: Records, fmt: str, out) -> None:
                 out.write(_csv_rows(batch, fields))
                 continue
             for constants, columns in batch:
-                out.write(_template_rows(constants, columns, fields, fmt, seen))
+                out.write(_template_rows(constants, columns, fields, fmt, seen, records.chunks))
         return
     for constants, columns in records.chunks:
         constants = {**constants, "schema_version": SCHEMA_VERSION}
@@ -176,7 +205,7 @@ def emit_records(records: Records, fmt: str, out) -> None:
             out.write(json.dumps({**constants, **row}, sort_keys=True) + "\n")
         else:
             out.write(_template_rows(constants, columns, sorted([*constants, *columns]), fmt,
-                                     seen))
+                                     seen, records.chunks))
 
 
 def _csv_batches(chunks: list[tuple[dict, dict]]):
@@ -222,7 +251,7 @@ def _csv_rows(batch: list[tuple[dict, dict]], fields: list[str]) -> str:
     names = [f for f in fields if f in batch[0][1]]
     texts = _texts_between_columns([constants for constants, _ in batch], names, fields)
     if any("\0" in t for segment in texts for t in segment):
-        return "".join(_template_rows(*chunk, fields, "csv", {}) for chunk in batch)
+        return "".join(_template_rows(*chunk, fields, "csv", {}, batch) for chunk in batch)
     counts = [len(columns[names[0]]) for _, columns in batch]
     shared = [all(columns[f] is batch[0][1][f] for _, columns in batch) for f in names]
     values = [batch[0][1][f] if s else np.concatenate([columns[f] for _, columns in batch])
@@ -361,14 +390,9 @@ def _write(records: Records, args) -> int:
     return 0
 
 
-def _rates_template(count: int) -> str:
-    """The %-template of a rate list: its rates to 12 digits, joined by ';'."""
-    return ";".join(["%.12g"] * count)
-
-
 def _rates_field(rates) -> str:
-    """A rate list as one ';'-separated field."""
-    return _rates_template(len(rates)) % tuple(rates)
+    """A rate list as one ';'-separated field, each rate to 12 digits."""
+    return ";".join(["%.12g"] * len(rates)) % tuple(rates)
 
 
 # ---------------------------------------------------------------------------
@@ -459,13 +483,13 @@ def _pure_fidelity(p, eps, n, theta):
     return res.fidelity_out, res.p_succ
 
 
-def _prefix_weights(cells: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
-    """r_even and r_odd of ``parity_weights([p] * n, [p] * m, eps)`` per (p, eps, n, m) cell.
+def _prefix_weights(cells: list[tuple], column: bool = False) -> dm.ParityWeights:
+    """``parity_weights([p] * n, [p] * m, eps)`` per (p, eps, n, m) cell, as arrays.
 
     One recurrence per distinct (p, eps), up to the cells' largest depth,
     holds Alice's (r0, r1) at depth n and Bob's at m for every cell, and
-    the weights are ``parity_weights``' operations on them in the same
-    order: each entry equals that call's bit for bit.
+    ``dm.weights_from_coeffs`` forms the weights: each entry equals that
+    call's bit for bit. With ``column`` the arrays are (cells x 1).
     """
     index: dict[tuple, int] = {}
     k, n, m = np.array([(index.setdefault((p, eps), len(index)), n - 1, m - 1)
@@ -473,23 +497,22 @@ def _prefix_weights(cells: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
     depth = int(max(n.max(), m.max())) + 1
     prefixes = [noise.purified_coeffs_prefixes(p, eps, depth) for p, eps in index]
     r0, r1 = np.array([c.r0 for c in prefixes]), np.array([c.r1 for c in prefixes])
-    a0, a1, b0, b1 = r0[k, n], r1[k, n], r0[k, m], r1[k, m]
-    return a0 * b0 + a1 * b1, a0 * b1 + a1 * b0
+    if column:
+        k, n, m = k[:, None], n[:, None], m[:, None]
+    return dm.weights_from_coeffs(r0[k, n], r1[k, n], r0[k, m], r1[k, m])
 
 
 def _map_kernel(points: list[tuple], f_column: np.ndarray) -> dict[str, np.ndarray]:
     """The fidelity map on (points x F): one ``distill_map`` on the whole array."""
-    r_even, r_odd = _prefix_weights(points)
-    weights = dm.ParityWeights(r_even=r_even[:, None], r_odd=r_odd[:, None])
-    res = dm.distill_map(f_column, weights)
+    res = dm.distill_map(f_column, _prefix_weights(points, column=True))
     return {"value": res.fidelity_out, "p_succ": res.p_succ}
 
 
 def _lower_bound_kernel(points: list[tuple], m_column: np.ndarray) -> dict[str, np.ndarray]:
     """The threshold L on (points x m), one scalar ``lower_bound`` per cell."""
-    r_even, r_odd = _prefix_weights([(*point, m) for point in points for m in m_column.tolist()])
+    weights = _prefix_weights([(*point, m) for point in points for m in m_column.tolist()])
     values = [dm.lower_bound(dm.ParityWeights(r_even=e, r_odd=o))
-              for e, o in zip(r_even.tolist(), r_odd.tolist())]
+              for e, o in zip(weights.r_even.tolist(), weights.r_odd.tolist())]
     return {"value": np.reshape(values, (len(points), len(m_column)))}
 
 
@@ -634,19 +657,41 @@ def _het_kernel(lo: float, hi: float, draw: np.ndarray, rng: np.random.RandomSta
 
     A point is an (eps, n, m) cell and the column is F, each value once
     per draw; ``draw`` numbers the draws and every chunk shares it.
-    Rates are drawn per row, (F, draw) row-major within a cell: one draw
-    of rows x (n + m) consumes the RandomState as per-row uniform(n) then
-    uniform(m) calls would. The band lies in [0, 1), so a cell fails
-    only on eps or F, whatever the draws.
+    Every cell's rates are drawn first, cell after cell, one draw of rows
+    x (n + m) each, (F, draw) row-major: this consumes the RandomState as
+    per-row uniform(n) then uniform(m) calls would. Then one recurrence
+    per (party, depth) runs on that party's rate blocks of that width,
+    stacked, and one ``distill_map`` on the slab's (cells x rows) array.
+    Every operation is elementwise, so each value equals the per-cell
+    calls' bit for bit. The band lies in [0, 1), so a cell fails only on
+    eps or F, whatever the draws.
     """
-    def kernel(points: list[tuple], f_column: np.ndarray) -> dict[str, tuple]:
-        cells = []
-        for eps, n, m in points:
-            rates = rng.uniform(lo, hi, len(f_column) * (n + m)).reshape(len(f_column), n + m)
-            res = dm.distill_map(f_column, dm.parity_weights(rates[:, :n], rates[:, n:], eps))
-            cells.append((rates[:, :n], rates[:, n:], draw, res.fidelity_out, res.p_succ))
-        return dict(zip(("pA", "pB", "draw", "value", "p_succ"), zip(*cells)))
+    def kernel(points: list[tuple], f_column: np.ndarray) -> dict[str, list | np.ndarray]:
+        rows, eps = len(f_column), points[0][0]  # a slab's points share eps, its first axis
+        rates = [rng.uniform(lo, hi, rows * (n + m)).reshape(rows, n + m) for _, n, m in points]
+        p_a = [r[:, :n] for r, (_, n, _) in zip(rates, points)]
+        p_b = [r[:, n:] for r, (_, n, _) in zip(rates, points)]
+        res = dm.distill_map(f_column, dm.weights_from_coeffs(*_stacked_coeffs(p_a, eps),
+                                                              *_stacked_coeffs(p_b, eps)))
+        return {"pA": p_a, "pB": p_b, "draw": [draw] * len(points), "value": res.fidelity_out,
+                "p_succ": res.p_succ}
     return kernel
+
+
+def _stacked_coeffs(blocks: list[np.ndarray], eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(r0, r1) of each (rows x width) rate block, as (blocks x rows) arrays.
+
+    The blocks of one width are stacked into one rate matrix and
+    evaluated by one ``purified_coeffs_general`` call.
+    """
+    widths = defaultdict(list)
+    for i, block in enumerate(blocks):
+        widths[block.shape[1]].append(i)
+    r0, r1 = np.empty((2, len(blocks), len(blocks[0])))
+    for index in widths.values():
+        c = noise.purified_coeffs_general(np.concatenate([blocks[i] for i in index]), eps)
+        r0[index], r1[index] = c.r0.reshape(len(index), -1), c.r1.reshape(len(index), -1)
+    return r0, r1
 
 
 def cmd_sweep(args) -> int:

@@ -81,10 +81,16 @@ def parity_weights(
     """
     a = purified_coeffs_general(p_a, epsilon=epsilon)
     b = purified_coeffs_general(p_b, epsilon=epsilon)
-    return ParityWeights(
-        r_even=a.r0 * b.r0 + a.r1 * b.r1,
-        r_odd=a.r0 * b.r1 + a.r1 * b.r0,
-    )
+    return weights_from_coeffs(a.r0, a.r1, b.r0, b.r1)
+
+
+def weights_from_coeffs(a0, a1, b0, b1) -> ParityWeights:
+    """Weights of Alice's coefficients (a0, a1) and Bob's (b0, b1).
+
+    Floats, or arrays that broadcast: each entry comes from its own
+    four coefficients, with ``parity_weights``' operations in its order.
+    """
+    return ParityWeights(r_even=a0 * b0 + a1 * b1, r_odd=a0 * b1 + a1 * b0)
 
 
 def distill_map(f: float | np.ndarray, weights: ParityWeights) -> DistillResult:

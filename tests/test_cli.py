@@ -8,7 +8,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -526,6 +526,9 @@ DOMAIN_ERRORS = [
     (MAP + ["--het-band", "0.5", "1", "--F", "0.7"], HET_BAND_RULE + "0.5 1.0"),
     (MAP + ["--het-band", "0.02", "0.2", "--F", "0.7,1.2"],
      "input fidelity must lie in [0, 1], got 1.2"),
+    # the eps = 0.05 slab is valid; the eps = 1 slab fails after its rates are drawn
+    (MAP + ["--het-band", "0.02", "0.2", "--epsilon", "0.05,1", "--F", "0.7", "--n", "1:2",
+            "--m", "1:2", "--draws", "3"], "epsilon must lie in [0, 1), got 1.0"),
 ]
 
 
@@ -550,7 +553,9 @@ def _axis(values) -> str:
     return ",".join(map(repr, values))
 
 
-@settings(max_examples=60, deadline=None)
+# No shrink phase: each example builds up to 960 rows twice, and shrinking a
+# failure ran for minutes; the unshrunk falsifying example is still reported.
+@settings(max_examples=60, deadline=None, phases=[p for p in Phase if p is not Phase.shrink])
 @given(band=HET_BANDS, eps=st.lists(st.floats(0, 1, exclude_max=True), min_size=1, max_size=3),
        n=st.lists(st.integers(1, 4), min_size=1, max_size=4),
        m=st.lists(st.integers(1, 4), min_size=1, max_size=4),

@@ -97,7 +97,8 @@ SWEEPS = {
                                             [4096, 4096, 808]),
     "pure_fidelity over theta": (["--quantity", "pure_fidelity", "--p", "0.02:0.3:4", "--n", "1:3",
                                   "--theta", "0.01:0.78:50"], [600]),
-    # rate lists and an int draw column: every chunk goes to the templates
+    # an int draw column: every chunk fills its template, its rate lists
+    # formatted by the kernel, one call per width
     "het-band rate lists": (MAP + ["--het-band", "0.025", "0.175", "--n", "1:2", "--m", "2",
                                    "--F", "0.55:0.95:25", "--draws", "8", "--seed", "4"], []),
 }
@@ -109,6 +110,34 @@ def test_sweep_emit_equals_the_template_emitter(argv, batches, columnar_batches)
     assert_same_bytes(records)
     assert columnar_batches == batches
     assert all(cli.COLUMNAR_MIN_ROWS <= rows <= cli.BATCH_ROWS for rows in batches[:-1])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_rate_lists_take_one_kernel_call_per_width(fmt, monkeypatch):
+    """Every rate list of a het sweep, of widths 1 and 2, is formatted by two kernel calls."""
+    records = cli._sweep_records(cli.build_parser("sweep").parse_args(
+        ["sweep", *SWEEPS["het-band rate lists"][0]]))
+    widths = []
+    format_g12 = cli._format_g12
+
+    def spy(x):
+        widths.append(len(x))
+        return format_g12(x)
+
+    monkeypatch.setattr(cli, "_format_g12", spy)
+    emitted(cli.emit_records, records, fmt)
+    # 200 rows a cell, cells (n, m) = (1, 2) and (2, 2): width 1 is the first pA,
+    # width 2 the second pA and both pB
+    assert widths == [200 * 1, 3 * 200 * 2]
+
+
+@pytest.mark.parametrize("argv", [SWEEPS["below the crossover"][0],
+                                  ["--quantity", "lower_bound", "--p", "0.1", "--n", "1:3"]])
+def test_records_without_rate_lists_skip_the_rate_pass(argv, monkeypatch):
+    records = cli._sweep_records(cli.build_parser("sweep").parse_args(["sweep", *argv]))
+    monkeypatch.setattr(cli, "_rate_lists", None)  # calling it would raise
+    for fmt in ("csv", "json"):
+        emitted(cli.emit_records, records, fmt)
 
 
 def test_hand_built_records_equal_the_template_emitter(columnar_batches):
@@ -169,4 +198,46 @@ def test_columnar_batches_of_any_size_equal_the_template_emitter(chunk_list, min
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "COLUMNAR_MIN_ROWS", min_rows)
         mp.setattr(cli, "BATCH_ROWS", cap)
+        assert_same_bytes(records)
+
+
+#: Rates in [0, 1): 0.0, values below 1e-4, 12-digit ties and their neighbours among them.
+RATES = st.one_of(
+    st.floats(0, 1, exclude_max=True), st.just(0.0), st.floats(0, 1e-4, exclude_max=True),
+    st.sampled_from([*TIES, *(math.nextafter(t, 0) for t in TIES),
+                     *(math.nextafter(t, 1) for t in TIES)]))
+
+
+@st.composite
+def rate_chunks(draw):
+    """Chunks with 2-D rate columns of widths 1-4 in one emit, some shared, many one-row."""
+    pool, out = {}, []
+    for _ in range(draw(st.integers(1, 6))):
+        rows = draw(st.integers(1, 4))
+        columns = {"F": np.array(draw(st.lists(st.floats(0, 1), min_size=rows, max_size=rows)))}
+        for name in draw(st.lists(st.sampled_from(["pA", "pB"]), unique=True)):
+            width = draw(st.integers(1, 4))
+            if (rows, width) not in pool or draw(st.booleans()):
+                pool[rows, width] = np.array(draw(st.lists(
+                    RATES, min_size=rows * width, max_size=rows * width))).reshape(rows, width)
+            columns[name] = pool[rows, width]
+        if draw(st.booleans()):
+            columns["draw"] = np.arange(rows)
+        if draw(st.booleans()):
+            columns["value"] = np.array(draw(st.lists(st.floats(), min_size=rows,
+                                                      max_size=rows)))
+        out.append(({"quantity": "mixed_fidelity_map", "epsilon": draw(RATES),
+                     "n": draw(st.integers(1, 4))}, columns))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(rate_chunks(), st.integers(1, 6))
+def test_rate_lists_equal_the_template_emitter(chunk_list, min_rows):
+    """Rate lists formatted by the kernel, beside chunks that take the columnar path."""
+    records = cli.Records()
+    for constants, columns in chunk_list:
+        records.add(constants, columns)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "COLUMNAR_MIN_ROWS", min_rows)
         assert_same_bytes(records)
