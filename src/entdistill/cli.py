@@ -9,11 +9,13 @@ Subcommands:
 - ``distill-pure``  pure-state filtering fidelity
 - ``povm-purify``   purified-measurement coefficients and fidelity
 
-All numeric output uses 12 significant digits with '.' as the decimal
-separator and Unix newlines, so identical inputs give byte-identical
-output. JSON output is one record per line, each carrying a
-``schema_version`` field; records re-serialize to the same bytes after a
-parse/format round trip.
+Output uses '.' as the decimal separator and Unix newlines, so
+identical inputs give byte-identical output. CSV numbers and rate lists
+print to 12 significant digits ('%.12g'). JSON output is one record per
+line, each carrying a ``schema_version`` field: its floats print as
+their shortest round-trip repr (``json.dumps``), its rate lists as
+strings of 12-digit rates, and a record re-serializes to the same bytes
+after a parse/format round trip.
 
 Exit codes: 0 success, 1 verification failure or an output that cannot be
 written, 2 usage error.
@@ -115,8 +117,8 @@ def _rate_lists(chunks: list, fmt: str) -> dict[int, tuple[str, list[list]]]:
     A 2-D column is a rate-list field: each row prints as its rates to 12
     digits joined by ';', a string in JSON (the digits need no escaping).
     The rates of every column of one width, a column that chunks share
-    once, are formatted by one ``_format_g12`` call and laid out with
-    their separators as one byte block, split into the rows' strings.
+    once, are laid out by one ``_rate_block`` call and split into the
+    rows' strings.
     """
     widths: dict[int, dict[int, np.ndarray]] = defaultdict(dict)
     for _, columns in chunks:
@@ -124,22 +126,32 @@ def _rate_lists(chunks: list, fmt: str) -> dict[int, tuple[str, list[list]]]:
             if column.ndim == 2:
                 widths[column.shape[1]][id(column)] = column
     slot, out = "%s" if fmt == "csv" else '"%s"', {}
-    for width, found in widths.items():
+    for found in widths.values():
         rates = np.concatenate(list(found.values()), dtype=np.float64)
-        chars = _format_g12(rates.ravel()).reshape(len(rates), width, 32)
-        ends = np.full((len(rates), width, 1), ord(";"), np.uint8)
-        ends[:, -1] = ord("\n")
-        text = np.concatenate([chars, ends], axis=2).tobytes().translate(None, b"\0").decode()
-        strings, start = text.split("\n"), 0
+        block = _rate_block(_format_g12(rates.ravel()), [rates.shape])
+        block[:, -1] = ord("\n")  # the NUL after each row's last rate
+        strings, start = block.tobytes().translate(None, b"\0").decode().split("\n"), 0
         for key, column in found.items():
             out[key] = slot, [strings[start:start + len(column)]]
             start += len(column)
     return out
 
 
-def _template_rows(constants: dict, columns: dict, fields: list[str], fmt: str,
+def _template_rows(constants: dict, columns: dict, fields: list[str] | None, fmt: str,
                    seen: dict, chunks: list) -> str:
-    """One chunk's rows: a %-template of its constants, with a slot per column."""
+    """One chunk's rows: a %-template of its constants, with a slot per column.
+
+    CSV rows have the fields ``fields``; a JSON row has its own keys in
+    sorted order, ``schema_version`` among them. A JSON chunk of one row
+    is one ``json.dumps`` of its row.
+    """
+    if fmt == "json":
+        constants = {**constants, "schema_version": SCHEMA_VERSION}
+        if all(len(column) == 1 for column in columns.values()):
+            row = {f: _rates_field(c[0].tolist()) if c.ndim == 2 else c[0].item()
+                   for f, c in columns.items()}
+            return json.dumps({**constants, **row}, sort_keys=True) + "\n"
+        fields = sorted([*constants, *columns])
     parts, values = [], []
     for f in fields:
         if f in columns:
@@ -155,132 +167,207 @@ def _template_rows(constants: dict, columns: dict, fields: list[str], fmt: str,
     return "".join(map(template.__mod__, zip(*values) if values else [()]))
 
 
-#: Rows from which a CSV batch is laid out as bytes, not filled into
+#: Rows from which a batch is laid out as bytes, not filled into
 #: %-templates chunk by chunk. The columnar path costs about 90 us a
 #: batch plus 0.4 us a row, the templates about 1.2 us a row: on
 #: mixed_fidelity_map batches of one chunk or of 8-row chunks, they
-#: break even between 96 and 128 rows.
+#: break even between 96 and 128 rows, in CSV and in JSON alike.
 COLUMNAR_MIN_ROWS = 128
 #: Rows of one columnar batch at most, a longer chunk cut into slices.
-#: It bounds the batch's temporaries, about 420 bytes a row. An
-#: 8,000-row sweep emitted in batches of up to 2,048, 4,096 or 8,192
-#: rows took 0.45, 0.37 and 0.55 of the templates' time.
+#: An 8,000-row CSV sweep emitted in batches of up to 2,048, 4,096 or
+#: 8,192 rows took 0.45, 0.37 and 0.55 of the templates' time.
 BATCH_ROWS = 4096
+#: Bytes of one batch's block at most, as ``_row_bytes`` estimates a
+#: row: a JSON row is about four times a CSV row's width.
+BATCH_BYTES = 1 << 20
 
 
 def emit_records(records: Records, fmt: str, out) -> None:
     """Write records as CSV (fixed column order) or JSON lines, a batch at a time.
 
-    CSV: a run of chunks whose columns are the same 1-D float fields is
-    written as one batch of up to ``BATCH_ROWS`` rows. From
-    ``COLUMNAR_MIN_ROWS`` rows on, its floats are formatted by one
-    ``_format_g12`` call and its rows laid out as bytes (``_csv_rows``);
-    every other chunk is a %-template of its constants with one slot per
-    column, filled from the columns. A chunk without columns is the
-    template alone, one row. In JSON every chunk is a template, and a
-    one-row chunk, with or without columns, is one ``json.dumps`` of its
-    row. JSON keys come in ``sort_keys`` order. In both formats the
-    templates' rate lists are formatted by ``_format_g12``, one call per
-    width for all the records (``_rate_lists``).
+    Consecutive chunks whose columns have the same names and kinds (1-D
+    float64, 1-D integer, or 2-D rate lists) form a batch (``_batches``). From ``COLUMNAR_MIN_ROWS`` rows on, a batch is laid
+    out as bytes (``_columnar_rows``); every other chunk is a %-template
+    of its constants with one slot per column, filled from the columns
+    (``_template_rows``). A chunk without columns is the template alone,
+    one row. CSV floats print as '%.12g', JSON floats as their shortest
+    round-trip repr, and rate lists as their rates to 12 digits joined
+    by ';', a string in JSON. JSON keys come in ``sort_keys`` order.
     """
-    seen: dict = {}
+    fields = None
     if fmt == "csv":
         fields = _ordered_fields(records)
         out.write(",".join(fields) + "\n")
-        # Fewer rows in all than the crossover: no batch can reach it.
-        batches = (_csv_batches(records.chunks) if len(records) >= COLUMNAR_MIN_ROWS
-                   else [(records.chunks, False)])
-        for batch, columnar in batches:
-            if columnar:
-                out.write(_csv_rows(batch, fields))
-                continue
-            for constants, columns in batch:
-                out.write(_template_rows(constants, columns, fields, fmt, seen, records.chunks))
-        return
-    for constants, columns in records.chunks:
-        constants = {**constants, "schema_version": SCHEMA_VERSION}
-        if all(len(column) == 1 for column in columns.values()):
-            row = {f: _rates_field(c[0].tolist()) if c.ndim == 2 else c[0].item()
-                   for f, c in columns.items()}
-            out.write(json.dumps({**constants, **row}, sort_keys=True) + "\n")
-        else:
-            out.write(_template_rows(constants, columns, sorted([*constants, *columns]), fmt,
-                                     seen, records.chunks))
+    seen: dict = {}
+    # Fewer rows in all than the crossover: no batch can reach it.
+    batches = (_batches(records.chunks, fmt) if len(records) >= COLUMNAR_MIN_ROWS
+               else [(records.chunks, False)])
+    for batch, columnar in batches:
+        if columnar:
+            _columnar_rows(batch, fields, fmt, out)
+            continue
+        for constants, columns in batch:
+            out.write(_template_rows(constants, columns, fields, fmt, seen, batch))
 
 
-def _csv_batches(chunks: list[tuple[dict, dict]]):
+def _kind(column: np.ndarray) -> str | None:
+    """A column's kind in a batch: "f" (1-D float64), "i" (1-D integers), "r" (2-D,
+    rate lists of any width), or None for a column that only a template formats."""
+    if column.ndim == 2:
+        return "r"
+    if column.ndim == 1 and column.dtype.char == "d":
+        return "f"
+    return "i" if column.ndim == 1 and column.dtype.kind in "iu" else None
+
+
+def _row_bytes(constants: dict, columns: dict, kinds: tuple, fmt: str) -> int:
+    """A row's estimated width in a columnar block: its columns' bytes and 16 a field."""
+    width = (16 * (len(constants) + len(kinds)) + kinds.count("i") * 21
+             + kinds.count("f") * (48 if fmt == "json" else 32))
+    if "r" in kinds:
+        width += 33 * sum(c.shape[1] for c in columns.values() if c.ndim == 2)
+    return width
+
+
+def _batches(chunks: list[tuple[dict, dict]], fmt: str):
     """The chunks in order, as (batch, columnar) pairs.
 
-    Consecutive chunks whose columns are the same 1-D float64 fields form
-    a batch of at most ``BATCH_ROWS`` rows, columnar from
-    ``COLUMNAR_MIN_ROWS`` rows on. A longer chunk is cut into slices of
-    ``BATCH_ROWS`` rows, each a columnar batch: a slice is a new array,
-    which must not reach the template path's cache keyed by ``id``.
-    Every other chunk is a template batch of its own.
+    Consecutive chunks whose columns are the same names of the same
+    kinds (``_kind``) form a batch of at most ``BATCH_ROWS`` rows and
+    ``BATCH_BYTES`` bytes, columnar from ``COLUMNAR_MIN_ROWS`` rows on.
+    A longer chunk is cut into slices of that many rows, each a columnar
+    batch: a slice is a new array, which must not reach the template
+    path's cache keyed by ``id``. Every other chunk is a template batch
+    of its own.
     """
-    batch, names, rows = [], None, 0
+    batch, signature, rows, size = [], None, 0, 0
     for constants, columns in chunks:
         count = len(next(iter(columns.values()))) if columns else 1
-        floats = bool(columns) and all(c.ndim == 1 and c.dtype == np.float64
-                                       for c in columns.values())
-        if batch and (not floats or tuple(columns) != names or rows + count > BATCH_ROWS):
-            yield batch, names is not None and rows >= COLUMNAR_MIN_ROWS
-            batch, rows = [], 0
-        if floats and count > BATCH_ROWS:
-            for start in range(0, count, BATCH_ROWS):
-                rows_slice = slice(start, start + BATCH_ROWS)
+        kinds = tuple(map(_kind, columns.values()))
+        shape = (tuple(columns), kinds) if columns and count and None not in kinds else None
+        width = _row_bytes(constants, columns, kinds, fmt) if shape else 0
+        if batch and (shape is None or shape != signature or rows + count > BATCH_ROWS
+                      or size + count * width > BATCH_BYTES):
+            yield batch, signature is not None and rows >= COLUMNAR_MIN_ROWS
+            batch, rows, size = [], 0, 0
+        if shape and (count > BATCH_ROWS or count * width > BATCH_BYTES):
+            cap = max(1, min(BATCH_ROWS, BATCH_BYTES // width))
+            for start in range(0, count, cap):
+                rows_slice = slice(start, start + cap)
                 yield [(constants, {f: c[rows_slice] for f, c in columns.items()})], True
             continue
         batch.append((constants, columns))
-        names, rows = tuple(columns) if floats else None, rows + count
+        signature, rows, size = shape, rows + count, size + count * width
     if batch:
-        yield batch, names is not None and rows >= COLUMNAR_MIN_ROWS
+        yield batch, signature is not None and rows >= COLUMNAR_MIN_ROWS
 
 
-def _csv_rows(batch: list[tuple[dict, dict]], fields: list[str]) -> str:
-    """CSV rows of chunks with the same 1-D float columns, laid out as bytes.
+def _columnar_rows(batch: list[tuple[dict, dict]], fields: list[str] | None, fmt: str,
+                   out) -> None:
+    """Write the rows of chunks whose columns are the same names and kinds, laid out as bytes.
 
     A row is its chunk's text up to the first column, that column's
-    float, the text up to the next column, and so on; the last text ends
-    in the newline. Every float of the batch is formatted by one
-    ``_format_g12`` call, a column that every chunk shares once. The
-    pieces, each padded with NUL bytes to a fixed width, are laid side by
-    side as one (rows x bytes) block, and one pass drops the NULs. A
-    batch whose text holds a NUL itself is filled into its templates.
+    bytes (``_column_blocks``), the text up to the next column, and so
+    on; the last text ends in the newline. A column that every chunk
+    shares is formatted once. The pieces, each padded with NUL bytes to
+    a fixed width, are laid side by side as (rows x bytes) blocks, and
+    one pass over each drops the NULs. A batch whose text holds a NUL or a JSON marker itself
+    (``_row_texts``) is filled into its templates.
     """
-    names = [f for f in fields if f in batch[0][1]]
-    texts = _texts_between_columns([constants for constants, _ in batch], names, fields)
-    if any("\0" in t for segment in texts for t in segment):
-        return "".join(_template_rows(*chunk, fields, "csv", {}, batch) for chunk in batch)
+    first = batch[0][1]
+    names = sorted(first) if fields is None else [f for f in fields if f in first]
+    texts = [_row_texts(*chunk, fields, fmt) for chunk in batch]
+    if any(len(t) != len(names) + 1 for t in texts):
+        for chunk in batch:
+            out.write(_template_rows(*chunk, fields, fmt, {}, batch))
+        return
     counts = [len(columns[names[0]]) for _, columns in batch]
-    shared = [all(columns[f] is batch[0][1][f] for _, columns in batch) for f in names]
-    values = [batch[0][1][f] if s else np.concatenate([columns[f] for _, columns in batch])
+    shared = [all(columns[f] is first[f] for _, columns in batch) for f in names]
+    arrays = [[first[f]] if s else [columns[f] for _, columns in batch]
               for f, s in zip(names, shared)]
-    chars = _format_g12(np.concatenate(values))
-    pieces, start = [_text_piece(texts[0], counts)], 0
-    for column, s, text in zip(values, shared, texts[1:]):
-        piece = chars[start:start + len(column)]
-        pieces += [np.concatenate([piece] * len(batch)) if s else piece, _text_piece(text, counts)]
-        start += len(column)
-    return np.concatenate(pieces, axis=1).tobytes().translate(None, b"\0").decode()
+    texts = list(zip(*texts))
+    pieces = [_text_piece(texts[0], counts)]
+    for block, s, text in zip(_column_blocks(arrays, fmt), shared, texts[1:]):
+        pieces += [np.concatenate([block] * len(batch)) if s else block, _text_piece(text, counts)]
+    rows, width = sum(counts), sum(piece.shape[1] for piece in pieces)
+    # Even slices of at most a quarter of BATCH_BYTES: in-process, emitting the
+    # 2,000-row het JSON batch took 10% less than in halves, and a 4,000-row
+    # grid CSV batch the same, as in eighths.
+    step = -(-rows // -(-rows * width // (BATCH_BYTES // 4)))
+    for start in range(0, rows, step):
+        block = bytearray(min(step, rows - start) * width)
+        np.concatenate([piece[start:start + step] for piece in pieces], axis=1,
+                       out=np.frombuffer(block, np.uint8).reshape(-1, width))
+        out.write(block.translate(None, b"\0").decode())
 
 
-def _texts_between_columns(constants: list[dict], names: list[str],
-                           fields: list[str]) -> list[list[str]]:
-    """The CSV text before, between and after the columns ``names``, per chunk.
+def _row_texts(constants: dict, columns: dict, fields: list[str] | None, fmt: str) -> list[str]:
+    r"""A chunk's row text before, between and after its columns.
 
-    Every field but the first follows a comma, and the row ends in a
-    newline; a field that a chunk lacks is empty.
+    The row is written with a NUL in place of each column and split
+    there. CSV: the fields ``fields`` joined by ',', a field that the
+    chunk lacks empty. JSON: one ``json.dumps`` of the row with
+    ``schema_version``, each column a marker string: "\0" for a 1-D
+    column, its quotes replaced with it, and "\x01" for a rate-list
+    column, its quotes kept. The row ends in a newline. A constant or
+    key whose text holds a NUL or a marker gives more pieces than
+    columns + 1.
     """
-    cuts = [-1] + [fields.index(f) for f in names] + [len(fields)]
-    texts = []
-    for j, (a, b) in enumerate(zip(cuts, cuts[1:])):
-        group = fields[a + 1:b]
-        lead = "," if group and j else ""
-        trail = "\n" if j == len(names) else "," if group or j else ""
-        texts.append([lead + ",".join([_fmt(c[f]) if f in c else "" for f in group]) + trail
-                      for c in constants] if group else [trail] * len(constants))
-    return texts
+    if fmt == "csv":
+        row = ",".join(["\0" if f in columns else _fmt(constants[f]) if f in constants else ""
+                        for f in fields])
+    else:
+        marks = {f: "\0" if c.ndim == 1 else "\1" for f, c in columns.items()}
+        row = json.dumps({**constants, "schema_version": SCHEMA_VERSION, **marks}, sort_keys=True)
+        row = row.replace('"\\u0000"', "\0").replace("\\u0001", "\0")
+    return (row + "\n").split("\0")
+
+
+def _column_blocks(columns: list[list[np.ndarray]], fmt: str) -> list[np.ndarray]:
+    """Each column, given as its arrays chunk by chunk, as a (rows x width) block of bytes.
+
+    A 1-D float64 column prints as '%.12g' (``_format_g12``) in CSV and
+    as its repr (``_format_repr``) in JSON, an integer column as its
+    digits, a 2-D column as its rate lists (``_rate_block``). One call
+    of each kernel formats every float of ``columns`` that it takes.
+    """
+    floats = _format_g12 if fmt == "csv" else _format_repr
+    kernels = [{"f": floats, "r": _format_g12}.get(_kind(arrays[0])) for arrays in columns]
+    chars = {kernel: kernel(np.concatenate([a.ravel() for arrays, k in zip(columns, kernels)
+                                            if k is kernel for a in arrays], dtype=np.float64))
+             for kernel in dict.fromkeys(kernels) if kernel is not None}
+    starts, blocks = dict.fromkeys(chars, 0), []
+    for arrays, kernel in zip(columns, kernels):
+        if kernel is None:  # integers
+            digits = np.concatenate(arrays).astype("S")[:, None].view(np.uint8)
+            blocks.append(digits[:, digits.any(axis=0)])  # 21 bytes wide before
+            continue
+        start, size = starts[kernel], sum(a.size for a in arrays)
+        block, starts[kernel] = chars[kernel][start:start + size], start + size
+        blocks.append(block if arrays[0].ndim == 1
+                      else _rate_block(block, [a.shape for a in arrays]))
+    return blocks
+
+
+def _rate_block(chars: np.ndarray, shapes: list[tuple[int, int]]) -> np.ndarray:
+    """Rate lists as one (rows x bytes) block, each row's rates joined by ';'.
+
+    ``chars`` is the ``_format_g12`` bytes of (rows x width) rate
+    matrices of the given ``shapes``, raveled one after another. Each
+    rate's bytes are followed by ';', a NUL after a row's last rate, and
+    every row is padded with NULs to the widest row.
+    """
+    widths = np.repeat([width for _, width in shapes], [count for count, _ in shapes])
+    rows, width, ends = len(widths), int(widths.max()), np.cumsum(widths)
+    rates = np.empty((len(chars), chars.shape[1] + 1), np.uint8)
+    rates[:, :-1] = chars
+    rates[:, -1] = ord(";")
+    rates[ends - 1, -1] = 0
+    # Rate j of row r goes to slot r * width + j of the padded (rows * width) slots.
+    out = np.zeros((rows * width, rates.shape[1]), np.uint8)
+    out[np.arange(len(rates)) + np.repeat(np.arange(0, rows * width, width) - ends + widths,
+                                          widths)] = rates
+    return out.reshape(rows, -1)
 
 
 def _text_piece(texts: list[str], counts: list[int]) -> np.ndarray:
@@ -293,47 +380,55 @@ def _text_piece(texts: list[str], counts: list[int]) -> np.ndarray:
     return np.repeat(chars.reshape(len(data), width), counts, axis=0)
 
 
-# '%.12g' of an array of floats. A float whose exponent e lies in
-# [-4, 11] prints in fixed notation: its 12 significant digits d0..d11,
-# rounded, then trailing zeros (and a bare '.') dropped. Such a string
-# is what a mask leaves of 32 candidate bytes, and the mask depends only
-# on the sign, e and the last nonzero digit. The candidates are eight
-# 4-byte words: "  -0", the digits, ".000", the digits again; the
-# integer digits come from the first copy and the fraction digits from
-# the second.
-_POW10 = np.array([float(10 ** k) for k in range(16)])  # exact: 10^15 < 2^53
+# The float kernels. '%.12g' prints a float whose exponent e lies in
+# [-4, 11] in fixed notation, and repr one whose e lies in [-4, 15]: its
+# significant digits d0, d1, ..., rounded (12 of them for '%.12g', the
+# fewest that read back as the float for repr), then trailing zeros
+# dropped; '%.12g' drops a bare '.', repr keeps ".0". Such a string is
+# what a mask leaves of a row of candidate bytes, and the mask depends
+# only on the sign, e and the last nonzero digit. The candidates are
+# 4-byte words: "  -0", the digits in 4-digit groups, ".000", the digits
+# again; the integer digits come from the first copy and the fraction
+# digits from the second.
+_POW10 = np.array([float(10 ** k) for k in range(23)])  # exact: 5^22 < 2^53
 _DIGITS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
 _GROUP_CHARS = np.stack(np.meshgrid(*[_DIGITS] * 4, indexing="ij"), axis=-1).reshape(10_000, 4)
 _GROUP_WORDS = _GROUP_CHARS.view(np.uint32).ravel()  # each 4-digit group as one word
 _SIGN_ZERO, _POINT_ZEROS = np.frombuffer(b"  -0.000", np.uint32)
 _GROUPS = np.arange(10_000, dtype=np.uint16)
-#: The index among d0..d11 of the last nonzero digit of group j (-1 for the group 0).
+#: The index among d0, d1, ... of the last nonzero digit of group j (-1 for the group 0).
 _GROUP_LAST = np.where(_GROUPS > 0, 3 - (_GROUPS % 10 == 0).astype(np.int8) - (_GROUPS % 100 == 0)
-                       - (_GROUPS % 1000 == 0) + np.array([[0], [4], [8]], np.int8), np.int8(-1))
+                       - (_GROUPS % 1000 == 0) + np.arange(0, 20, 4, dtype=np.int8)[:, None],
+                       np.int8(-1))
 
 
-def _masks() -> np.ndarray:
-    """The mask words of each (e, last nonzero digit, sign): row ((e + 4) * 12 + last) * 2 + sign.
+def _masks(digits: int, top: int, point_zero: bool) -> np.ndarray:
+    """The mask words of each (e, last nonzero digit, sign): row ((e + 4) * digits + last) * 2 + sign.
 
-    A mask byte is 0xFF where the candidate byte is kept, 0 where not.
+    For strings of up to ``digits`` significant digits in fixed notation
+    for e in [-4, ``top``], ".0" after an integer with ``point_zero``. A
+    mask byte is 0xFF where the candidate byte is kept, 0 where not.
     """
-    keep = np.zeros((16, 12, 2, 32), bool)
-    for e in range(-4, 12):
-        for last in range(12):
+    point = 4 + 4 * -(-digits // 4)  # the byte of '.'; the second copy starts at point + 4
+    keep = np.zeros((top + 5, digits, 2, 2 * point), bool)
+    for e in range(-4, top + 1):
+        for last in range(digits):
             row = keep[e + 4, last]
             row[1, 2] = True  # '-'
             if e < 0:  # "0.", -e - 1 zeros, d0..d_last
-                row[:, [3, 16]] = True
-                row[:, 17:16 - e] = True
-                row[:, 20:21 + last] = True
-            else:  # d0..d_e, then '.' and d_e+1..d_last if any
+                row[:, [3, point]] = True
+                row[:, point + 1:point - e] = True
+                row[:, point + 4:point + 5 + last] = True
+            else:  # d0..d_e, then '.' and d_e+1..d_last if any, or ".0"
                 row[:, 4:5 + e] = True
-                row[:, 16] = last > e
-                row[:, 21 + e:21 + last] = True
-    return (keep * np.uint8(0xFF)).view(np.uint32).reshape(16 * 12 * 2, 8)
+                row[:, point] = last > e or point_zero
+                row[:, point + 1] = last == e and point_zero
+                row[:, point + 5 + e:point + 5 + last] = True
+    return (keep * np.uint8(0xFF)).view(np.uint32).reshape(-1, point // 2)
 
 
-_MASKS = _masks()
+_MASKS = _masks(12, 11, False)
+_REPR_MASKS = _masks(17, 15, True)
 
 
 def _format_g12(x: np.ndarray) -> np.ndarray:
@@ -344,13 +439,13 @@ def _format_g12(x: np.ndarray) -> np.ndarray:
     |v| 10^(11 - e): the power is exact, and y < 2^40, the product's
     correct rounding, is within 2^-14 of the exact product, so d is the
     exact product's correct rounding unless y lies within 2^-12 of a
-    half-integer. A row is accepted only if y >= 10^11 and d < 10^12,
+    half-integer. A row is accepted only if y >= 10^11 and d <= 10^12,
     which rejects |v| outside [1e-4, 1e12), where '%.12g' prints
-    exponent notation, a misjudged e and a carry into 10^12 (with e
-    judged one too high, y >= 10^11 only where the exact digits carry to
-    10^e, the same string). Every other row is formatted by Python, one
-    float at a time: near-ties, carries, +-0, non-finite values and
-    floats outside that range.
+    exponent notation, and a misjudged e (with e judged one too high,
+    y >= 10^11 only where the exact digits carry to 10^e, the same
+    string). d = 10^12 is a carry: the digit 1 at e + 1, accepted for
+    e < 11. Every other row is formatted by Python: near-ties, +-0,
+    non-finite values and floats outside that range.
     """
     mag = np.abs(x)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -358,26 +453,130 @@ def _format_g12(x: np.ndarray) -> np.ndarray:
         e = np.fmin(np.fmax(np.floor(np.log10(mag)), -4), 11).astype(np.intp)
         y = mag * _POW10[11 - e]
         d = np.rint(y)
-        ok = (y >= 1e11) & (d < 1e12) & (np.abs(y - d) < 0.5 - 2.0 ** -12)
-    d = np.where(ok, d, 1e11)
+        carry = d == 1e12
+        ok = (y >= 1e11) & (d <= 1e12) & (np.abs(y - d) < 0.5 - 2.0 ** -12) & ~(carry & (e == 11))
+    d = np.where(ok & ~carry, d, 1e11)
+    e = e + (ok & carry)
     # Float divisions are exact here: every quotient's integer part is below 10^4.
     g0 = np.floor(d / 1e8)
     rest = d - g0 * 1e8
     g1 = np.floor(rest / 1e4)
-    words = np.empty((len(x), 8), np.uint32)
-    words[:, 0], words[:, 4] = _SIGN_ZERO, _POINT_ZEROS
-    last = e  # max(e, the last nonzero digit): the integer digits d0..d_e all print
-    for j, g in enumerate([g0, g1, rest - g1 * 1e4]):
+    return _masked_digits(x, e, [g0, g1, rest - g1 * 1e4], ok, _MASKS, 12,
+                          lambda v: b"%.12g" % v)
+
+
+def _format_repr(x: np.ndarray) -> np.ndarray:
+    """``json.dumps(v)`` for each v of the float64 array ``x``, as (len(x) x 48) bytes.
+
+    Row i, without its NUL bytes, is the string of x[i]: ``repr(v)``, the
+    shortest string that reads back as v, for a finite v. Its digits
+    come from ``_shortest_digits``; every row that it rejects is
+    formatted by Python: ties in the rounding (repr rounds them to even),
+    a carry past e = 15, +-0, non-finite values and floats outside
+    [1e-4, 1e16), where repr prints exponent notation.
+    """
+    digits, e, ok = _shortest_digits(np.abs(x))
+    # d0..d7 and d8..d16: each below 2^53, so float divisions split them exactly.
+    top, bottom = np.divmod(digits, 10 ** 9)
+    top, bottom = top.astype(np.float64), bottom.astype(np.float64) * 1000
+    g0, g2 = np.floor(top / 1e4), np.floor(bottom / 1e8)
+    rest = bottom - g2 * 1e8
+    g3 = np.floor(rest / 1e4)
+    groups = [g0, top - g0 * 1e4, g2, g3, rest - g3 * 1e4]
+    return _masked_digits(x, e, groups, ok, _REPR_MASKS, 17, lambda v: json.dumps(v).encode())
+
+
+def _shortest_digits(mag: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 17 digits d0..d16 of each shortest repr, as an int64, its e, and whether found.
+
+    With e = floor(log10 mag) clipped to [-4, 15], P = mag 10^(16 - e)
+    is computed exactly as hi + lo (Dekker's two-product; the power is
+    exact), and split into an integer n and a fraction in [0, 1). A row
+    is accepted only if n has 17 digits, which rejects mag outside
+    [1e-4, 1e16) and a misjudged e. The candidates are P rounded to 15,
+    16 and 17 digits, and each is exactly compared with half the
+    float's gap above, scaled by the same power of ten: the digits are
+    the first candidate that lies closer to P. A string of 15 digits or
+    fewer reads back as at most one float (DBL_DIG = 15), so if any
+    does, the nearest 15-digit one is it; and where the gaps on both
+    sides of the float are equal, the nearest 16- or 17-digit candidate
+    reads back as it whenever any string of that length does. At a
+    power of two the gap below is half the gap above, but in this range
+    P is then a multiple of 100 (e < 15), or a multiple of 10 at least
+    20 from one (e = 15), so the first candidate that fits is P itself.
+    Rejected: rows out of range, ties in the rounding, a carry past
+    e = 15; their digits are 10^16 and their e is 0.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        e = np.fmin(np.fmax(np.floor(np.log10(mag)), -4), 15).astype(np.intp)
+        power = _POW10[16 - e]
+        hi = mag * power
+        lo = _product_error(mag, power, hi)
+        # mag = f 2^exponent with f in [0.5, 1): half the gap between mag and the
+        # next float is 2^(exponent - 54), times 10^(16 - e) exactly.
+        half_gap = np.ldexp(power, np.frexp(mag)[1] - 54)
+        ok = (hi >= 1e16) & (hi <= 1e17)
+    lo = np.where(ok, lo, 0.0)
+    whole = np.floor(lo)
+    frac = lo - whole
+    n = np.where(ok, hi, 1e16).astype(np.int64) + whole.astype(np.int64)  # P = n + frac
+    ok &= (n >= 10 ** 16) & (n < 10 ** 17)
+    # The candidate of step s (100, 10, 1: 15, 16 and 17 digits) is n + offset, offset =
+    # s - rest if P rounds up, else -rest, rest = n mod s. The offsets, rests and
+    # frac are small floats, so every step below is exact.
+    rest = (n - n // 100 * 100).astype(np.float64)
+    offsets, ties, fits = [], [], []
+    for step, remainder in zip((100, 10, 1), [rest, rest - np.floor(rest / 10) * 10, 0.0]):
+        half = step / 2 - remainder
+        offset = np.where(frac > half, step - remainder, -remainder)
+        offsets.append(offset)
+        ties.append(frac == half)
+        fits.append(np.abs(offset - frac) < half_gap)  # |candidate - P| < half the gap
+    offset = np.where(fits[0], offsets[0], np.where(fits[1], offsets[1], offsets[2]))
+    tie = np.where(fits[0], ties[0], np.where(fits[1], ties[1], ties[2] | ~fits[2]))
+    digits = n + offset.astype(np.int64)
+    carry = digits >= 10 ** 17  # rounded up to 10^(e + 1): one digit, "1"
+    digits, e = np.where(carry, 10 ** 16, digits), e + carry
+    ok &= ~tie & (e <= 15)
+    return np.where(ok, digits, 10 ** 16), np.where(ok, e, 0), ok
+
+
+def _masked_digits(x: np.ndarray, e: np.ndarray, groups: list[np.ndarray], ok: np.ndarray,
+                   masks: np.ndarray, digits: int, python) -> np.ndarray:
+    """The kernels' bytes: the candidate words of the digit ``groups``, masked.
+
+    Each row's mask is that of its sign, e and last nonzero digit, at
+    least e (the integer digits all print). The rows not ``ok`` are
+    ``python(v)`` for their float v.
+    """
+    words = np.empty((len(x), 2 * len(groups) + 2), np.uint32)
+    words[:, 0], words[:, len(groups) + 1] = _SIGN_ZERO, _POINT_ZEROS
+    last = e
+    for j, g in enumerate(groups):
         g = g.astype(np.intp)
-        words[:, 1 + j] = words[:, 5 + j] = np.take(_GROUP_WORDS, g)
+        words[:, 1 + j] = words[:, len(groups) + 2 + j] = np.take(_GROUP_WORDS, g)
         last = np.maximum(last, np.take(_GROUP_LAST[j], g))
-    words &= np.take(_MASKS, ((e + 4) * 12 + last) * 2 + (x < 0), axis=0)
+    words &= np.take(masks, ((e + 4) * digits + last) * 2 + (x < 0), axis=0)
     chars = words.view(np.uint8)
-    for i in np.flatnonzero(~ok).tolist():
-        text = b"%.12g" % x[i]
-        chars[i] = 0
-        chars[i, :len(text)] = list(text)
+    bad = np.flatnonzero(~ok)
+    if len(bad):
+        texts = np.array([python(v) for v in x[bad].tolist()], f"S{chars.shape[1]}")
+        chars[bad] = texts.view(np.uint8).reshape(len(bad), -1)
     return chars
+
+
+def _product_error(a: np.ndarray, b: np.ndarray, product: np.ndarray) -> np.ndarray:
+    """a b - product exactly, where product is a b rounded (Dekker's two-product)."""
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
+    return a_lo * b_lo - (((product - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a as hi + lo exactly, each with at most 26 significant bits (Veltkamp's split)."""
+    t = 134217729.0 * a  # 2^27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
 
 
 def _write(records: Records, args) -> int:

@@ -130,14 +130,30 @@ def test_sweep_het_band_mode_seeded(capsys):
         assert len(rates) == 2 and all(0.025 < x < 0.175 for x in rates)
 
 
+#: JSON outputs on the template path (12 rows) and on the columnar path: a
+#: 144-row grid, the 4,000-row het sweep of the goldens (an int draw column
+#: and rate lists), and 200 rounds (an int round column and rate strings).
+ROUND_TRIP_ARGVS = [
+    ["sweep", "--quantity", "povm_fidelity", "--p", "0.05:0.2:4", "--n", "1:3"],
+    ["sweep", "--quantity", "mixed_fidelity_map", "--p", "0.02,0.1", "--epsilon", "0,0.05",
+     "--n", "1:3", "--m", "1:2", "--F", "0.3:0.99:6"],
+    ["sweep", "--quantity", "mixed_fidelity_map", "--het-band", "0.025", "0.175",
+     "--epsilon", "0.05,0.1", "--seed", "3", "--n", "1:4", "--m", "1:4",
+     "--F", "0.55:0.95:25", "--draws", "5"],
+    ["distill-mixed", "--F", "0.8", "--pA", "0.1,0.05", "--pB", "0.2", "--epsilon", "0.02",
+     "--rounds", "200"],
+]
+
+
 def test_sweep_json_round_trip_idempotent(capsys):
-    _, out, _ = run_cli(
-        ["sweep", "--quantity", "povm_fidelity", "--p", "0.05:0.2:4", "--n", "1:3",
-         "--format", "json"], capsys)
-    for line in out.splitlines():
-        rec = json.loads(line)
-        assert rec["schema_version"] == 1
-        assert json.dumps(rec, sort_keys=True) == line
+    for argv, rows in zip(ROUND_TRIP_ARGVS, [12, 144, 4000, 200]):
+        _, out, _ = run_cli(argv + ["--format", "json"], capsys)
+        lines = out.splitlines()
+        assert len(lines) == rows
+        for line in lines:
+            rec = json.loads(line)
+            assert rec["schema_version"] == 1
+            assert json.dumps(rec, sort_keys=True) == line
 
 
 SWEEP_USAGE_ERRORS = [
