@@ -168,10 +168,10 @@ def _template_rows(constants: dict, columns: dict, fields: list[str] | None, fmt
 
 
 #: Rows from which a batch is laid out as bytes, not filled into
-#: %-templates chunk by chunk. The columnar path costs about 90 us a
-#: batch plus 0.4 us a row, the templates about 1.2 us a row: on
-#: mixed_fidelity_map batches of one chunk or of 8-row chunks, they
-#: break even between 96 and 128 rows, in CSV and in JSON alike.
+#: %-templates chunk by chunk. The columnar path costs 180-500 us a batch,
+#: JSON the most, plus 0.4-1 us a row, the templates 1.5-4 us a row: on
+#: one-chunk mixed_fidelity_map batches they break even between 100 and
+#: 192 rows, JSON first.
 COLUMNAR_MIN_ROWS = 128
 #: Rows of one columnar batch at most, a longer chunk cut into slices.
 #: An 8,000-row CSV sweep emitted in batches of up to 2,048, 4,096 or
@@ -579,12 +579,19 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, a - hi
 
 
+def _out(args) -> str | None:
+    """``--out``'s path, or None when it is absent or '-'; an empty path is an error."""
+    if args.out == "":
+        raise ValueError("--out is empty: name a path, or '-'")
+    return None if args.out == "-" else args.out
+
+
 def _write(records: Records, args) -> int:
     """Emit records to ``--out`` (stdout when absent or '-'); returns exit code 0."""
-    if args.out in (None, "-"):
+    if (path := _out(args)) is None:
         emit_records(records, args.format, sys.stdout)
     else:
-        with open(args.out, "w", newline="\n") as fh:
+        with open(path, "w", newline="\n") as fh:
             emit_records(records, args.format, fh)
     return 0
 
@@ -792,7 +799,7 @@ def table_records() -> list[tuple[str, Records]]:
 
 
 def cmd_tables(args) -> int:
-    outdir = Path(args.out if args.out not in (None, "-") else ".")
+    outdir = Path(_out(args) or ".")
     outdir.mkdir(parents=True, exist_ok=True)
     ext = "json" if args.format == "json" else "csv"
     for name, recs in table_records():
@@ -1063,13 +1070,7 @@ def _add_io_args(sub):
                      help="output file (default stdout); a directory for 'tables'")
 
 
-def _add_tables_args(sub):
-    sub.set_defaults(run=cmd_tables)
-    _add_io_args(sub)
-
-
 def _add_sweep_args(sub):
-    sub.set_defaults(run=cmd_sweep)
     sub.add_argument("--quantity", choices=QUANTITIES, required=True)
     sub.add_argument("--p", type=_float_axis, help="axis: 'a,b,c' or 'start:stop:count'")
     sub.add_argument("--epsilon", type=_float_axis, help="axis (default 0)")
@@ -1092,7 +1093,6 @@ def _add_sweep_args(sub):
 
 
 def _add_verify_args(sub):
-    sub.set_defaults(run=cmd_verify)
     sub.add_argument("--max-n", dest="max_n", type=int, default=3, choices=[1, 2, 3, 4])
     sub.add_argument("--seed", type=int, default=7)
     sub.add_argument("--draws", type=_positive_int, default=20)
@@ -1101,7 +1101,6 @@ def _add_verify_args(sub):
 
 
 def _add_distill_mixed_args(sub):
-    sub.set_defaults(run=cmd_distill_mixed)
     sub.add_argument("--F", type=float, required=True)
     sub.add_argument("--p", type=float)
     sub.add_argument("--pA", type=_rates, help="comma-separated per-measurement rates for Alice")
@@ -1116,7 +1115,6 @@ def _add_distill_mixed_args(sub):
 
 
 def _add_distill_pure_args(sub):
-    sub.set_defaults(run=cmd_distill_pure)
     theta = sub.add_mutually_exclusive_group(required=True)
     theta.add_argument("--theta", type=float)
     theta.add_argument("--theta-frac-pi", dest="theta_frac_pi", type=float)
@@ -1127,7 +1125,6 @@ def _add_distill_pure_args(sub):
 
 
 def _add_povm_purify_args(sub):
-    sub.set_defaults(run=cmd_povm_purify)
     rates = sub.add_mutually_exclusive_group(required=True)
     rates.add_argument("--p", type=float)
     rates.add_argument("--pList", type=_rates, help="comma-separated heterogeneous rates")
@@ -1136,12 +1133,12 @@ def _add_povm_purify_args(sub):
     _add_io_args(sub)
 
 
-#: Each subcommand, in help order: the function that sets its run
-#: function and adds its arguments, and the ``add_parser`` keywords of its
-#: help text. The run function is looked up when the parser is built, so a
-#: wrapper put on a module's ``cmd_*`` binding is the one that runs.
+#: Each subcommand, in help order: the function that adds its arguments,
+#: and the ``add_parser`` keywords of its help text. ``main`` runs
+#: ``cmd_<name>``, looked up in the module at each call, so a wrapper put
+#: on a module's ``cmd_*`` binding is the one that runs.
 COMMANDS = {
-    "tables": (_add_tables_args, {"help": "write the five reference tables"}),
+    "tables": (_add_io_args, {"help": "write the five reference tables"}),
     "sweep": (_add_sweep_args, {
         "help": "evaluate a quantity over a parameter grid",
         "epilog": "lower_bound is the threshold L: above F = 1/4, one round raises F exactly "
@@ -1157,11 +1154,11 @@ COMMANDS = {
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The CLI parser; with ``command`` one of COMMANDS, only that subcommand's.
 
-    Building a subparser costs far more than parsing, so ``main`` builds
-    only the one that ``argv[0]`` names. The usage line names every
-    command either way: ``parser.error`` prints it. The full parser keeps
-    argparse's default metavar, from which the "required: command" error
-    is built.
+    Building a subparser costs far more than parsing, so ``parse_args``
+    builds only the one that ``argv[0]`` names, on first use. The usage
+    line names every command either way: ``parser.error`` prints it. The
+    full parser keeps argparse's default metavar, from which the
+    "required: command" error is built.
     """
     parser = argparse.ArgumentParser(
         prog="entdistill",
@@ -1176,16 +1173,28 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser of each ``argv[0]``, a COMMANDS name or None for the full
+#: parser, built on first use and kept for the process; a parse keeps no state.
+_PARSERS: dict[str | None, argparse.ArgumentParser] = {}
+
+
+def parse_args(argv) -> argparse.Namespace:
+    """``argv`` parsed by the parser of its ``argv[0]``, built on first use."""
+    key = argv[0] if argv and argv[0] in COMMANDS else None
+    if key not in _PARSERS:
+        _PARSERS[key] = build_parser(key)
+    return _PARSERS[key].parse_args(argv)
+
+
 def main(argv=None) -> int:
     """Run the CLI on ``argv`` (default ``sys.argv[1:]``) in-process; returns the exit code."""
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(argv)
         try:
-            return args.run(args)
+            return globals()["cmd_" + args.command.replace("-", "_")](args)
         except ValueError as exc:
-            parser.error(str(exc))
+            _PARSERS[args.command].error(str(exc))  # a parsed argv[0] is its command
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

@@ -579,7 +579,7 @@ def _axis(values) -> str:
        seed=st.integers(0, 2 ** 32 - 1))
 def test_het_band_sweep_is_the_per_cell_reference(band, eps, n, m, fs, draws, seed):
     """Het mode as a _grid kernel writes the bytes of the per-cell loop, in CSV and JSON."""
-    args = cli.build_parser("sweep").parse_args(
+    args = cli.parse_args(
         [*MAP, "--het-band", *map(repr, band), "--epsilon", _axis(eps), "--n", _axis(n),
          "--m", _axis(m), "--F", _axis(fs), "--draws", str(draws), "--seed", str(seed)])
     expected = reference.het_records(args, {"epsilon": eps, "n": n, "m": m, "F": fs})
@@ -589,6 +589,21 @@ def test_het_band_sweep_is_the_per_cell_reference(band, eps, n, m, fs, draws, se
         cli.emit_records(records, fmt, got)
         cli.emit_records(expected, fmt, want)
         assert got.getvalue() == want.getvalue()
+
+
+#: A valid call of each command that writes output; with ``--out ''`` each is a usage error.
+EMPTY_OUT = [["tables"], ["sweep", "--quantity", "lower_bound", "--p", "0.1"],
+             ["distill-mixed", "--F", "0.7", "--p", "0.1"],
+             ["distill-pure", "--theta", "0.3", "--p", "0.1"], ["povm-purify", "--p", "0.1"]]
+
+
+@pytest.mark.parametrize("argv", EMPTY_OUT, ids=lambda argv: argv[0])
+def test_empty_out_is_a_usage_error_that_writes_nothing(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli([*argv, "--out", ""], capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "entdistill: error: --out is empty: name a path, or '-'"
+    assert list(tmp_path.iterdir()) == []
 
 
 #: Every usage error exercised above, gathered in one list.
@@ -605,6 +620,7 @@ USAGE_ERRORS = [
     *(["sweep", "--quantity", q, *TAKES[q], flag, AXIS_VALUES[flag]] for q, flag in AXES_NOT_TAKEN),
     P_AXIS_IN_HET_BAND,
     *(argv for argv, _ in DOMAIN_ERRORS),
+    *(argv + ["--out", ""] for argv in EMPTY_OUT),
 ]
 #: Help, no arguments, an unknown command and an unrecognized trailing flag.
 PARSER_ONLY = [["-h"], *([name, "-h"] for name in cli.COMMANDS), [], ["bogus"],
@@ -615,31 +631,64 @@ PARSER_ONLY = [["-h"], *([name, "-h"] for name in cli.COMMANDS), [], ["bogus"],
 def test_narrowed_parser_prints_what_the_full_parser_prints(columns, monkeypatch, capsys):
     """main builds only argv[0]'s subparser; stdout, stderr and exit code stay the full parser's."""
     monkeypatch.setenv("COLUMNS", columns)
+    monkeypatch.setattr(cli, "_PARSERS", {})
     narrowed = [run_cli(argv, capsys) for argv in USAGE_ERRORS + PARSER_ONLY]
     build_parser = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser())
+    monkeypatch.setattr(cli, "_PARSERS", {})
     full = [run_cli(argv, capsys) for argv in USAGE_ERRORS + PARSER_ONLY]
     assert all(code == 2 for code, _, _ in full[:len(USAGE_ERRORS)])
     assert narrowed == full
 
 
-def test_main_adds_only_the_named_subparser(monkeypatch, capsys):
-    """One subparser per call for a command, every one for help or an unknown command."""
-    added = []
-    add_parser = argparse._SubParsersAction.add_parser
+def test_main_builds_each_parser_once(monkeypatch, capsys):
+    """The first call with an argv[0] adds its subparser alone, or every one for help or an
+    unknown command; a second call with that argv[0] constructs no parser at all."""
+    added, built = [], []
+    add_parser, init = argparse._SubParsersAction.add_parser, argparse.ArgumentParser.__init__
 
-    def spy(self, name, **kwargs):
+    def spy_add(self, name, **kwargs):
         added.append(name)
         return add_parser(self, name, **kwargs)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    def spy_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy_add)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy_init)
     for argv, expected in [*(([name, "-h"], [name]) for name in cli.COMMANDS),
                            *((argv, list(cli.COMMANDS)) for argv in ([], ["-h"], ["bogus"]))]:
-        for _ in range(2):  # no parser is kept from one call to the next
+        monkeypatch.setattr(cli, "_PARSERS", {})
+        for want in (expected, []):  # built by the first call, reused by the second
             added.clear()
+            built.clear()
             cli.main(argv)
             capsys.readouterr()
-            assert added == expected, argv
+            assert added == want, argv
+            assert len(built) == (1 + len(want) if want else 0), argv
+
+
+def test_warm_parsers_answer_as_fresh_ones(monkeypatch, capsys):
+    """A sequence of calls on one warm table: each gives what an empty table gives."""
+    valid = ["povm-purify", "--p", "0.1", "--n", "2"]
+    warm = {}
+    for columns, argv in [("80", ["povm-purify", "--p", "1.5"]), ("80", valid),
+                          ("40", ["povm-purify", "-h"]), ("80", ["povm-purify", "-h"]),
+                          ("80", ["povm-purify", "--p", "0.1", "--pList", "0.1,0.2"]),
+                          ("80", valid)]:
+        monkeypatch.setenv("COLUMNS", columns)
+        monkeypatch.setattr(cli, "_PARSERS", {})
+        fresh = run_cli(argv, capsys)
+        monkeypatch.setattr(cli, "_PARSERS", warm)
+        assert run_cli(argv, capsys) == fresh, (columns, argv)
+    assert list(warm) == ["povm-purify"]
+    # the Namespace of a sweep carries nothing from the call before it
+    het = cli.parse_args([*MAP, "--het-band", "0.1", "0.2", "--F", "0.7", "--seed", "3"])
+    plain = [*MAP, "--p", "0.1", "--F", "0.7"]
+    assert het.het_band == [0.1, 0.2]
+    assert vars(cli.parse_args(plain)) == vars(cli.build_parser("sweep").parse_args(plain))
+    assert cli.parse_args(plain).het_band is None
 
 
 @pytest.mark.parametrize("argv", [
