@@ -1070,7 +1070,13 @@ def _add_io_args(sub):
                      help="output file (default stdout); a directory for 'tables'")
 
 
+def _add_tables_args(sub):
+    sub.set_defaults(run=cmd_tables)
+    _add_io_args(sub)
+
+
 def _add_sweep_args(sub):
+    sub.set_defaults(run=cmd_sweep)
     sub.add_argument("--quantity", choices=QUANTITIES, required=True)
     sub.add_argument("--p", type=_float_axis, help="axis: 'a,b,c' or 'start:stop:count'")
     sub.add_argument("--epsilon", type=_float_axis, help="axis (default 0)")
@@ -1093,6 +1099,7 @@ def _add_sweep_args(sub):
 
 
 def _add_verify_args(sub):
+    sub.set_defaults(run=cmd_verify)
     sub.add_argument("--max-n", dest="max_n", type=int, default=3, choices=[1, 2, 3, 4])
     sub.add_argument("--seed", type=int, default=7)
     sub.add_argument("--draws", type=_positive_int, default=20)
@@ -1101,6 +1108,7 @@ def _add_verify_args(sub):
 
 
 def _add_distill_mixed_args(sub):
+    sub.set_defaults(run=cmd_distill_mixed)
     sub.add_argument("--F", type=float, required=True)
     sub.add_argument("--p", type=float)
     sub.add_argument("--pA", type=_rates, help="comma-separated per-measurement rates for Alice")
@@ -1115,6 +1123,7 @@ def _add_distill_mixed_args(sub):
 
 
 def _add_distill_pure_args(sub):
+    sub.set_defaults(run=cmd_distill_pure)
     theta = sub.add_mutually_exclusive_group(required=True)
     theta.add_argument("--theta", type=float)
     theta.add_argument("--theta-frac-pi", dest="theta_frac_pi", type=float)
@@ -1125,6 +1134,7 @@ def _add_distill_pure_args(sub):
 
 
 def _add_povm_purify_args(sub):
+    sub.set_defaults(run=cmd_povm_purify)
     rates = sub.add_mutually_exclusive_group(required=True)
     rates.add_argument("--p", type=float)
     rates.add_argument("--pList", type=_rates, help="comma-separated heterogeneous rates")
@@ -1133,68 +1143,59 @@ def _add_povm_purify_args(sub):
     _add_io_args(sub)
 
 
-#: Each subcommand, in help order: the function that adds its arguments,
-#: and the ``add_parser`` keywords of its help text. ``main`` runs
-#: ``cmd_<name>``, looked up in the module at each call, so a wrapper put
-#: on a module's ``cmd_*`` binding is the one that runs.
+#: Each subcommand, in help order: the function that sets its run function
+#: and adds its arguments, its line in the command list, and its epilog. The
+#: run function is looked up when the parser is built, so a wrapper put on a
+#: module's ``cmd_*`` binding is the one that runs.
 COMMANDS = {
-    "tables": (_add_io_args, {"help": "write the five reference tables"}),
-    "sweep": (_add_sweep_args, {
-        "help": "evaluate a quantity over a parameter grid",
-        "epilog": "lower_bound is the threshold L: above F = 1/4, one round raises F exactly "
-                  "for F in (L, 1), so L >= 1 means that window is empty."}),
-    "verify": (_add_verify_args, {"help": "analytic layer vs density-matrix oracle"}),
-    "distill-mixed": (_add_distill_mixed_args,
-                      {"help": "two-way distillation of isotropic states"}),
-    "distill-pure": (_add_distill_pure_args, {"help": "filter a Schmidt-form pure state"}),
-    "povm-purify": (_add_povm_purify_args, {"help": "purified-measurement coefficients"}),
+    "tables": (_add_tables_args, "write the five reference tables", None),
+    "sweep": (_add_sweep_args, "evaluate a quantity over a parameter grid",
+              "lower_bound is the threshold L: above F = 1/4, one round raises F exactly "
+              "for F in (L, 1), so L >= 1 means that window is empty."),
+    "verify": (_add_verify_args, "analytic layer vs density-matrix oracle", None),
+    "distill-mixed": (_add_distill_mixed_args, "two-way distillation of isotropic states", None),
+    "distill-pure": (_add_distill_pure_args, "filter a Schmidt-form pure state", None),
+    "povm-purify": (_add_povm_purify_args, "purified-measurement coefficients", None),
 }
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser; with ``command`` one of COMMANDS, only that subcommand's.
+    """The full CLI parser; with ``command`` one of COMMANDS, that command's own.
 
-    Building a subparser costs far more than parsing, so ``parse_args``
-    builds only the one that ``argv[0]`` names, on first use. The usage
-    line names every command either way: ``parser.error`` prints it. The
-    full parser keeps argparse's default metavar, from which the
-    "required: command" error is built.
+    A command's own parser takes the arguments after its name. It is the
+    parser that the full one hands them to, ``prog`` included, so it prints
+    the same help and errors. ``main`` parses a command with it alone, one
+    parser where the full one takes seven, and builds the full parser, whose
+    usage names every command, only to report what it leaves over or the
+    command's ``ValueError``.
     """
+    if command in COMMANDS:
+        add_args, _, epilog = COMMANDS[command]
+        parser = argparse.ArgumentParser(prog=f"entdistill {command}", epilog=epilog)
+        add_args(parser)
+        return parser
     parser = argparse.ArgumentParser(
         prog="entdistill",
         description="Noisy-measurement purification and entanglement distillation.")
-    names = [command] if command in COMMANDS else list(COMMANDS)
-    subs = parser.add_subparsers(
-        dest="command", required=True,
-        metavar="{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None)
-    for name in names:
-        add_args, help_text = COMMANDS[name]
-        add_args(subs.add_parser(name, **help_text))
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (add_args, help_text, epilog) in COMMANDS.items():
+        add_args(subs.add_parser(name, help=help_text, epilog=epilog))
     return parser
-
-
-#: The parser of each ``argv[0]``, a COMMANDS name or None for the full
-#: parser, built on first use and kept for the process; a parse keeps no state.
-_PARSERS: dict[str | None, argparse.ArgumentParser] = {}
-
-
-def parse_args(argv) -> argparse.Namespace:
-    """``argv`` parsed by the parser of its ``argv[0]``, built on first use."""
-    key = argv[0] if argv and argv[0] in COMMANDS else None
-    if key not in _PARSERS:
-        _PARSERS[key] = build_parser(key)
-    return _PARSERS[key].parse_args(argv)
 
 
 def main(argv=None) -> int:
     """Run the CLI on ``argv`` (default ``sys.argv[1:]``) in-process; returns the exit code."""
     argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = parse_args(argv)
+        args, extras = build_parser(command).parse_known_args(
+            argv[1:] if command else argv, argparse.Namespace(command=command))
+        if extras:
+            build_parser().parse_args(argv)  # exits, naming the extras
         try:
-            return globals()["cmd_" + args.command.replace("-", "_")](args)
+            return args.run(args)
         except ValueError as exc:
-            _PARSERS[args.command].error(str(exc))  # a parsed argv[0] is its command
+            build_parser().error(str(exc))
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

@@ -579,7 +579,7 @@ def _axis(values) -> str:
        seed=st.integers(0, 2 ** 32 - 1))
 def test_het_band_sweep_is_the_per_cell_reference(band, eps, n, m, fs, draws, seed):
     """Het mode as a _grid kernel writes the bytes of the per-cell loop, in CSV and JSON."""
-    args = cli.parse_args(
+    args = cli.build_parser().parse_args(
         [*MAP, "--het-band", *map(repr, band), "--epsilon", _axis(eps), "--n", _axis(n),
          "--m", _axis(m), "--F", _axis(fs), "--draws", str(draws), "--seed", str(seed)])
     expected = reference.het_records(args, {"epsilon": eps, "n": n, "m": m, "F": fs})
@@ -627,23 +627,52 @@ PARSER_ONLY = [["-h"], *([name, "-h"] for name in cli.COMMANDS), [], ["bogus"],
                ["povm-purify", "--p", "0.1", "--bogus"]]
 
 
+#: Valid calls: a mutually exclusive group, axes, defaults.
+VALID = [["povm-purify", "--p", "0.1", "--n", "2", "--format", "json"],
+         [*MAP, "--p", "0.1", "--F", "0.7,0.8"],
+         ["distill-pure", "--theta", "0.3", "--p", "0.1"]]
+
+
+def run_full_parser(argv, capsys):
+    """What main gives when one full parser parses ``argv`` and reports every error."""
+    parser = cli.build_parser()
+    try:
+        args = parser.parse_args(argv)
+        try:
+            code = args.run(args)
+        except ValueError as exc:
+            parser.error(str(exc))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 @pytest.mark.parametrize("columns", ["40", "80"])
 def test_narrowed_parser_prints_what_the_full_parser_prints(columns, monkeypatch, capsys):
-    """main builds only argv[0]'s subparser; stdout, stderr and exit code stay the full parser's."""
+    """main parses a command with its own parser alone; stdout, stderr and exit code stay
+    the full parser's."""
     monkeypatch.setenv("COLUMNS", columns)
-    monkeypatch.setattr(cli, "_PARSERS", {})
-    narrowed = [run_cli(argv, capsys) for argv in USAGE_ERRORS + PARSER_ONLY]
-    build_parser = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser())
-    monkeypatch.setattr(cli, "_PARSERS", {})
-    full = [run_cli(argv, capsys) for argv in USAGE_ERRORS + PARSER_ONLY]
+    argvs = USAGE_ERRORS + PARSER_ONLY + VALID
+    narrowed = [run_cli(argv, capsys) for argv in argvs]
+    full = [run_full_parser(argv, capsys) for argv in argvs]
     assert all(code == 2 for code, _, _ in full[:len(USAGE_ERRORS)])
+    assert all(code == 0 for code, _, _ in full[-len(VALID):])
     assert narrowed == full
 
 
-def test_main_builds_each_parser_once(monkeypatch, capsys):
-    """The first call with an argv[0] adds its subparser alone, or every one for help or an
-    unknown command; a second call with that argv[0] constructs no parser at all."""
+@pytest.mark.parametrize("argv", VALID, ids=lambda argv: argv[0])
+def test_command_parser_gives_the_full_parsers_namespace(argv, monkeypatch):
+    """The Namespace that a command runs with is the full parser's."""
+    seen = []
+    monkeypatch.setattr(cli, "cmd_" + argv[0].replace("-", "_"), seen.append)
+    cli.main(argv)
+    assert vars(seen[0]) == vars(cli.build_parser().parse_args(argv))
+
+
+def test_main_builds_only_the_named_commands_parser(monkeypatch, capsys):
+    """A command's call constructs its own parser alone, help, no arguments and an unknown
+    command the full parser with every subparser; no parser is kept between calls."""
     added, built = [], []
     add_parser, init = argparse._SubParsersAction.add_parser, argparse.ArgumentParser.__init__
 
@@ -652,43 +681,22 @@ def test_main_builds_each_parser_once(monkeypatch, capsys):
         return add_parser(self, name, **kwargs)
 
     def spy_init(self, *args, **kwargs):
-        built.append(self)
         init(self, *args, **kwargs)
+        built.append(self.prog)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy_add)
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy_init)
-    for argv, expected in [*(([name, "-h"], [name]) for name in cli.COMMANDS),
-                           *((argv, list(cli.COMMANDS)) for argv in ([], ["-h"], ["bogus"]))]:
-        monkeypatch.setattr(cli, "_PARSERS", {})
-        for want in (expected, []):  # built by the first call, reused by the second
+    full = ["entdistill", *(f"entdistill {name}" for name in cli.COMMANDS)]
+    for argv, want in [*(([name, "-h"], [f"entdistill {name}"]) for name in cli.COMMANDS),
+                       (VALID[0], ["entdistill povm-purify"]),
+                       *((argv, full) for argv in ([], ["-h"], ["bogus"]))]:
+        for _ in range(2):
             added.clear()
             built.clear()
             cli.main(argv)
             capsys.readouterr()
-            assert added == want, argv
-            assert len(built) == (1 + len(want) if want else 0), argv
-
-
-def test_warm_parsers_answer_as_fresh_ones(monkeypatch, capsys):
-    """A sequence of calls on one warm table: each gives what an empty table gives."""
-    valid = ["povm-purify", "--p", "0.1", "--n", "2"]
-    warm = {}
-    for columns, argv in [("80", ["povm-purify", "--p", "1.5"]), ("80", valid),
-                          ("40", ["povm-purify", "-h"]), ("80", ["povm-purify", "-h"]),
-                          ("80", ["povm-purify", "--p", "0.1", "--pList", "0.1,0.2"]),
-                          ("80", valid)]:
-        monkeypatch.setenv("COLUMNS", columns)
-        monkeypatch.setattr(cli, "_PARSERS", {})
-        fresh = run_cli(argv, capsys)
-        monkeypatch.setattr(cli, "_PARSERS", warm)
-        assert run_cli(argv, capsys) == fresh, (columns, argv)
-    assert list(warm) == ["povm-purify"]
-    # the Namespace of a sweep carries nothing from the call before it
-    het = cli.parse_args([*MAP, "--het-band", "0.1", "0.2", "--F", "0.7", "--seed", "3"])
-    plain = [*MAP, "--p", "0.1", "--F", "0.7"]
-    assert het.het_band == [0.1, 0.2]
-    assert vars(cli.parse_args(plain)) == vars(cli.build_parser("sweep").parse_args(plain))
-    assert cli.parse_args(plain).het_band is None
+            assert built == want, argv
+            assert added == (list(cli.COMMANDS) if want == full else []), argv
 
 
 @pytest.mark.parametrize("argv", [

@@ -187,7 +187,7 @@ SWEEPS = {
 @pytest.mark.parametrize("argv,csv_batches,json_batches", SWEEPS.values(), ids=SWEEPS)
 def test_sweep_emit_equals_the_template_emitter(argv, csv_batches, json_batches,
                                                 columnar_batches):
-    records = cli._sweep_records(cli.parse_args(["sweep", *argv]))
+    records = cli._sweep_records(cli.build_parser("sweep").parse_args(argv))
     assert_same_bytes(records)
     assert columnar_batches == {"csv": csv_batches, "json": json_batches}
     for batches in (csv_batches, json_batches):
@@ -198,8 +198,8 @@ def test_sweep_emit_equals_the_template_emitter(argv, csv_batches, json_batches,
 def test_rate_lists_take_one_kernel_call_per_width(fmt, monkeypatch):
     """On the template path, every rate list of a het sweep, of widths 1 and 2, is
     formatted by two kernel calls."""
-    records = cli._sweep_records(cli.parse_args(
-        ["sweep", *SWEEPS["het-band rate lists"][0]]))
+    records = cli._sweep_records(cli.build_parser("sweep").parse_args(
+        SWEEPS["het-band rate lists"][0]))
     monkeypatch.setattr(cli, "COLUMNAR_MIN_ROWS", len(records) + 1)
     widths = spy_on(monkeypatch, "_format_g12")
     emitted(cli.emit_records, records, fmt)
@@ -212,8 +212,8 @@ def test_rate_lists_take_one_kernel_call_per_width(fmt, monkeypatch):
 def test_columnar_batch_takes_one_call_per_kernel(fmt, monkeypatch):
     """The het sweep's one columnar batch: every rate, and in CSV every float, in one
     '%.12g' call; in JSON every float in one repr call."""
-    records = cli._sweep_records(cli.parse_args(
-        ["sweep", *SWEEPS["het-band rate lists"][0]]))
+    records = cli._sweep_records(cli.build_parser("sweep").parse_args(
+        SWEEPS["het-band rate lists"][0]))
     g12_calls, repr_calls = spy_on(monkeypatch, "_format_g12"), spy_on(monkeypatch, "_format_repr")
     emitted(cli.emit_records, records, fmt)
     # 400 rows: 1,400 rates; F shared by both cells (200), value and p_succ (400 each)
@@ -225,7 +225,7 @@ def test_columnar_batch_takes_one_call_per_kernel(fmt, monkeypatch):
 @pytest.mark.parametrize("argv", [SWEEPS["below the crossover"][0],
                                   ["--quantity", "lower_bound", "--p", "0.1", "--n", "1:3"]])
 def test_records_without_rate_lists_skip_the_rate_pass(argv, monkeypatch):
-    records = cli._sweep_records(cli.parse_args(["sweep", *argv]))
+    records = cli._sweep_records(cli.build_parser("sweep").parse_args(argv))
     monkeypatch.setattr(cli, "_rate_lists", None)  # calling it would raise
     for fmt in ("csv", "json"):
         emitted(cli.emit_records, records, fmt)
