@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections import defaultdict
 from itertools import product
@@ -43,12 +44,6 @@ FIELD_ORDER = [
     "quantity", "p", "pA", "pB", "epsilon", "n", "m", "F", "theta", "draw",
     "round", "r0", "r1", "value", "value_3dp", "p_succ",
 ]
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return str(x)
 
 
 class Records:
@@ -73,145 +68,145 @@ class Records:
         return self.rows
 
 
-def _ordered_fields(records: Records) -> list[str]:
-    present = set()
-    for constants, columns in records.chunks:
-        present.update(constants, columns)
-    return [f for f in FIELD_ORDER if f in present]
+def _row_parts(constants: dict, columns: dict, fields: list[str] | None,
+               fmt: str) -> tuple[list[str], list[str]]:
+    """A chunk's row as its texts before, between and after its columns, and those columns.
 
-
-def _slot(column: np.ndarray, fmt: str, seen: dict, chunks: list) -> tuple[str, list[list]]:
-    """A column's %-template slot and the value lists that fill it.
-
-    '%.12g' % x and '%r' % x give the bytes of f"{x:.12g}" and of
-    json.dumps(x) for a finite float x. A column that several chunks
-    share is formatted to strings once, at its second use; ``seen`` holds
-    what earlier chunks used. The first 2-D column met formats every
-    rate list of ``chunks`` (``_rate_lists``) into ``seen``.
-    """
-    key = id(column)
-    if seen.get(key):  # formatted at an earlier chunk
-        return seen[key]
-    if column.ndim == 2:
-        seen.update(_rate_lists(chunks, fmt))
-        return seen[key]
-    kind, lists = column.dtype.kind, [column.tolist()]
-    if kind == "f" and (fmt == "csv" or np.isfinite(column).all()):
-        slot = "%.12g" if fmt == "csv" else "%r"
-    elif kind in "iu":
-        slot = "%d"
-    elif fmt == "csv":
-        slot = "%s"
-    else:
-        slot, lists = "%s", [list(map(json.dumps, lists[0]))]
-    if key in seen:  # second use: format once, for this chunk and the later ones
-        seen[key] = "%s", [[slot % row for row in zip(*lists)]]
-        return seen[key]
-    seen[key] = None
-    return slot, lists
-
-
-def _rate_lists(chunks: list, fmt: str) -> dict[int, tuple[str, list[list]]]:
-    """Every 2-D column of ``chunks`` as ``_slot`` gives it, keyed by ``id``.
-
-    A 2-D column is a rate-list field: each row prints as its rates to 12
-    digits joined by ';', a string in JSON (the digits need no escaping).
-    The rates of every column of one width, a column that chunks share
-    once, are laid out by one ``_rate_block`` call and split into the
-    rows' strings.
-    """
-    widths: dict[int, dict[int, np.ndarray]] = defaultdict(dict)
-    for _, columns in chunks:
-        for column in columns.values():
-            if column.ndim == 2:
-                widths[column.shape[1]][id(column)] = column
-    slot, out = "%s" if fmt == "csv" else '"%s"', {}
-    for found in widths.values():
-        rates = np.concatenate(list(found.values()), dtype=np.float64)
-        block = _rate_block(_format_g12(rates.ravel()), [rates.shape])
-        block[:, -1] = ord("\n")  # the NUL after each row's last rate
-        strings, start = block.tobytes().translate(None, b"\0").decode().split("\n"), 0
-        for key, column in found.items():
-            out[key] = slot, [strings[start:start + len(column)]]
-            start += len(column)
-    return out
-
-
-def _template_rows(constants: dict, columns: dict, fields: list[str] | None, fmt: str,
-                   seen: dict, chunks: list) -> str:
-    """One chunk's rows: a %-template of its constants, with a slot per column.
-
-    CSV rows have the fields ``fields``; a JSON row has its own keys in
-    sorted order, ``schema_version`` among them. A JSON chunk of one row
-    is one ``json.dumps`` of its row.
+    A CSV row has the fields ``fields`` joined by ',', a field that the
+    chunk lacks empty, a float constant to 12 digits. A JSON row has its
+    own keys in sorted order, ``schema_version`` among them; a constant
+    is its ``json.dumps`` (an int's or a finite float's repr is the same
+    and quicker), and a rate-list column's quotes are text.
     """
     if fmt == "json":
         constants = {**constants, "schema_version": SCHEMA_VERSION}
-        if all(len(column) == 1 for column in columns.values()):
-            row = {f: _rates_field(c[0].tolist()) if c.ndim == 2 else c[0].item()
-                   for f, c in columns.items()}
-            return json.dumps({**constants, **row}, sort_keys=True) + "\n"
         fields = sorted([*constants, *columns])
-    parts, values = [], []
-    for f in fields:
+    texts, names, text = [], [], "" if fmt == "csv" else "{"
+    for i, f in enumerate(fields):
+        if i:
+            text += "," if fmt == "csv" else ", "
+        if fmt == "json":
+            text += json.dumps(f) + ": "
         if f in columns:
-            slot, lists = _slot(columns[f], fmt, seen, chunks)
-            values += lists
+            quote = '"' if fmt == "json" and columns[f].ndim == 2 else ""
+            texts.append(text + quote)
+            names.append(f)
+            text = quote
         elif f in constants:
-            const = constants[f]
-            slot = (json.dumps(const) if fmt == "json" else _fmt(const)).replace("%", "%%")
+            x = constants[f]
+            if fmt == "csv":
+                text += f"{x:.12g}" if isinstance(x, float) else str(x)
+            else:
+                text += (repr(x) if type(x) is int or type(x) is float and math.isfinite(x)
+                         else json.dumps(x))
+    texts.append(text + ("\n" if fmt == "csv" else "}\n"))
+    return texts, names
+
+
+def _chunk_rows(constants: dict, columns: dict, fields: list[str] | None, fmt: str) -> str:
+    """One chunk's rows: a template of its texts with a '%s' slot per column.
+
+    Each column is formatted to strings in one pass: floats as '%.12g' in
+    CSV and as repr in JSON (json.dumps if one is not finite), integers as
+    digits, rate lists by ``_rates_field``, anything else by ``str`` in CSV
+    and ``json.dumps`` in JSON. A one-row JSON chunk is one ``json.dumps``.
+    """
+    if fmt == "json" and all(len(column) == 1 for column in columns.values()):
+        row = {f: _rates_field(c[0].tolist()) if c.ndim == 2 else c[0].item()
+               for f, c in columns.items()}
+        return json.dumps({**constants, "schema_version": SCHEMA_VERSION, **row},
+                          sort_keys=True) + "\n"
+    texts, names = _row_parts(constants, columns, fields, fmt)
+    strings = []
+    for column in map(columns.get, names):
+        values = column.tolist()
+        if column.ndim == 2:
+            strings.append(list(map(_rates_field, values)))
+        elif column.dtype.kind == "f" and (fmt == "csv" or np.isfinite(column).all()):
+            strings.append(list(map(("%.12g" if fmt == "csv" else "%r").__mod__, values)))
         else:
-            slot = ""
-        parts.append(slot if fmt == "csv" else f"{json.dumps(f)}: {slot}")
-    template = (",".join(parts) if fmt == "csv" else "{" + ", ".join(parts) + "}") + "\n"
-    return "".join(map(template.__mod__, zip(*values) if values else [()]))
+            strings.append(list(map(str if fmt == "csv" or column.dtype.kind in "iu"
+                                    else json.dumps, values)))
+    template = "%s".join([text.replace("%", "%%") for text in texts])
+    return "".join(map(template.__mod__, zip(*strings))) if names else texts[0]
 
 
-#: Rows from which a batch is laid out as bytes, not filled into
-#: %-templates chunk by chunk. The columnar path costs 180-500 us a batch,
-#: JSON the most, plus 0.4-1 us a row, the templates 1.5-4 us a row: on
-#: one-chunk mixed_fidelity_map batches they break even between 100 and
-#: 192 rows, JSON first.
+#: Rows from which an output is laid out as bytes, not filled into
+#: templates chunk by chunk. The layout costs 130-400 us an output, JSON
+#: and many chunks the most, plus 0.2-0.9 us a row, the templates 1.3-2.8
+#: us a row: on mixed_fidelity_map sweeps of 1 and 16 chunks they break
+#: even between 110 and 190 rows.
 COLUMNAR_MIN_ROWS = 128
-#: Rows of one columnar batch at most, a longer chunk cut into slices.
-#: An 8,000-row CSV sweep emitted in batches of up to 2,048, 4,096 or
-#: 8,192 rows took 0.45, 0.37 and 0.55 of the templates' time.
+#: Rows of one batch at most: an 8,000-row CSV sweep in batches of up to
+#: 2,048, 4,096 or 8,192 rows took 0.45, 0.37 and 0.55 of the templates' time.
 BATCH_ROWS = 4096
-#: Bytes of one batch's block at most, as ``_row_bytes`` estimates a
-#: row: a JSON row is about four times a CSV row's width.
-BATCH_BYTES = 1 << 20
+#: Bytes written at a time: the 2,000-row het JSON batch took 10% less
+#: than in halves, and a 4,000-row grid CSV batch the same as in eighths.
+SLICE_BYTES = 1 << 18
 
 
 def emit_records(records: Records, fmt: str, out) -> None:
-    """Write records as CSV (fixed column order) or JSON lines, a batch at a time.
+    """Write records as CSV (fixed column order) or JSON lines, in one of two designs.
 
-    Consecutive chunks whose columns have the same names and kinds (1-D
-    float64, 1-D integer, or 2-D rate lists) form a batch (``_batches``). From ``COLUMNAR_MIN_ROWS`` rows on, a batch is laid
-    out as bytes (``_columnar_rows``); every other chunk is a %-template
-    of its constants with one slot per column, filled from the columns
-    (``_template_rows``). A chunk without columns is the template alone,
-    one row. CSV floats print as '%.12g', JSON floats as their shortest
-    round-trip repr, and rate lists as their rates to 12 digits joined
-    by ';', a string in JSON. JSON keys come in ``sort_keys`` order.
+    An output of ``COLUMNAR_MIN_ROWS`` rows or more whose chunks allow it
+    (``_layout``) is laid out as bytes in batches (``_write_batch``), runs
+    of whole chunks of at most ``BATCH_ROWS`` rows, a longer chunk cut. Any
+    other output is written a chunk at a time (``_chunk_rows``): below
+    about 128 rows the layout's fixed cost, 130-400 us, outweighs what its
+    kernels save. CSV floats print as '%.12g', JSON floats as their
+    shortest round-trip repr, and rate lists as their rates to 12 digits
+    joined by ';', a string in JSON. JSON keys come in ``sort_keys`` order.
     """
     fields = None
     if fmt == "csv":
-        fields = _ordered_fields(records)
+        present = {f for chunk in records.chunks for part in chunk for f in part}
+        fields = [f for f in FIELD_ORDER if f in present]
         out.write(",".join(fields) + "\n")
-    seen: dict = {}
-    # Fewer rows in all than the crossover: no batch can reach it.
-    batches = (_batches(records.chunks, fmt) if len(records) >= COLUMNAR_MIN_ROWS
-               else [(records.chunks, False)])
-    for batch, columnar in batches:
-        if columnar:
-            _columnar_rows(batch, fields, fmt, out)
-            continue
-        for constants, columns in batch:
-            out.write(_template_rows(constants, columns, fields, fmt, seen, batch))
+    layout = _layout(records, fields, fmt)
+    if layout is None:
+        for constants, columns in records.chunks:
+            out.write(_chunk_rows(constants, columns, fields, fmt))
+        return
+    names, chunks = layout
+    batch, rows = [], 0
+    for texts, columns in chunks:
+        count = len(columns[names[0]])
+        for start in range(0, count, BATCH_ROWS):
+            size = min(count - start, BATCH_ROWS)
+            if rows + size > BATCH_ROWS:
+                _write_batch(batch, names, fmt, out)
+                batch, rows = [], 0
+            batch.append((texts, columns if size == count
+                          else {f: c[start:start + size] for f, c in columns.items()}))
+            rows += size
+    if batch:
+        _write_batch(batch, names, fmt, out)
+
+
+def _layout(records: Records, fields: list[str] | None, fmt: str) -> tuple | None:
+    """The column names and each chunk's (texts, columns), or None for the templates.
+
+    An output is laid out from ``COLUMNAR_MIN_ROWS`` rows on if every
+    chunk has the same column names, of the same kinds (``_kind``), in
+    JSON the same keys, and no CSV text holds a NUL, the layout's padding.
+    """
+    kinds = {f: _kind(c) for f, c in records.chunks[0][1].items()} if records.chunks else {}
+    if len(records) < COLUMNAR_MIN_ROWS or not kinds or None in kinds.values():
+        return None
+    chunks = []
+    for constants, columns in records.chunks:
+        if ({f: _kind(c) for f, c in columns.items()} != kinds
+                or fmt == "json" and constants.keys() != records.chunks[0][0].keys()):
+            return None
+        texts, names = _row_parts(constants, columns, fields, fmt)
+        if fmt == "csv" and any("\0" in text for text in texts):
+            return None
+        chunks.append((texts, columns))
+    return names, chunks
 
 
 def _kind(column: np.ndarray) -> str | None:
-    """A column's kind in a batch: "f" (1-D float64), "i" (1-D integers), "r" (2-D,
+    """A column's kind in the byte layout: "f" (1-D float64), "i" (1-D integers), "r" (2-D,
     rate lists of any width), or None for a column that only a template formats."""
     if column.ndim == 2:
         return "r"
@@ -220,107 +215,38 @@ def _kind(column: np.ndarray) -> str | None:
     return "i" if column.ndim == 1 and column.dtype.kind in "iu" else None
 
 
-def _row_bytes(constants: dict, columns: dict, kinds: tuple, fmt: str) -> int:
-    """A row's estimated width in a columnar block: its columns' bytes and 16 a field."""
-    width = (16 * (len(constants) + len(kinds)) + kinds.count("i") * 21
-             + kinds.count("f") * (48 if fmt == "json" else 32))
-    if "r" in kinds:
-        width += 33 * sum(c.shape[1] for c in columns.values() if c.ndim == 2)
-    return width
+def _write_batch(batch: list[tuple[list[str], dict]], names: list[str], fmt: str, out) -> None:
+    """Write the rows of a batch of chunks, laid out as bytes.
 
-
-def _batches(chunks: list[tuple[dict, dict]], fmt: str):
-    """The chunks in order, as (batch, columnar) pairs.
-
-    Consecutive chunks whose columns are the same names of the same
-    kinds (``_kind``) form a batch of at most ``BATCH_ROWS`` rows and
-    ``BATCH_BYTES`` bytes, columnar from ``COLUMNAR_MIN_ROWS`` rows on.
-    A longer chunk is cut into slices of that many rows, each a columnar
-    batch: a slice is a new array, which must not reach the template
-    path's cache keyed by ``id``. Every other chunk is a template batch
-    of its own.
-    """
-    batch, signature, rows, size = [], None, 0, 0
-    for constants, columns in chunks:
-        count = len(next(iter(columns.values()))) if columns else 1
-        kinds = tuple(map(_kind, columns.values()))
-        shape = (tuple(columns), kinds) if columns and count and None not in kinds else None
-        width = _row_bytes(constants, columns, kinds, fmt) if shape else 0
-        if batch and (shape is None or shape != signature or rows + count > BATCH_ROWS
-                      or size + count * width > BATCH_BYTES):
-            yield batch, signature is not None and rows >= COLUMNAR_MIN_ROWS
-            batch, rows, size = [], 0, 0
-        if shape and (count > BATCH_ROWS or count * width > BATCH_BYTES):
-            cap = max(1, min(BATCH_ROWS, BATCH_BYTES // width))
-            for start in range(0, count, cap):
-                rows_slice = slice(start, start + cap)
-                yield [(constants, {f: c[rows_slice] for f, c in columns.items()})], True
-            continue
-        batch.append((constants, columns))
-        signature, rows, size = shape, rows + count, size + count * width
-    if batch:
-        yield batch, signature is not None and rows >= COLUMNAR_MIN_ROWS
-
-
-def _columnar_rows(batch: list[tuple[dict, dict]], fields: list[str] | None, fmt: str,
-                   out) -> None:
-    """Write the rows of chunks whose columns are the same names and kinds, laid out as bytes.
-
-    A row is its chunk's text up to the first column, that column's
-    bytes (``_column_blocks``), the text up to the next column, and so
-    on; the last text ends in the newline. A column that every chunk
-    shares is formatted once. The pieces, each padded with NUL bytes to
-    a fixed width, are laid side by side as (rows x bytes) blocks, and
-    one pass over each drops the NULs. A batch whose text holds a NUL or a JSON marker itself
-    (``_row_texts``) is filled into its templates.
+    Each piece of a row is a (rows x bytes) block padded with NULs: the
+    texts, each chunk's repeated over its rows, and between them the
+    columns, each formatted by one kernel call for the batch
+    (``_column_blocks``), once if every chunk shares it. The pieces are
+    laid side by side in even slices of at most ``SLICE_BYTES``, and one
+    pass over each slice drops the NULs.
     """
     first = batch[0][1]
-    names = sorted(first) if fields is None else [f for f in fields if f in first]
-    texts = [_row_texts(*chunk, fields, fmt) for chunk in batch]
-    if any(len(t) != len(names) + 1 for t in texts):
-        for chunk in batch:
-            out.write(_template_rows(*chunk, fields, fmt, {}, batch))
-        return
     counts = [len(columns[names[0]]) for _, columns in batch]
     shared = [all(columns[f] is first[f] for _, columns in batch) for f in names]
     arrays = [[first[f]] if s else [columns[f] for _, columns in batch]
               for f, s in zip(names, shared)]
-    texts = list(zip(*texts))
-    pieces = [_text_piece(texts[0], counts)]
-    for block, s, text in zip(_column_blocks(arrays, fmt), shared, texts[1:]):
-        pieces += [np.concatenate([block] * len(batch)) if s else block, _text_piece(text, counts)]
+    blocks = [np.tile(block, (len(batch), 1)) if s else block
+              for block, s in zip(_column_blocks(arrays, fmt), shared)]
+    pieces = []
+    for j, texts in enumerate(zip(*[texts for texts, _ in batch])):
+        if j:
+            pieces.append(blocks[j - 1])
+        data = [text.encode() for text in texts]
+        width = max(map(len, data))
+        chars = np.frombuffer(b"".join([d.ljust(width, b"\0") for d in data]), np.uint8)
+        pieces.append(np.repeat(chars.reshape(len(data), width), counts, axis=0))
     rows, width = sum(counts), sum(piece.shape[1] for piece in pieces)
-    # Even slices of at most a quarter of BATCH_BYTES: in-process, emitting the
-    # 2,000-row het JSON batch took 10% less than in halves, and a 4,000-row
-    # grid CSV batch the same, as in eighths.
-    step = -(-rows // -(-rows * width // (BATCH_BYTES // 4)))
+    step = -(-rows // -(-rows * width // SLICE_BYTES))
     for start in range(0, rows, step):
-        block = bytearray(min(step, rows - start) * width)
+        laid = bytearray(min(step, rows - start) * width)
         np.concatenate([piece[start:start + step] for piece in pieces], axis=1,
-                       out=np.frombuffer(block, np.uint8).reshape(-1, width))
-        out.write(block.translate(None, b"\0").decode())
-
-
-def _row_texts(constants: dict, columns: dict, fields: list[str] | None, fmt: str) -> list[str]:
-    r"""A chunk's row text before, between and after its columns.
-
-    The row is written with a NUL in place of each column and split
-    there. CSV: the fields ``fields`` joined by ',', a field that the
-    chunk lacks empty. JSON: one ``json.dumps`` of the row with
-    ``schema_version``, each column a marker string: "\0" for a 1-D
-    column, its quotes replaced with it, and "\x01" for a rate-list
-    column, its quotes kept. The row ends in a newline. A constant or
-    key whose text holds a NUL or a marker gives more pieces than
-    columns + 1.
-    """
-    if fmt == "csv":
-        row = ",".join(["\0" if f in columns else _fmt(constants[f]) if f in constants else ""
-                        for f in fields])
-    else:
-        marks = {f: "\0" if c.ndim == 1 else "\1" for f, c in columns.items()}
-        row = json.dumps({**constants, "schema_version": SCHEMA_VERSION, **marks}, sort_keys=True)
-        row = row.replace('"\\u0000"', "\0").replace("\\u0001", "\0")
-    return (row + "\n").split("\0")
+                       out=np.frombuffer(laid, np.uint8).reshape(-1, width))
+        out.write(laid.translate(None, b"\0").decode())
 
 
 def _column_blocks(columns: list[list[np.ndarray]], fmt: str) -> list[np.ndarray]:
@@ -368,16 +294,6 @@ def _rate_block(chars: np.ndarray, shapes: list[tuple[int, int]]) -> np.ndarray:
     out[np.arange(len(rates)) + np.repeat(np.arange(0, rows * width, width) - ends + widths,
                                           widths)] = rates
     return out.reshape(rows, -1)
-
-
-def _text_piece(texts: list[str], counts: list[int]) -> np.ndarray:
-    """Each chunk's text on each of its rows, as (rows x width) bytes padded with NULs."""
-    if texts.count(texts[0]) == len(texts):  # one text, such as a separator, on every row
-        texts, counts = texts[:1], [sum(counts)]
-    data = [t.encode() for t in texts]
-    width = max(map(len, data))
-    chars = np.frombuffer(b"".join([d.ljust(width, b"\0") for d in data]), np.uint8)
-    return np.repeat(chars.reshape(len(data), width), counts, axis=0)
 
 
 # The float kernels. '%.12g' prints a float whose exponent e lies in

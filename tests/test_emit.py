@@ -1,7 +1,8 @@
-"""The emitter's columnar path: its '%.12g' and repr kernels, and its bytes against the templates.
+"""The emitter: its '%.12g' and repr kernels, and its bytes in both designs.
 
 ``reference.emit_records`` is the emitter that filled one %-template per
-chunk for every batch; the CLI's emitter must write its bytes.
+chunk for every output; the CLI's emitter must write its bytes, laid
+out as bytes or through its own templates.
 """
 
 import io
@@ -135,18 +136,22 @@ def assert_same_bytes(records: cli.Records) -> None:
                                                                   fmt)
 
 
-@pytest.fixture
-def columnar_batches(monkeypatch):
-    """The row count of each batch handed to the columnar path, per format."""
+def spy_batches(mp) -> dict[str, list[int]]:
+    """The row count of each batch that the byte layout writes, per format."""
     rows = {"csv": [], "json": []}
-    columnar_rows = cli._columnar_rows
+    write_batch = cli._write_batch
 
-    def spy(batch, fields, fmt, out):
-        rows[fmt].append(sum(len(next(iter(columns.values()))) for _, columns in batch))
-        return columnar_rows(batch, fields, fmt, out)
+    def spy(batch, names, fmt, out):
+        rows[fmt].append(sum(len(columns[names[0]]) for _, columns in batch))
+        return write_batch(batch, names, fmt, out)
 
-    monkeypatch.setattr(cli, "_columnar_rows", spy)
+    mp.setattr(cli, "_write_batch", spy)
     return rows
+
+
+@pytest.fixture
+def layout_batches(monkeypatch):
+    return spy_batches(monkeypatch)
 
 
 def spy_on(monkeypatch, name: str) -> list[int]:
@@ -162,56 +167,47 @@ def spy_on(monkeypatch, name: str) -> list[int]:
     return lengths
 
 
+def records_of(chunk_list) -> cli.Records:
+    records = cli.Records()
+    for constants, columns in chunk_list:
+        records.add(constants, columns)
+    return records
+
+
 MAP = ["--quantity", "mixed_fidelity_map"]
-#: Sweeps, and the row counts of their columnar batches in CSV and in JSON.
+#: Sweeps, and the row counts of their byte-layout batches, in CSV and JSON alike.
 SWEEPS = {
-    "below the crossover": (MAP + ["--p", "0.1", "--n", "1:4", "--F", "0.5,0.7,0.9,0.99"], [], []),
+    "below the crossover": (MAP + ["--p", "0.1", "--n", "1:4", "--F", "0.5,0.7,0.9,0.99"], []),
     "above the crossover": (MAP + ["--p", "0.1", "--n", "1:4", "--m", "1:2", "--F", "0.5:0.99:20"],
-                            [160], [160]),
-    # 3 slabs of 4,800 rows: one run of 100-row chunks, cut at 4,096 rows in CSV
-    # and, rows being wider, near BATCH_BYTES in JSON
+                            [160]),
+    # 3 slabs of 4,800 rows: one run of 100-row chunks, 40 chunks a batch
     "multi-slab grid past the batch cap": (
         MAP + ["--p", "0.05,0.1,0.2", "--epsilon", "0:0.1:3", "--n", "1:4", "--m", "1:4",
-               "--F", "0.5:0.99:100"], [4000, 4000, 4000, 2400], [3800, 3800, 3800, 3000]),
+               "--F", "0.5:0.99:100"], [4000, 4000, 4000, 2400]),
     "one chunk longer than the batch cap": (MAP + ["--p", "0.1", "--F", "0:1:9000"],
-                                            [4096, 4096, 808], [3855, 3855, 1290]),
+                                            [4096, 4096, 808]),
     "pure_fidelity over theta": (["--quantity", "pure_fidelity", "--p", "0.02:0.3:4", "--n", "1:3",
-                                  "--theta", "0.01:0.78:50"], [600], [600]),
+                                  "--theta", "0.01:0.78:50"], [600]),
     # an int draw column and rate lists of widths 1 and 2: one batch of both cells
     "het-band rate lists": (MAP + ["--het-band", "0.025", "0.175", "--n", "1:2", "--m", "2",
                                    "--F", "0.55:0.95:25", "--draws", "8", "--seed", "4"],
-                            [400], [400]),
+                            [400]),
 }
 
 
-@pytest.mark.parametrize("argv,csv_batches,json_batches", SWEEPS.values(), ids=SWEEPS)
-def test_sweep_emit_equals_the_template_emitter(argv, csv_batches, json_batches,
-                                                columnar_batches):
+@pytest.mark.parametrize("argv,batches", SWEEPS.values(), ids=SWEEPS)
+def test_sweep_emit_equals_the_template_emitter(argv, batches, layout_batches):
     records = cli._sweep_records(cli.build_parser("sweep").parse_args(argv))
     assert_same_bytes(records)
-    assert columnar_batches == {"csv": csv_batches, "json": json_batches}
-    for batches in (csv_batches, json_batches):
-        assert all(cli.COLUMNAR_MIN_ROWS <= rows <= cli.BATCH_ROWS for rows in batches[:-1])
-
-
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_rate_lists_take_one_kernel_call_per_width(fmt, monkeypatch):
-    """On the template path, every rate list of a het sweep, of widths 1 and 2, is
-    formatted by two kernel calls."""
-    records = cli._sweep_records(cli.build_parser("sweep").parse_args(
-        SWEEPS["het-band rate lists"][0]))
-    monkeypatch.setattr(cli, "COLUMNAR_MIN_ROWS", len(records) + 1)
-    widths = spy_on(monkeypatch, "_format_g12")
-    emitted(cli.emit_records, records, fmt)
-    # 200 rows a cell, cells (n, m) = (1, 2) and (2, 2): width 1 is the first pA,
-    # width 2 the second pA and both pB
-    assert widths == [200 * 1, 3 * 200 * 2]
+    assert layout_batches == {"csv": batches, "json": batches}
+    assert sum(batches) in (0, len(records))
+    assert all(rows <= cli.BATCH_ROWS for rows in batches)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_columnar_batch_takes_one_call_per_kernel(fmt, monkeypatch):
-    """The het sweep's one columnar batch: every rate, and in CSV every float, in one
-    '%.12g' call; in JSON every float in one repr call."""
+    """The het sweep's one batch: every rate, and in CSV every float, in one '%.12g'
+    call; in JSON every float in one repr call."""
     records = cli._sweep_records(cli.build_parser("sweep").parse_args(
         SWEEPS["het-band rate lists"][0]))
     g12_calls, repr_calls = spy_on(monkeypatch, "_format_g12"), spy_on(monkeypatch, "_format_repr")
@@ -222,36 +218,48 @@ def test_columnar_batch_takes_one_call_per_kernel(fmt, monkeypatch):
                                        else ([rates], [floats]))
 
 
-@pytest.mark.parametrize("argv", [SWEEPS["below the crossover"][0],
-                                  ["--quantity", "lower_bound", "--p", "0.1", "--n", "1:3"]])
-def test_records_without_rate_lists_skip_the_rate_pass(argv, monkeypatch):
-    records = cli._sweep_records(cli.build_parser("sweep").parse_args(argv))
-    monkeypatch.setattr(cli, "_rate_lists", None)  # calling it would raise
-    for fmt in ("csv", "json"):
-        emitted(cli.emit_records, records, fmt)
-
-
-def test_hand_built_records_equal_the_template_emitter(columnar_batches):
-    """Negative, NaN and infinite floats, an int column, string constants, missing fields."""
+def test_hand_built_records_equal_the_template_emitter(layout_batches):
+    """Negative, NaN and infinite floats, an int column, '%', non-ASCII and non-finite
+    constants, and a one-row chunk, laid out as bytes in both formats."""
     rows = 300
     rng = np.random.RandomState(5)
     wild = rng.randn(rows) * 10.0 ** rng.randint(-9, 16, rows)
     wild[:10] = [math.nan, math.inf, -math.inf, -0.0, 0.0, -1.5, 5e-324, 1e300, -1e-5,
                  0.9999999999995]
-    column = np.linspace(-1, 1, rows)
-    records = cli.Records()
-    records.add({"quantity": "hand-built, 100% ünïcode", "p": 0.1, "n": 3},
-                {"F": column, "value": wild})
-    records.add({"quantity": "its run", "p": -2.5, "n": -7, "epsilon": math.nan},
-                {"F": column, "value": -wild})
-    records.add({"quantity": "an int column"}, {"F": column, "round": np.arange(rows)})
-    records.add({"quantity": "a NUL\0inside", "p": 0.2}, {"F": column, "value": wild})
-    records.add({"quantity": "one row", "p": 0.3, "value": 0.25})
-    records.add({"theta": 1e-7, "r0": math.inf}, {"value": wild[:5], "p_succ": -wild[:5]})
+    column, count = np.linspace(-1, 1, rows), np.arange(-rows, rows, 2)
+    records = records_of([
+        ({"quantity": "hand-built, 100% ünïcode", "p": 0.1, "n": 3},
+         {"F": column, "value": wild, "round": count}),
+        ({"quantity": "its run", "p": -2.5, "n": -7},
+         {"F": column, "value": -wild, "round": count}),
+        ({"quantity": "one row", "p": math.inf, "n": 2 ** 70},
+         {"F": column[:1], "value": wild[:1], "round": count[:1]}),
+    ])
     assert_same_bytes(records)
-    # the first two chunks are one batch, the int column's chunk another; the NUL
-    # chunk's batch is filled into its template in CSV and escaped in JSON
-    assert columnar_batches == {"csv": [2 * rows, rows, rows], "json": [2 * rows, rows, rows]}
+    assert layout_batches == {"csv": [2 * rows + 1], "json": [2 * rows + 1]}
+
+
+ROWS = np.linspace(0, 1, 150)
+#: Outputs past the crossover that a template writes, and the formats that lay them out.
+FALLBACKS = {
+    "a NUL in CSV text": ([({"quantity": "a NUL\0inside"}, {"F": ROWS}),
+                           ({"quantity": "none"}, {"F": ROWS})], ["json"]),
+    "a column in only some chunks": ([({"p": 0.1}, {"F": ROWS, "value": ROWS}),
+                                      ({"p": 0.2}, {"F": ROWS})], []),
+    "a field of two kinds": ([({"p": 0.1}, {"F": ROWS, "value": ROWS}),
+                              ({"p": 0.2}, {"F": ROWS, "value": np.arange(150)})], []),
+    "a column of no kind": ([({"p": 0.1}, {"F": ROWS.astype(np.float32)})], []),
+    "JSON chunks with different keys": ([({"p": 0.1, "n": 1}, {"F": ROWS}),
+                                         ({"p": 0.2}, {"F": ROWS})], ["csv"]),
+}
+
+
+@pytest.mark.parametrize("chunk_list,laid_out", FALLBACKS.values(), ids=FALLBACKS)
+def test_template_fallbacks_equal_the_template_emitter(chunk_list, laid_out, layout_batches):
+    records = records_of(chunk_list)
+    assert_same_bytes(records)
+    for fmt, batches in layout_batches.items():
+        assert batches == ([len(records)] if fmt in laid_out else [])
 
 
 TEXT = st.text(max_size=4)  # NUL, commas, '%' and non-ASCII alike
@@ -260,9 +268,9 @@ FLOAT_COLUMNS = ["F", "value", "p_succ", "r0"]
 
 
 @st.composite
-def float_chunks(draw):
+def float_chunks(draw, one_field_set=False):
     """Chunks of float columns, some sharing one F column, some with an int column or
-    rate lists of widths 1-3."""
+    rate lists of widths 1-3; with ``one_field_set`` every chunk has the same fields."""
     rows = draw(st.integers(1, 5))
 
     def floats(width=None):
@@ -270,45 +278,58 @@ def float_chunks(draw):
         values = np.array(draw(st.lists(st.floats(), min_size=size, max_size=size)))
         return values if width is None else values.reshape(rows, width)
 
-    shared = floats()
-    out = []
+    def field_set():
+        return (draw(st.lists(st.sampled_from(FLOAT_COLUMNS), unique=True, min_size=1)),
+                draw(st.integers(0, 4)) == 0,
+                draw(st.lists(st.sampled_from(["pA", "pB"]), unique=True, max_size=2)),
+                draw(st.lists(st.sampled_from(CONSTANT_FIELDS), unique=True)))
+
+    shared, fixed, out = floats(), field_set() if one_field_set else None, []
     for _ in range(draw(st.integers(1, 6))):
-        names = draw(st.lists(st.sampled_from(FLOAT_COLUMNS), unique=True, min_size=1))
+        names, ints, rate_names, fields = fixed or field_set()
         columns = {f: shared if f == "F" and draw(st.booleans()) else floats() for f in names}
-        if draw(st.integers(0, 4)) == 0:
+        if ints:
             columns["draw"] = np.array(draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1),
                                                      min_size=rows, max_size=rows)))
-        for name in draw(st.lists(st.sampled_from(["pA", "pB"]), unique=True, max_size=2)):
+        for name in rate_names:
             columns[name] = floats(draw(st.integers(1, 3)))
-        fields = draw(st.lists(st.sampled_from(CONSTANT_FIELDS), unique=True))
         out.append(({f: draw(st.one_of(st.floats(), st.integers(), TEXT)) for f in fields},
                     columns))
     return out
 
 
-@settings(max_examples=200, deadline=None)
-@given(float_chunks(), st.integers(1, 6), st.integers(1, 8))
-def test_columnar_batches_of_any_size_equal_the_template_emitter(chunk_list, min_rows, cap):
-    """With a small crossover and cap: runs split and merged, chunks cut into slices, in
-    both formats; JSON batches are the CSV ones, the row cap binding both."""
-    records = cli.Records()
-    for constants, columns in chunk_list:
-        records.add(constants, columns)
-    batches = {"csv": [], "json": []}
-    columnar_rows = cli._columnar_rows
-
-    def spy(batch, fields, fmt, out):
-        batches[fmt].append(sum(len(next(iter(columns.values()))) for _, columns in batch))
-        return columnar_rows(batch, fields, fmt, out)
-
+def layout_with(chunk_list, min_rows: int, cap: int) -> dict[str, list[int]]:
+    """Check the bytes with a small crossover and cap; the batches of each format."""
+    records = records_of(chunk_list)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "COLUMNAR_MIN_ROWS", min_rows)
         mp.setattr(cli, "BATCH_ROWS", cap)
-        mp.setattr(cli, "BATCH_BYTES", 2 ** 40)
-        mp.setattr(cli, "_columnar_rows", spy)
+        batches = spy_batches(mp)
         assert_same_bytes(records)
-    assert batches["json"] == batches["csv"]
-    assert all(rows <= cap for rows in batches["csv"])
+    for rows in batches.values():
+        assert sum(rows) in (0, len(records))  # one design for the whole output
+        assert all(0 < n <= cap for n in rows)
+    return batches
+
+
+@settings(max_examples=200, deadline=None)
+@given(float_chunks(), st.integers(1, 6), st.integers(1, 8))
+def test_columnar_batches_of_any_size_equal_the_template_emitter(chunk_list, min_rows, cap):
+    """Chunks of any fields, with a small crossover and cap: runs split and merged,
+    chunks cut into slices, or a template per chunk, in both formats."""
+    layout_with(chunk_list, min_rows, cap)
+
+
+@settings(max_examples=200, deadline=None)
+@given(float_chunks(one_field_set=True), st.integers(1, 6), st.integers(1, 8))
+def test_chunks_of_one_field_set_take_the_byte_layout(chunk_list, min_rows, cap):
+    """Past the crossover, chunks of one field set are laid out in JSON, and in CSV
+    unless a text constant holds a NUL; both formats in the same batches."""
+    batches = layout_with(chunk_list, min_rows, cap)
+    rows = sum(len(next(iter(columns.values()))) for _, columns in chunk_list)
+    nul = any("\0" in str(c) for constants, _ in chunk_list for c in constants.values())
+    assert bool(batches["json"]) == (rows >= min_rows)
+    assert batches["csv"] == ([] if nul else batches["json"])
 
 
 #: Rates in [0, 1): 0.0, values below 1e-4, 12-digit ties and their neighbours among them.
@@ -344,10 +365,7 @@ def rate_chunks(draw):
 @settings(max_examples=200, deadline=None)
 @given(rate_chunks(), st.integers(1, 6))
 def test_rate_lists_equal_the_template_emitter(chunk_list, min_rows):
-    """Rate lists formatted by the kernel, beside chunks that take the columnar path."""
-    records = cli.Records()
-    for constants, columns in chunk_list:
-        records.add(constants, columns)
+    """Rate lists formatted by the kernel or by a template, shared or not."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "COLUMNAR_MIN_ROWS", min_rows)
-        assert_same_bytes(records)
+        assert_same_bytes(records_of(chunk_list))

@@ -63,6 +63,30 @@ def test_library_modules_use_every_name_they_import():
     assert unused == pinned
 
 
+def test_every_private_module_name_is_used():
+    """A module-level ``_name`` that no other code of the package reads is left over."""
+    trees = [ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "entdistill").glob("*.py"))]
+    unused = []
+    for tree in trees:
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                names = [top.name]
+            elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+                targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            own = set(map(id, ast.walk(top)))
+            for name in names:
+                if name.startswith("_") and not name.startswith("__") and not any(
+                        id(node) not in own and name in (getattr(node, "id", None),
+                                                         getattr(node, "attr", None))
+                        for other in trees for node in ast.walk(other)):
+                    unused.append(name)
+    assert unused == []
+
+
 def test_only_main_turns_cli_errors_into_exit_codes():
     """Commands raise; main alone calls parser.error and catches what they raise.
 
