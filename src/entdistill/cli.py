@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from collections import defaultdict
 from itertools import product
@@ -75,8 +74,7 @@ def _row_parts(constants: dict, columns: dict, fields: list[str] | None,
     A CSV row has the fields ``fields`` joined by ',', a field that the
     chunk lacks empty, a float constant to 12 digits. A JSON row has its
     own keys in sorted order, ``schema_version`` among them; a constant
-    is its ``json.dumps`` (an int's or a finite float's repr is the same
-    and quicker), and a rate-list column's quotes are text.
+    is its ``json.dumps``, and a rate-list column's quotes are text.
     """
     if fmt == "json":
         constants = {**constants, "schema_version": SCHEMA_VERSION}
@@ -97,19 +95,19 @@ def _row_parts(constants: dict, columns: dict, fields: list[str] | None,
             if fmt == "csv":
                 text += f"{x:.12g}" if isinstance(x, float) else str(x)
             else:
-                text += (repr(x) if type(x) is int or type(x) is float and math.isfinite(x)
-                         else json.dumps(x))
+                text += json.dumps(x)
     texts.append(text + ("\n" if fmt == "csv" else "}\n"))
     return texts, names
 
 
 def _chunk_rows(constants: dict, columns: dict, fields: list[str] | None, fmt: str) -> str:
-    """One chunk's rows: a template of its texts with a '%s' slot per column.
+    """One chunk's rows: a template of its texts with a slot per column.
 
-    Each column is formatted to strings in one pass: floats as '%.12g' in
-    CSV and as repr in JSON (json.dumps if one is not finite), integers as
-    digits, rate lists by ``_rates_field``, anything else by ``str`` in CSV
-    and ``json.dumps`` in JSON. A one-row JSON chunk is one ``json.dumps``.
+    A float column fills '%.12g' slots in CSV and '%r' slots in JSON (if
+    every value is finite), an integer column '%d' slots; any other
+    column is formatted to strings first, rate lists by ``_rates_field``,
+    the rest by ``str`` in CSV and ``json.dumps`` in JSON, and fills '%s'
+    slots. A one-row JSON chunk is one ``json.dumps``.
     """
     if fmt == "json" and all(len(column) == 1 for column in columns.values()):
         row = {f: _rates_field(c[0].tolist()) if c.ndim == 2 else c[0].item()
@@ -117,25 +115,27 @@ def _chunk_rows(constants: dict, columns: dict, fields: list[str] | None, fmt: s
         return json.dumps({**constants, "schema_version": SCHEMA_VERSION, **row},
                           sort_keys=True) + "\n"
     texts, names = _row_parts(constants, columns, fields, fmt)
-    strings = []
-    for column in map(columns.get, names):
-        values = column.tolist()
+    template, values = texts[0].replace("%", "%%"), []
+    for column, text in zip(map(columns.get, names), texts[1:]):
+        slot, strings = "%s", column.tolist()
         if column.ndim == 2:
-            strings.append(list(map(_rates_field, values)))
+            strings = list(map(_rates_field, strings))
         elif column.dtype.kind == "f" and (fmt == "csv" or np.isfinite(column).all()):
-            strings.append(list(map(("%.12g" if fmt == "csv" else "%r").__mod__, values)))
-        else:
-            strings.append(list(map(str if fmt == "csv" or column.dtype.kind in "iu"
-                                    else json.dumps, values)))
-    template = "%s".join([text.replace("%", "%%") for text in texts])
-    return "".join(map(template.__mod__, zip(*strings))) if names else texts[0]
+            slot = "%.12g" if fmt == "csv" else "%r"
+        elif column.dtype.kind in "iu":
+            slot = "%d"
+        elif fmt == "json":
+            strings = list(map(json.dumps, strings))
+        template += slot + text.replace("%", "%%")
+        values.append(strings)
+    return "".join(map(template.__mod__, zip(*values))) if names else texts[0]
 
 
 #: Rows from which an output is laid out as bytes, not filled into
 #: templates chunk by chunk. The layout costs 130-400 us an output, JSON
-#: and many chunks the most, plus 0.2-0.9 us a row, the templates 1.3-2.8
-#: us a row: on mixed_fidelity_map sweeps of 1 and 16 chunks they break
-#: even between 110 and 190 rows.
+#: and many chunks the most, plus 0.2-0.9 us a row, the templates 1.1-1.5
+#: us a row in CSV and 2.5-3.5 in JSON: on mixed_fidelity_map sweeps of 1
+#: and 16 chunks they break even near 100 rows in JSON and 130-220 in CSV.
 COLUMNAR_MIN_ROWS = 128
 #: Rows of one batch at most: an 8,000-row CSV sweep in batches of up to
 #: 2,048, 4,096 or 8,192 rows took 0.45, 0.37 and 0.55 of the templates' time.
@@ -152,7 +152,7 @@ def emit_records(records: Records, fmt: str, out) -> None:
     (``_layout``) is laid out as bytes in batches (``_write_batch``), runs
     of whole chunks of at most ``BATCH_ROWS`` rows, a longer chunk cut. Any
     other output is written a chunk at a time (``_chunk_rows``): below
-    about 128 rows the layout's fixed cost, 130-400 us, outweighs what its
+    100-220 rows the layout's fixed cost, 130-400 us, outweighs what its
     kernels save. CSV floats print as '%.12g', JSON floats as their
     shortest round-trip repr, and rate lists as their rates to 12 digits
     joined by ';', a string in JSON. JSON keys come in ``sort_keys`` order.
@@ -187,16 +187,15 @@ def _layout(records: Records, fields: list[str] | None, fmt: str) -> tuple | Non
     """The column names and each chunk's (texts, columns), or None for the templates.
 
     An output is laid out from ``COLUMNAR_MIN_ROWS`` rows on if every
-    chunk has the same column names, of the same kinds (``_kind``), in
-    JSON the same keys, and no CSV text holds a NUL, the layout's padding.
+    chunk has the same column names, of the same kinds (``_kind``), and
+    no CSV text holds a NUL, the layout's padding.
     """
     kinds = {f: _kind(c) for f, c in records.chunks[0][1].items()} if records.chunks else {}
     if len(records) < COLUMNAR_MIN_ROWS or not kinds or None in kinds.values():
         return None
     chunks = []
     for constants, columns in records.chunks:
-        if ({f: _kind(c) for f, c in columns.items()} != kinds
-                or fmt == "json" and constants.keys() != records.chunks[0][0].keys()):
+        if {f: _kind(c) for f, c in columns.items()} != kinds:
             return None
         texts, names = _row_parts(constants, columns, fields, fmt)
         if fmt == "csv" and any("\0" in text for text in texts):

@@ -240,7 +240,7 @@ def test_hand_built_records_equal_the_template_emitter(layout_batches):
 
 
 ROWS = np.linspace(0, 1, 150)
-#: Outputs past the crossover that a template writes, and the formats that lay them out.
+#: Outputs past the crossover, and the formats that lay them out; a template writes the rest.
 FALLBACKS = {
     "a NUL in CSV text": ([({"quantity": "a NUL\0inside"}, {"F": ROWS}),
                            ({"quantity": "none"}, {"F": ROWS})], ["json"]),
@@ -249,8 +249,13 @@ FALLBACKS = {
     "a field of two kinds": ([({"p": 0.1}, {"F": ROWS, "value": ROWS}),
                               ({"p": 0.2}, {"F": ROWS, "value": np.arange(150)})], []),
     "a column of no kind": ([({"p": 0.1}, {"F": ROWS.astype(np.float32)})], []),
-    "JSON chunks with different keys": ([({"p": 0.1, "n": 1}, {"F": ROWS}),
-                                         ({"p": 0.2}, {"F": ROWS})], ["csv"]),
+    "a chunk without columns last": ([({"p": 0.1}, {"F": ROWS}),
+                                      ({"quantity": "one row", "value": 0.25}, {})], []),
+    "a chunk without columns first": ([({"quantity": "one row", "value": 0.25}, {}),
+                                       ({"p": 0.1}, {"F": ROWS})], []),
+    "chunks without columns only": ([({"value": i / 7}, {}) for i in range(150)], []),
+    "chunks with different constant keys": ([({"p": 0.1, "n": 1}, {"F": ROWS}),
+                                             ({"p": 0.2}, {"F": ROWS})], ["csv", "json"]),
 }
 
 
@@ -270,7 +275,8 @@ FLOAT_COLUMNS = ["F", "value", "p_succ", "r0"]
 @st.composite
 def float_chunks(draw, one_field_set=False):
     """Chunks of float columns, some sharing one F column, some with an int column or
-    rate lists of widths 1-3; with ``one_field_set`` every chunk has the same fields."""
+    rate lists of widths 1-3, some without columns; with ``one_field_set`` every chunk
+    has the same fields and at least one float column."""
     rows = draw(st.integers(1, 5))
 
     def floats(width=None):
@@ -279,7 +285,8 @@ def float_chunks(draw, one_field_set=False):
         return values if width is None else values.reshape(rows, width)
 
     def field_set():
-        return (draw(st.lists(st.sampled_from(FLOAT_COLUMNS), unique=True, min_size=1)),
+        return (draw(st.lists(st.sampled_from(FLOAT_COLUMNS), unique=True,
+                              min_size=int(one_field_set))),
                 draw(st.integers(0, 4)) == 0,
                 draw(st.lists(st.sampled_from(["pA", "pB"]), unique=True, max_size=2)),
                 draw(st.lists(st.sampled_from(CONSTANT_FIELDS), unique=True)))
