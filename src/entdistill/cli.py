@@ -714,6 +714,8 @@ def table_records() -> list[tuple[str, Records]]:
 
 
 def cmd_tables(args) -> int:
+    if args.out == "-":
+        raise ValueError("tables writes five files: --out must name a directory, not '-'")
     outdir = Path(_out(args) or ".")
     outdir.mkdir(parents=True, exist_ok=True)
     ext = "json" if args.format == "json" else "csv"
@@ -830,73 +832,70 @@ def run_verification(max_n: int = 3, seed: int = 7, draws: int = 20,
     """Max |analytic - oracle| per quantity over a seeded random grid; NaN if any gap is NaN.
 
     Every input is drawn first, in the order of a point-by-point loop.
-    Then the oracle's POVMs are evaluated as one stack per (role, eps,
-    depth), the roles being Alice's rates, Bob's and the pure filter's
-    homogeneous rate, and each draw's mixed register and filtered ket
-    are built once for all its points. The closed forms run point by
-    point, in loop order.
+    The oracle then runs one gadget stack per (eps, depth), holding
+    Alice's, Bob's and the filter's rates in drawn order, and one mixed
+    and one pure post-state stack over all points, each point's register
+    and ket gathered by its draw. The closed forms run point by point,
+    in loop order, so each check's deviation is one abs-max of arrays.
     """
     rng = np.random.RandomState(seed)
     eps_grid = [0.0, 0.05, 0.1]
-    drawn, stacks = [], defaultdict(list)
+    inputs, points, stacks, rows = [], [], defaultdict(list), []
     for _ in range(draws):
-        f = float(rng.uniform(0.26, 0.99))
-        theta = float(rng.uniform(0.05, np.pi / 4 - 0.01))
-        points = []
+        inputs.append((float(rng.uniform(0.26, 0.99)), float(rng.uniform(0.05, np.pi / 4 - 0.01))))
         for eps in eps_grid:
             for n in range(1, max_n + 1):
                 p_list = list(rng.uniform(0.02, 0.3, n))
                 m = int(rng.randint(1, max_n + 1))
                 q_list = list(rng.uniform(0.02, 0.3, m))
                 p_hom = float(rng.uniform(0.02, 0.3))
-                points.append((eps, p_list, q_list, p_hom))
-                for role, rates in (("A", p_list), ("B", q_list), ("hom", [p_hom] * n)):
-                    stacks[role, eps, len(rates)].append(rates)
-        drawn.append((f, theta, points))
-    # Each stack's POVMs, handed out in the order its rows were added.
-    povms = {key: map(oracle.EffectivePovm, *oracle.oracle_effective_povms(rows, key[1]))
-             for key, rows in stacks.items()}
+                points.append((*inputs[-1], eps, p_list, q_list, p_hom))
+                for rates in (p_list, q_list, [p_hom] * n):
+                    rows.append(((eps, len(rates)), len(stacks[eps, len(rates)])))
+                    stacks[eps, len(rates)].append(rates)
+    # The stacks one after another; a row's place is its stack's offset plus its index there.
+    q0, q1 = map(np.concatenate, zip(*(oracle.oracle_effective_povms(rates, eps)
+                                       for (eps, _), rates in stacks.items())))
+    offset = dict(zip(stacks, np.cumsum([0, *map(len, stacks.values())])))
+    alice, bob, hom = (oracle.EffectivePovm(q0[i], q1[i]) for i in
+                       np.reshape([offset[key] + i for key, i in rows], (-1, 3)).T)
+    draw = np.repeat(np.arange(draws), len(eps_grid) * max_n)
+    sigma = oracle.oracle_mixed_post_state(
+        np.array([oracle.mixed_register(f) for f, _ in inputs])[draw], alice, bob)
+    sigma_p = oracle.oracle_pure_post_state(
+        np.array([oracle.filtered_ket(theta) for _, theta in inputs])[draw], hom)
+    orc, orc_p = oracle.distill_result(sigma), oracle.distill_result(sigma_p)
 
-    gaps = defaultdict(list)
-    for f, theta, points in drawn:
-        register, psi = oracle.mixed_register(f), oracle.filtered_ket(theta)
-        for eps, p_list, q_list, p_hom in points:
-            n = len(p_list)
-            c = noise.purified_coeffs_general(p_list, eps)
-            ep = next(povms["A", eps, n])
-            gaps["povm_coeffs"] += [abs(ep.r0 - c.r0), abs(ep.r1 - c.r1)]
-            gaps["povm_offdiag"] += [float(np.abs(q - np.diag(np.diag(q))).max())
-                                     for q in (ep.q0, ep.q1)]
-
-            w = dm.parity_weights(p_list, q_list, eps)
-            res = dm.distill_map(f, w)
-            sigma = oracle.oracle_mixed_post_state(register, ep, next(povms["B", eps, len(q_list)]))
-            orc = oracle.distill_result(sigma)
-            gaps["mixed_fidelity"].append(abs(res.fidelity_out - orc.fidelity_out))
-            gaps["mixed_p_succ"].append(abs(res.p_succ - orc.p_succ))
-            gaps["mixed_state"].append(
-                float(np.abs(dm.post_state_unnormalized(f, w) - sigma).max()))
-
-            ch = noise.purified_coeffs_gate_noisy(p_hom, eps, n)
-            res_p = dp.pure_filter_fidelity(theta, ch)
-            sigma_p = oracle.oracle_pure_post_state(psi, next(povms["hom", eps, n]))
-            orc_p = oracle.distill_result(sigma_p)
-            gaps["pure_fidelity"].append(abs(res_p.fidelity_out - orc_p.fidelity_out))
-            gaps["pure_p_succ"].append(abs(res_p.p_succ - orc_p.p_succ))
-            gaps["pure_state"].append(
-                float(np.abs(dp.pure_post_state_unnormalized(theta, ch) - sigma_p).max()))
+    closed = []
+    for f, theta, eps, p_list, q_list, p_hom in points:
+        c = noise.purified_coeffs_general(p_list, eps)
+        w = dm.parity_weights(p_list, q_list, eps)
+        res = dm.distill_map(f, w)
+        state = dm.post_state_unnormalized(f, w)
+        ch = noise.purified_coeffs_gate_noisy(p_hom, eps, len(p_list))
+        res_p = dp.pure_filter_fidelity(theta, ch)
+        closed.append(((c.r0, c.r1), res.fidelity_out, res.p_succ, state, res_p.fidelity_out,
+                       res_p.p_succ, dp.pure_post_state_unnormalized(theta, ch)))
+    oracle_values = {"povm_coeffs": np.diagonal(alice.q0, axis1=1, axis2=2).real,
+                     "mixed_fidelity": orc.fidelity_out, "mixed_p_succ": orc.p_succ,
+                     "mixed_state": sigma, "pure_fidelity": orc_p.fidelity_out,
+                     "pure_p_succ": orc_p.p_succ, "pure_state": sigma_p}
+    # Column k of the closed forms, in the order appended above, against the k-th oracle stack.
+    gaps = {name: np.array(column) - value
+            for (name, value), column in zip(oracle_values.items(), zip(*closed))}
+    # The gadgets' elements are diagonal: each off-diagonal entry of a stack is a gap.
+    gaps["povm_offdiag"] = np.stack([q0, q1])[..., [0, 1], [1, 0]]
 
     if full:
+        direct = gaps["direct_register"] = []
         for (n, m, eps) in [(2, 2, 0.0), (2, 2, 0.1), (3, 3, 0.05)]:
             f = float(rng.uniform(0.5, 0.95))
             p_a = list(rng.uniform(0.02, 0.3, n))
             p_b = list(rng.uniform(0.02, 0.3, m))
-            direct = oracle.oracle_mixed_post_state_direct(f, p_a, p_b, eps)
-            w = dm.parity_weights(p_a, p_b, eps)
-            gaps["direct_register"].append(
-                float(np.abs(direct - dm.post_state_unnormalized(f, w)).max()))
-    # np.max, not max: max(0.0, nan) is 0.0, and a NaN gap must fail.
-    return {name: float(np.max(v)) for name, v in gaps.items()}
+            direct.append(oracle.oracle_mixed_post_state_direct(f, p_a, p_b, eps)
+                          - dm.post_state_unnormalized(f, dm.parity_weights(p_a, p_b, eps)))
+    # ndarray.max propagates NaN (Python's max(0.0, nan) is 0.0), and a NaN gap must fail.
+    return {name: float(np.abs(np.asarray(gap)).max()) for name, gap in gaps.items()}
 
 
 def cmd_verify(args) -> int:

@@ -36,9 +36,11 @@ from .noise import _any, _check_fraction, _first, purified_coeffs_general
 from .qmat import PHI_PLUS, projector
 
 #: |00><00| + |11><11| and |01><01| + |10><10|, the correlated and
-#: anti-correlated computational projectors.
+#: anti-correlated computational projectors, and the read-only |phi+><phi+|.
 PI_EVEN = np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex)
 PI_ODD = np.diag([0.0, 1.0, 1.0, 0.0]).astype(complex)
+PI_PHI_PLUS = projector(PHI_PLUS)
+PI_PHI_PLUS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -128,7 +130,7 @@ def post_state_unnormalized(f: float, weights: ParityWeights) -> np.ndarray:
     re, ro = weights.r_even, weights.r_odd
     w = (1.0 - f) / 3.0
     return (
-        re * (f - w) ** 2 * projector(PHI_PLUS)
+        re * (f - w) ** 2 * PI_PHI_PLUS
         + (f * w * (2.0 * re + ro) + w * w * ro) * PI_EVEN
         + (f * w * ro + w * w * (2.0 * re + ro)) * PI_ODD
     )

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distill_mixed import DistillResult
+from .distill_mixed import PI_PHI_PLUS, DistillResult
 from .noise import PurifiedCoeffs, asymptotic_ratio
-from .qmat import I2, P0, P1, PHI_PLUS, projector, tensor
+from .qmat import I2, P0, P1, tensor
 from .states import _check_theta
 
 
@@ -66,7 +66,7 @@ def pure_post_state_unnormalized(theta: float, coeffs: PurifiedCoeffs) -> np.nda
     """Unnormalized accepted state after filtering with purified weights."""
     _check_theta(theta)
     t2 = 2.0 * np.sin(theta) ** 2
-    out = coeffs.r0 * t2 * projector(PHI_PLUS)
+    out = coeffs.r0 * t2 * PI_PHI_PLUS
     out[3, 3] += coeffs.r1 * (1.0 - t2)
     return out
 

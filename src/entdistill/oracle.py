@@ -10,12 +10,12 @@ depolarizing step a sum over four diagonal blocks (see
 |0> an index, and a measurement one contraction with its POVM element.
 No dense operator is embedded into the register.
 
-The gadgets are evaluated on stacks: ``oracle_effective_povms`` takes
-one gadget per row of a rate matrix and pulls the whole stack through
-each depolarized CNOT at once (the channel takes a leading batch axis);
-``oracle_effective_povm`` is a stack of one. The post-state functions
-take their prepared input, ``mixed_register(f)`` or
-``filtered_ket(theta)``, so that many POVMs can share one.
+The oracle runs on stacks along a leading axis: ``oracle_effective_povms``
+pulls one gadget per row of a rate matrix through each depolarized CNOT
+at once; the post-state functions take stacks of prepared inputs,
+``mixed_register(f)`` or ``filtered_ket(theta)``, with one gadget's
+elements each; ``distill_result`` takes a stack of accepted states. A
+single call is a stack of one, so each slice equals its own call bit for bit.
 
 Two levels are provided for the distillation protocols. The fast path
 first reduces each purification gadget to an effective single-qubit POVM
@@ -41,14 +41,16 @@ from .qmat import KET0, PHI_PLUS, embed_op, projector, tensor  # noqa: F401
 from .states import isotropic, pure_theta
 
 MAX_GADGET_QUBITS = 6
+# <phi+| as a (1, 4) row: a 1-D <phi+| times a stack rounds some slices differently.
+_PHI_ROW, _PHI_COL = PHI_PLUS.conj()[None], PHI_PLUS[:, None]
 
 
 @dataclass(frozen=True)
 class EffectivePovm:
     """Unnormalized post-selected POVM elements of one purification gadget.
 
-    q0 and q1 are the 2x2 elements for unanimous outcomes 0^n and 1^n;
-    (r0, r1) is the diagonal of q0.
+    q0 and q1 are the 2x2 elements (or stacks of them) for unanimous
+    outcomes 0^n and 1^n; a single gadget's (r0, r1) is the diagonal of q0.
     """
 
     q0: np.ndarray
@@ -126,10 +128,18 @@ def oracle_effective_povm(p_list: Sequence[float], epsilon: float, n: int) -> Ef
     return EffectivePovm(q0=q0[0], q1=q1[0])
 
 
+def _stacks(*arrays) -> list[np.ndarray]:
+    """Each array as a stack of matrices along a leading axis; a lone matrix is a stack of one."""
+    stacks = [a if a.ndim > 2 else a[None] for a in arrays]
+    if len({len(s) for s in stacks}) > 1:
+        raise ValueError(f"stacks of mismatched lengths {[len(s) for s in stacks]}")
+    return stacks
+
+
 def _measure(rho: np.ndarray, element: np.ndarray) -> np.ndarray:
-    """tr_rest[rho (I_4 x element)]: the first two qubits after measuring the rest."""
-    d = element.shape[0]
-    return np.einsum("aybz,zy->ab", rho.reshape(4, d, 4, d), element)
+    """tr_rest[rho (I_4 x element)]: the first two qubits after measuring the rest, per slice."""
+    d = element.shape[-1]
+    return np.einsum("...aybz,...zy->...ab", rho.reshape(rho.shape[:-2] + (4, d, 4, d)), element)
 
 
 def _bilateral_cnots(rho: np.ndarray) -> np.ndarray:
@@ -138,9 +148,12 @@ def _bilateral_cnots(rho: np.ndarray) -> np.ndarray:
 
 
 def distill_result(sigma: np.ndarray) -> DistillResult:
-    """Success probability tr sigma and fidelity <phi+|sigma|phi+> / tr sigma of an accepted state."""
-    p_succ = float(np.trace(sigma).real)
-    fidelity = float((PHI_PLUS.conj() @ sigma @ PHI_PLUS).real) / p_succ
+    """Success probability tr sigma and fidelity <phi+|sigma|phi+> / tr sigma, per accepted state."""
+    stack = sigma if sigma.ndim > 2 else sigma[None]
+    p_succ = stack.trace(axis1=1, axis2=2).real
+    fidelity = (_PHI_ROW @ stack @ _PHI_COL)[:, 0, 0].real / p_succ
+    if sigma.ndim == 2:
+        fidelity, p_succ = float(fidelity[0]), float(p_succ[0])
     return DistillResult(fidelity_out=fidelity, p_succ=p_succ)
 
 
@@ -158,7 +171,11 @@ def oracle_mixed_post_state(register: np.ndarray, qa: EffectivePovm,
     contracted with Alice's element ``qa`` and Bob's ``qb``, summed over
     the two equal-outcome branches.
     """
-    return _measure(register, tensor(qa.q0, qb.q0) + tensor(qa.q1, qb.q1))
+    rho, a0, a1, b0, b1 = _stacks(register, qa.q0, qa.q1, qb.q0, qb.q1)
+    # tensor(a, b) of each slice as a broadcast product: entry (ik, jl) is a[i, j] b[k, l].
+    sigma = _measure(rho, (a0[:, :, None, :, None] * b0[:, None, :, None, :]
+                           + a1[:, :, None, :, None] * b1[:, None, :, None, :]).reshape(-1, 4, 4))
+    return sigma if register.ndim > 2 else sigma[0]
 
 
 def oracle_distill_mixed(
@@ -217,7 +234,9 @@ def oracle_pure_post_state(psi: np.ndarray, q: EffectivePovm) -> np.ndarray:
     controlled-W applied to (B, E). The purified measurement of E keeps
     only the unanimous-zeros branch, with element ``q.q0``.
     """
-    return psi @ q.q0.T @ psi.conj().T
+    kets, q0 = _stacks(psi, q.q0)
+    sigma = kets @ q0.transpose(0, 2, 1) @ kets.conj().transpose(0, 2, 1)
+    return sigma if psi.ndim > 2 else sigma[0]
 
 
 def oracle_distill_pure(theta: float, p: float, epsilon: float, n: int) -> DistillResult:

@@ -606,6 +606,19 @@ def test_empty_out_is_a_usage_error_that_writes_nothing(argv, tmp_path, monkeypa
     assert list(tmp_path.iterdir()) == []
 
 
+#: ``tables`` writes five files, so ``--out -`` (stdout elsewhere) names no directory.
+TABLES_TO_STDOUT = ["tables", "--out", "-"]
+
+
+def test_tables_to_stdout_is_a_usage_error_that_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(TABLES_TO_STDOUT, capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == ("entdistill: error: tables writes five files: "
+                                    "--out must name a directory, not '-'")
+    assert list(tmp_path.iterdir()) == []
+
+
 #: Every usage error exercised above, gathered in one list.
 USAGE_ERRORS = [
     *SWEEP_USAGE_ERRORS,
@@ -621,6 +634,7 @@ USAGE_ERRORS = [
     P_AXIS_IN_HET_BAND,
     *(argv for argv, _ in DOMAIN_ERRORS),
     *(argv + ["--out", ""] for argv in EMPTY_OUT),
+    TABLES_TO_STDOUT,
 ]
 #: Help, no arguments, an unknown command and an unrecognized trailing flag.
 PARSER_ONLY = [["-h"], *([name, "-h"] for name in cli.COMMANDS), [], ["bogus"],

@@ -3,6 +3,7 @@ import pytest
 from conftest import rand_pure_state
 from reference import partial_trace
 
+from entdistill.distill_mixed import PI_PHI_PLUS, parity_weights, post_state_unnormalized
 from entdistill.distill_pure import (
     filter_ops,
     pure_filter_fidelity,
@@ -225,3 +226,13 @@ def test_post_state_structure():
     assert np.trace(sigma).real == pytest.approx(res.p_succ, abs=1e-12)
     fraction = (PHI_PLUS.conj() @ sigma @ PHI_PLUS).real / np.trace(sigma).real
     assert fraction == pytest.approx(res.fidelity_out, abs=1e-12)
+
+
+def test_post_states_leave_the_shared_projector_unchanged():
+    """Both post-states scale the one read-only |phi+><phi+| into a new array."""
+    coeffs = purified_coeffs_gate_noisy(0.1, 0.05, 2)
+    first = pure_post_state_unnormalized(np.pi / 16, coeffs)
+    post_state_unnormalized(0.7, parity_weights([0.1], [0.2], 0.05))
+    assert np.array_equal(pure_post_state_unnormalized(np.pi / 16, coeffs), first)
+    assert not PI_PHI_PLUS.flags.writeable
+    assert np.array_equal(PI_PHI_PLUS, projector(PHI_PLUS))

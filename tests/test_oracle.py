@@ -140,6 +140,45 @@ def test_effective_povm_checks_each_input_once(n, monkeypatch):
     assert sorted(checked) == ["epsilon"] * n + ["measurement noise fraction"]
 
 
+def gadget_stack(rng, b, n, eps):
+    """b random gadgets of depth n, as one EffectivePovm of (b, 2, 2) stacks."""
+    return oracle.EffectivePovm(*oracle_effective_povms(rng.uniform(0.0, 1.0, (b, n)), eps))
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.05, 0.1, 0.37])
+def test_post_state_and_result_stacks_are_the_single_calls(eps, rng):
+    for b in range(1, 9):
+        n, m = rng.randint(1, 5, 2)
+        qa, qb = gadget_stack(rng, b, n, eps), gadget_stack(rng, b, m, eps)
+        registers = np.array([mixed_register(f) for f in rng.uniform(0.0, 1.0, b)])
+        kets = np.array([filtered_ket(theta) for theta in rng.uniform(0.05, np.pi / 4, b)])
+        sigma = oracle_mixed_post_state(registers, qa, qb)
+        sigma_p = oracle_pure_post_state(kets, qa)
+        assert sigma.shape == (b, 4, 4) and sigma_p.shape == (b, 4, 4)
+        for k in range(b):
+            one_a, one_b = (oracle.EffectivePovm(q.q0[k], q.q1[k]) for q in (qa, qb))
+            assert np.array_equal(sigma[k], oracle_mixed_post_state(registers[k], one_a, one_b))
+            assert np.array_equal(sigma_p[k], oracle_pure_post_state(kets[k], one_a))
+        for stack in (sigma, sigma_p):
+            res = distill_result(stack)
+            for k, state in enumerate(stack):
+                one = distill_result(state)
+                assert isinstance(one.fidelity_out, float) and isinstance(one.p_succ, float)
+                assert np.array_equal(res.fidelity_out[k], one.fidelity_out)
+                assert np.array_equal(res.p_succ[k], one.p_succ)
+
+
+def test_post_state_stacks_of_mismatched_lengths_raise(rng):
+    qa, qb = gadget_stack(rng, 3, 2, 0.05), gadget_stack(rng, 2, 1, 0.05)
+    registers, kets = np.array([mixed_register(0.7)] * 3), np.array([filtered_ket(0.3)] * 2)
+    with pytest.raises(ValueError, match=r"^stacks of mismatched lengths \[3, 3, 3, 2, 2\]$"):
+        oracle_mixed_post_state(registers, qa, qb)
+    with pytest.raises(ValueError, match=r"^stacks of mismatched lengths \[1, 3, 3, 3, 3\]$"):
+        oracle_mixed_post_state(mixed_register(0.7), qa, qa)
+    with pytest.raises(ValueError, match=r"^stacks of mismatched lengths \[2, 3\]$"):
+        oracle_pure_post_state(kets, qa)
+
+
 def test_schroedinger_and_adjoint_pictures_are_dual(rng):
     # tr[E(A) B] == tr[A E(B)]: the depolarized CNOT is its own adjoint, so
     # the oracle may pull observables back through the same function. A and
