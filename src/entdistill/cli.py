@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections import defaultdict
 from itertools import product
@@ -46,36 +47,38 @@ FIELD_ORDER = [
 
 
 class Records:
-    """Output rows, held as chunks that the emitter formats in order.
+    """Output rows as one table: the fields that every row shares, and columns.
 
-    A chunk is a pair ``(constants, columns)``: the fields that all its
-    rows share (numbers or strings), and one numpy array per varying
-    field with one entry per row; a 2-D array holds one rate list per
-    row. A chunk without columns is one row. ``len()`` is the number of
-    rows.
+    ``constants`` maps a field to its value in every row, a number or a
+    string. ``columns`` maps a field to a pair ``(values, codes)``: row i
+    holds ``values[codes[i]]``, or ``values[i]`` where ``codes`` is None,
+    so a grid axis is its values once and a compact code per row.
+    ``values`` is a 1-D array, or a 2-D float array of rate lists, one a
+    row, NaN past a list's last rate (rates lie in [0, 1), so no rate is
+    NaN, and every list has one). A plain array is taken as ``(array,
+    None)``. ``len()`` is the number of rows, 1 for a table without columns.
     """
 
-    def __init__(self):
-        self.chunks: list[tuple[dict, dict[str, np.ndarray]]] = []
-        self.rows = 0
-
-    def add(self, constants: dict, columns: dict[str, np.ndarray] | None = None) -> None:
-        self.chunks.append((constants, columns or {}))
-        self.rows += len(next(iter(columns.values()))) if columns else 1
+    def __init__(self, constants: dict, columns: dict | None = None):
+        self.constants = constants
+        self.columns = {f: c if isinstance(c, tuple) else (c, None)
+                        for f, c in (columns or {}).items()}
 
     def __len__(self) -> int:
-        return self.rows
+        for values, codes in self.columns.values():
+            return len(values if codes is None else codes)
+        return 1
 
 
-def _row_parts(constants: dict, columns: dict, fields: list[str] | None,
-               fmt: str) -> tuple[list[str], list[str]]:
-    """A chunk's row as its texts before, between and after its columns, and those columns.
+def _row_parts(records: Records, fields: list[str] | None, fmt: str) -> tuple[list[str], list[str]]:
+    """A row as its texts before, between and after its columns, and those columns.
 
-    A CSV row has the fields ``fields`` joined by ',', a field that the
-    chunk lacks empty, a float constant to 12 digits. A JSON row has its
-    own keys in sorted order, ``schema_version`` among them; a constant
-    is its ``json.dumps``, and a rate-list column's quotes are text.
+    A CSV row has the fields ``fields`` joined by ',', a float constant
+    to 12 digits. A JSON row has its keys in sorted order,
+    ``schema_version`` among them; a constant is its ``json.dumps``, and
+    a rate-list column's quotes are text.
     """
+    constants, columns = records.constants, records.columns
     if fmt == "json":
         constants = {**constants, "schema_version": SCHEMA_VERSION}
         fields = sorted([*constants, *columns])
@@ -86,59 +89,56 @@ def _row_parts(constants: dict, columns: dict, fields: list[str] | None,
         if fmt == "json":
             text += json.dumps(f) + ": "
         if f in columns:
-            quote = '"' if fmt == "json" and columns[f].ndim == 2 else ""
+            quote = '"' if fmt == "json" and columns[f][0].ndim == 2 else ""
             texts.append(text + quote)
             names.append(f)
             text = quote
-        elif f in constants:
+        elif fmt == "csv":
             x = constants[f]
-            if fmt == "csv":
-                text += f"{x:.12g}" if isinstance(x, float) else str(x)
-            else:
-                text += json.dumps(x)
+            text += f"{x:.12g}" if isinstance(x, float) else str(x)
+        else:
+            text += json.dumps(constants[f])
     texts.append(text + ("\n" if fmt == "csv" else "}\n"))
     return texts, names
 
 
-def _chunk_rows(constants: dict, columns: dict, fields: list[str] | None, fmt: str) -> str:
-    """One chunk's rows: a template of its texts with a slot per column.
+def _template_rows(texts: list[str], columns: list[tuple], fmt: str) -> str:
+    """The rows through one template: the texts with a slot per column.
 
     A float column fills '%.12g' slots in CSV and '%r' slots in JSON (if
     every value is finite), an integer column '%d' slots; any other
     column is formatted to strings first, rate lists by ``_rates_field``,
     the rest by ``str`` in CSV and ``json.dumps`` in JSON, and fills '%s'
-    slots. A one-row JSON chunk is one ``json.dumps``.
+    slots. A coded column's values are formatted once, then gathered.
     """
-    if fmt == "json" and all(len(column) == 1 for column in columns.values()):
-        row = {f: _rates_field(c[0].tolist()) if c.ndim == 2 else c[0].item()
-               for f, c in columns.items()}
-        return json.dumps({**constants, "schema_version": SCHEMA_VERSION, **row},
-                          sort_keys=True) + "\n"
-    texts, names = _row_parts(constants, columns, fields, fmt)
     template, values = texts[0].replace("%", "%%"), []
-    for column, text in zip(map(columns.get, names), texts[1:]):
+    for (column, codes), text in zip(columns, texts[1:]):
         slot, strings = "%s", column.tolist()
         if column.ndim == 2:
-            strings = list(map(_rates_field, strings))
+            strings = [_rates_field([r for r in row if r == r]) for row in strings]
         elif column.dtype.kind == "f" and (fmt == "csv" or np.isfinite(column).all()):
             slot = "%.12g" if fmt == "csv" else "%r"
         elif column.dtype.kind in "iu":
             slot = "%d"
         elif fmt == "json":
             strings = list(map(json.dumps, strings))
+        if codes is not None:
+            strings = list(map(slot.__mod__, strings))
+            slot, strings = "%s", [strings[code] for code in codes.tolist()]
         template += slot + text.replace("%", "%%")
         values.append(strings)
-    return "".join(map(template.__mod__, zip(*values))) if names else texts[0]
+    return "".join(map(template.__mod__, zip(*values))) if columns else texts[0]
 
 
-#: Rows from which an output is laid out as bytes, not filled into
-#: templates chunk by chunk. The layout costs 130-400 us an output, JSON
-#: and many chunks the most, plus 0.2-0.9 us a row, the templates 1.1-1.5
-#: us a row in CSV and 2.5-3.5 in JSON: on mixed_fidelity_map sweeps of 1
-#: and 16 chunks they break even near 100 rows in JSON and 130-220 in CSV.
+#: Rows from which an output is laid out as bytes, not filled into one
+#: template. The layout costs 210-380 us an output plus 0.7 us a row in
+#: CSV and 1.1 in JSON, the template 1.7 and 4 us a row: on
+#: mixed_fidelity_map sweeps of 12, 100 and 200 rows they break even near
+#: 130 rows in JSON and 200 in CSV; rate lists move it below 100 in CSV.
 COLUMNAR_MIN_ROWS = 128
-#: Rows of one batch at most: an 8,000-row CSV sweep in batches of up to
-#: 2,048, 4,096 or 8,192 rows took 0.45, 0.37 and 0.55 of the templates' time.
+#: Rows of one batch at most: an 8,000-row sweep in batches of up to 1,024,
+#: 2,048, 4,096 or 8,192 rows took 0.43, 0.37, 0.33 and 0.37 of the
+#: template's time in CSV, and 0.43, 0.30, 0.28 and 0.27 in JSON.
 BATCH_ROWS = 4096
 #: Bytes written at a time: the 2,000-row het JSON batch took 10% less
 #: than in halves, and a 4,000-row grid CSV batch the same as in eighths.
@@ -148,98 +148,57 @@ SLICE_BYTES = 1 << 18
 def emit_records(records: Records, fmt: str, out) -> None:
     """Write records as CSV (fixed column order) or JSON lines, in one of two designs.
 
-    An output of ``COLUMNAR_MIN_ROWS`` rows or more whose chunks allow it
-    (``_layout``) is laid out as bytes in batches (``_write_batch``), runs
-    of whole chunks of at most ``BATCH_ROWS`` rows, a longer chunk cut. Any
-    other output is written a chunk at a time (``_chunk_rows``): below
-    100-220 rows the layout's fixed cost, 130-400 us, outweighs what its
-    kernels save. CSV floats print as '%.12g', JSON floats as their
-    shortest round-trip repr, and rate lists as their rates to 12 digits
-    joined by ';', a string in JSON. JSON keys come in ``sort_keys`` order.
+    An output of ``COLUMNAR_MIN_ROWS`` rows or more is laid out as bytes
+    in batches of at most ``BATCH_ROWS`` rows (``_write_batch``) if every
+    column is 1-D float64, 1-D integers or 2-D rate lists, and no CSV text
+    holds a NUL, the layout's padding. Any other output fills one template
+    (``_template_rows``), and one JSON row is one ``json.dumps``: below
+    100-200 rows the layout's fixed cost, 210-380 us, outweighs what its
+    kernels save. Each value of a coded column is formatted once. CSV
+    floats print as '%.12g', JSON floats as their shortest round-trip
+    repr, and rate lists as their rates to 12 digits joined by ';', a
+    string in JSON. JSON keys come in ``sort_keys`` order.
     """
-    fields = None
+    fields, rows = None, len(records)
     if fmt == "csv":
-        present = {f for chunk in records.chunks for part in chunk for f in part}
-        fields = [f for f in FIELD_ORDER if f in present]
+        fields = [f for f in FIELD_ORDER if f in records.constants or f in records.columns]
         out.write(",".join(fields) + "\n")
-    layout = _layout(records, fields, fmt)
-    if layout is None:
-        for constants, columns in records.chunks:
-            out.write(_chunk_rows(constants, columns, fields, fmt))
+    elif rows == 1:  # one json.dumps: a third of the template's cost
+        row = {f: v[0 if c is None else c[0]] for f, (v, c) in records.columns.items()}
+        row = {f: _rates_field(v[v == v].tolist()) if v.ndim else v.item() for f, v in row.items()}
+        out.write(json.dumps({**records.constants, "schema_version": SCHEMA_VERSION, **row},
+                             sort_keys=True) + "\n")
         return
-    names, chunks = layout
-    batch, rows = [], 0
-    for texts, columns in chunks:
-        count = len(columns[names[0]])
-        for start in range(0, count, BATCH_ROWS):
-            size = min(count - start, BATCH_ROWS)
-            if rows + size > BATCH_ROWS:
-                _write_batch(batch, names, fmt, out)
-                batch, rows = [], 0
-            batch.append((texts, columns if size == count
-                          else {f: c[start:start + size] for f, c in columns.items()}))
-            rows += size
-    if batch:
-        _write_batch(batch, names, fmt, out)
+    texts, names = _row_parts(records, fields, fmt)
+    columns = [records.columns[f] for f in names]
+    if (rows < COLUMNAR_MIN_ROWS or fmt == "csv" and any("\0" in text for text in texts)
+            or not all(v.ndim == 2 or v.ndim == 1 and (v.dtype.char == "d" or v.dtype.kind in "iu")
+                       for v, _ in columns)):
+        out.write(_template_rows(texts, columns, fmt))
+        return
+    chars, coded = [np.frombuffer(text.encode(), np.uint8) for text in texts], [None] * len(columns)
+    for start in range(0, rows, BATCH_ROWS):
+        stop = min(start + BATCH_ROWS, rows)
+        # A coded column's values are formatted once, in the first batch's kernel calls.
+        blocks = iter(_column_blocks([values[start:stop] if codes is None else values
+                                      for (values, codes), done in zip(columns, coded)
+                                      if done is None], fmt))
+        pieces = [np.broadcast_to(chars[0], (stop - start, len(chars[0])))]
+        for j, ((_, codes), text) in enumerate(zip(columns, chars[1:])):
+            if codes is not None and coded[j] is None:
+                coded[j] = next(blocks)
+            pieces += [next(blocks) if codes is None else coded[j].take(codes[start:stop], 0),
+                       np.broadcast_to(text, (stop - start, len(text)))]
+        _write_batch(pieces, out)
 
 
-def _layout(records: Records, fields: list[str] | None, fmt: str) -> tuple | None:
-    """The column names and each chunk's (texts, columns), or None for the templates.
+def _write_batch(pieces: list[np.ndarray], out) -> None:
+    """Write a batch of rows from its pieces, (rows x bytes) blocks padded with NULs.
 
-    An output is laid out from ``COLUMNAR_MIN_ROWS`` rows on if every
-    chunk has the same column names, of the same kinds (``_kind``), and
-    no CSV text holds a NUL, the layout's padding.
+    The pieces are laid side by side in even slices of at most
+    ``SLICE_BYTES``, and one pass over each slice drops the NULs.
     """
-    kinds = {f: _kind(c) for f, c in records.chunks[0][1].items()} if records.chunks else {}
-    if len(records) < COLUMNAR_MIN_ROWS or not kinds or None in kinds.values():
-        return None
-    chunks = []
-    for constants, columns in records.chunks:
-        if {f: _kind(c) for f, c in columns.items()} != kinds:
-            return None
-        texts, names = _row_parts(constants, columns, fields, fmt)
-        if fmt == "csv" and any("\0" in text for text in texts):
-            return None
-        chunks.append((texts, columns))
-    return names, chunks
-
-
-def _kind(column: np.ndarray) -> str | None:
-    """A column's kind in the byte layout: "f" (1-D float64), "i" (1-D integers), "r" (2-D,
-    rate lists of any width), or None for a column that only a template formats."""
-    if column.ndim == 2:
-        return "r"
-    if column.ndim == 1 and column.dtype.char == "d":
-        return "f"
-    return "i" if column.ndim == 1 and column.dtype.kind in "iu" else None
-
-
-def _write_batch(batch: list[tuple[list[str], dict]], names: list[str], fmt: str, out) -> None:
-    """Write the rows of a batch of chunks, laid out as bytes.
-
-    Each piece of a row is a (rows x bytes) block padded with NULs: the
-    texts, each chunk's repeated over its rows, and between them the
-    columns, each formatted by one kernel call for the batch
-    (``_column_blocks``), once if every chunk shares it. The pieces are
-    laid side by side in even slices of at most ``SLICE_BYTES``, and one
-    pass over each slice drops the NULs.
-    """
-    first = batch[0][1]
-    counts = [len(columns[names[0]]) for _, columns in batch]
-    shared = [all(columns[f] is first[f] for _, columns in batch) for f in names]
-    arrays = [[first[f]] if s else [columns[f] for _, columns in batch]
-              for f, s in zip(names, shared)]
-    blocks = [np.tile(block, (len(batch), 1)) if s else block
-              for block, s in zip(_column_blocks(arrays, fmt), shared)]
-    pieces = []
-    for j, texts in enumerate(zip(*[texts for texts, _ in batch])):
-        if j:
-            pieces.append(blocks[j - 1])
-        data = [text.encode() for text in texts]
-        width = max(map(len, data))
-        chars = np.frombuffer(b"".join([d.ljust(width, b"\0") for d in data]), np.uint8)
-        pieces.append(np.repeat(chars.reshape(len(data), width), counts, axis=0))
-    rows, width = sum(counts), sum(piece.shape[1] for piece in pieces)
+    rows, width = len(pieces[0]), sum(piece.shape[1] for piece in pieces)
     step = -(-rows // -(-rows * width // SLICE_BYTES))
     for start in range(0, rows, step):
         laid = bytearray(min(step, rows - start) * width)
@@ -248,8 +207,8 @@ def _write_batch(batch: list[tuple[list[str], dict]], names: list[str], fmt: str
         out.write(laid.translate(None, b"\0").decode())
 
 
-def _column_blocks(columns: list[list[np.ndarray]], fmt: str) -> list[np.ndarray]:
-    """Each column, given as its arrays chunk by chunk, as a (rows x width) block of bytes.
+def _column_blocks(columns: list[np.ndarray], fmt: str) -> list[np.ndarray]:
+    """Each column as a (rows x width) block of bytes.
 
     A 1-D float64 column prints as '%.12g' (``_format_g12``) in CSV and
     as its repr (``_format_repr``) in JSON, an integer column as its
@@ -257,42 +216,37 @@ def _column_blocks(columns: list[list[np.ndarray]], fmt: str) -> list[np.ndarray
     of each kernel formats every float of ``columns`` that it takes.
     """
     floats = _format_g12 if fmt == "csv" else _format_repr
-    kernels = [{"f": floats, "r": _format_g12}.get(_kind(arrays[0])) for arrays in columns]
-    chars = {kernel: kernel(np.concatenate([a.ravel() for arrays, k in zip(columns, kernels)
-                                            if k is kernel for a in arrays], dtype=np.float64))
+    kernels = [_format_g12 if column.ndim == 2 else floats if column.dtype.char == "d" else None
+               for column in columns]
+    inputs = [column if column.ndim == 1 else column[column == column] for column in columns]
+    chars = {kernel: kernel(np.concatenate([x for x, k in zip(inputs, kernels) if k is kernel],
+                                           dtype=np.float64))
              for kernel in dict.fromkeys(kernels) if kernel is not None}
     starts, blocks = dict.fromkeys(chars, 0), []
-    for arrays, kernel in zip(columns, kernels):
+    for column, x, kernel in zip(columns, inputs, kernels):
         if kernel is None:  # integers
-            digits = np.concatenate(arrays).astype("S")[:, None].view(np.uint8)
+            digits = column.astype("S")[:, None].view(np.uint8)
             blocks.append(digits[:, digits.any(axis=0)])  # 21 bytes wide before
             continue
-        start, size = starts[kernel], sum(a.size for a in arrays)
-        block, starts[kernel] = chars[kernel][start:start + size], start + size
-        blocks.append(block if arrays[0].ndim == 1
-                      else _rate_block(block, [a.shape for a in arrays]))
+        start = starts[kernel]
+        block, starts[kernel] = chars[kernel][start:start + len(x)], start + len(x)
+        blocks.append(block if column.ndim == 1 else _rate_block(block, column == column))
     return blocks
 
 
-def _rate_block(chars: np.ndarray, shapes: list[tuple[int, int]]) -> np.ndarray:
+def _rate_block(chars: np.ndarray, rates: np.ndarray) -> np.ndarray:
     """Rate lists as one (rows x bytes) block, each row's rates joined by ';'.
 
-    ``chars`` is the ``_format_g12`` bytes of (rows x width) rate
-    matrices of the given ``shapes``, raveled one after another. Each
-    rate's bytes are followed by ';', a NUL after a row's last rate, and
-    every row is padded with NULs to the widest row.
+    ``chars`` is the ``_format_g12`` bytes of the rates, row after row,
+    and ``rates`` marks them in the (rows x width) rate matrix, a prefix
+    of each row. Each rate's bytes are followed by ';', a NUL after a
+    row's last rate; the slots past it are NULs.
     """
-    widths = np.repeat([width for _, width in shapes], [count for count, _ in shapes])
-    rows, width, ends = len(widths), int(widths.max()), np.cumsum(widths)
-    rates = np.empty((len(chars), chars.shape[1] + 1), np.uint8)
-    rates[:, :-1] = chars
-    rates[:, -1] = ord(";")
-    rates[ends - 1, -1] = 0
-    # Rate j of row r goes to slot r * width + j of the padded (rows * width) slots.
-    out = np.zeros((rows * width, rates.shape[1]), np.uint8)
-    out[np.arange(len(rates)) + np.repeat(np.arange(0, rows * width, width) - ends + widths,
-                                          widths)] = rates
-    return out.reshape(rows, -1)
+    out = np.zeros((rates.size, chars.shape[1] + 1), np.uint8)
+    at = np.flatnonzero(rates)  # each rate's slot, row after row
+    out[at, :-1], out[at, -1] = chars, ord(";")
+    out[at[np.cumsum(rates.sum(axis=1)) - 1], -1] = 0  # no ';' after a row's last rate
+    return out.reshape(len(rates), -1)
 
 
 # The float kernels. '%.12g' prints a float whose exponent e lies in
@@ -640,7 +594,8 @@ def _lower_bound_kernel(points: list[tuple], m_column: np.ndarray) -> dict[str, 
 #: Each quantity's axes in row order, and its kernel: ``kernel(points,
 #: column)`` evaluates a list of points of every axis but the last over
 #: the last axis, given as a numpy column, and returns each output as a
-#: (points x column) array.
+#: (points x column) array, or any other two leading axes that hold the
+#: same rows in order; a rate-list output has a third axis.
 QUANTITIES = {
     "povm_fidelity": (("p", "epsilon", "n"), _pointwise(_povm_fidelity)),
     "mixed_fidelity_map": (("p", "epsilon", "n", "m", "F"), _map_kernel),
@@ -654,35 +609,51 @@ QUANTITIES = {
 
 
 def _grid(quantity: str, *grids: dict[str, list], spec: tuple | None = None) -> Records:
-    """A quantity's rows over the product of its axes, grid after grid.
+    """A quantity's rows over the product of its axes, grid after grid, as one table.
 
     ``spec`` is the (axes, kernel) pair, ``QUANTITIES[quantity]`` by
     default. Rows come in lexicographic order, the last axis varying
-    fastest: one chunk per point of every axis but the last, with that
-    point's values as constants and the last axis as one column that
-    every chunk shares. The kernel runs once per slab, the points that
-    share one value of the first axis, and each chunk's outputs are rows
-    of its slab's: the kernel's temporaries are one slab's, never the
-    whole grid's. Every chunk is computed, and so every input checked,
-    before the first byte is written; a slab that fails runs again point
-    by point, so the error is the first failing row's.
+    fastest. An axis with one value, the same in every grid (by repr, so
+    -0.0 is not 0.0), is a constant; any other is a column of every
+    grid's values with a code per row. The kernel runs once per slab, the
+    points that share one value of the first axis, and fills the slab's
+    rows of each output column: the kernel's temporaries are one slab's,
+    never the whole grid's. Every row is computed, and so every input
+    checked, before the first byte is written; a slab that fails runs
+    again point by point, so the error is the first failing row's.
     """
-    (*outer, last), kernel = spec or QUANTITIES[quantity]
-    records = Records()
-    for axes in grids:
-        column = np.array(axes[last])
-        for head in axes[outer[0]]:
-            slab = list(product([head], *(axes[a] for a in outer[1:])))
+    axes, kernel = spec or QUANTITIES[quantity]
+    shapes = [[len(grid[a]) for a in axes] for grid in grids]
+    constants, columns, rows = {"quantity": quantity}, {}, sum(map(math.prod, shapes))
+    for j, a in enumerate(axes):
+        values = [v for grid in grids for v in grid[a]]
+        if len(values) == len(grids) and len(set(map(repr, values))) == 1:
+            constants[a] = values[0]
+            continue
+        codes, dtype, offset = [], np.min_scalar_type(len(values) - 1), 0
+        for shape in shapes:  # a grid's code of axis j: its index there, repeated in row order
+            index = np.arange(offset, offset + shape[j], dtype=dtype)[None, :, None]
+            codes.append(index.repeat(math.prod(shape[:j]), 0).repeat(math.prod(shape[j + 1:]), 2))
+            offset += shape[j]
+        columns[a] = (np.array(values), np.concatenate(codes, axis=None))
+    (*outer, last), start = axes, 0
+    for grid in grids:
+        column = np.array(grid[last])
+        for head in grid[outer[0]]:
+            slab = list(product([head], *(grid[a] for a in outer[1:])))
             try:
                 outputs = kernel(slab, column)
             except ValueError:
                 for point in slab:
                     kernel([point], column)
                 raise
-            for point, *rows in zip(slab, *outputs.values()):
-                records.add({"quantity": quantity, **dict(zip(outer, point))},
-                            {last: column, **dict(zip(outputs, rows))})
-    return records
+            stop = start + len(slab) * len(column)
+            for name, output in outputs.items():
+                if name not in columns:
+                    columns[name] = np.empty((rows, *output.shape[2:]), output.dtype)
+                columns[name][start:stop] = output.reshape(stop - start, *output.shape[2:])
+            start = stop
+    return Records(constants, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -707,9 +678,9 @@ def table_records() -> list[tuple[str, Records]]:
                                             "theta": [theta]})),
     ]
     for _, records in tables:
-        for _, columns in records.chunks:
-            # Python's round: numpy's rint(x * 1000) / 1000 differs on near-ties.
-            columns["value_3dp"] = np.array([round(v, 3) for v in columns["value"].tolist()])
+        value, _ = records.columns["value"]
+        # Python's round: numpy's rint(x * 1000) / 1000 differs on near-ties.
+        records.columns["value_3dp"] = (np.array([round(v, 3) for v in value.tolist()]), None)
     return tables
 
 
@@ -768,51 +739,56 @@ def _sweep_records(args) -> Records:
             raise ValueError(f"quantity {q} needs a {flags} axis")
     if not het:
         return _grid(q, axes)
-    draws = args.draws if args.draws is not None else HET_DRAWS
-    draw = np.tile(np.arange(draws), len(axes["F"]))
-    axes["F"] = np.repeat(axes["F"], draws)
+    axes["draw"] = list(range(args.draws if args.draws is not None else HET_DRAWS))
     rng = np.random.RandomState(args.seed if args.seed is not None else 0)
-    return _grid(q, axes, spec=(names, _het_kernel(*args.het_band, draw, rng)))
+    kernel = _het_kernel(*args.het_band, len(axes["F"]), rng)
+    return _grid(q, axes, spec=((*names, "draw"), kernel))
 
 
-def _het_kernel(lo: float, hi: float, draw: np.ndarray, rng: np.random.RandomState):
+def _het_kernel(lo: float, hi: float, fs: int, rng: np.random.RandomState):
     """The mixed_fidelity_map kernel on rates drawn from [lo, hi), a rate matrix per cell.
 
-    A point is an (eps, n, m) cell and the column is F, each value once
-    per draw; ``draw`` numbers the draws and every chunk shares it.
-    Every cell's rates are drawn first, cell after cell, one draw of rows
-    x (n + m) each, (F, draw) row-major: this consumes the RandomState as
-    per-row uniform(n) then uniform(m) calls would. Then one recurrence
-    per (party, depth) runs on that party's rate blocks of that width,
-    stacked, and one ``distill_map`` on the slab's (cells x rows) array.
-    Every operation is elementwise, so each value equals the per-cell
-    calls' bit for bit. The band lies in [0, 1), so a cell fails only on
-    eps or F, whatever the draws.
+    A point is an (eps, n, m, F) cell of the ``fs`` F values, and the
+    column numbers the draws: each (n, m) cell's rows are its F and draw
+    pairs, row-major. Every cell's rates are drawn first, cell after
+    cell, one draw of rows x (n + m) each: this consumes the RandomState
+    as per-row uniform(n) then uniform(m) calls would. Each party's rates
+    are one (cells x rows x widest) array, NaN past a cell's depth. Then
+    one recurrence per (party, depth) runs on that party's cells of that
+    depth, stacked, and one ``distill_map`` on the slab's (cells x rows)
+    array; a slab's cells share eps, its first axis. Every operation is
+    elementwise, so each value equals the per-cell calls' bit for bit.
+    The band lies in [0, 1), so a cell fails only on eps or F, whatever
+    the draws.
     """
-    def kernel(points: list[tuple], f_column: np.ndarray) -> dict[str, list | np.ndarray]:
-        rows, eps = len(f_column), points[0][0]  # a slab's points share eps, its first axis
-        rates = [rng.uniform(lo, hi, rows * (n + m)).reshape(rows, n + m) for _, n, m in points]
-        p_a = [r[:, :n] for r, (_, n, _) in zip(rates, points)]
-        p_b = [r[:, n:] for r, (_, n, _) in zip(rates, points)]
-        res = dm.distill_map(f_column, dm.weights_from_coeffs(*_stacked_coeffs(p_a, eps),
-                                                              *_stacked_coeffs(p_b, eps)))
-        return {"pA": p_a, "pB": p_b, "draw": [draw] * len(points), "value": res.fidelity_out,
-                "p_succ": res.p_succ}
+    def kernel(points: list[tuple], draws: np.ndarray) -> dict[str, np.ndarray]:
+        per_cell = min(fs, len(points))  # one point, where _grid replays a failing slab
+        cells, rows = points[::per_cell], per_cell * len(draws)
+        eps, f = cells[0][0], np.repeat([point[3] for point in points[:per_cell]], len(draws))
+        p_a, p_b = (np.full((len(cells), rows, max(cell[k] for cell in cells)), np.nan)
+                    for k in (1, 2))
+        for i, (_, n, m, _) in enumerate(cells):
+            rates = rng.uniform(lo, hi, rows * (n + m)).reshape(rows, n + m)
+            p_a[i, :, :n], p_b[i, :, :m] = rates[:, :n], rates[:, n:]
+        res = dm.distill_map(f, dm.weights_from_coeffs(
+            *_stacked_coeffs(p_a, [cell[1] for cell in cells], eps),
+            *_stacked_coeffs(p_b, [cell[2] for cell in cells], eps)))
+        return {"pA": p_a, "pB": p_b, "value": res.fidelity_out, "p_succ": res.p_succ}
     return kernel
 
 
-def _stacked_coeffs(blocks: list[np.ndarray], eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """(r0, r1) of each (rows x width) rate block, as (blocks x rows) arrays.
+def _stacked_coeffs(rates: np.ndarray, depths: list[int],
+                    eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(r0, r1) of each rate list of (cells x rows x widest) ``rates``, as (cells x rows) arrays.
 
-    The blocks of one width are stacked into one rate matrix and
-    evaluated by one ``purified_coeffs_general`` call.
+    Cell i's lists are its first ``depths[i]`` rates. The cells of one
+    depth are stacked into one rate matrix and evaluated by one
+    ``purified_coeffs_general`` call.
     """
-    widths = defaultdict(list)
-    for i, block in enumerate(blocks):
-        widths[block.shape[1]].append(i)
-    r0, r1 = np.empty((2, len(blocks), len(blocks[0])))
-    for index in widths.values():
-        c = noise.purified_coeffs_general(np.concatenate([blocks[i] for i in index]), eps)
+    r0, r1 = np.empty((2, *rates.shape[:2]))
+    for depth in set(depths):
+        index = [i for i, d in enumerate(depths) if d == depth]
+        c = noise.purified_coeffs_general(rates[index, :, :depth].reshape(-1, depth), eps)
         r0[index], r1[index] = c.r0.reshape(len(index), -1), c.r1.reshape(len(index), -1)
     return r0, r1
 
@@ -947,12 +923,11 @@ def cmd_distill_mixed(args) -> int:
         rounds.append((f, res.fidelity_out, res.p_succ))
         f = res.fidelity_out
     f_col, value, p_succ = map(np.array, zip(*rounds))
-    records = Records()
-    records.add({"quantity": "mixed_fidelity_map", "pA": _rates_field(p_a),
-                 "pB": _rates_field(p_b), "epsilon": args.epsilon, "n": len(p_a), "m": len(p_b)},
-                {"F": f_col, "round": np.arange(1, args.rounds + 1), "value": value,
-                 "p_succ": p_succ})
-    return _write(records, args)
+    return _write(Records({"quantity": "mixed_fidelity_map", "pA": _rates_field(p_a),
+                           "pB": _rates_field(p_b), "epsilon": args.epsilon, "n": len(p_a),
+                           "m": len(p_b)},
+                          {"F": f_col, "round": np.arange(1, args.rounds + 1), "value": value,
+                           "p_succ": p_succ}), args)
 
 
 def cmd_distill_pure(args) -> int:
@@ -970,10 +945,9 @@ def cmd_povm_purify(args) -> int:
     else:
         c = noise.purified_coeffs_gate_noisy(args.p, args.epsilon, args.n or 1)
         p_field = args.p
-    records = Records()
-    records.add({"quantity": "povm_fidelity", "p": p_field, "epsilon": args.epsilon, "n": c.n,
-                 "r0": c.r0, "r1": c.r1, "value": c.fidelity, "p_succ": c.acceptance})
-    return _write(records, args)
+    return _write(Records({"quantity": "povm_fidelity", "p": p_field, "epsilon": args.epsilon,
+                           "n": c.n, "r0": c.r0, "r1": c.r1, "value": c.fidelity,
+                           "p_succ": c.acceptance}), args)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Dense reference operations, a per-point ``verify``, a per-cell ``--het-band``
-sweep and a per-chunk emitter, that only the tests use.
+sweep and a template emitter, that only the tests use.
 
 The library applies its channels on qubit axes and never needs these;
 the tests use them to build the same results the slow, obvious way.
@@ -182,94 +182,80 @@ def run_verification(max_n: int = 3, seed: int = 7, draws: int = 20,
 
 
 def het_records(args, axes) -> cli.Records:
-    """``sweep --het-band`` rows cell by cell: one chunk per (eps, n, m) cell.
+    """``sweep --het-band`` rows cell by cell, one (eps, n, m) cell after another.
 
     The loop that the CLI ran before het mode became a kernel of
-    ``cli._grid``; its records are the CLI's, byte for byte once
-    emitted. Rates are drawn per row, (F, draw) row-major within a cell.
-    One draw of rows x (n + m) consumes the RandomState as per-row
-    uniform(n) then uniform(m) calls would. Its row-by-row replay of a
-    failing cell is left out: the tests give it valid bands only.
+    ``cli._grid``; its records, one table of a column per field, are the
+    CLI's, byte for byte once emitted. Rates are drawn per row, (F, draw)
+    row-major within a cell. One draw of rows x (n + m) consumes the
+    RandomState as per-row uniform(n) then uniform(m) calls would. Its
+    row-by-row replay of a failing cell is left out: the tests give it
+    valid bands only.
     """
-    records = cli.Records()
     lo, hi = args.het_band
     draws = args.draws if args.draws is not None else cli.HET_DRAWS
     rng = np.random.RandomState(args.seed if args.seed is not None else 0)
     f_col = np.repeat(axes["F"], draws)
     draw_col = np.tile(np.arange(draws), len(axes["F"]))
+    cells = []
     for eps, n, m in product(axes["epsilon"], axes["n"], axes["m"]):
         rates = rng.uniform(lo, hi, len(f_col) * (n + m)).reshape(len(f_col), n + m)
         p_a, p_b = rates[:, :n], rates[:, n:]
         res = dm.distill_map(f_col, dm.parity_weights(p_a, p_b, eps))
-        records.add({"quantity": "mixed_fidelity_map", "epsilon": eps, "n": n, "m": m},
-                    {"pA": p_a, "pB": p_b, "F": f_col,
-                     "draw": draw_col, "value": res.fidelity_out, "p_succ": res.p_succ})
-    return records
+        pad = [(0, 0), (0, max(axes["n"]) - n)], [(0, 0), (0, max(axes["m"]) - m)]
+        cells.append([np.full(len(f_col), eps), np.full(len(f_col), n), np.full(len(f_col), m),
+                      np.pad(p_a, pad[0], constant_values=np.nan),
+                      np.pad(p_b, pad[1], constant_values=np.nan),
+                      f_col, draw_col, res.fidelity_out, res.p_succ])
+    fields = ("epsilon", "n", "m", "pA", "pB", "F", "draw", "value", "p_succ")
+    return cli.Records({"quantity": "mixed_fidelity_map"},
+                       {f: np.concatenate(column) for f, column in zip(fields, zip(*cells))})
 
 
-def _slot(column: np.ndarray, fmt: str, seen: dict) -> tuple[str, list[list]]:
-    """A column's %-template slot and the value lists that fill it.
+def _slot(column: np.ndarray, fmt: str) -> tuple[str, list]:
+    """A column's %-template slot and the values that fill it, one a row.
 
     '%.12g' % x and '%r' % x give the bytes of f"{x:.12g}" and of
     json.dumps(x) for a finite float x. A 2-D column is a rate-list field:
-    each row prints as its rates joined by ';', a string in JSON (the
-    digits need no escaping). A column that several chunks share is
-    formatted to strings once, at its second use; ``seen`` holds what
-    earlier chunks used.
+    each row prints as its rates before the NaN padding joined by ';', a
+    string in JSON (the digits need no escaping).
     """
-    key = id(column)
-    if seen.get(key):  # formatted at an earlier chunk
-        return seen[key]
-    kind, lists = column.dtype.kind, [column.tolist()]
+    kind, values = column.dtype.kind, column.tolist()
     if column.ndim == 2:
-        slot = ";".join(["%.12g"] * column.shape[1])
-        slot, lists = (slot if fmt == "csv" else f'"{slot}"'), column.T.tolist()
-    elif kind == "f" and (fmt == "csv" or np.isfinite(column).all()):
-        slot = "%.12g" if fmt == "csv" else "%r"
-    elif kind in "iu":
-        slot = "%d"
-    elif fmt == "csv":
-        slot = "%s"
-    else:
-        slot, lists = "%s", [list(map(json.dumps, lists[0]))]
-    if key in seen:  # second use: format once, for this chunk and the later ones
-        seen[key] = "%s", [[slot % row for row in zip(*lists)]]
-        return seen[key]
-    seen[key] = None
-    return slot, lists
+        slot = "%s" if fmt == "csv" else '"%s"'
+        return slot, [";".join("%.12g" % r for r in row if not np.isnan(r)) for row in values]
+    if kind == "f" and (fmt == "csv" or np.isfinite(column).all()):
+        return ("%.12g" if fmt == "csv" else "%r"), values
+    if kind in "iu":
+        return "%d", values
+    return "%s", values if fmt == "csv" else list(map(json.dumps, values))
 
 
 def emit_records(records: cli.Records, fmt: str, out) -> None:
-    """``cli.emit_records`` one %-template per chunk, CSV and JSON alike.
+    """``cli.emit_records`` through one %-template for every output, CSV and JSON alike.
 
-    The emitter that the CLI ran before CSV batches were formatted as
-    columns; its bytes are the CLI's, for every input.
+    Each coded column is expanded to its value per row first. The emitter
+    that the CLI ran before outputs were laid out as bytes, restated for
+    one table; its bytes are the CLI's, for every input.
     """
+    constants = records.constants
+    columns = {f: values if codes is None else values[codes]
+               for f, (values, codes) in records.columns.items()}
     if fmt == "csv":
-        fields = [f for f in cli.FIELD_ORDER
-                  if any(f in constants or f in columns for constants, columns in records.chunks)]
+        fields = [f for f in cli.FIELD_ORDER if f in constants or f in columns]
         out.write(",".join(fields) + "\n")
-    seen: dict = {}
-    for constants, columns in records.chunks:
-        if fmt == "json":
-            constants = {**constants, "schema_version": cli.SCHEMA_VERSION}
-            if all(len(column) == 1 for column in columns.values()):
-                row = {f: ";".join(["%.12g"] * c.shape[1]) % tuple(c[0].tolist()) if c.ndim == 2
-                       else c[0].item() for f, c in columns.items()}
-                out.write(json.dumps({**constants, **row}, sort_keys=True) + "\n")
-                continue
-            fields = sorted([*constants, *columns])
-        parts, values = [], []
-        for f in fields:
-            if f in columns:
-                slot, lists = _slot(columns[f], fmt, seen)
-                values += lists
-            elif f in constants:
-                const = constants[f]
-                text = f"{const:.12g}" if isinstance(const, float) else str(const)
-                slot = (json.dumps(const) if fmt == "json" else text).replace("%", "%%")
-            else:
-                slot = ""
-            parts.append(slot if fmt == "csv" else f"{json.dumps(f)}: {slot}")
-        template = (",".join(parts) if fmt == "csv" else "{" + ", ".join(parts) + "}") + "\n"
-        out.write("".join(map(template.__mod__, zip(*values) if values else [()])))
+    else:
+        constants = {**constants, "schema_version": cli.SCHEMA_VERSION}
+        fields = sorted([*constants, *columns])
+    parts, values = [], []
+    for f in fields:
+        if f in columns:
+            slot, column = _slot(columns[f], fmt)
+            values.append(column)
+        else:
+            const = constants[f]
+            text = f"{const:.12g}" if isinstance(const, float) else str(const)
+            slot = (json.dumps(const) if fmt == "json" else text).replace("%", "%%")
+        parts.append(slot if fmt == "csv" else f"{json.dumps(f)}: {slot}")
+    template = (",".join(parts) if fmt == "csv" else "{" + ", ".join(parts) + "}") + "\n"
+    out.write("".join(map(template.__mod__, zip(*values) if values else [()])))

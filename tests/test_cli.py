@@ -725,7 +725,7 @@ def test_main_runs_the_module_binding_of_the_command(argv, monkeypatch):
 
 
 def _reference_emit(rows, fmt):
-    """Row-by-row formatting, one dict per row: the bytes the chunked emitter must give."""
+    """Row-by-row formatting, one dict per row: the bytes the table emitter must give."""
     def text(value):
         if isinstance(value, list):  # a rate list: one ';'-separated field
             return ";".join(f"{v:.12g}" for v in value)
@@ -747,46 +747,89 @@ TEXT = st.text(alphabet=st.characters(blacklist_characters="\x00"), max_size=6)
 
 
 @st.composite
-def chunks(draw):
-    """Chunks over random fields: constants, columns, a rate-list column, a column
-    shared by every chunk, and one-row chunks of constants alone."""
-    rows = draw(st.integers(1, 4))
-    shared = np.array(draw(st.lists(st.floats(), min_size=rows, max_size=rows)))
-    out = []
-    for _ in range(draw(st.integers(1, 3))):
-        fields = draw(st.lists(st.sampled_from(FLOAT_FIELDS + INT_FIELDS + ["quantity"]),
-                               unique=True, min_size=1))
-        one_row = draw(st.booleans())
-        constants, columns = {}, {} if one_row else {"F": shared}
-        for f in fields:
-            value = (st.floats() if f in FLOAT_FIELDS else
-                     st.integers(-2 ** 63, 2 ** 63 - 1) if f in INT_FIELDS else TEXT)
-            if one_row or (f != "F" and draw(st.booleans())):
-                constants[f] = draw(value)
-            elif f != "F":
-                columns[f] = np.array(draw(st.lists(value, min_size=rows, max_size=rows)))
-        if not one_row:
-            width = draw(st.integers(1, 3))
-            columns["pA"] = np.array(draw(st.lists(st.lists(st.floats(), min_size=width,
-                                                            max_size=width),
-                                                   min_size=rows, max_size=rows)))
-        out.append((constants, columns))
-    return out
+def tables(draw):
+    """A table over random fields, each a constant, a column or a coded axis, with a
+    rate-list column of mixed widths; or constants alone, one row. Also its rows."""
+    rows = draw(st.integers(1, 6))
+    fields = draw(st.lists(st.sampled_from(FLOAT_FIELDS + INT_FIELDS + ["quantity"]),
+                           unique=True, min_size=1))
+    one_row = draw(st.booleans())
+    constants, columns, lists = {}, {}, {}
+    for f in fields:
+        value = (st.floats() if f in FLOAT_FIELDS else
+                 st.integers(-2 ** 63, 2 ** 63 - 1) if f in INT_FIELDS else TEXT)
+        how = "constant" if one_row else draw(st.sampled_from(["constant", "column", "coded"]))
+        if how == "constant":
+            constants[f] = draw(value)
+        elif how == "column":
+            columns[f] = np.array(draw(st.lists(value, min_size=rows, max_size=rows)))
+            lists[f] = columns[f].tolist()
+        else:
+            values = np.array(draw(st.lists(value, min_size=1, max_size=3)))
+            codes = np.array(draw(st.lists(st.integers(0, len(values) - 1), min_size=rows,
+                                           max_size=rows)), np.uint8)
+            columns[f], lists[f] = (values, codes), [values[c].item() for c in codes]
+    if not one_row:
+        rates = [draw(st.lists(st.floats(0, 1, exclude_max=True), min_size=1, max_size=3))
+                 for _ in range(rows)]
+        columns["pA"] = np.array([r + [np.nan] * (3 - len(r)) for r in rates])
+        lists["pA"] = rates
+    records = cli.Records(constants, columns)
+    return records, [{**constants, **{f: v[i] for f, v in lists.items()}}
+                     for i in range(rows if lists else 1)]
 
 
 @settings(max_examples=150, deadline=None)
-@given(chunks(), st.sampled_from(["csv", "json"]))
-def test_chunked_emit_matches_row_by_row_formatting(chunk_list, fmt):
-    records, rows = cli.Records(), []
-    for constants, columns in chunk_list:
-        records.add(constants, columns)
-        lists = {f: col.tolist() for f, col in columns.items()}
-        rows += [{**constants, **{f: v[i] for f, v in lists.items()}}
-                 for i in range(len(columns["F"]) if columns else 1)]
+@given(tables(), st.sampled_from(["csv", "json"]), st.integers(1, 6), st.integers(1, 4))
+def test_chunked_emit_matches_row_by_row_formatting(table, fmt, min_rows, cap):
+    """A table emitted in batches of at most ``cap`` rows from ``min_rows`` rows on, or
+    through one template below, is its rows formatted one by one."""
+    records, rows = table
     buf = io.StringIO()
-    cli.emit_records(records, fmt, buf)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "COLUMNAR_MIN_ROWS", min_rows)
+        mp.setattr(cli, "BATCH_ROWS", cap)
+        cli.emit_records(records, fmt, buf)
     assert len(records) == len(rows)
     assert buf.getvalue() == _reference_emit(rows, fmt)
+
+
+#: Sweeps whose eps axis repeats a value and holds -0.0 and 0.0, below and above the
+#: crossover, and the eps that each of their rows prints.
+SIGNED_ZEROS = {
+    "povm_fidelity": (["sweep", "--quantity", "povm_fidelity", "--p", "0.1",
+                       "--epsilon=-0.0,0,-0.0"], [-0.0, 0.0, -0.0]),
+    "mixed_fidelity_map": ([*MAP, "--p", "0.1", "--epsilon=-0.0,0", "--F", "0.5:0.99:64"],
+                           [-0.0] * 64 + [0.0] * 64),
+}
+
+
+@pytest.mark.parametrize("argv,eps", SIGNED_ZEROS.values(), ids=SIGNED_ZEROS)
+def test_signed_zeros_print_as_given(argv, eps, capsys):
+    """An axis's -0.0 and 0.0 stay apart, as columns and as codes: each row prints its
+    own, '-0' or '0' in CSV and -0.0 or 0.0 in JSON."""
+    assert (len(eps) < cli.COLUMNAR_MIN_ROWS) == (argv[2] == "povm_fidelity")
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert [row["epsilon"] for row in csv.DictReader(io.StringIO(out))] == [
+        "%.12g" % e for e in eps]
+    code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+    assert code == 0
+    assert [repr(json.loads(line)["epsilon"]) for line in out.splitlines()] == list(map(repr, eps))
+
+
+def test_grids_of_signed_zeros_keep_them_apart():
+    """An axis of one value in every grid is a constant only if the values are the same
+    repr: grids at eps -0.0 and 0.0 give an eps column."""
+    records = cli._grid("povm_fidelity", *({"p": [0.1], "epsilon": [eps], "n": [1]}
+                                           for eps in (-0.0, 0.0)))
+    assert "epsilon" in records.columns and "p" in records.constants
+    for fmt, want in (("csv", "-0 0"), ("json", "-0.0 0.0")):
+        buf = io.StringIO()
+        cli.emit_records(records, fmt, buf)
+        rows = csv.DictReader(io.StringIO(buf.getvalue())) if fmt == "csv" else map(
+            json.loads, buf.getvalue().splitlines())
+        assert " ".join(str(row["epsilon"]) for row in rows) == want
 
 
 def _povm_fidelity(p, epsilon, n):
@@ -833,7 +876,7 @@ CLOSED_FORMS = {
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_sweep_rows_equal_the_scalar_closed_forms(quantity, data):
-    """Row order, chunk layout and every value's last bit, for every quantity."""
+    """Row order, table layout and every value's last bit, for every quantity."""
     axes, closed_form = CLOSED_FORMS[quantity]
     values = [data.draw(st.lists(elements, min_size=1, max_size=3), label=flag)
               for flag, _, elements in axes]

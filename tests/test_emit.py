@@ -1,8 +1,8 @@
 """The emitter: its '%.12g' and repr kernels, and its bytes in both designs.
 
-``reference.emit_records`` is the emitter that filled one %-template per
-chunk for every output; the CLI's emitter must write its bytes, laid
-out as bytes or through its own templates.
+``reference.emit_records`` is the emitter that fills one %-template for
+every output; the CLI's emitter must write its bytes, laid out as bytes
+or through its own template.
 """
 
 import io
@@ -138,13 +138,18 @@ def assert_same_bytes(records: cli.Records) -> None:
 
 def spy_batches(mp) -> dict[str, list[int]]:
     """The row count of each batch that the byte layout writes, per format."""
-    rows = {"csv": [], "json": []}
-    write_batch = cli._write_batch
+    rows, fmts = {"csv": [], "json": []}, []
+    emit, write_batch = cli.emit_records, cli._write_batch
 
-    def spy(batch, names, fmt, out):
-        rows[fmt].append(sum(len(columns[names[0]]) for _, columns in batch))
-        return write_batch(batch, names, fmt, out)
+    def spy_emit(records, fmt, out):
+        fmts.append(fmt)
+        return emit(records, fmt, out)
 
+    def spy(pieces, out):
+        rows[fmts[-1]].append(len(pieces[0]))
+        return write_batch(pieces, out)
+
+    mp.setattr(cli, "emit_records", spy_emit)
     mp.setattr(cli, "_write_batch", spy)
     return rows
 
@@ -167,23 +172,16 @@ def spy_on(monkeypatch, name: str) -> list[int]:
     return lengths
 
 
-def records_of(chunk_list) -> cli.Records:
-    records = cli.Records()
-    for constants, columns in chunk_list:
-        records.add(constants, columns)
-    return records
-
-
 MAP = ["--quantity", "mixed_fidelity_map"]
 #: Sweeps, and the row counts of their byte-layout batches, in CSV and JSON alike.
 SWEEPS = {
     "below the crossover": (MAP + ["--p", "0.1", "--n", "1:4", "--F", "0.5,0.7,0.9,0.99"], []),
     "above the crossover": (MAP + ["--p", "0.1", "--n", "1:4", "--m", "1:2", "--F", "0.5:0.99:20"],
                             [160]),
-    # 3 slabs of 4,800 rows: one run of 100-row chunks, 40 chunks a batch
+    # 3 slabs of 4,800 rows, cut into batches of the cap whatever the slabs
     "multi-slab grid past the batch cap": (
         MAP + ["--p", "0.05,0.1,0.2", "--epsilon", "0:0.1:3", "--n", "1:4", "--m", "1:4",
-               "--F", "0.5:0.99:100"], [4000, 4000, 4000, 2400]),
+               "--F", "0.5:0.99:100"], [4096, 4096, 4096, 2112]),
     "one chunk longer than the batch cap": (MAP + ["--p", "0.1", "--F", "0:1:9000"],
                                             [4096, 4096, 808]),
     "pure_fidelity over theta": (["--quantity", "pure_fidelity", "--p", "0.02:0.3:4", "--n", "1:3",
@@ -207,61 +205,44 @@ def test_sweep_emit_equals_the_template_emitter(argv, batches, layout_batches):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_columnar_batch_takes_one_call_per_kernel(fmt, monkeypatch):
     """The het sweep's one batch: every rate, and in CSV every float, in one '%.12g'
-    call; in JSON every float in one repr call."""
+    call; in JSON every float in one repr call. F, a coded axis, is its 25 values."""
     records = cli._sweep_records(cli.build_parser("sweep").parse_args(
         SWEEPS["het-band rate lists"][0]))
     g12_calls, repr_calls = spy_on(monkeypatch, "_format_g12"), spy_on(monkeypatch, "_format_repr")
     emitted(cli.emit_records, records, fmt)
-    # 400 rows: 1,400 rates; F shared by both cells (200), value and p_succ (400 each)
-    rates, floats = 200 * 1 + 3 * 200 * 2, 200 + 2 * 400
+    # 400 rows: 1,400 rates; F (25 values), value and p_succ (400 each)
+    rates, floats = 200 * 1 + 3 * 200 * 2, 25 + 2 * 400
     assert (g12_calls, repr_calls) == (([rates + floats], []) if fmt == "csv"
                                        else ([rates], [floats]))
 
 
 def test_hand_built_records_equal_the_template_emitter(layout_batches):
-    """Negative, NaN and infinite floats, an int column, '%', non-ASCII and non-finite
-    constants, and a one-row chunk, laid out as bytes in both formats."""
+    """Negative, NaN and infinite floats, int columns, a coded axis, '%', non-ASCII and
+    non-finite constants, laid out as bytes in both formats."""
     rows = 300
     rng = np.random.RandomState(5)
     wild = rng.randn(rows) * 10.0 ** rng.randint(-9, 16, rows)
     wild[:10] = [math.nan, math.inf, -math.inf, -0.0, 0.0, -1.5, 5e-324, 1e300, -1e-5,
                  0.9999999999995]
-    column, count = np.linspace(-1, 1, rows), np.arange(-rows, rows, 2)
-    records = records_of([
-        ({"quantity": "hand-built, 100% ünïcode", "p": 0.1, "n": 3},
-         {"F": column, "value": wild, "round": count}),
-        ({"quantity": "its run", "p": -2.5, "n": -7},
-         {"F": column, "value": -wild, "round": count}),
-        ({"quantity": "one row", "p": math.inf, "n": 2 ** 70},
-         {"F": column[:1], "value": wild[:1], "round": count[:1]}),
-    ])
+    records = cli.Records(
+        {"quantity": "hand-built, 100% ünïcode", "p": math.inf, "n": 2 ** 70},
+        {"F": np.linspace(-1, 1, rows), "value": wild, "round": np.arange(-rows, rows, 2),
+         "epsilon": (wild[:12], rng.randint(0, 12, rows).astype(np.uint8)),
+         "m": (np.array([-7, 0, 2 ** 63 - 1]), rng.randint(0, 3, rows).astype(np.uint8))})
     assert_same_bytes(records)
-    assert layout_batches == {"csv": [2 * rows + 1], "json": [2 * rows + 1]}
+    assert layout_batches == {"csv": [rows], "json": [rows]}
 
 
 ROWS = np.linspace(0, 1, 150)
 #: Outputs past the crossover, and the formats that lay them out; a template writes the rest.
 FALLBACKS = {
-    "a NUL in CSV text": ([({"quantity": "a NUL\0inside"}, {"F": ROWS}),
-                           ({"quantity": "none"}, {"F": ROWS})], ["json"]),
-    "a column in only some chunks": ([({"p": 0.1}, {"F": ROWS, "value": ROWS}),
-                                      ({"p": 0.2}, {"F": ROWS})], []),
-    "a field of two kinds": ([({"p": 0.1}, {"F": ROWS, "value": ROWS}),
-                              ({"p": 0.2}, {"F": ROWS, "value": np.arange(150)})], []),
-    "a column of no kind": ([({"p": 0.1}, {"F": ROWS.astype(np.float32)})], []),
-    "a chunk without columns last": ([({"p": 0.1}, {"F": ROWS}),
-                                      ({"quantity": "one row", "value": 0.25}, {})], []),
-    "a chunk without columns first": ([({"quantity": "one row", "value": 0.25}, {}),
-                                       ({"p": 0.1}, {"F": ROWS})], []),
-    "chunks without columns only": ([({"value": i / 7}, {}) for i in range(150)], []),
-    "chunks with different constant keys": ([({"p": 0.1, "n": 1}, {"F": ROWS}),
-                                             ({"p": 0.2}, {"F": ROWS})], ["csv", "json"]),
+    "a NUL in CSV text": (cli.Records({"quantity": "a NUL\0inside"}, {"F": ROWS}), ["json"]),
+    "a column of no kind": (cli.Records({"p": 0.1}, {"F": ROWS.astype(np.float32)}), []),
 }
 
 
-@pytest.mark.parametrize("chunk_list,laid_out", FALLBACKS.values(), ids=FALLBACKS)
-def test_template_fallbacks_equal_the_template_emitter(chunk_list, laid_out, layout_batches):
-    records = records_of(chunk_list)
+@pytest.mark.parametrize("records,laid_out", FALLBACKS.values(), ids=FALLBACKS)
+def test_template_fallbacks_equal_the_template_emitter(records, laid_out, layout_batches):
     assert_same_bytes(records)
     for fmt, batches in layout_batches.items():
         assert batches == ([len(records)] if fmt in laid_out else [])
@@ -270,44 +251,52 @@ def test_template_fallbacks_equal_the_template_emitter(chunk_list, laid_out, lay
 TEXT = st.text(max_size=4)  # NUL, commas, '%' and non-ASCII alike
 CONSTANT_FIELDS = ["quantity", "p", "epsilon", "n", "m", "theta"]
 FLOAT_COLUMNS = ["F", "value", "p_succ", "r0"]
+#: Rates in [0, 1): 0.0, values below 1e-4, 12-digit ties and their neighbours among them.
+RATES = st.one_of(
+    st.floats(0, 1, exclude_max=True), st.just(0.0), st.floats(0, 1e-4, exclude_max=True),
+    st.sampled_from([*TIES, *(math.nextafter(t, 0) for t in TIES),
+                     *(math.nextafter(t, 1) for t in TIES)]))
 
 
 @st.composite
-def float_chunks(draw, one_field_set=False):
-    """Chunks of float columns, some sharing one F column, some with an int column or
-    rate lists of widths 1-3, some without columns; with ``one_field_set`` every chunk
-    has the same fields and at least one float column."""
-    rows = draw(st.integers(1, 5))
+def tables(draw, rates_only=False):
+    """A table of 1-12 rows: float columns, plain or coded (NaN and infinities among
+    them), an int column, rate lists of widths 1-4 (NaN past each list), plain or coded,
+    constants of any kind; sometimes a float32 column, which only a template formats. With
+    ``rates_only`` its columns are F, rate lists and an int column."""
+    rows = draw(st.integers(1, 12))
 
-    def floats(width=None):
-        size = rows * (width or 1)
-        values = np.array(draw(st.lists(st.floats(), min_size=size, max_size=size)))
-        return values if width is None else values.reshape(rows, width)
+    def column(elements, width=None):
+        """Plain, or a coded axis of 1-3 values (rows when ``width``), with its codes."""
+        size = draw(st.sampled_from([rows, 1, 2, 3]))
+        if width is None:
+            values = np.array(draw(st.lists(elements, min_size=size, max_size=size)))
+        else:
+            lists = [draw(st.lists(elements, min_size=1, max_size=width)) for _ in range(size)]
+            values = np.array([r + [math.nan] * (width - len(r)) for r in lists])
+        if size == rows and draw(st.booleans()):
+            return values
+        codes = draw(st.lists(st.integers(0, size - 1), min_size=rows, max_size=rows))
+        return values, np.array(codes, np.uint8)
 
-    def field_set():
-        return (draw(st.lists(st.sampled_from(FLOAT_COLUMNS), unique=True,
-                              min_size=int(one_field_set))),
-                draw(st.integers(0, 4)) == 0,
-                draw(st.lists(st.sampled_from(["pA", "pB"]), unique=True, max_size=2)),
-                draw(st.lists(st.sampled_from(CONSTANT_FIELDS), unique=True)))
-
-    shared, fixed, out = floats(), field_set() if one_field_set else None, []
-    for _ in range(draw(st.integers(1, 6))):
-        names, ints, rate_names, fields = fixed or field_set()
-        columns = {f: shared if f == "F" and draw(st.booleans()) else floats() for f in names}
-        if ints:
-            columns["draw"] = np.array(draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1),
-                                                     min_size=rows, max_size=rows)))
-        for name in rate_names:
-            columns[name] = floats(draw(st.integers(1, 3)))
-        out.append(({f: draw(st.one_of(st.floats(), st.integers(), TEXT)) for f in fields},
-                    columns))
-    return out
+    columns = {"F": column(st.floats(0, 1))} if rates_only else {
+        f: column(st.floats()) for f in draw(st.lists(st.sampled_from(FLOAT_COLUMNS),
+                                                     unique=True))}
+    for name in draw(st.lists(st.sampled_from(["pA", "pB"]), unique=True,
+                              min_size=int(rates_only))):
+        columns[name] = column(RATES, draw(st.integers(1, 4)))
+    if draw(st.booleans()):
+        columns["draw"] = column(st.integers(-2 ** 63, 2 ** 63 - 1))
+    if not rates_only and draw(st.integers(0, 9)) == 0:
+        columns["theta"] = np.array(draw(st.lists(st.floats(width=32), min_size=rows,
+                                                  max_size=rows)), np.float32)
+    fields = [] if rates_only else draw(st.lists(st.sampled_from(CONSTANT_FIELDS), unique=True))
+    return cli.Records({f: draw(st.one_of(st.floats(), st.integers(), TEXT)) for f in fields
+                        if f not in columns}, columns)
 
 
-def layout_with(chunk_list, min_rows: int, cap: int) -> dict[str, list[int]]:
+def layout_with(records: cli.Records, min_rows: int, cap: int) -> dict[str, list[int]]:
     """Check the bytes with a small crossover and cap; the batches of each format."""
-    records = records_of(chunk_list)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "COLUMNAR_MIN_ROWS", min_rows)
         mp.setattr(cli, "BATCH_ROWS", cap)
@@ -319,60 +308,24 @@ def layout_with(chunk_list, min_rows: int, cap: int) -> dict[str, list[int]]:
     return batches
 
 
-@settings(max_examples=200, deadline=None)
-@given(float_chunks(), st.integers(1, 6), st.integers(1, 8))
-def test_columnar_batches_of_any_size_equal_the_template_emitter(chunk_list, min_rows, cap):
-    """Chunks of any fields, with a small crossover and cap: runs split and merged,
-    chunks cut into slices, or a template per chunk, in both formats."""
-    layout_with(chunk_list, min_rows, cap)
+@settings(max_examples=300, deadline=None)
+@given(tables(), st.integers(1, 6), st.integers(1, 8))
+def test_columnar_batches_of_any_size_equal_the_template_emitter(records, min_rows, cap):
+    """Tables of any fields, with a small crossover and cap: laid out in batches of the
+    cap past the crossover if every column has a kind, in CSV unless a text constant
+    holds a NUL, in JSON unless the table is one row (one ``json.dumps``); else one
+    template."""
+    batches = layout_with(records, min_rows, cap)
+    kinded = len(records) >= min_rows and "theta" not in records.columns
+    nul = any("\0" in str(c) for c in records.constants.values())
+    assert bool(batches["csv"]) == (kinded and not nul)
+    assert bool(batches["json"]) == (kinded and len(records) > 1)
 
 
 @settings(max_examples=200, deadline=None)
-@given(float_chunks(one_field_set=True), st.integers(1, 6), st.integers(1, 8))
-def test_chunks_of_one_field_set_take_the_byte_layout(chunk_list, min_rows, cap):
-    """Past the crossover, chunks of one field set are laid out in JSON, and in CSV
-    unless a text constant holds a NUL; both formats in the same batches."""
-    batches = layout_with(chunk_list, min_rows, cap)
-    rows = sum(len(next(iter(columns.values()))) for _, columns in chunk_list)
-    nul = any("\0" in str(c) for constants, _ in chunk_list for c in constants.values())
-    assert bool(batches["json"]) == (rows >= min_rows)
-    assert batches["csv"] == ([] if nul else batches["json"])
-
-
-#: Rates in [0, 1): 0.0, values below 1e-4, 12-digit ties and their neighbours among them.
-RATES = st.one_of(
-    st.floats(0, 1, exclude_max=True), st.just(0.0), st.floats(0, 1e-4, exclude_max=True),
-    st.sampled_from([*TIES, *(math.nextafter(t, 0) for t in TIES),
-                     *(math.nextafter(t, 1) for t in TIES)]))
-
-
-@st.composite
-def rate_chunks(draw):
-    """Chunks with 2-D rate columns of widths 1-4 in one emit, some shared, many one-row."""
-    pool, out = {}, []
-    for _ in range(draw(st.integers(1, 6))):
-        rows = draw(st.integers(1, 4))
-        columns = {"F": np.array(draw(st.lists(st.floats(0, 1), min_size=rows, max_size=rows)))}
-        for name in draw(st.lists(st.sampled_from(["pA", "pB"]), unique=True)):
-            width = draw(st.integers(1, 4))
-            if (rows, width) not in pool or draw(st.booleans()):
-                pool[rows, width] = np.array(draw(st.lists(
-                    RATES, min_size=rows * width, max_size=rows * width))).reshape(rows, width)
-            columns[name] = pool[rows, width]
-        if draw(st.booleans()):
-            columns["draw"] = np.arange(rows)
-        if draw(st.booleans()):
-            columns["value"] = np.array(draw(st.lists(st.floats(), min_size=rows,
-                                                      max_size=rows)))
-        out.append(({"quantity": "mixed_fidelity_map", "epsilon": draw(RATES),
-                     "n": draw(st.integers(1, 4))}, columns))
-    return out
-
-
-@settings(max_examples=200, deadline=None)
-@given(rate_chunks(), st.integers(1, 6))
-def test_rate_lists_equal_the_template_emitter(chunk_list, min_rows):
-    """Rate lists formatted by the kernel or by a template, shared or not."""
+@given(tables(rates_only=True), st.integers(1, 6))
+def test_rate_lists_equal_the_template_emitter(records, min_rows):
+    """Rate lists of mixed widths, plain or coded, formatted by the kernel or by a template."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "COLUMNAR_MIN_ROWS", min_rows)
-        assert_same_bytes(records_of(chunk_list))
+        assert_same_bytes(records)
