@@ -311,10 +311,17 @@ def layout_with(records: cli.Records, min_rows: int, cap: int) -> dict[str, list
 @settings(max_examples=300, deadline=None)
 @given(tables(), st.integers(1, 6), st.integers(1, 8))
 def test_columnar_batches_of_any_size_equal_the_template_emitter(records, min_rows, cap):
-    """Tables of any fields, with a small crossover and cap: laid out in batches of the
-    cap past the crossover if every column has a kind, in CSV unless a text constant
-    holds a NUL, in JSON unless the table is one row (one ``json.dumps``); else one
-    template."""
+    """Tables of any fields, with a small crossover and cap: batches of the cap, or one
+    template, in both formats."""
+    layout_with(records, min_rows, cap)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables(), st.integers(1, 6), st.integers(1, 8))
+def test_chunks_of_one_field_set_take_the_byte_layout(records, min_rows, cap):
+    """A table is one field set. Past the crossover it is laid out if every column has a
+    kind: in CSV unless a text constant holds a NUL, in JSON unless the table is one row
+    (one ``json.dumps``); else one template writes it."""
     batches = layout_with(records, min_rows, cap)
     kinded = len(records) >= min_rows and "theta" not in records.columns
     nul = any("\0" in str(c) for c in records.constants.values())
