@@ -151,24 +151,18 @@ def emit_records(records: Records, fmt: str, out) -> None:
     An output of ``COLUMNAR_MIN_ROWS`` rows or more is laid out as bytes
     in batches of at most ``BATCH_ROWS`` rows (``_write_batch``) if every
     column is 1-D float64, 1-D integers or 2-D rate lists, and no CSV text
-    holds a NUL, the layout's padding. Any other output fills one template
-    (``_template_rows``), and one JSON row is one ``json.dumps``: below
-    100-200 rows the layout's fixed cost, 210-380 us, outweighs what its
-    kernels save. Each value of a coded column is formatted once. CSV
-    floats print as '%.12g', JSON floats as their shortest round-trip
-    repr, and rate lists as their rates to 12 digits joined by ';', a
-    string in JSON. JSON keys come in ``sort_keys`` order.
+    holds a NUL, the layout's padding. Any other output, one row
+    included, fills one template (``_template_rows``): below 100-200 rows
+    the layout's fixed cost, 210-380 us, outweighs what its kernels save.
+    Each value of a coded column is formatted once. CSV floats print as
+    '%.12g', JSON floats as their shortest round-trip repr, and rate
+    lists as their rates to 12 digits joined by ';', a string in JSON.
+    JSON keys come in ``sort_keys`` order.
     """
     fields, rows = None, len(records)
     if fmt == "csv":
         fields = [f for f in FIELD_ORDER if f in records.constants or f in records.columns]
         out.write(",".join(fields) + "\n")
-    elif rows == 1:  # one json.dumps: a third of the template's cost
-        row = {f: v[0 if c is None else c[0]] for f, (v, c) in records.columns.items()}
-        row = {f: _rates_field(v[v == v].tolist()) if v.ndim else v.item() for f, v in row.items()}
-        out.write(json.dumps({**records.constants, "schema_version": SCHEMA_VERSION, **row},
-                             sort_keys=True) + "\n")
-        return
     texts, names = _row_parts(records, fields, fmt)
     columns = [records.columns[f] for f in names]
     if (rows < COLUMNAR_MIN_ROWS or fmt == "csv" and any("\0" in text for text in texts)
@@ -608,14 +602,13 @@ QUANTITIES = {
 }
 
 
-def _grid(quantity: str, *grids: dict[str, list], spec: tuple | None = None) -> Records:
-    """A quantity's rows over the product of its axes, grid after grid, as one table.
+def _grid(quantity: str, grid: dict[str, list], spec: tuple | None = None) -> Records:
+    """A quantity's rows over the product of its axes, as one table.
 
     ``spec`` is the (axes, kernel) pair, ``QUANTITIES[quantity]`` by
     default. Rows come in lexicographic order, the last axis varying
-    fastest. An axis with one value, the same in every grid (by repr, so
-    -0.0 is not 0.0), is a constant; any other is a column of every
-    grid's values with a code per row. The kernel runs once per slab, the
+    fastest. An axis with one value is a constant; any other is a column
+    of its values with a code per row. The kernel runs once per slab, the
     points that share one value of the first axis, and fills the slab's
     rows of each output column: the kernel's temporaries are one slab's,
     never the whole grid's. Every row is computed, and so every input
@@ -623,36 +616,31 @@ def _grid(quantity: str, *grids: dict[str, list], spec: tuple | None = None) -> 
     again point by point, so the error is the first failing row's.
     """
     axes, kernel = spec or QUANTITIES[quantity]
-    shapes = [[len(grid[a]) for a in axes] for grid in grids]
-    constants, columns, rows = {"quantity": quantity}, {}, sum(map(math.prod, shapes))
-    for j, a in enumerate(axes):
-        values = [v for grid in grids for v in grid[a]]
-        if len(values) == len(grids) and len(set(map(repr, values))) == 1:
-            constants[a] = values[0]
-            continue
-        codes, dtype, offset = [], np.min_scalar_type(len(values) - 1), 0
-        for shape in shapes:  # a grid's code of axis j: its index there, repeated in row order
-            index = np.arange(offset, offset + shape[j], dtype=dtype)[None, :, None]
-            codes.append(index.repeat(math.prod(shape[:j]), 0).repeat(math.prod(shape[j + 1:]), 2))
-            offset += shape[j]
-        columns[a] = (np.array(values), np.concatenate(codes, axis=None))
-    (*outer, last), start = axes, 0
-    for grid in grids:
-        column = np.array(grid[last])
-        for head in grid[outer[0]]:
-            slab = list(product([head], *(grid[a] for a in outer[1:])))
-            try:
-                outputs = kernel(slab, column)
-            except ValueError:
-                for point in slab:
-                    kernel([point], column)
-                raise
-            stop = start + len(slab) * len(column)
-            for name, output in outputs.items():
-                if name not in columns:
-                    columns[name] = np.empty((rows, *output.shape[2:]), output.dtype)
-                columns[name][start:stop] = output.reshape(stop - start, *output.shape[2:])
-            start = stop
+    shape = [len(grid[a]) for a in axes]
+    constants, columns, rows = {"quantity": quantity}, {}, math.prod(shape)
+    for j, (a, size) in enumerate(zip(axes, shape)):
+        if size == 1:
+            constants[a] = grid[a][0]
+        else:  # the axis's index of each row, in row order
+            index = np.arange(size, dtype=np.min_scalar_type(size - 1))[None, :, None]
+            codes = index.repeat(math.prod(shape[:j]), 0).repeat(math.prod(shape[j + 1:]), 2)
+            columns[a] = (np.array(grid[a]), codes.flatten())
+    (first, *outer, last), start = axes, 0
+    column = np.array(grid[last])
+    for head in grid[first]:
+        slab = list(product([head], *(grid[a] for a in outer)))
+        try:
+            outputs = kernel(slab, column)
+        except ValueError:
+            for point in slab:
+                kernel([point], column)
+            raise
+        stop = start + len(slab) * len(column)
+        for name, output in outputs.items():
+            if name not in columns:
+                columns[name] = np.empty((rows, *output.shape[2:]), output.dtype)
+            columns[name][start:stop] = output.reshape(stop - start, *output.shape[2:])
+        start = stop
     return Records(constants, columns)
 
 
@@ -663,13 +651,16 @@ def table_records() -> list[tuple[str, Records]]:
     """The five reference tables as (name, records) pairs."""
     theta = float(np.pi / 16)
     depths = [1, 2, 3, 4]
+    gate = _grid("lower_bound", {"p": [0.1], "epsilon": [0.1], "n": depths, "m": depths})
+    diagonal = gate.columns["n"][1] == gate.columns["m"][1]  # the rows at n = m
+    gate.columns = {f: (v[diagonal], None) if c is None else (v, c[diagonal])
+                    for f, (v, c) in gate.columns.items()}
     tables = [
         ("lower_bound_p02", _grid("lower_bound",
                                   {"p": [0.2], "epsilon": [0.0], "n": depths, "m": [1, 2, 3]})),
         ("lower_bound_p01", _grid("lower_bound",
                                   {"p": [0.1], "epsilon": [0.0], "n": depths, "m": [1, 2]})),
-        ("lower_bound_gate_noise", _grid("lower_bound", *(
-            {"p": [0.1], "epsilon": [0.1], "n": [n], "m": [n]} for n in depths))),
+        ("lower_bound_gate_noise", gate),
         ("pure_fidelity_noiseless", _grid("pure_fidelity",
                                           {"p": [0.1], "epsilon": [0.0], "n": depths,
                                            "theta": [theta]})),
@@ -939,12 +930,8 @@ def cmd_distill_pure(args) -> int:
 def cmd_povm_purify(args) -> int:
     if args.pList is not None and args.n is not None:
         raise ValueError("--n does not apply with --pList: the list's length is the depth")
-    if args.pList is not None:
-        c = noise.purified_coeffs_general(args.pList, args.epsilon)
-        p_field = _rates_field(args.pList)
-    else:
-        c = noise.purified_coeffs_gate_noisy(args.p, args.epsilon, args.n or 1)
-        p_field = args.p
+    c = noise.purified_coeffs_general(args.pList or [args.p] * (args.n or 1), args.epsilon)
+    p_field = args.p if args.pList is None else _rates_field(args.pList)
     return _write(Records({"quantity": "povm_fidelity", "p": p_field, "epsilon": args.epsilon,
                            "n": c.n, "r0": c.r0, "r1": c.r1, "value": c.fidelity,
                            "p_succ": c.acceptance}), args)
@@ -965,6 +952,8 @@ def _add_tables_args(sub):
 
 def _add_sweep_args(sub):
     sub.set_defaults(run=cmd_sweep)
+    sub.epilog = ("lower_bound is the threshold L: above F = 1/4, one round raises F exactly "
+                  "for F in (L, 1), so L >= 1 means that window is empty.")
     sub.add_argument("--quantity", choices=QUANTITIES, required=True)
     sub.add_argument("--p", type=_float_axis, help="axis: 'a,b,c' or 'start:stop:count'")
     sub.add_argument("--epsilon", type=_float_axis, help="axis (default 0)")
@@ -1031,19 +1020,17 @@ def _add_povm_purify_args(sub):
     _add_io_args(sub)
 
 
-#: Each subcommand, in help order: the function that sets its run function
-#: and adds its arguments, its line in the command list, and its epilog. The
-#: run function is looked up when the parser is built, so a wrapper put on a
+#: Each subcommand, in help order: the function that sets its run function,
+#: its arguments and any epilog, and its line in the command list. The run
+#: function is looked up when the parser is built, so a wrapper put on a
 #: module's ``cmd_*`` binding is the one that runs.
 COMMANDS = {
-    "tables": (_add_tables_args, "write the five reference tables", None),
-    "sweep": (_add_sweep_args, "evaluate a quantity over a parameter grid",
-              "lower_bound is the threshold L: above F = 1/4, one round raises F exactly "
-              "for F in (L, 1), so L >= 1 means that window is empty."),
-    "verify": (_add_verify_args, "analytic layer vs density-matrix oracle", None),
-    "distill-mixed": (_add_distill_mixed_args, "two-way distillation of isotropic states", None),
-    "distill-pure": (_add_distill_pure_args, "filter a Schmidt-form pure state", None),
-    "povm-purify": (_add_povm_purify_args, "purified-measurement coefficients", None),
+    "tables": (_add_tables_args, "write the five reference tables"),
+    "sweep": (_add_sweep_args, "evaluate a quantity over a parameter grid"),
+    "verify": (_add_verify_args, "analytic layer vs density-matrix oracle"),
+    "distill-mixed": (_add_distill_mixed_args, "two-way distillation of isotropic states"),
+    "distill-pure": (_add_distill_pure_args, "filter a Schmidt-form pure state"),
+    "povm-purify": (_add_povm_purify_args, "purified-measurement coefficients"),
 }
 
 
@@ -1058,16 +1045,15 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     command's ``ValueError``.
     """
     if command in COMMANDS:
-        add_args, _, epilog = COMMANDS[command]
-        parser = argparse.ArgumentParser(prog=f"entdistill {command}", epilog=epilog)
-        add_args(parser)
+        parser = argparse.ArgumentParser(prog=f"entdistill {command}")
+        COMMANDS[command][0](parser)
         return parser
     parser = argparse.ArgumentParser(
         prog="entdistill",
         description="Noisy-measurement purification and entanglement distillation.")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (add_args, help_text, epilog) in COMMANDS.items():
-        add_args(subs.add_parser(name, help=help_text, epilog=epilog))
+    for name, (add_args, help_text) in COMMANDS.items():
+        add_args(subs.add_parser(name, help=help_text))
     return parser
 
 

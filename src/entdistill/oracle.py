@@ -21,9 +21,10 @@ Two levels are provided for the distillation protocols. The fast path
 first reduces each purification gadget to an effective single-qubit POVM
 (the gadget touches only the measured qubit and its private ancillas),
 then runs the protocol on the pair that is kept and the pair that is
-measured. The ``*_direct`` functions skip the reduction and simulate the
-full register including every ancilla; they exist to certify the
-reduction itself.
+measured. ``oracle_mixed_post_state_direct`` skips the reduction and
+simulates the full register including every ancilla; it exists to
+certify the reduction itself. The filtering circuit's full register is
+a test reference (``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -244,15 +245,3 @@ def oracle_distill_pure(theta: float, p: float, epsilon: float, n: int) -> Disti
     return distill_result(
         oracle_pure_post_state(filtered_ket(theta), oracle_effective_povm([p] * n, epsilon, n)))
 
-
-def oracle_pure_post_state_direct(theta: float, p: float, epsilon: float, n: int) -> np.ndarray:
-    """Filtering circuit with the gadget ancillas simulated explicitly."""
-    if n < 1 or n > MAX_GADGET_QUBITS:
-        raise ValueError(f"n must lie in 1..{MAX_GADGET_QUBITS}, got {n}")
-    nq = 2 + n
-    u = filter_ops(theta).u
-    psi = tensor(pure_theta(theta), *([KET0] * n)).reshape(2, 4, 2 ** (n - 1))
-    psi = np.einsum("ij,ajk->aik", u, psi)  # U on (B, E), the first ancilla
-    rho = apply_depolarized_cnot_chain(projector(psi), list(range(3, nq)), control=2,
-                                       epsilon=epsilon)
-    return _measure(rho, tensor(*([noisy_povm_element(0, p)] * n)))

@@ -1,5 +1,6 @@
-"""Dense reference operations, a per-point ``verify``, a per-cell ``--het-band``
-sweep and a template emitter, that only the tests use.
+"""Dense reference operations, the filtering circuit's full register
+(``oracle_pure_post_state_direct``), a per-point ``verify``, a per-cell
+``--het-band`` sweep and a template emitter, that only the tests use.
 
 The library applies its channels on qubit axes and never needs these;
 the tests use them to build the same results the slow, obvious way.
@@ -17,7 +18,8 @@ import numpy as np
 from entdistill import distill_mixed as dm
 from entdistill import distill_pure as dp
 from entdistill import cli, noise, oracle
-from entdistill.qmat import I2, P0, P1, tensor
+from entdistill.qmat import I2, KET0, P0, P1, projector, tensor
+from entdistill.states import pure_theta
 
 # Validation tolerances for density matrices and unitaries.
 HERMITIAN_TOL = 1e-9
@@ -120,6 +122,21 @@ def collective_cnot(n: int) -> np.ndarray:
     xs = tensor(*([X] * (n - 1)))
     eye = np.eye(2 ** (n - 1), dtype=complex)
     return np.kron(P0, eye) + np.kron(P1, xs)
+
+
+def oracle_pure_post_state_direct(theta: float, p: float, epsilon: float, n: int) -> np.ndarray:
+    """The filtering circuit with the gadget's n - 1 ancillas simulated explicitly.
+
+    Register order A B E, then E's ancillas: U on (B, E), the fan-out of
+    depolarized CNOTs from E, then E and every ancilla measured with the
+    noisy element of outcome 0 and traced out. Certifies the
+    effective-POVM reduction of ``oracle.oracle_pure_post_state``.
+    """
+    u = np.kron(I2, np.kron(dp.filter_ops(theta).u, np.eye(2 ** (n - 1))))
+    rho = oracle.apply_depolarized_cnot_chain(projector(u @ tensor(pure_theta(theta), *[KET0] * n)),
+                                              list(range(3, n + 2)), control=2, epsilon=epsilon)
+    element = tensor(*[noise.noisy_povm_element(0, p)] * n)
+    return partial_trace(rho @ np.kron(np.eye(4), element), keep=[0, 1])
 
 
 def run_verification(max_n: int = 3, seed: int = 7, draws: int = 20,

