@@ -478,18 +478,19 @@ def _positive_int(text: str) -> int:
 
 
 def _float_axis(spec: str) -> list[float]:
-    """Parse 'a,b,c' or 'start:stop:count' into a list of floats."""
+    """Parse 'a,b,c' or 'start:stop:count' (start <= stop) into a list of floats."""
     try:
         if ":" in spec:
             start, stop, count = spec.split(":")
-            if int(count) >= 1:
-                return [float(v) for v in np.linspace(float(start), float(stop), int(count))]
+            if float(start) > float(stop):
+                raise argparse.ArgumentTypeError(f"inverted range {spec!r}: start must be <= stop")
+            vals = [float(v) for v in np.linspace(float(start), float(stop), int(count))]
         else:
             vals = [float(v) for v in spec.split(",") if v != ""]
-            if vals:
-                return vals
-    except ValueError:
-        pass
+    except ValueError:  # linspace raises it too, for a negative count
+        vals = []
+    if vals:
+        return vals
     raise argparse.ArgumentTypeError(f"cannot parse axis {spec!r}; use 'a,b,c' or 'start:stop:count'")
 
 
@@ -530,75 +531,73 @@ def _rates(spec: str) -> list[float]:
 # the quantity table and the grid
 
 def _pointwise(closed_form):
-    """A kernel calling ``closed_form(*point, value)`` -> (value,) or (value, p_succ) per row.
+    """A kernel calling ``closed_form(*point, value)`` -> value per row, for the two limits.
 
     Scalar calls, not numpy arrays: Python's float ``x ** 2`` is C ``pow``,
     which an array's ``x * x`` differs from in the last bit for some x.
     """
     def kernel(points: list[tuple], column: np.ndarray) -> dict[str, np.ndarray]:
         values = column.tolist()
-        outputs = np.array([[closed_form(*point, v) for v in values] for point in points])
-        return dict(zip(("value", "p_succ"), np.moveaxis(outputs, -1, 0)))
+        return {"value": np.array([[closed_form(*point, v) for v in values] for point in points])}
     return kernel
 
 
-def _povm_fidelity(p, eps, n):
-    c = noise.purified_coeffs_gate_noisy(p, eps, n)
-    return c.fidelity, c.acceptance
+def _prefix_coeffs(points: list[tuple], *depths: np.ndarray) -> list[np.ndarray]:
+    """r0 and r1 of ``purified_coeffs_gate_noisy(p, eps, n)`` at each depth array, in turn.
 
-
-def _pure_fidelity(p, eps, n, theta):
-    res = dp.pure_filter_fidelity(theta, noise.purified_coeffs_gate_noisy(p, eps, n))
-    return res.fidelity_out, res.p_succ
-
-
-def _prefix_weights(cells: list[tuple], column: bool = False) -> dm.ParityWeights:
-    """``parity_weights([p] * n, [p] * m, eps)`` per (p, eps, n, m) cell, as arrays.
-
-    One recurrence per distinct (p, eps), up to the cells' largest depth,
-    holds Alice's (r0, r1) at depth n and Bob's at m for every cell, and
-    ``dm.weights_from_coeffs`` forms the weights: each entry equals that
-    call's bit for bit. With ``column`` the arrays are (cells x 1).
+    The points, each starting with (p, eps), are a column that each depth array
+    broadcasts against, (points x 1) or (1 x depths). Each entry comes from one
+    ``purified_coeffs_prefixes`` table per distinct (p, eps), bit for bit the call's.
     """
     index: dict[tuple, int] = {}
-    k, n, m = np.array([(index.setdefault((p, eps), len(index)), n - 1, m - 1)
-                        for p, eps, n, m in cells]).T
-    depth = int(max(n.max(), m.max())) + 1
-    prefixes = [noise.purified_coeffs_prefixes(p, eps, depth) for p, eps in index]
-    r0, r1 = np.array([c.r0 for c in prefixes]), np.array([c.r1 for c in prefixes])
-    if column:
-        k, n, m = k[:, None], n[:, None], m[:, None]
-    return dm.weights_from_coeffs(r0[k, n], r1[k, n], r0[k, m], r1[k, m])
+    k = np.array([[index.setdefault(point[:2], len(index))] for point in points])
+    top = max(int(d.max()) for d in depths)
+    prefixes = [noise.purified_coeffs_prefixes(p, eps, top) for p, eps in index]
+    table = np.array([[c.r0 for c in prefixes], [c.r1 for c in prefixes]])  # (2 x cells x top)
+    return [r for d in depths for r in table[:, k, d - 1]]
+
+
+def _povm_kernel(points: list[tuple], n_column: np.ndarray) -> dict[str, np.ndarray]:
+    """The purified element's fidelity and yield on (points x n)."""
+    c = noise.PurifiedCoeffs(*_prefix_coeffs(points, n_column[None, :]), n_column)
+    return {"value": c.fidelity, "p_succ": c.acceptance}
+
+
+def _pure_kernel(points: list[tuple], theta_column: np.ndarray) -> dict[str, np.ndarray]:
+    """The filtered fidelity on (points x theta), by theta: 2 sin^2(theta) stays a scalar."""
+    n = np.array([point[2:] for point in points])
+    c = noise.PurifiedCoeffs(*_prefix_coeffs(points, n), n)
+    res = [dp.pure_filter_fidelity(theta, c) for theta in theta_column.tolist()]
+    return {"value": np.concatenate([r.fidelity_out for r in res], axis=1),
+            "p_succ": np.concatenate([r.p_succ for r in res], axis=1)}
 
 
 def _map_kernel(points: list[tuple], f_column: np.ndarray) -> dict[str, np.ndarray]:
     """The fidelity map on (points x F): one ``distill_map`` on the whole array."""
-    res = dm.distill_map(f_column, _prefix_weights(points, column=True))
+    n, m = np.array([point[2:] for point in points]).T[:, :, None]
+    res = dm.distill_map(f_column, dm.weights_from_coeffs(*_prefix_coeffs(points, n, m)))
     return {"value": res.fidelity_out, "p_succ": res.p_succ}
 
 
 def _lower_bound_kernel(points: list[tuple], m_column: np.ndarray) -> dict[str, np.ndarray]:
-    """The threshold L on (points x m), one scalar ``lower_bound`` per cell."""
-    weights = _prefix_weights([(*point, m) for point in points for m in m_column.tolist()])
-    values = [dm.lower_bound(dm.ParityWeights(r_even=e, r_odd=o))
-              for e, o in zip(weights.r_even.tolist(), weights.r_odd.tolist())]
-    return {"value": np.reshape(values, (len(points), len(m_column)))}
+    """The threshold L on (points x m): one ``lower_bound`` on the whole array."""
+    coeffs = _prefix_coeffs(points, np.array([point[2:] for point in points]), m_column[None, :])
+    return {"value": dm.lower_bound(dm.weights_from_coeffs(*coeffs))}
 
 
-#: Each quantity's axes in row order, and its kernel: ``kernel(points,
-#: column)`` evaluates a list of points of every axis but the last over
-#: the last axis, given as a numpy column, and returns each output as a
-#: (points x column) array, or any other two leading axes that hold the
-#: same rows in order; a rate-list output has a third axis.
+#: Each quantity's axes in row order, and its kernel: ``kernel(points, column)`` evaluates
+#: a list of points of every axis but the last over the last axis, given as a numpy column,
+#: and returns each output as a (points x column) array, or any other two leading axes that
+#: hold the same rows in order; a rate-list output has a third axis. Each value equals its
+#: scalar closed form's bit for bit: all but the two limits evaluate ``_prefix_coeffs`` arrays.
 QUANTITIES = {
-    "povm_fidelity": (("p", "epsilon", "n"), _pointwise(_povm_fidelity)),
+    "povm_fidelity": (("p", "epsilon", "n"), _povm_kernel),
     "mixed_fidelity_map": (("p", "epsilon", "n", "m", "F"), _map_kernel),
     "lower_bound": (("p", "epsilon", "n", "m"), _lower_bound_kernel),
-    "lower_bound_limit": (("p", "epsilon"),
-                          _pointwise(lambda p, eps: (dm.lower_bound_limit(p, eps),))),
-    "pure_fidelity": (("p", "epsilon", "n", "theta"), _pointwise(_pure_fidelity)),
+    "lower_bound_limit": (("p", "epsilon"), _pointwise(lambda p, eps: dm.lower_bound_limit(p, eps))),
+    "pure_fidelity": (("p", "epsilon", "n", "theta"), _pure_kernel),
     "pure_fidelity_limit": (("p", "epsilon", "theta"), _pointwise(
-        lambda p, eps, theta: (dp.pure_filter_fidelity_limit(theta, p, eps),))),
+        lambda p, eps, theta: dp.pure_filter_fidelity_limit(theta, p, eps))),
 }
 
 
@@ -649,8 +648,8 @@ def _grid(quantity: str, grid: dict[str, list], spec: tuple | None = None) -> Re
 
 def table_records() -> list[tuple[str, Records]]:
     """The five reference tables as (name, records) pairs."""
-    theta = float(np.pi / 16)
     depths = [1, 2, 3, 4]
+    pure = {"p": [0.1], "n": depths, "theta": [float(np.pi / 16)]}
     gate = _grid("lower_bound", {"p": [0.1], "epsilon": [0.1], "n": depths, "m": depths})
     diagonal = gate.columns["n"][1] == gate.columns["m"][1]  # the rows at n = m
     gate.columns = {f: (v[diagonal], None) if c is None else (v, c[diagonal])
@@ -661,12 +660,8 @@ def table_records() -> list[tuple[str, Records]]:
         ("lower_bound_p01", _grid("lower_bound",
                                   {"p": [0.1], "epsilon": [0.0], "n": depths, "m": [1, 2]})),
         ("lower_bound_gate_noise", gate),
-        ("pure_fidelity_noiseless", _grid("pure_fidelity",
-                                          {"p": [0.1], "epsilon": [0.0], "n": depths,
-                                           "theta": [theta]})),
-        ("pure_fidelity_gate_noise", _grid("pure_fidelity",
-                                           {"p": [0.1], "epsilon": [0.05], "n": depths,
-                                            "theta": [theta]})),
+        ("pure_fidelity_noiseless", _grid("pure_fidelity", {**pure, "epsilon": [0.0]})),
+        ("pure_fidelity_gate_noise", _grid("pure_fidelity", {**pure, "epsilon": [0.05]})),
     ]
     for _, records in tables:
         value, _ = records.columns["value"]
@@ -955,9 +950,10 @@ def _add_sweep_args(sub):
     sub.epilog = ("lower_bound is the threshold L: above F = 1/4, one round raises F exactly "
                   "for F in (L, 1), so L >= 1 means that window is empty.")
     sub.add_argument("--quantity", choices=QUANTITIES, required=True)
-    sub.add_argument("--p", type=_float_axis, help="axis: 'a,b,c' or 'start:stop:count'")
+    sub.add_argument("--p", type=_float_axis,
+                     help="axis: 'a,b,c' or 'start:stop:count' with start <= stop")
     sub.add_argument("--epsilon", type=_float_axis, help="axis (default 0)")
-    sub.add_argument("--n", type=_depth_axis, help="axis: 'a,b,c' or 'lo:hi' (default 1)")
+    sub.add_argument("--n", type=_depth_axis, help="axis: 'a,b,c' or 'lo:hi', lo <= hi (default 1)")
     sub.add_argument("--m", type=_depth_axis, help="axis (default 1)")
     sub.add_argument("--F", type=_float_axis, help="axis of input singlet fractions")
     theta = sub.add_mutually_exclusive_group()

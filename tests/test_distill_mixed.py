@@ -290,6 +290,17 @@ def test_array_evaluation_equals_scalar_calls_bit_for_bit(inputs):
     assert cell.p_succ.tolist() == [distill_map(float(f), scalar_w[0]).p_succ for f in fs]
     for out in (res.fidelity_out, res.p_succ, cell.fidelity_out, cell.p_succ):
         assert np.all((out >= 0.0) & (out <= 1.0))
+    # lower_bound on the weight arrays: each row's scalar value, or the first failing row's error.
+    thresholds = []
+    for sw in scalar_w:
+        try:
+            thresholds.append(lower_bound(sw))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as array_error:
+                lower_bound(w)
+            assert str(array_error.value) == str(exc)
+            return
+    assert lower_bound(w).tolist() == thresholds
 
 
 def test_array_checks_name_the_first_offending_value_in_row_order():
@@ -300,3 +311,12 @@ def test_array_checks_name_the_first_offending_value_in_row_order():
         distill_map(np.array([0.5, 1.25, -1.0]), NOISELESS)
     with pytest.raises(ValueError, match=r"got nan$"):
         distill_map(np.array([0.5, np.nan]), NOISELESS)
+    # One closed window, then three: the error is the scalar call's, for the first in row order.
+    with pytest.raises(ValueError) as scalar_error:
+        lower_bound(ParityWeights(r_even=0.45, r_odd=0.45))
+    r_even = np.array([[0.5, 0.45], [0.3, 0.2]])
+    for r_odd in ([[0.1, 0.45], [0.1, 0.1]], [[0.1, 0.45], [0.4, 0.3]]):
+        with pytest.raises(ValueError) as array_error:
+            lower_bound(ParityWeights(r_even=r_even, r_odd=np.array(r_odd)))
+        assert str(array_error.value) == str(scalar_error.value) == (
+            "no distillable window: r_even = 0.45 <= r_odd = 0.45")

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 from conftest import rand_pure_state
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from reference import partial_trace
 
 from entdistill.distill_mixed import PI_PHI_PLUS, parity_weights, post_state_unnormalized
@@ -10,7 +13,12 @@ from entdistill.distill_pure import (
     pure_filter_fidelity_limit,
     pure_post_state_unnormalized,
 )
-from entdistill.noise import PurifiedCoeffs, noisy_povm_element, purified_coeffs_gate_noisy
+from entdistill.noise import (
+    PurifiedCoeffs,
+    noisy_povm_element,
+    purified_coeffs_gate_noisy,
+    purified_coeffs_general,
+)
 from entdistill.qmat import (
     I2,
     KET0,
@@ -158,8 +166,28 @@ def test_boundary_theta_always_unit_fidelity():
 
 
 def test_degenerate_coeffs_raise():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^filter success probability is zero$"):
         pure_filter_fidelity(0.3, PurifiedCoeffs(r0=0.0, r1=0.0, n=1))
+    # one zero success probability in an array
+    with pytest.raises(ValueError, match="^filter success probability is zero$"):
+        pure_filter_fidelity(0.3, PurifiedCoeffs(r0=np.array([0.5, 0.0, 0.9]),
+                                                 r1=np.array([0.1, 0.0, 0.05]), n=1))
+
+
+FRACTION = st.floats(0.0, 1.0, exclude_max=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-3, np.pi / 4), st.integers(1, 7),
+       arrays(float, st.integers(1, 6), elements=FRACTION), FRACTION)
+def test_array_coefficients_equal_scalar_calls_bit_for_bit(theta, n, rates, eps):
+    """Coefficient arrays, one entry per rate at depth n, with a scalar theta."""
+    coeffs = purified_coeffs_general(np.repeat(rates[:, None], n, axis=1), eps)
+    res = pure_filter_fidelity(theta, coeffs)
+    scalar = [pure_filter_fidelity(theta, purified_coeffs_gate_noisy(p, eps, n))
+              for p in rates.tolist()]
+    assert res.fidelity_out.tolist() == [r.fidelity_out for r in scalar]
+    assert res.p_succ.tolist() == [r.p_succ for r in scalar]
 
 
 def test_fidelity_monotone_in_depth_and_converges():
