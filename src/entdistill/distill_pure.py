@@ -79,11 +79,11 @@ def pure_filter_fidelity(theta: float, coeffs: PurifiedCoeffs) -> DistillResult:
     """
     _check_theta(theta)
     t2 = 2.0 * np.sin(theta) ** 2
-    p_succ = coeffs.r0 * t2 + coeffs.r1 * (1.0 - t2)
+    kept, flipped = coeffs.r0 * t2, 1.0 - t2
+    p_succ = kept + coeffs.r1 * flipped
     if _any(p_succ <= 0.0):
         raise ValueError("filter success probability is zero")
-    fidelity = (coeffs.r0 * t2 + 0.5 * coeffs.r1 * (1.0 - t2)) / p_succ
-    return DistillResult(fidelity_out=fidelity, p_succ=p_succ)
+    return DistillResult(fidelity_out=(kept + 0.5 * coeffs.r1 * flipped) / p_succ, p_succ=p_succ)
 
 
 def pure_filter_fidelity_limit(theta: float, p: float, epsilon: float) -> float:

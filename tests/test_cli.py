@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import shutil
 from itertools import product
 from unittest import mock
 
@@ -416,6 +417,11 @@ INVERTED_RANGES = [
     (["sweep", "--quantity", "pure_fidelity", "--p", "0.1", "--theta-frac-pi", "0.2:0.1:3"],
      "--theta-frac-pi"),
 ]
+#: Depth ranges with lo > hi: (argv, flag).
+INVERTED_DEPTH_RANGES = [
+    (["sweep", "--quantity", "povm_fidelity", "--p", "0.1", "--n", "3:1"], "--n"),
+    (["sweep", "--quantity", "lower_bound", "--p", "0.1", "--m", "4:2"], "--m"),
+]
 NON_INTEGER_COUNTS = [
     (["distill-pure", "--theta", "0.1", "--p", "0.1", "--n", "abc"], "--n"),
     (["verify", "--draws", "x"], "--draws"),
@@ -466,6 +472,14 @@ def test_inverted_float_ranges_name_the_flag_and_the_rule(argv, flag, capsys):
     assert (code, out) == (2, "")
     assert err.splitlines()[-1] == (f"entdistill sweep: error: argument {flag}: inverted range "
                                     f"{argv[-1]!r}: start must be <= stop")
+
+
+@pytest.mark.parametrize("argv,flag", INVERTED_DEPTH_RANGES)
+def test_inverted_depth_ranges_name_the_flag_and_the_rule(argv, flag, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (f"entdistill sweep: error: argument {flag}: inverted range "
+                                    f"{argv[-1]!r}: lo must be <= hi")
 
 
 @pytest.mark.parametrize("argv,flag", NON_INTEGER_COUNTS)
@@ -643,7 +657,7 @@ USAGE_ERRORS = [
     ["povm-purify"],
     *(argv for argv, _ in [ZERO_ROUNDS, NONPOSITIVE_DRAWS, INVERTED_HET_BAND, ZERO_VERIFY_DRAWS,
                            *DEPTH_FLAGS_WITH_RATE_LISTS, *DEPTHS_BELOW_ONE, *INVERTED_RANGES,
-                           *NON_INTEGER_COUNTS]),
+                           *INVERTED_DEPTH_RANGES, *NON_INTEGER_COUNTS]),
     *(["sweep", *argv, flag, "5"] for argv in DRAWS_OUTSIDE_HET_BAND
       for flag in HET_BAND_ONLY_FLAGS),
     *(["sweep", "--quantity", q, *TAKES[q], flag, AXIS_VALUES[flag]] for q, flag in AXES_NOT_TAKEN),
@@ -928,6 +942,32 @@ def test_map_grid_rows_equal_the_scalar_calls_beyond_depth_four():
                                                                for row in rows]
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 1.0, exclude_max=True),
+       st.integers(1, 8), st.floats(0.0, np.pi / 4, exclude_min=True, exclude_max=True))
+def test_one_cell_calls_print_the_scalar_calls(p, eps, n, theta):
+    """A distill-pure and a povm-purify --p --n call print the scalar closed forms' values,
+    '%.12g' in CSV and repr in JSON; where the scalar filter fails, the call is a usage error."""
+    c = noise.purified_coeffs_general([p] * n, eps)
+    rows = {"povm-purify": {"quantity": "povm_fidelity", "p": p, "epsilon": eps, "n": n,
+                            "r0": c.r0, "r1": c.r1, "value": c.fidelity, "p_succ": c.acceptance}}
+    try:
+        res = pure_filter_fidelity(theta, purified_coeffs_gate_noisy(p, eps, n))
+        rows["distill-pure"] = {"quantity": "pure_fidelity", "p": p, "epsilon": eps, "n": n,
+                                "theta": theta, "value": res.fidelity_out, "p_succ": res.p_succ}
+    except ValueError:  # 2 sin^2(theta) underflows to 0 where r1 = 0
+        rows["distill-pure"] = None
+    for command, row in rows.items():
+        tail = ["--theta", repr(theta)] if command == "distill-pure" else []
+        for fmt in ("csv", "json"):
+            argv = [command, "--p", repr(p), "--epsilon", repr(eps), "--n", str(n), *tail,
+                    "--format", fmt]
+            with contextlib.redirect_stdout(io.StringIO()) as buf, \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(argv)
+            assert (code, buf.getvalue()) == ((0, _reference_emit([row], fmt)) if row else (2, ""))
+
+
 @pytest.mark.parametrize("quantity,tail", [("povm_fidelity", []),
                                            ("pure_fidelity", ["--theta", "0.3"])])
 def test_depth_sweeps_run_one_recurrence_per_p_and_eps(quantity, tail, monkeypatch):
@@ -943,3 +983,23 @@ def test_depth_sweeps_run_one_recurrence_per_p_and_eps(quantity, tail, monkeypat
     assert {name: [c.args for c in counter.call_args_list] for name, counter in calls.items()} == {
         "purified_coeffs_prefixes": [(0.1, 0.0, 200), (0.1, 0.05, 200)],
         "purified_coeffs_gate_noisy": [], "purified_coeffs_general": []}
+
+
+def test_each_parser_build_reads_the_terminal_width_once(monkeypatch, capsys):
+    """A valid command's call and a help call read the terminal width once, at the build of
+    their one parser, where argparse reads it for every argument; the second call of each
+    reads it again, as nothing is kept between calls."""
+    reads = []
+    get_terminal_size = shutil.get_terminal_size
+
+    def spy(*args, **kwargs):
+        reads.append(args)
+        return get_terminal_size(*args, **kwargs)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", spy)
+    for argv in [*VALID, ["-h"], *([name, "-h"] for name in cli.COMMANDS)]:
+        for _ in range(2):
+            reads.clear()
+            assert cli.main(argv) == 0
+            capsys.readouterr()
+            assert len(reads) == 1, argv

@@ -9,6 +9,8 @@ mpmath reference).
 """
 
 import hashlib
+import os
+import sys
 
 import pytest
 
@@ -102,6 +104,41 @@ COMMANDS = [
 ]
 
 
+# sha256 of the `-h` output of the top-level parser (None) and of each command, at
+# COLUMNS 40 and 80 and with COLUMNS unset and no terminal (None), where argparse falls
+# back to 80 columns. Captured with Python 3.11's argparse while every formatter still
+# read the width on its own, before the parsers read it once per build.
+HELP_SHA256 = {
+    "40": {
+        None: "54403b1ec12ae0dd7af2cd19c5c9a80570ec6751fbe496c772e3ca9fb0c07ddc",
+        "tables": "e6b86ac995fff5dfaa685d593b30c91ae222268282dde674374b8b0d35ba2ae7",
+        "sweep": "037a0a415da7aed197a7fde1eef7a6c617da25629c673730db852fe9415c961f",
+        "verify": "de4d76afb541b5030985d4f4b129953a53313c7646f0caa96d780b792b961b08",
+        "distill-mixed": "3dc67d3c1ebc6be00ce16552fc4d531aeb83c5043ffc3a73364c7e610666a05b",
+        "distill-pure": "9c06c07cd83ffd0df0436e94e499437f08fc77ea55cf31587b52e05afab009e8",
+        "povm-purify": "a561e57aaa7a02d45c19115c7bd34eeb384f3558028e7254e42a862830a84aed",
+    },
+    "80": {
+        None: "52a24302fa191c74dea33b8e26c41fe8ee43c461d494687c77c9bc15ef1b9669",
+        "tables": "3c2ba9a18a6137c415462b99f97ad61d6d8986073a80a5500db7e55864d58e34",
+        "sweep": "f0a6f19bbe70e3a50820ef21c6cfa3439fd85ad31ffd113923d832b3b9ce8d50",
+        "verify": "4d258ead2a7e7f8b1d0b39543694caa919224eea661be5d9a6687621a9588122",
+        "distill-mixed": "9a72e9aa56fb960829806476d769ae869e050d8698a190c423927e02aa0dbd47",
+        "distill-pure": "850ffad2c50d49b97d67c196330242dd3d3a77c0d88148577d32d10824fb903d",
+        "povm-purify": "02a62b78b3e3a131c886cdfce3d832f39ff9df124020bb1af331c509f8fc3287",
+    },
+    None: {
+        None: "52a24302fa191c74dea33b8e26c41fe8ee43c461d494687c77c9bc15ef1b9669",
+        "tables": "3c2ba9a18a6137c415462b99f97ad61d6d8986073a80a5500db7e55864d58e34",
+        "sweep": "f0a6f19bbe70e3a50820ef21c6cfa3439fd85ad31ffd113923d832b3b9ce8d50",
+        "verify": "4d258ead2a7e7f8b1d0b39543694caa919224eea661be5d9a6687621a9588122",
+        "distill-mixed": "9a72e9aa56fb960829806476d769ae869e050d8698a190c423927e02aa0dbd47",
+        "distill-pure": "850ffad2c50d49b97d67c196330242dd3d3a77c0d88148577d32d10824fb903d",
+        "povm-purify": "02a62b78b3e3a131c886cdfce3d832f39ff9df124020bb1af331c509f8fc3287",
+    },
+}
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -120,3 +157,21 @@ def test_command_output_matches_golden(argv, csv_sha, json_sha, fmt, capsys):
     assert cli.main(argv + ["--format", fmt]) == 0
     captured = capsys.readouterr()
     assert _sha256(captured.out.encode()) == (csv_sha if fmt == "csv" else json_sha), argv
+
+
+def _no_terminal(fd=None):
+    raise OSError("not a terminal")
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse's help text is pinned as Python 3.11 prints it")
+@pytest.mark.parametrize("columns", ["40", "80", None])
+@pytest.mark.parametrize("command", [None, *cli.COMMANDS])
+def test_help_matches_golden(command, columns, monkeypatch, capsys):
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+        monkeypatch.setattr(os, "get_terminal_size", _no_terminal)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    assert cli.main([command, "-h"] if command else ["-h"]) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == HELP_SHA256[columns][command]
