@@ -132,17 +132,17 @@ def _template_rows(texts: list[str], columns: list[tuple], fmt: str) -> str:
 
 
 #: Rows from which an output is laid out as bytes, not filled into one
-#: template. The layout costs 210-380 us an output plus 0.7 us a row in
-#: CSV and 1.1 in JSON, the template 1.7 and 4 us a row: on
-#: mixed_fidelity_map sweeps of 12, 100 and 200 rows they break even near
-#: 130 rows in JSON and 200 in CSV; rate lists move it below 100 in CSV.
+#: template. The layout costs about 190 us an output plus 0.19 us a row
+#: in CSV, 260 us plus 0.47 us in JSON, the template 0.9 and 1.8 us a row:
+#: on mixed_fidelity_map sweeps of 12 to 1,000 rows they break even near
+#: 170 rows in JSON and 210 in CSV; rate lists move it near 115 and 80.
 COLUMNAR_MIN_ROWS = 128
 #: Rows of one batch at most: an 8,000-row sweep in batches of up to 1,024,
-#: 2,048, 4,096 or 8,192 rows took 0.43, 0.37, 0.33 and 0.37 of the
-#: template's time in CSV, and 0.43, 0.30, 0.28 and 0.27 in JSON.
+#: 2,048, 4,096 or 8,192 rows took 0.42, 0.32, 0.29 and 0.27 of the
+#: template's time in CSV, and 0.41, 0.33, 0.29 and 0.28 in JSON.
 BATCH_ROWS = 4096
-#: Bytes written at a time: the 2,000-row het JSON batch took 10% less
-#: than in halves, and a 4,000-row grid CSV batch the same as in eighths.
+#: Bytes written at a time: the 2,000-row het JSON batch took 20% less
+#: than in one slice, and a 4,000-row grid CSV batch the same.
 SLICE_BYTES = 1 << 18
 
 
@@ -152,9 +152,11 @@ def emit_records(records: Records, fmt: str, out) -> None:
     An output of ``COLUMNAR_MIN_ROWS`` rows or more is laid out as bytes
     in batches of at most ``BATCH_ROWS`` rows (``_write_batch``) if every
     column is 1-D float64, 1-D integers or 2-D rate lists, and no CSV text
-    holds a NUL, the layout's padding. Any other output, one row
-    included, fills one template (``_template_rows``): below 100-200 rows
-    the layout's fixed cost, 210-380 us, outweighs what its kernels save.
+    holds a NUL, the layout's padding: a block keeps the byte columns
+    that some row of it prints, and its rows are NUL elsewhere. Any other
+    output, one row included, fills one template (``_template_rows``):
+    below 80-210 rows the layout's fixed cost, 190-260 us, outweighs what
+    its kernels save.
     Each value of a coded column is formatted once. CSV floats print as
     '%.12g', JSON floats as their shortest round-trip repr, and rate
     lists as their rates to 12 digits joined by ';', a string in JSON.
@@ -188,7 +190,7 @@ def emit_records(records: Records, fmt: str, out) -> None:
 
 
 def _write_batch(pieces: list[np.ndarray], out) -> None:
-    """Write a batch of rows from its pieces, (rows x bytes) blocks padded with NULs.
+    """Write a batch of rows from its pieces, (rows x bytes) blocks with NULs among them.
 
     The pieces are laid side by side in even slices of at most
     ``SLICE_BYTES``, and one pass over each slice drops the NULs.
@@ -203,12 +205,13 @@ def _write_batch(pieces: list[np.ndarray], out) -> None:
 
 
 def _column_blocks(columns: list[np.ndarray], fmt: str) -> list[np.ndarray]:
-    """Each column as a (rows x width) block of bytes.
+    """Each column as a (rows x width) block of bytes, NULs among them.
 
     A 1-D float64 column prints as '%.12g' (``_format_g12``) in CSV and
     as its repr (``_format_repr``) in JSON, an integer column as its
     digits, a 2-D column as its rate lists (``_rate_block``). One call
-    of each kernel formats every float of ``columns`` that it takes.
+    of each kernel formats every float of ``columns`` that it takes:
+    their blocks keep the byte columns that any of them prints.
     """
     floats = _format_g12 if fmt == "csv" else _format_repr
     kernels = [_format_g12 if column.ndim == 2 else floats if column.dtype.char == "d" else None
@@ -234,8 +237,8 @@ def _rate_block(chars: np.ndarray, rates: np.ndarray) -> np.ndarray:
 
     ``chars`` is the ``_format_g12`` bytes of the rates, row after row,
     and ``rates`` marks them in the (rows x width) rate matrix, a prefix
-    of each row. Each rate's bytes are followed by ';', a NUL after a
-    row's last rate; the slots past it are NULs.
+    of each row. Each rate's slot is its row of ``chars``, then ';' or,
+    after a row's last rate, a NUL; the slots past it are NULs.
     """
     out = np.zeros((rates.size, chars.shape[1] + 1), np.uint8)
     at = np.flatnonzero(rates)  # each rate's slot, row after row
@@ -296,9 +299,9 @@ _REPR_MASKS = _masks(17, 15, True)
 
 
 def _format_g12(x: np.ndarray) -> np.ndarray:
-    """``'%.12g' % v`` for each v of the float64 array ``x``, as (len(x) x 32) bytes.
+    """``'%.12g' % v`` for each v of the float64 array ``x``, as (len(x) x w) bytes.
 
-    Row i, without its NUL bytes, is the string of x[i]. With e =
+    Row i, without its NUL bytes, is the string of x[i]; w <= 32. With e =
     floor(log10|v|) clipped to [-4, 11], the digits are d = rint(y), y =
     |v| 10^(11 - e): the power is exact, and y < 2^40, the product's
     correct rounding, is within 2^-14 of the exact product, so d is the
@@ -330,11 +333,11 @@ def _format_g12(x: np.ndarray) -> np.ndarray:
 
 
 def _format_repr(x: np.ndarray) -> np.ndarray:
-    """``json.dumps(v)`` for each v of the float64 array ``x``, as (len(x) x 48) bytes.
+    """``json.dumps(v)`` for each v of the float64 array ``x``, as (len(x) x w) bytes.
 
     Row i, without its NUL bytes, is the string of x[i]: ``repr(v)``, the
-    shortest string that reads back as v, for a finite v. Its digits
-    come from ``_shortest_digits``; every row that it rejects is
+    shortest string that reads back as v, for a finite v; w <= 48. Its
+    digits come from ``_shortest_digits``; every row that it rejects is
     formatted by Python: ties in the rounding (repr rounds them to even),
     a carry past e = 15, +-0, non-finite values and floats outside
     [1e-4, 1e16), where repr prints exponent notation.
@@ -410,8 +413,10 @@ def _masked_digits(x: np.ndarray, e: np.ndarray, groups: list[np.ndarray], ok: n
     """The kernels' bytes: the candidate words of the digit ``groups``, masked.
 
     Each row's mask is that of its sign, e and last nonzero digit, at
-    least e (the integer digits all print). The rows not ``ok`` are
-    ``python(v)`` for their float v.
+    least e (the integer digits all print). Only the byte columns that
+    the mask of some ``ok`` row keeps are returned, in order. The rows
+    not ``ok`` are ``python(v)`` for their float v, from the first
+    column on, the block padded on the right if one is longer.
     """
     words = np.empty((len(x), 2 * len(groups) + 2), np.uint32)
     words[:, 0], words[:, len(groups) + 1] = _SIGN_ZERO, _POINT_ZEROS
@@ -420,12 +425,16 @@ def _masked_digits(x: np.ndarray, e: np.ndarray, groups: list[np.ndarray], ok: n
         g = g.astype(np.intp)
         words[:, 1 + j] = words[:, len(groups) + 2 + j] = np.take(_GROUP_WORDS, g)
         last = np.maximum(last, np.take(_GROUP_LAST[j], g))
-    words &= np.take(masks, ((e + 4) * digits + last) * 2 + (x < 0), axis=0)
-    chars = words.view(np.uint8)
+    rows = ((e + 4) * digits + last) * 2 + (x < 0)
+    words &= np.take(masks, rows, axis=0)
+    used = np.bitwise_or.reduce(masks[np.flatnonzero(np.bincount(rows[ok]))], axis=0)
+    chars = words.view(np.uint8)[:, np.flatnonzero(used.view(np.uint8))]
     bad = np.flatnonzero(~ok)
     if len(bad):
-        texts = np.array([python(v) for v in x[bad].tolist()], f"S{chars.shape[1]}")
-        chars[bad] = texts.view(np.uint8).reshape(len(bad), -1)
+        texts = np.array([python(v) for v in x[bad].tolist()])
+        if texts.itemsize > chars.shape[1]:
+            chars = np.pad(chars, ((0, 0), (0, texts.itemsize - chars.shape[1])))
+        chars[bad] = texts.astype(f"S{chars.shape[1]}").view(np.uint8).reshape(len(bad), -1)
     return chars
 
 

@@ -21,9 +21,14 @@ from entdistill import cli
 
 
 def strings(kernel, values, width: int) -> list[str]:
-    """The kernel's string of each value: its row of bytes without the NULs."""
+    """The kernel's string of each value: its row of bytes without the NULs.
+
+    The block has a row per value and keeps only byte columns that some
+    row uses: none is all NUL, and it is at most ``width`` bytes wide.
+    """
     chars = kernel(np.array(values, dtype=np.float64))
-    assert chars.shape == (len(values), width)
+    assert len(chars) == len(values) and chars.shape[1] <= width
+    assert chars.any(axis=0).all()
     return [bytes(row).replace(b"\0", b"").decode() for row in chars]
 
 
@@ -218,6 +223,37 @@ def test_sweep_emit_equals_the_template_emitter(argv, batches, layout_batches):
     assert all(rows <= cli.BATCH_ROWS for rows in batches)
 
 
+#: Sweeps, their batches' rows, and the most bytes a row that a batch lays out, NULs included.
+LAID_WIDTHS = {
+    # sweep_grid_csv's axes at one p
+    "grid CSV": (MAP + ["--p", "0.1", "--epsilon", "0:0.1:5", "--n", "1:4", "--m", "1:4",
+                        "--F", "0.5:0.99:100"], [4096, 3904], 100),
+    # one sweep_het_json call
+    "het JSON": (MAP + ["--het-band", "0.025", "0.175", "--epsilon", "0.05", "--n", "1:4",
+                        "--m", "1:4", "--F", "0.55:0.95:25", "--draws", "5", "--seed", "3",
+                        "--format", "json"], [2000], 340),
+}
+
+
+@pytest.mark.parametrize("argv,batches,most", LAID_WIDTHS.values(), ids=LAID_WIDTHS)
+def test_batches_lay_out_only_the_byte_columns_they_use(argv, batches, most, monkeypatch,
+                                                        capsys):
+    """Each float block keeps the byte columns that its values print: the pieces of a
+    batch are at most ``most`` bytes a row in all (159 and 558 if padded to the widest
+    string that each kernel can print)."""
+    widths, write_batch = [], cli._write_batch
+
+    def spy(pieces, out):
+        widths.append((len(pieces[0]), sum(piece.shape[1] for piece in pieces)))
+        return write_batch(pieces, out)
+
+    monkeypatch.setattr(cli, "_write_batch", spy)
+    assert cli.main(["sweep", *argv]) == 0
+    capsys.readouterr()
+    assert [rows for rows, _ in widths] == batches
+    assert all(width <= most for _, width in widths), widths
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_columnar_batch_takes_one_call_per_kernel(fmt, monkeypatch):
     """The het sweep's one batch: every rate, and in CSV every float, in one '%.12g'
@@ -247,6 +283,26 @@ def test_hand_built_records_equal_the_template_emitter(layout_batches):
          "m": (np.array([-7, 0, 2 ** 63 - 1]), rng.randint(0, 3, rows).astype(np.uint8))})
     assert_same_bytes(records)
     assert layout_batches == {"csv": [rows], "json": [rows]}
+
+
+#: Outputs whose kernel rows are narrower than some fallback string, and their batches.
+WIDE_FALLBACKS = {
+    "short floats and one of each fallback": (cli.Records({"p": 0.1}, {"F": np.concatenate(
+        [np.tile([0.5, 0.25], 100), [-1.2345678901e-300, -math.inf, math.nan, -0.0]])}), [204]),
+    "every row a fallback": (cli.Records({"p": 0.1}, {"F": np.zeros(200)}), [200]),
+    "a coded fallback only in a later batch": (cli.Records({"p": 0.1}, {
+        "value": np.full(cli.BATCH_ROWS + 100, 0.5),
+        "F": (np.array([0.5, 0.25, -1.2345678901e-300]),
+              np.repeat(np.array([0, 1, 2], np.uint8), [cli.BATCH_ROWS // 2] * 2 + [100]))}),
+        [cli.BATCH_ROWS, 100]),
+}
+
+
+@pytest.mark.parametrize("records,batches", WIDE_FALLBACKS.values(), ids=WIDE_FALLBACKS)
+def test_fallbacks_wider_than_the_kept_columns(records, batches, layout_batches):
+    """A fallback string longer than the byte columns that the accepted rows keep."""
+    assert_same_bytes(records)
+    assert layout_batches == {"csv": batches, "json": batches}
 
 
 ROWS = np.linspace(0, 1, 150)
