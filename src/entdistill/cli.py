@@ -173,7 +173,8 @@ def emit_records(records: Records, fmt: str, out) -> None:
                        for v, _ in columns)):
         out.write(_template_rows(texts, columns, fmt))
         return
-    chars, coded = [np.frombuffer(text.encode(), np.uint8) for text in texts], [None] * len(columns)
+    chars = [np.frombuffer(text.encode(errors="surrogatepass"), np.uint8) for text in texts]
+    coded = [None] * len(columns)
     for start in range(0, rows, BATCH_ROWS):
         stop = min(start + BATCH_ROWS, rows)
         # A coded column's values are formatted once, in the first batch's kernel calls.
@@ -201,7 +202,7 @@ def _write_batch(pieces: list[np.ndarray], out) -> None:
         laid = bytearray(min(step, rows - start) * width)
         np.concatenate([piece[start:start + step] for piece in pieces], axis=1,
                        out=np.frombuffer(laid, np.uint8).reshape(-1, width))
-        out.write(laid.translate(None, b"\0").decode())
+        out.write(laid.translate(None, b"\0").decode(errors="surrogatepass"))
 
 
 def _column_blocks(columns: list[np.ndarray], fmt: str) -> list[np.ndarray]:
@@ -556,7 +557,7 @@ def _pointwise(closed_form):
 
 class _Gathered(noise.PurifiedCoeffs):
     def __post_init__(self):
-        """No check: these are entries of ``purified_coeffs_prefixes`` tables, checked there."""
+        """No check: these are entries of coefficient arrays, each checked where it was made."""
 
 
 def _prefix_coeffs(points: list[tuple], *depths: np.ndarray) -> list[np.ndarray]:
@@ -811,34 +812,36 @@ def run_verification(max_n: int = 3, seed: int = 7, draws: int = 20,
     """Max |analytic - oracle| per quantity over a seeded random grid; NaN if any gap is NaN.
 
     Every input is drawn first, in the order of a point-by-point loop.
-    The oracle then runs one gadget stack per (eps, depth), holding
-    Alice's, Bob's and the filter's rates in drawn order, and one mixed
-    and one pure post-state stack over all points, each point's register
-    and ket gathered by its draw. The closed forms run point by point,
-    in loop order, so each check's deviation is one abs-max of arrays.
+    Each (eps, depth) stack of Alice's, Bob's and the filter's rates, in
+    drawn order, gives the oracle's gadgets and the closed-form
+    coefficients; the oracle's post-states run as one stack over all
+    points, the closed forms once per draw with its f and theta as floats.
     """
     rng = np.random.RandomState(seed)
     eps_grid = [0.0, 0.05, 0.1]
-    inputs, points, stacks, rows = [], [], defaultdict(list), []
+    inputs, stacks, rows = [], defaultdict(list), []
     for _ in range(draws):
         inputs.append((float(rng.uniform(0.26, 0.99)), float(rng.uniform(0.05, np.pi / 4 - 0.01))))
         for eps in eps_grid:
             for n in range(1, max_n + 1):
-                p_list = list(rng.uniform(0.02, 0.3, n))
+                p_list = rng.uniform(0.02, 0.3, n).tolist()
                 m = int(rng.randint(1, max_n + 1))
-                q_list = list(rng.uniform(0.02, 0.3, m))
+                q_list = rng.uniform(0.02, 0.3, m).tolist()
                 p_hom = float(rng.uniform(0.02, 0.3))
-                points.append((*inputs[-1], eps, p_list, q_list, p_hom))
                 for rates in (p_list, q_list, [p_hom] * n):
                     rows.append(((eps, len(rates)), len(stacks[eps, len(rates)])))
                     stacks[eps, len(rates)].append(rates)
     # The stacks one after another; a row's place is its stack's offset plus its index there.
-    q0, q1 = map(np.concatenate, zip(*(oracle.oracle_effective_povms(rates, eps)
-                                       for (eps, _), rates in stacks.items())))
+    q0, q1, r0, r1 = map(np.concatenate, zip(*(
+        (*oracle.oracle_effective_povms(rates, eps), c.r0, c.r1)
+        for (eps, _), rates in stacks.items()
+        for c in [noise.purified_coeffs_general(np.array(rates), eps)])))
     offset = dict(zip(stacks, np.cumsum([0, *map(len, stacks.values())])))
-    alice, bob, hom = (oracle.EffectivePovm(q0[i], q1[i]) for i in
-                       np.reshape([offset[key] + i for key, i in rows], (-1, 3)).T)
-    draw = np.repeat(np.arange(draws), len(eps_grid) * max_n)
+    roles = np.reshape([offset[key] + i for key, i in rows], (-1, 3)).T
+    alice, bob, hom = (oracle.EffectivePovm(q0[i], q1[i]) for i in roles)
+    (a0, a1), (b0, b1), (h0, h1) = ((r0[i], r1[i]) for i in roles)
+    depths = np.tile(np.arange(1, max_n + 1), len(eps_grid))  # of one draw's points
+    draw = np.repeat(np.arange(draws), len(depths))
     sigma = oracle.oracle_mixed_post_state(
         np.array([oracle.mixed_register(f) for f, _ in inputs])[draw], alice, bob)
     sigma_p = oracle.oracle_pure_post_state(
@@ -846,22 +849,20 @@ def run_verification(max_n: int = 3, seed: int = 7, draws: int = 20,
     orc, orc_p = oracle.distill_result(sigma), oracle.distill_result(sigma_p)
 
     closed = []
-    for f, theta, eps, p_list, q_list, p_hom in points:
-        c = noise.purified_coeffs_general(p_list, eps)
-        w = dm.parity_weights(p_list, q_list, eps)
-        res = dm.distill_map(f, w)
-        state = dm.post_state_unnormalized(f, w)
-        ch = noise.purified_coeffs_gate_noisy(p_hom, eps, len(p_list))
-        res_p = dp.pure_filter_fidelity(theta, ch)
-        closed.append(((c.r0, c.r1), res.fidelity_out, res.p_succ, state, res_p.fidelity_out,
-                       res_p.p_succ, dp.pure_post_state_unnormalized(theta, ch)))
+    for k, (f, theta) in enumerate(inputs):
+        at = slice(k * len(depths), (k + 1) * len(depths))
+        w = dm.weights_from_coeffs(a0[at], a1[at], b0[at], b1[at])
+        h = _Gathered(h0[at], h1[at], depths)
+        res, res_p = dm.distill_map(f, w), dp.pure_filter_fidelity(theta, h)
+        closed.append((res.fidelity_out, res.p_succ, dm.post_state_unnormalized(f, w),
+                       res_p.fidelity_out, res_p.p_succ, dp.pure_post_state_unnormalized(theta, h)))
     oracle_values = {"povm_coeffs": np.diagonal(alice.q0, axis1=1, axis2=2).real,
                      "mixed_fidelity": orc.fidelity_out, "mixed_p_succ": orc.p_succ,
                      "mixed_state": sigma, "pure_fidelity": orc_p.fidelity_out,
                      "pure_p_succ": orc_p.p_succ, "pure_state": sigma_p}
     # Column k of the closed forms, in the order appended above, against the k-th oracle stack.
-    gaps = {name: np.array(column) - value
-            for (name, value), column in zip(oracle_values.items(), zip(*closed))}
+    gaps = {name: column - value for (name, value), column in
+            zip(oracle_values.items(), [np.stack([a0, a1], 1), *map(np.concatenate, zip(*closed))])}
     # The gadgets' elements are diagonal: each off-diagonal entry of a stack is a gap.
     gaps["povm_offdiag"] = np.stack([q0, q1])[..., [0, 1], [1, 0]]
 

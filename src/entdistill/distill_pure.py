@@ -63,11 +63,16 @@ def filter_ops(theta: float) -> FilterOps:
 
 
 def pure_post_state_unnormalized(theta: float, coeffs: PurifiedCoeffs) -> np.ndarray:
-    """Unnormalized accepted state after filtering with purified weights."""
+    """Unnormalized accepted state after filtering with purified weights.
+
+    Coefficient arrays give a stack of states, each equal bit for bit to its
+    scalar call. theta stays a float, as ``post_state_unnormalized``'s f does.
+    """
     _check_theta(theta)
     t2 = 2.0 * np.sin(theta) ** 2
-    out = coeffs.r0 * t2 * PI_PHI_PLUS
-    out[3, 3] += coeffs.r1 * (1.0 - t2)
+    r0 = coeffs.r0[..., None, None] if np.ndim(coeffs.r0) else coeffs.r0
+    out = r0 * t2 * PI_PHI_PLUS
+    out[..., 3, 3] += coeffs.r1 * (1.0 - t2)
     return out
 
 

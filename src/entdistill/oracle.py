@@ -35,7 +35,6 @@ from collections.abc import Sequence
 import numpy as np
 
 from .distill_mixed import DistillResult
-from .distill_pure import filter_ops
 from .noise import _check_fraction, depolarized_cnot_apply, noisy_povm_element
 # embed_op is unused here but stays bound: the benchmark's tests check oracle.embed_op.
 from .qmat import KET0, PHI_PLUS, embed_op, projector, tensor  # noqa: F401
@@ -143,11 +142,6 @@ def _measure(rho: np.ndarray, element: np.ndarray) -> np.ndarray:
     return np.einsum("...aybz,...zy->...ab", rho.reshape(rho.shape[:-2] + (4, d, 4, d)), element)
 
 
-def _bilateral_cnots(rho: np.ndarray) -> np.ndarray:
-    """Ideal CNOTs A1 -> A2 and B1 -> B2 on a register ordered A1 B1 A2 B2 ..."""
-    return depolarized_cnot_apply(depolarized_cnot_apply(rho, 0, 2, 0.0), 1, 3, 0.0)
-
-
 def distill_result(sigma: np.ndarray) -> DistillResult:
     """Success probability tr sigma and fidelity <phi+|sigma|phi+> / tr sigma, per accepted state."""
     stack = sigma if sigma.ndim > 2 else sigma[None]
@@ -160,7 +154,8 @@ def distill_result(sigma: np.ndarray) -> DistillResult:
 
 def mixed_register(f: float) -> np.ndarray:
     """Two copies of ``isotropic(f)``, ordered A1 B1 A2 B2, after the ideal bilateral CNOTs."""
-    return _bilateral_cnots(tensor(isotropic(f), isotropic(f)))
+    rho = tensor(isotropic(f), isotropic(f))
+    return depolarized_cnot_apply(depolarized_cnot_apply(rho, 0, 2, 0.0), 1, 3, 0.0)
 
 
 def oracle_mixed_post_state(register: np.ndarray, qa: EffectivePovm,
@@ -202,7 +197,8 @@ def oracle_mixed_post_state_direct(
     Register order [A1, B1, A2, B2, Alice ancillas, Bob ancillas]; with
     depths (n, m) this is 2 + n + m qubits, at most 10, so n = m = 4, the
     tables' largest depth, is a 10-qubit simulation. Certifies the
-    effective-POVM reduction.
+    effective-POVM reduction. The ideal bilateral CNOTs leave the ancillas'
+    |0><0| alone, so the register starts as ``mixed_register(f)`` beside them.
     """
     epsilon = _check_fraction(epsilon, "epsilon")
     n, m = len(p_a), len(p_b)
@@ -210,7 +206,7 @@ def oracle_mixed_post_state_direct(
     if nq > 10:
         raise ValueError(f"direct register would need {nq} qubits, max is 10")
 
-    rho = _bilateral_cnots(tensor(isotropic(f), isotropic(f), *([projector(KET0)] * (nq - 4))))
+    rho = tensor(mixed_register(f), *([projector(KET0)] * (nq - 4)))
     alice_anc = list(range(4, 4 + n - 1))
     bob_anc = list(range(4 + n - 1, nq))
     rho = apply_depolarized_cnot_chain(rho, alice_anc, control=2, epsilon=epsilon)
@@ -222,10 +218,18 @@ def oracle_mixed_post_state_direct(
     return _measure(rho, element)
 
 
+def controlled_w(theta: float) -> np.ndarray:
+    """The filter's U = |0><0| x I + |1><1| x W, W|0> = tan(theta)|0> + r|1>, r^2 = 1 - tan^2."""
+    t = np.tan(theta)
+    r = np.sqrt(1.0 - t * t)
+    u = np.eye(4, dtype=complex)
+    u[2:, 2:] = [[t, -r], [r, t]]
+    return u
+
+
 def filtered_ket(theta: float) -> np.ndarray:
     """(I x U)(|theta> x |0>) as a 4 x 2 matrix, rows AB and columns E; U the controlled-W."""
-    u = filter_ops(theta).u
-    return (tensor(pure_theta(theta), KET0).reshape(2, 4) @ u.T).reshape(4, 2)
+    return (tensor(pure_theta(theta), KET0).reshape(2, 4) @ controlled_w(theta).T).reshape(4, 2)
 
 
 def oracle_pure_post_state(psi: np.ndarray, q: EffectivePovm) -> np.ndarray:

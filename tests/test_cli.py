@@ -213,6 +213,24 @@ def test_verify_equals_the_per_point_reference(seed, full):
         assert cli.run_verification(max_n=max_n, seed=seed, draws=draws, full=full) == expected
 
 
+def test_verify_evaluates_the_closed_forms_on_the_oracles_stacks(monkeypatch, capsys):
+    """One coefficient call per (eps, depth) stack and one fidelity map per draw.
+
+    ``--max-n 3 --draws 5`` has 3 x 3 stacks and 45 points; point by point the
+    closed forms made 180 coefficient calls and 45 map calls. ``parity_weights``
+    holds its own name for the coefficients, so both names are spied on.
+    """
+    coeffs = mock.Mock(wraps=noise.purified_coeffs_general)
+    maps = mock.Mock(wraps=distill_mixed.distill_map)
+    monkeypatch.setattr(noise, "purified_coeffs_general", coeffs)
+    monkeypatch.setattr(distill_mixed, "purified_coeffs_general", coeffs)
+    monkeypatch.setattr(distill_mixed, "distill_map", maps)
+    code, out, _ = run_cli(["verify", "--max-n", "3", "--draws", "5"], capsys)
+    assert code == 0 and "verification passed" in out
+    assert coeffs.call_count <= 9
+    assert maps.call_count <= 5
+
+
 #: Each analytic output that verify compares: its module, function and field
 #: (None for a returned state matrix), and the verify line it feeds.
 CORRUPTIONS = [
@@ -233,7 +251,8 @@ CORRUPTIONS = [
 def test_verify_corrupt_hook_fails(module, func, field, line, corrupt, monkeypatch, capsys):
     """A -1e-6 bias or a NaN in one analytic output fails the verify line it feeds.
 
-    The first call stays exact: Python's max() from an exact gap skips a later NaN.
+    The first call stays exact, so a corruption must show in a later call's points:
+    every corrupted function runs more than once, per (eps, depth) stack or per draw.
     """
     exact, calls = getattr(module, func), []
 

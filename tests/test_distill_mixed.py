@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from reference import validate_density_matrix
@@ -301,6 +301,22 @@ def test_array_evaluation_equals_scalar_calls_bit_for_bit(inputs):
             assert str(array_error.value) == str(exc)
             return
     assert lower_bound(w).tolist() == thresholds
+
+
+@settings(max_examples=200, deadline=None)
+@given(map_inputs())
+# At this f, (f - w) ** 2 as a float's pow and as an array's square differ in the last bit.
+@example((np.array([0.639126848719905]), np.array([[0.1, 0.2]]), np.array([[0.3]]), 0.05))
+def test_post_state_of_weight_arrays_equals_scalar_calls_bit_for_bit(inputs):
+    """Weight arrays with a float f give one state per row, each its scalar call's."""
+    fs, p_a, p_b, eps = inputs
+    w = parity_weights(p_a, p_b, eps)
+    scalar_w = [parity_weights(list(a), list(b), eps) for a, b in zip(p_a, p_b)]
+    for f in fs.tolist():
+        stack = post_state_unnormalized(f, w)
+        assert stack.shape == (len(scalar_w), 4, 4)
+        for state, sw in zip(stack, scalar_w):
+            assert np.array_equal(state, post_state_unnormalized(f, sw))
 
 
 def test_array_checks_name_the_first_offending_value_in_row_order():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from conftest import rand_pure_state
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from reference import partial_trace
@@ -188,6 +188,21 @@ def test_array_coefficients_equal_scalar_calls_bit_for_bit(theta, n, rates, eps)
               for p in rates.tolist()]
     assert res.fidelity_out.tolist() == [r.fidelity_out for r in scalar]
     assert res.p_succ.tolist() == [r.p_succ for r in scalar]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-3, np.pi / 4), st.integers(1, 7),
+       arrays(float, st.integers(1, 6), elements=FRACTION), FRACTION)
+# At this theta, sin(theta) ** 2 as an np.float64's pow and as an array's square differ.
+@example(0.21921936201796255, 3, np.array([0.05, 0.1, 0.15, 0.2, 0.25, 0.3]), 0.05)
+def test_post_state_of_coefficient_arrays_equals_scalar_calls_bit_for_bit(theta, n, rates, eps):
+    """Coefficient arrays with a float theta give one state per entry, each its scalar call's."""
+    stack = pure_post_state_unnormalized(
+        theta, purified_coeffs_general(np.repeat(rates[:, None], n, axis=1), eps))
+    assert stack.shape == (len(rates), 4, 4)
+    for state, p in zip(stack, rates.tolist()):
+        assert np.array_equal(
+            state, pure_post_state_unnormalized(theta, purified_coeffs_gate_noisy(p, eps, n)))
 
 
 def test_fidelity_monotone_in_depth_and_converges():

@@ -269,15 +269,15 @@ def test_columnar_batch_takes_one_call_per_kernel(fmt, monkeypatch):
 
 
 def test_hand_built_records_equal_the_template_emitter(layout_batches):
-    """Negative, NaN and infinite floats, int columns, a coded axis, '%', non-ASCII and
-    non-finite constants, laid out as bytes in both formats."""
+    """Negative, NaN and infinite floats, int columns, a coded axis, '%', non-ASCII (a lone
+    surrogate among it) and non-finite constants, laid out as bytes in both formats."""
     rows = 300
     rng = np.random.RandomState(5)
     wild = rng.randn(rows) * 10.0 ** rng.randint(-9, 16, rows)
     wild[:10] = [math.nan, math.inf, -math.inf, -0.0, 0.0, -1.5, 5e-324, 1e300, -1e-5,
                  0.9999999999995]
     records = cli.Records(
-        {"quantity": "hand-built, 100% ünïcode", "p": math.inf, "n": 2 ** 70},
+        {"quantity": "hand-built, 100% ünïcode \ud800", "p": math.inf, "n": 2 ** 70},
         {"F": np.linspace(-1, 1, rows), "value": wild, "round": np.arange(-rows, rows, 2),
          "epsilon": (wild[:12], rng.randint(0, 12, rows).astype(np.uint8)),
          "m": (np.array([-7, 0, 2 ** 63 - 1]), rng.randint(0, 3, rows).astype(np.uint8))})

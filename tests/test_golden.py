@@ -2,7 +2,8 @@
 
 Each sha256 was captured from the output of the CLI before its output
 path and the closed forms behind it were restructured. A change to any
-single byte of a table, a sweep or a single-point record fails here.
+single byte of a table, a sweep, a single-point record or a ``verify``
+report fails here.
 The ``pure_fidelity_limit`` golden was captured after its digits at
 small epsilon were corrected on purpose (see ``test_distill_pure``'s
 mpmath reference).
@@ -104,6 +105,20 @@ COMMANDS = [
 ]
 
 
+# (argv, sha256 of the stdout) of `verify`: every deviation, to its printed digits, and the
+# verdict. Captured while the closed forms still ran point by point, before they ran on the
+# oracle's (eps, depth) stacks.
+VERIFY = [
+    (["--full"], "626fc2dfec83a8547a10b25d6ab24cbc321dad6d9406b9b1aaefe7cf26086276"),
+    (["--max-n", "4", "--draws", "5", "--seed", "3"],
+     "ec75840d88ce7776700d8388b8bf064c36188280b059c9abda6be28bf7fa3984"),
+    (["--max-n", "1", "--draws", "1", "--seed", "0"],
+     "8b5c6d44f528110c8df4a45b03584688180d2a70e7583928108236a6ecc95722"),
+    (["--max-n", "4", "--draws", "20", "--full", "--seed", "4294967295"],
+     "1343daadaba7ee700d5a9f525db76977de4a6f1785d0d32dd6fb21ed52ba7507"),
+]
+
+
 # sha256 of the `-h` output of the top-level parser (None) and of each command, at
 # COLUMNS 40 and 80 and with COLUMNS unset and no terminal (None), where argparse falls
 # back to 80 columns. Captured with Python 3.11's argparse while every formatter still
@@ -157,6 +172,12 @@ def test_command_output_matches_golden(argv, csv_sha, json_sha, fmt, capsys):
     assert cli.main(argv + ["--format", fmt]) == 0
     captured = capsys.readouterr()
     assert _sha256(captured.out.encode()) == (csv_sha if fmt == "csv" else json_sha), argv
+
+
+@pytest.mark.parametrize("argv,sha", VERIFY, ids=[" ".join(v[0]) for v in VERIFY])
+def test_verify_report_matches_golden(argv, sha, capsys):
+    assert cli.main(["verify", *argv]) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == sha, argv
 
 
 def _no_terminal(fd=None):

@@ -11,7 +11,7 @@ from entdistill.distill_mixed import (
     parity_weights,
     post_state_unnormalized,
 )
-from entdistill.distill_pure import pure_filter_fidelity, pure_post_state_unnormalized
+from entdistill.distill_pure import filter_ops, pure_filter_fidelity, pure_post_state_unnormalized
 from entdistill.noise import (
     depolarized_cnot_apply,
     noisy_povm_element,
@@ -19,6 +19,7 @@ from entdistill.noise import (
     purified_coeffs_general,
 )
 from entdistill.oracle import (
+    controlled_w,
     distill_result,
     filtered_ket,
     mixed_register,
@@ -30,8 +31,8 @@ from entdistill.oracle import (
     oracle_mixed_post_state_direct,
     oracle_pure_post_state,
 )
-from entdistill.qmat import singlet_fraction
-from entdistill.states import twirl
+from entdistill.qmat import KET0, projector, singlet_fraction, tensor
+from entdistill.states import isotropic, pure_theta, twirl
 
 TOL = 1e-10
 
@@ -306,9 +307,32 @@ def test_direct_register_ten_qubit_check(eps):
     assert np.abs(direct - expected).max() < TOL
 
 
+@pytest.mark.parametrize("ancillas", [0, 2, 6])
+def test_direct_register_starts_from_the_two_pair_register(ancillas):
+    """The bilateral CNOTs on the whole register give mixed_register(f) beside the ancillas."""
+    for f in (0.0, 0.37, 0.7, 1.0):
+        ancilla_states = [projector(KET0)] * ancillas
+        whole = tensor(isotropic(f), isotropic(f), *ancilla_states)
+        whole = depolarized_cnot_apply(depolarized_cnot_apply(whole, 0, 2, 0.0), 1, 3, 0.0)
+        assert np.array_equal(tensor(mixed_register(f), *ancilla_states), whole)
+
+
 def test_direct_register_guard():
     with pytest.raises(ValueError, match="would need 11 qubits, max is 10"):
         oracle_mixed_post_state_direct(0.7, [0.1] * 5, [0.1] * 4, 0.0)
+
+
+def test_filtered_ket_applies_the_filters_controlled_w(rng):
+    """The controlled-W built from tan(theta) is filter_ops(theta).u, entry for entry."""
+    for theta in [np.pi / 4, np.pi / 4 - 1e-12, 1e-300, 0.3, *rng.uniform(0.0, np.pi / 4, 200)]:
+        theta = float(theta)
+        u, built = filter_ops(theta).u, controlled_w(theta)
+        assert np.array_equal(built, u)
+        assert np.array_equal(np.signbit(built.view(float)), np.signbit(u.view(float)))
+        assert np.array_equal(filtered_ket(theta),
+                              (tensor(pure_theta(theta), KET0).reshape(2, 4) @ u.T).reshape(4, 2))
+    with pytest.raises(ValueError, match="theta must lie in"):
+        filtered_ket(1.0)
 
 
 def test_pure_oracle_frozen_values():
