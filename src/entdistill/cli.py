@@ -951,136 +951,182 @@ def cmd_povm_purify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the argument table
 
-def _add_io_args(sub):
-    sub.add_argument("--format", choices=["csv", "json"], default="csv")
-    sub.add_argument("--out", default=None, metavar="PATH",
-                     help="output file (default stdout); a directory for 'tables'")
+#: ``--format`` and ``--out``, which every command but ``verify`` takes last.
+_IO_ARGS = [("--format", dict(choices=["csv", "json"], default="csv")),
+            ("--out", dict(default=None, metavar="PATH",
+                           help="output file (default stdout); a directory for 'tables'"))]
 
-
-def _add_tables_args(sub):
-    sub.set_defaults(run=cmd_tables)
-    _add_io_args(sub)
-
-
-def _add_sweep_args(sub):
-    sub.set_defaults(run=cmd_sweep)
-    sub.epilog = ("lower_bound is the threshold L: above F = 1/4, one round raises F exactly "
-                  "for F in (L, 1), so L >= 1 means that window is empty.")
-    sub.add_argument("--quantity", choices=QUANTITIES, required=True)
-    sub.add_argument("--p", type=_float_axis,
-                     help="axis: 'a,b,c' or 'start:stop:count' with start <= stop")
-    sub.add_argument("--epsilon", type=_float_axis, help="axis (default 0)")
-    sub.add_argument("--n", type=_depth_axis, help="axis: 'a,b,c' or 'lo:hi', lo <= hi (default 1)")
-    sub.add_argument("--m", type=_depth_axis, help="axis (default 1)")
-    sub.add_argument("--F", type=_float_axis, help="axis of input singlet fractions")
-    theta = sub.add_mutually_exclusive_group()
-    theta.add_argument("--theta", type=_float_axis, help="axis of Schmidt angles in radians")
-    theta.add_argument("--theta-frac-pi", dest="theta_frac_pi", type=_frac_pi_axis,
-                       help="axis of Schmidt angles as multiples of pi")
-    sub.add_argument("--het-band", dest="het_band", nargs=2, type=float,
-                     metavar=("LO", "HI"),
-                     help="draw per-measurement rates uniformly from [LO, HI) with "
-                          "0 <= LO <= HI < 1")
-    sub.add_argument("--draws", type=_positive_int,
-                     help=f"random draws per grid point in --het-band mode (default {HET_DRAWS})")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="seed for --het-band mode")
-    _add_io_args(sub)
-
-
-def _add_verify_args(sub):
-    sub.set_defaults(run=cmd_verify)
-    sub.add_argument("--max-n", dest="max_n", type=int, default=3, choices=[1, 2, 3, 4])
-    sub.add_argument("--seed", type=int, default=7)
-    sub.add_argument("--draws", type=_positive_int, default=20)
-    sub.add_argument("--full", action="store_true",
-                     help="also run the direct full-register checks (up to 8 qubits)")
-
-
-def _add_distill_mixed_args(sub):
-    sub.set_defaults(run=cmd_distill_mixed)
-    sub.add_argument("--F", type=float, required=True)
-    sub.add_argument("--p", type=float)
-    sub.add_argument("--pA", type=_rates, help="comma-separated per-measurement rates for Alice")
-    sub.add_argument("--pB", type=_rates, help="comma-separated per-measurement rates for Bob")
-    sub.add_argument("--n", type=_positive_int, help="Alice's depth with --p (default 1)")
-    sub.add_argument("--m", type=_positive_int, help="Bob's depth with --p (default 1)")
-    sub.add_argument("--epsilon", type=float, default=0.0)
-    sub.add_argument("--rounds", type=_positive_int, default=1,
-                     help="iterate the map with the same weights; this assumes each round's "
-                          "output is twirled back to an isotropic state before the next")
-    _add_io_args(sub)
-
-
-def _add_distill_pure_args(sub):
-    sub.set_defaults(run=cmd_distill_pure)
-    theta = sub.add_mutually_exclusive_group(required=True)
-    theta.add_argument("--theta", type=float)
-    theta.add_argument("--theta-frac-pi", dest="theta_frac_pi", type=float)
-    sub.add_argument("--p", type=float, required=True)
-    sub.add_argument("--epsilon", type=float, default=0.0)
-    sub.add_argument("--n", type=_positive_int, default=1)
-    _add_io_args(sub)
-
-
-def _add_povm_purify_args(sub):
-    sub.set_defaults(run=cmd_povm_purify)
-    rates = sub.add_mutually_exclusive_group(required=True)
-    rates.add_argument("--p", type=float)
-    rates.add_argument("--pList", type=_rates, help="comma-separated heterogeneous rates")
-    sub.add_argument("--epsilon", type=float, default=0.0)
-    sub.add_argument("--n", type=_positive_int, help="depth with --p (default 1)")
-    _add_io_args(sub)
-
-
-#: Each subcommand, in help order: the function that sets its run function,
-#: its arguments and any epilog, and its line in the command list. The run
-#: function is looked up when the parser is built, so a wrapper put on a
-#: module's ``cmd_*`` binding is the one that runs.
+#: Each subcommand, in help order: its line in the command list, the name of its
+#: ``cmd_*`` function, its epilog, and its arguments in help order. An argument is
+#: (flag, ``add_argument`` keywords), its dest the flag's name; a mutually exclusive
+#: group is (required, its arguments). ``build_parser`` builds argparse from it, and
+#: ``_parse_table`` parses a well-formed argv from it alone.
 COMMANDS = {
-    "tables": (_add_tables_args, "write the five reference tables"),
-    "sweep": (_add_sweep_args, "evaluate a quantity over a parameter grid"),
-    "verify": (_add_verify_args, "analytic layer vs density-matrix oracle"),
-    "distill-mixed": (_add_distill_mixed_args, "two-way distillation of isotropic states"),
-    "distill-pure": (_add_distill_pure_args, "filter a Schmidt-form pure state"),
-    "povm-purify": (_add_povm_purify_args, "purified-measurement coefficients"),
+    "tables": ("write the five reference tables", "cmd_tables", None, _IO_ARGS),
+    "sweep": ("evaluate a quantity over a parameter grid", "cmd_sweep",
+              "lower_bound is the threshold L: above F = 1/4, one round raises F exactly "
+              "for F in (L, 1), so L >= 1 means that window is empty.", [
+        ("--quantity", dict(choices=QUANTITIES, required=True)),
+        ("--p", dict(type=_float_axis,
+                     help="axis: 'a,b,c' or 'start:stop:count' with start <= stop")),
+        ("--epsilon", dict(type=_float_axis, help="axis (default 0)")),
+        ("--n", dict(type=_depth_axis, help="axis: 'a,b,c' or 'lo:hi', lo <= hi (default 1)")),
+        ("--m", dict(type=_depth_axis, help="axis (default 1)")),
+        ("--F", dict(type=_float_axis, help="axis of input singlet fractions")),
+        (False, [("--theta", dict(type=_float_axis, help="axis of Schmidt angles in radians")),
+                 ("--theta-frac-pi", dict(type=_frac_pi_axis,
+                                          help="axis of Schmidt angles as multiples of pi"))]),
+        ("--het-band", dict(nargs=2, type=float, metavar=("LO", "HI"),
+                            help="draw per-measurement rates uniformly from [LO, HI) with "
+                                 "0 <= LO <= HI < 1")),
+        ("--draws", dict(type=_positive_int, help="random draws per grid point in --het-band "
+                                                  f"mode (default {HET_DRAWS})")),
+        ("--seed", dict(type=int, default=None, help="seed for --het-band mode")),
+        *_IO_ARGS]),
+    "verify": ("analytic layer vs density-matrix oracle", "cmd_verify", None, [
+        ("--max-n", dict(type=int, default=3, choices=[1, 2, 3, 4])),
+        ("--seed", dict(type=int, default=7)),
+        ("--draws", dict(type=_positive_int, default=20)),
+        ("--full", dict(action="store_true",
+                        help="also run the direct full-register checks (up to 8 qubits)"))]),
+    "distill-mixed": ("two-way distillation of isotropic states", "cmd_distill_mixed", None, [
+        ("--F", dict(type=float, required=True)),
+        ("--p", dict(type=float)),
+        ("--pA", dict(type=_rates, help="comma-separated per-measurement rates for Alice")),
+        ("--pB", dict(type=_rates, help="comma-separated per-measurement rates for Bob")),
+        ("--n", dict(type=_positive_int, help="Alice's depth with --p (default 1)")),
+        ("--m", dict(type=_positive_int, help="Bob's depth with --p (default 1)")),
+        ("--epsilon", dict(type=float, default=0.0)),
+        ("--rounds", dict(type=_positive_int, default=1,
+                          help="iterate the map with the same weights; this assumes each round's "
+                               "output is twirled back to an isotropic state before the next")),
+        *_IO_ARGS]),
+    "distill-pure": ("filter a Schmidt-form pure state", "cmd_distill_pure", None, [
+        (True, [("--theta", dict(type=float)), ("--theta-frac-pi", dict(type=float))]),
+        ("--p", dict(type=float, required=True)),
+        ("--epsilon", dict(type=float, default=0.0)),
+        ("--n", dict(type=_positive_int, default=1)),
+        *_IO_ARGS]),
+    "povm-purify": ("purified-measurement coefficients", "cmd_povm_purify", None, [
+        (True, [("--p", dict(type=float)),
+                ("--pList", dict(type=_rates, help="comma-separated heterogeneous rates"))]),
+        ("--epsilon", dict(type=float, default=0.0)),
+        ("--n", dict(type=_positive_int, help="depth with --p (default 1)")),
+        *_IO_ARGS]),
 }
 
 
+def _add_arguments(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    """``parser`` given ``command``'s epilog, arguments and run function from COMMANDS."""
+    _, run, epilog, arguments = COMMANDS[command]
+    parser.epilog = epilog
+    parser.set_defaults(run=globals()[run])
+    for item in arguments:
+        if isinstance(item[0], bool):
+            group = parser.add_mutually_exclusive_group(required=item[0])
+            for flag, keywords in item[1]:
+                group.add_argument(flag, **keywords)
+        else:
+            parser.add_argument(item[0], **item[1])
+    return parser
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The full CLI parser; with ``command`` one of COMMANDS, that command's own.
+    """The full CLI parser, built from COMMANDS; with ``command`` one of them, that command's own.
 
     A command's own parser takes the arguments after its name and prints the
     same help and errors: the full parser hands them to it, ``prog`` included.
-    ``main`` parses a command with it alone, and builds the full parser only to
-    report what it leaves over or the command's ``ValueError``. A build reads
-    the terminal width once, where argparse reads it for every argument.
+    ``main`` builds parsers only for an argv that ``_parse_table`` does not take: the
+    command's own parser to parse it, the full parser to report what that one leaves
+    over or the command's ``ValueError``. A build reads the terminal width once, where
+    argparse reads it for every argument. The run function is looked up when the parser
+    is built, so a wrapper put on a module's ``cmd_*`` binding is the one that runs.
     """
     import shutil  # here, as argparse imports it: at module level, 0.5 MB more peak RSS
     formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     if command in COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"entdistill {command}", formatter_class=formatter)
-        COMMANDS[command][0](parser)
-        return parser
+        return _add_arguments(argparse.ArgumentParser(prog=f"entdistill {command}",
+                                                      formatter_class=formatter), command)
     parser = argparse.ArgumentParser(
         prog="entdistill", formatter_class=formatter,
         description="Noisy-measurement purification and entanglement distillation.")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (add_args, help_text) in COMMANDS.items():
-        add_args(subs.add_parser(name, help=help_text, formatter_class=formatter))
+    for name, (help_text, *_) in COMMANDS.items():
+        _add_arguments(subs.add_parser(name, help=help_text, formatter_class=formatter), name)
     return parser
 
 
+def _parse_table(argv) -> argparse.Namespace | None:
+    """``build_parser().parse_args(argv)``'s Namespace for a well-formed argv, from COMMANDS.
+
+    Well-formed: a command, then exact long flags of it, each at most once and followed
+    by its ``nargs`` values (one by default, none for ``store_true``), none of them
+    starting with '-' but a lone '-'. Each value passes the flag's ``type``, then its
+    ``choices``; every required flag is given, and an exclusive group holds at most one
+    flag, exactly one if required. Defaults fill the rest, a string default through
+    ``type`` as argparse does. Anything else is None and goes to argparse: help,
+    abbreviations, '--flag=value', repeated or conflicting flags, option-like values,
+    a rejected value. The run function is looked up at each call, as in ``build_parser``.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, run, _, arguments = COMMANDS[argv[0]]
+    flags = {flag: keywords for item in arguments
+             for flag, keywords in (item[1] if isinstance(item[0], bool) else [item])}
+    given, at = {}, 1
+    try:
+        while at < len(argv):
+            flag = argv[at]
+            if flag not in flags or flag in given:
+                return None
+            keywords = flags[flag]
+            count = 0 if keywords.get("action") == "store_true" else keywords.get("nargs", 1)
+            texts = argv[at + 1:at + 1 + count]
+            if len(texts) < count or any(t.startswith("-") and t != "-" for t in texts):
+                return None
+            values = [keywords.get("type", str)(text) for text in texts]
+            if "choices" in keywords and any(v not in keywords["choices"] for v in values):
+                return None
+            given[flag] = True if not count else values if "nargs" in keywords else values[0]
+            at += 1 + count
+        # A group's count of given flags lies in [required, 1].
+        if any(isinstance(required, bool) and not required <= sum(f in given for f, _ in group) <= 1
+               for required, group in arguments):
+            return None
+        namespace = argparse.Namespace(command=argv[0], run=globals()[run])
+        for flag, keywords in flags.items():
+            if flag not in given:
+                if keywords.get("required"):
+                    return None
+                given[flag] = keywords.get("default", False if "action" in keywords else None)
+                if isinstance(given[flag], str):
+                    given[flag] = keywords.get("type", str)(given[flag])
+            setattr(namespace, flag[2:].replace("-", "_"), given[flag])
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    return namespace
+
+
 def main(argv=None) -> int:
-    """Run the CLI on ``argv`` (default ``sys.argv[1:]``) in-process; returns the exit code."""
+    """Run the CLI on ``argv`` (default ``sys.argv[1:]``) in-process; returns the exit code.
+
+    A well-formed argv is parsed from COMMANDS alone (``_parse_table``): no parser is
+    built and no terminal width read. Any other argv goes to argparse, through the
+    named command's own parser, or the full parser for help, no arguments or an unknown
+    command; the full parser reports what the command's parser leaves over. A command's
+    ``ValueError`` is a usage error that the full parser reports.
+    """
     argv = sys.argv[1:] if argv is None else argv
     command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args, extras = build_parser(command).parse_known_args(
-            argv[1:] if command else argv, argparse.Namespace(command=command))
-        if extras:
-            build_parser().parse_args(argv)  # exits, naming the extras
+        args = _parse_table(argv)
+        if args is None:
+            args, extras = build_parser(command).parse_known_args(
+                argv[1:] if command else argv, argparse.Namespace(command=command))
+            if extras:
+                build_parser().parse_args(argv)  # exits, naming the extras
         try:
             return args.run(args)
         except ValueError as exc:

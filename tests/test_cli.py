@@ -734,8 +734,10 @@ def test_command_parser_gives_the_full_parsers_namespace(argv, monkeypatch):
 
 
 def test_main_builds_only_the_named_commands_parser(monkeypatch, capsys):
-    """A command's call constructs its own parser alone, help, no arguments and an unknown
-    command the full parser with every subparser; no parser is kept between calls."""
+    """A valid call constructs no parser. Help, no arguments and an unknown command
+    construct the full parser with every subparser, help for a command its own parser
+    alone; a value that a flag rejects, its command's parser alone, and a command's
+    ValueError the full parser, which reports it. No parser is kept between calls."""
     added, built = [], []
     add_parser, init = argparse._SubParsersAction.add_parser, argparse.ArgumentParser.__init__
 
@@ -751,7 +753,9 @@ def test_main_builds_only_the_named_commands_parser(monkeypatch, capsys):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy_init)
     full = ["entdistill", *(f"entdistill {name}" for name in cli.COMMANDS)]
     for argv, want in [*(([name, "-h"], [f"entdistill {name}"]) for name in cli.COMMANDS),
-                       (VALID[0], ["entdistill povm-purify"]),
+                       *((argv, []) for argv in VALID),
+                       (ZERO_ROUNDS[0], ["entdistill distill-mixed"]),
+                       (DISTILL_MIXED_USAGE_ERRORS[0], full),
                        *((argv, full) for argv in ([], ["-h"], ["bogus"]))]:
         for _ in range(2):
             added.clear()
@@ -771,6 +775,103 @@ def test_main_runs_the_module_binding_of_the_command(argv, monkeypatch):
     name = "cmd_" + argv[0].replace("-", "_")
     monkeypatch.setattr(cli, name, lambda args: 7)
     assert cli.main(argv) == 7
+
+
+#: Values drawn for a flag of each type, or with choices its choices, most of the time.
+TABLE_VALID = {float: ["0.1", "0.7", "nan", "1e-3"], int: ["3", "4294967295"],
+               cli._float_axis: ["0.1", "0:0.1:3", "0.1,0.2"],
+               cli._frac_pi_axis: ["0.1", "0:0.2:3"], cli._depth_axis: ["2", "1:4"],
+               cli._positive_int: ["1", "3"], cli._rates: ["0.1,0.2", "0.3"],
+               None: ["out.csv", "-"]}
+#: Values drawn for any flag otherwise: valid elsewhere, negatives, '-', '', NaN, garbage
+#: and flag names.
+TABLE_OTHER = ["2", "1:4", "csv", "lower_bound", "-0.1", "-1", "-", "", "nan", "abc", "2:1", "0",
+               "--p", "--n", "-h"]
+
+
+@st.composite
+def command_tokens(draw, command):
+    """Tokens after ``command``: mostly its required flags and one flag of each required
+    group, then a few of its other flags, and at times one flag again, so repeated and
+    conflicting flags come up. A flag is mostly exact and given its number of values,
+    mostly valid ones; otherwise an abbreviation, a '--flag=value' form, or given a
+    value too many or too few."""
+    _, _, _, arguments = cli.COMMANDS[command]
+    specs = {flag: keywords for item in arguments
+             for flag, keywords in (item[1] if isinstance(item[0], bool) else [item])}
+    required = []
+    for item in arguments:
+        if item[0] is True:  # a required group: one of its flags
+            required.append(draw(st.sampled_from([flag for flag, _ in item[1]])))
+        elif not isinstance(item[0], bool) and item[1].get("required"):
+            required.append(item[0])
+    flags = [flag for flag in required if draw(st.integers(0, 9))]
+    others = [flag for flag in draw(st.permutations(list(specs))) if flag not in flags]
+    flags += others[:draw(st.integers(0, 4))]
+    if draw(st.integers(0, 3)) == 0:
+        flags.append(draw(st.sampled_from(list(specs))))
+    tokens = []
+    for flag in flags:
+        keywords = specs[flag]
+        valid = [str(c) for c in keywords["choices"]] if "choices" in keywords else (
+            TABLE_VALID[keywords.get("type")])
+        value = st.sampled_from(TABLE_OTHER if draw(st.integers(0, 5)) == 0 else valid)
+        count = 0 if "action" in keywords else keywords.get("nargs", 1)
+        form = draw(st.sampled_from(["exact"] * 8 + ["abbreviation"] * 2 + ["equals", "count"]))
+        if form == "equals":
+            tokens.append(f"{flag}={draw(value)}")
+            continue
+        if form == "abbreviation" and len(flag) > 3:
+            flag = flag[:draw(st.integers(3, len(flag) - 1))]
+        if form == "count":
+            count = draw(st.integers(0, 2))
+        tokens += [flag, *(draw(value) for _ in range(count))]
+    return tokens
+
+
+def _same(a, b) -> bool:
+    """a == b, of one type, NaN equal to NaN, lists elementwise."""
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return type(a) is type(b) and (a == b or a != a and b != b)
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_table_parser_gives_argparses_namespace_or_none(command, data):
+    """The table parser returns None or the full parser's Namespace, and None wherever
+    the full parser exits."""
+    argv = [command, *data.draw(command_tokens(command))]
+    table = cli._parse_table(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            full = vars(cli.build_parser().parse_args(argv))
+    except SystemExit:
+        assert table is None, argv
+        return
+    if table is not None:
+        assert vars(table).keys() == full.keys(), argv
+        assert all(_same(vars(table)[k], v) for k, v in full.items()), argv
+
+
+#: Argvs that argparse parses otherwise than exactly or rejects: an ambiguous and a unique
+#: abbreviation, '--flag=value', a value outside the choices, a conflict in an exclusive
+#: group, a missing required group, an option-like value, a negative number, a repeated
+#: flag, a value after a store_true flag, one value of two, a missing required flag.
+TABLE_LEAVES_TO_ARGPARSE = [
+    ["distill-pure", "--th", "0.3", "--p", "0.1"], ["povm-purify", "--eps", "0.1", "--p", "0.1"],
+    ["povm-purify", "--p=0.1"], ["povm-purify", "--p", "0.1", "--format", "xml"],
+    ["povm-purify", "--p", "0.1", "--pList", "0.1"], ["povm-purify", "--n", "2"],
+    ["povm-purify", "--out", "-h", "--p", "0.1"], ["povm-purify", "--p", "-0.1"],
+    ["povm-purify", "--p", "0.1", "--p", "0.2"], ["verify", "--full", "1"],
+    ["sweep", "--quantity", "lower_bound", "--het-band", "0.1"], ["distill-mixed", "--p", "0.1"],
+]
+
+
+@pytest.mark.parametrize("argv", TABLE_LEAVES_TO_ARGPARSE, ids=" ".join)
+def test_table_parser_leaves_other_argvs_to_argparse(argv):
+    assert cli._parse_table(argv) is None
 
 
 def _reference_emit(rows, fmt):
@@ -1005,9 +1106,10 @@ def test_depth_sweeps_run_one_recurrence_per_p_and_eps(quantity, tail, monkeypat
 
 
 def test_each_parser_build_reads_the_terminal_width_once(monkeypatch, capsys):
-    """A valid command's call and a help call read the terminal width once, at the build of
-    their one parser, where argparse reads it for every argument; the second call of each
-    reads it again, as nothing is kept between calls."""
+    """A valid call builds no parser and never reads the terminal width. A help call and a
+    usage error read it once, at the build of their one parser, where argparse reads it
+    for every argument; the second call of each reads it again, as nothing is kept
+    between calls."""
     reads = []
     get_terminal_size = shutil.get_terminal_size
 
@@ -1016,9 +1118,11 @@ def test_each_parser_build_reads_the_terminal_width_once(monkeypatch, capsys):
         return get_terminal_size(*args, **kwargs)
 
     monkeypatch.setattr(shutil, "get_terminal_size", spy)
-    for argv in [*VALID, ["-h"], *([name, "-h"] for name in cli.COMMANDS)]:
+    helps = [["-h"], *([name, "-h"] for name in cli.COMMANDS)]
+    for argv, code, want in [*((argv, 0, 0) for argv in VALID), (ZERO_ROUNDS[0], 2, 1),
+                             *((argv, 0, 1) for argv in helps)]:
         for _ in range(2):
             reads.clear()
-            assert cli.main(argv) == 0
+            assert cli.main(argv) == code
             capsys.readouterr()
-            assert len(reads) == 1, argv
+            assert len(reads) == want, argv

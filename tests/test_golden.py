@@ -13,9 +13,10 @@ import hashlib
 import os
 import sys
 
+import numpy as np
 import pytest
 
-from entdistill import cli
+from entdistill import cli, distill_mixed, distill_pure, noise
 
 TABLES_SHA256 = {
     "lower_bound_gate_noise.csv": "31115d148800321c5d33cd94cbc5fd2fcd02ad3fb8bb81b9a916ddf5902ecc51",
@@ -119,6 +120,58 @@ VERIFY = [
 ]
 
 
+# float.hex of every deviation that `run_verification` returns, at the settings of each
+# VERIFY argv in turn: the report prints a deviation to 4 digits, which hides a change of
+# one ulp that moves a maximum. Captured before the CLI parsed well-formed argvs from its
+# argument table.
+VERIFY_HEX = [
+    {"direct_register": "0x1.0000000000000p-54",
+     "mixed_fidelity": "0x1.0000000000000p-51",
+     "mixed_p_succ": "0x1.4000000000000p-51",
+     "mixed_state": "0x1.0000000000000p-52",
+     "povm_coeffs": "0x1.0000000000000p-52",
+     "povm_offdiag": "0x0.0p+0",
+     "pure_fidelity": "0x1.0000000000000p-51",
+     "pure_p_succ": "0x1.0000000000000p-52",
+     "pure_state": "0x1.0000000000000p-52"},
+    {"mixed_fidelity": "0x1.0000000000000p-51",
+     "mixed_p_succ": "0x1.0000000000000p-51",
+     "mixed_state": "0x1.8000000000000p-53",
+     "povm_coeffs": "0x1.0000000000000p-52",
+     "povm_offdiag": "0x0.0p+0",
+     "pure_fidelity": "0x1.8000000000000p-52",
+     "pure_p_succ": "0x1.0000000000000p-52",
+     "pure_state": "0x1.8000000000000p-53"},
+    {"mixed_fidelity": "0x1.0000000000000p-52",
+     "mixed_p_succ": "0x1.0000000000000p-53",
+     "mixed_state": "0x1.0000000000000p-56",
+     "povm_coeffs": "0x0.0p+0",
+     "povm_offdiag": "0x0.0p+0",
+     "pure_fidelity": "0x1.0000000000000p-51",
+     "pure_p_succ": "0x1.0000000000000p-52",
+     "pure_state": "0x1.8000000000000p-53"},
+    {"direct_register": "0x1.8000000000000p-53",
+     "mixed_fidelity": "0x1.0000000000000p-51",
+     "mixed_p_succ": "0x1.4000000000000p-51",
+     "mixed_state": "0x1.0000000000000p-52",
+     "povm_coeffs": "0x1.0000000000000p-52",
+     "povm_offdiag": "0x0.0p+0",
+     "pure_fidelity": "0x1.0000000000000p-51",
+     "pure_p_succ": "0x1.0000000000000p-52",
+     "pure_state": "0x1.0000000000000p-52"},
+]
+
+# sha256 of every closed-form value that `verify` computes at the settings of each VERIFY
+# argv in turn (VERIFY_CLOSED_FORMS' results, in call order): a change of one ulp in a value
+# that no maximum shows changes it. Captured with VERIFY_HEX.
+VERIFY_CLOSED_SHA256 = [
+    "e7e2d09412463f6cda911cd24bf9d26d9d25e114bbfe5616969001e8171a9c6f",
+    "ba1cb92f616774d829d3c7ca406fe3fde76d85dcfdcaa48e909642037109fadd",
+    "5e8fcd512a145f5f2e063108d076cf1b6003c7ac62f32b252e5b520b7bf92533",
+    "bfb96115ff5fea7c7011ad2a4ebbeb9749cded6fbfcc9027bed480dfc79ff5b4",
+]
+
+
 # sha256 of the `-h` output of the top-level parser (None) and of each command, at
 # COLUMNS 40 and 80 and with COLUMNS unset and no terminal (None), where argparse falls
 # back to 80 columns. Captured with Python 3.11's argparse while every formatter still
@@ -179,6 +232,37 @@ def test_verify_report_matches_golden(argv, sha, capsys):
     assert cli.main(["verify", *argv]) == 0
     assert _sha256(capsys.readouterr().out.encode()) == sha, argv
 
+
+#: The closed forms that `verify` evaluates, as (module, name, the result's fields or None).
+VERIFY_CLOSED_FORMS = [(noise, "purified_coeffs_general", ("r0", "r1")),
+                       (distill_mixed, "distill_map", ("fidelity_out", "p_succ")),
+                       (distill_mixed, "post_state_unnormalized", None),
+                       (distill_pure, "pure_filter_fidelity", ("fidelity_out", "p_succ")),
+                       (distill_pure, "pure_post_state_unnormalized", None)]
+
+
+@pytest.mark.parametrize("argv,hexes,sha", [(v[0], hexes, sha) for v, hexes, sha in
+                                             zip(VERIFY, VERIFY_HEX, VERIFY_CLOSED_SHA256)],
+                         ids=[" ".join(v[0]) for v in VERIFY])
+def test_verify_values_match_golden(argv, hexes, sha, monkeypatch):
+    """Every deviation, bit for bit, and every closed-form value that `verify` computes,
+    through a sha256 of their bytes in call order: a change of one ulp in any of them fails."""
+    digest = hashlib.sha256()
+
+    def spy(function, fields):
+        def spied(*args):
+            result = function(*args)
+            for value in [result] if fields is None else [getattr(result, f) for f in fields]:
+                digest.update(np.asarray(value).tobytes())
+            return result
+        return spied
+
+    for module, name, fields in VERIFY_CLOSED_FORMS:
+        monkeypatch.setattr(module, name, spy(getattr(module, name), fields))
+    args = cli.build_parser("verify").parse_args(argv)
+    dev = cli.run_verification(max_n=args.max_n, seed=args.seed, draws=args.draws, full=args.full)
+    assert {name: value.hex() for name, value in dev.items()} == hexes
+    assert digest.hexdigest() == sha
 
 def _no_terminal(fd=None):
     raise OSError("not a terminal")

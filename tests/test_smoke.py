@@ -93,7 +93,9 @@ def test_only_main_turns_cli_errors_into_exit_codes():
     A ValueError may also be caught in _grid, the one evaluation path of
     every sweep, which re-raises the first failing row's, in cmd_verify,
     where a broken invariant during the checks fails the verification, and
-    in the argparse type functions, which re-raise it as ArgumentTypeError.
+    in the argparse type functions, which re-raise it as ArgumentTypeError,
+    and in _parse_table, which leaves an argv whose value a type function
+    rejects to argparse, as argparse catches it.
     """
     tree = ast.parse((ROOT / "src" / "entdistill" / "cli.py").read_text())
     arg_types = {kw.value.id for node in ast.walk(tree) if isinstance(node, ast.Call)
@@ -111,7 +113,7 @@ def test_only_main_turns_cli_errors_into_exit_codes():
                     "ValueError", "Exception", "BaseException"}):
                 value_error_catches.add(owner)
     assert error_calls == {"main"}
-    assert value_error_catches - arg_types == {"main", "_grid", "cmd_verify"}
+    assert value_error_catches - arg_types == {"main", "_grid", "cmd_verify", "_parse_table"}
     assert commands and all(params == ["args"] for params in commands.values()), commands
 
 
