@@ -813,9 +813,10 @@ def run_verification(max_n: int = 3, seed: int = 7, draws: int = 20,
 
     Every input is drawn first, in the order of a point-by-point loop.
     Each (eps, depth) stack of Alice's, Bob's and the filter's rates, in
-    drawn order, gives the oracle's gadgets and the closed-form
-    coefficients; the oracle's post-states run as one stack over all
-    points, the closed forms once per draw with its f and theta as floats.
+    drawn order, gives one closed-form coefficient call; the oracle's
+    gadgets run as one stack per depth, with eps a column. The oracle's
+    post-states run as one stack over all points, the closed forms once
+    per draw with its f and theta as floats.
     """
     rng = np.random.RandomState(seed)
     eps_grid = [0.0, 0.05, 0.1]
@@ -831,19 +832,31 @@ def run_verification(max_n: int = 3, seed: int = 7, draws: int = 20,
                 for rates in (p_list, q_list, [p_hom] * n):
                     rows.append(((eps, len(rates)), len(stacks[eps, len(rates)])))
                     stacks[eps, len(rates)].append(rates)
-    # The stacks one after another; a row's place is its stack's offset plus its index there.
-    q0, q1, r0, r1 = map(np.concatenate, zip(*(
-        (*oracle.oracle_effective_povms(rates, eps), c.r0, c.r1)
-        for (eps, _), rates in stacks.items()
+    # The closed forms: one coefficient call per (eps, depth) stack, in drawn order.
+    r0, r1 = map(np.concatenate, zip(*(
+        (c.r0, c.r1) for (eps, _), rates in stacks.items()
         for c in [noise.purified_coeffs_general(np.array(rates), eps)])))
-    offset = dict(zip(stacks, np.cumsum([0, *map(len, stacks.values())])))
-    roles = np.reshape([offset[key] + i for key, i in rows], (-1, 3)).T
-    alice, bob, hom = (oracle.EffectivePovm(q0[i], q1[i]) for i in roles)
-    (a0, a1), (b0, b1), (h0, h1) = ((r0[i], r1[i]) for i in roles)
+    # The oracle: one gadget stack per depth, its (eps, depth) stacks in drawn order, eps a column.
+    by_depth = defaultdict(list)
+    for key in stacks:
+        by_depth[key[1]].append(key)
+    q0, q1 = map(np.concatenate, zip(*(
+        oracle.oracle_effective_povms(*map(np.array, zip(*[
+            (rates, key[0]) for key in keys for rates in stacks[key]])))
+        for keys in by_depth.values())))
+
+    def roles(order):
+        """Alice's, Bob's and the filter's rows when the stacks that ``order`` lists run in turn."""
+        offset = dict(zip(order, np.cumsum([0, *(len(stacks[key]) for key in order)])))
+        return np.reshape([offset[key] + i for key, i in rows], (-1, 3)).T
+
+    alice, bob, hom = (oracle.EffectivePovm(q0[i], q1[i])
+                       for i in roles([key for keys in by_depth.values() for key in keys]))
+    (a0, a1), (b0, b1), (h0, h1) = ((r0[i], r1[i]) for i in roles(stacks))
     depths = np.tile(np.arange(1, max_n + 1), len(eps_grid))  # of one draw's points
     draw = np.repeat(np.arange(draws), len(depths))
     sigma = oracle.oracle_mixed_post_state(
-        np.array([oracle.mixed_register(f) for f, _ in inputs])[draw], alice, bob)
+        oracle.mixed_register(np.array([f for f, _ in inputs]))[draw], alice, bob)
     sigma_p = oracle.oracle_pure_post_state(
         np.array([oracle.filtered_ket(theta) for _, theta in inputs])[draw], hom)
     orc, orc_p = oracle.distill_result(sigma), oracle.distill_result(sigma_p)

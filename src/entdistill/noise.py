@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Sequence
+from functools import lru_cache
 
 import numpy as np
 
@@ -115,11 +116,31 @@ def noisy_povm_element(outcome: int, p: float) -> np.ndarray:
     return m
 
 
+#: Registers of up to this many qubits permute by a flat ``take``; larger ones by a fancy index.
+TAKE_MAX_QUBITS = 6
+
+
+def _cnot_perm(nq: int, control: int, target: int) -> np.ndarray:
+    """The CNOT's index permutation: the target bit flipped where the control bit is set."""
+    index = np.arange(1 << nq)
+    cbit, tbit = 1 << (nq - 1 - control), 1 << (nq - 1 - target)
+    return np.where(index & cbit, index ^ tbit, index)
+
+
+@lru_cache(maxsize=None)  # at most 70 entries of at most 32 KiB: nq <= TAKE_MAX_QUBITS
+def _cnot_take(nq: int, control: int, target: int) -> np.ndarray:
+    """The permutation as flat indices into a (d * d,) view: (i, j) holds perm[i] * d + perm[j]."""
+    perm = _cnot_perm(nq, control, target)
+    take = np.add.outer(perm << nq, perm)
+    take.flags.writeable = False  # the cache hands one array to every call
+    return take
+
+
 def depolarized_cnot_apply(
     rho: np.ndarray,
     control: int,
     target: int,
-    epsilon: float,
+    epsilon: float | np.ndarray,
 ) -> np.ndarray:
     """Apply a CNOT that fails onto the maximally mixed pair with probability epsilon.
 
@@ -127,13 +148,24 @@ def depolarized_cnot_apply(
 
     All other qubits of the register are untouched. The channel acts on
     qubit axes, not on an embedded 2^n x 2^n operator: V is the index
-    permutation that flips the target bit where the control bit is set,
-    and the (c, t) marginal is the sum of the four diagonal (c, t)
-    blocks of the (2,)*2n tensor, written back into each with weight 1/4.
+    permutation that flips the target bit where the control bit is set:
+    entry (i, j) of the result is entry (perm[i], perm[j]). Up to
+    ``TAKE_MAX_QUBITS`` qubits that is one flat ``take`` through indices
+    built once per (qubits, control, target); a larger register uses a
+    2-D fancy index, which allocates no d x d index. The (c, t) marginal
+    is the sum of the four diagonal (c, t) blocks, written back into each
+    with weight 1/4; row and column indices are split at the two qubits
+    into (before, c or t, between, t or c, after) axes, so each block is
+    a basic slice.
 
     ``rho`` may be a stack of shape (..., d, d): each operator of the
     stack gets the same float operations as an unstacked call, so each
-    slice of the result equals that call bit for bit.
+    slice of the result equals that call bit for bit. ``epsilon`` is a
+    float, or an array that broadcasts against the stack's leading
+    shape: one value per operator. An operator whose value is positive
+    equals the call with that value as a float bit for bit; one whose
+    value is 0 beside positive ones goes through the noisy branch with
+    weight 0, which may flip the sign of a zero.
     """
     rho = np.asarray(rho, dtype=complex)
     epsilon = _check_fraction(epsilon, "epsilon")
@@ -145,24 +177,35 @@ def depolarized_cnot_apply(
         raise ValueError("control and target must differ")
     if not (0 <= control < nq and 0 <= target < nq):
         raise ValueError(f"invalid control/target ({control}, {target}) for {nq} qubits")
-    index = np.arange(d)
-    cbit, tbit = 1 << (nq - 1 - control), 1 << (nq - 1 - target)
-    perm = np.where(index & cbit, index ^ tbit, index)
-    out = rho[..., perm[:, None], perm]
-    if epsilon > 0.0:
-        out *= 1.0 - epsilon
+    lead = rho.shape[:-2]
+    column = isinstance(epsilon, np.ndarray)
+    if column and (epsilon.ndim > len(lead) or any(
+            e not in (1, n) for e, n in zip(epsilon.shape[::-1], lead[::-1]))):
+        raise ValueError(f"epsilon of shape {epsilon.shape} does not broadcast against "
+                         f"a stack of shape {lead}")
+    if nq <= TAKE_MAX_QUBITS:
+        out = rho.reshape(lead + (d * d,)).take(_cnot_take(nq, control, target), axis=-1)
+    else:
+        perm = _cnot_perm(nq, control, target)
+        out = rho[..., perm[:, None], perm]
+    if _any(epsilon > 0.0):
+        first, second = sorted((control, target))
+        # Row and column each as (before, first, between, second, after).
+        split = (1 << first, 2, 1 << (second - first - 1), 2, 1 << (nq - 1 - second))
         blocks = []
         for c, t in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            key = [Ellipsis] + [slice(None)] * (2 * nq)
-            key[1 + control] = key[1 + nq + control] = c
-            key[1 + target] = key[1 + nq + target] = t
-            blocks.append(tuple(key))
-        axes = rho.shape[:-2] + (2,) * (2 * nq)
-        tensor_in, tensor_out = rho.reshape(axes), out.reshape(axes)
-        marginal = sum(tensor_in[key] for key in blocks)
+            bits = (c, t) if control < target else (t, c)
+            key = (Ellipsis, slice(None), bits[0], slice(None), bits[1], slice(None))
+            blocks.append(key + key[1:])
+        if column:
+            out *= (1.0 - epsilon)[..., None, None]
+            epsilon = epsilon.reshape(epsilon.shape + (1,) * 6)  # the six axes a block keeps
+        else:
+            out *= 1.0 - epsilon
+        tensor_in, tensor_out = rho.reshape(lead + split * 2), out.reshape(lead + split * 2)
+        depolarized = epsilon / 4.0 * sum(tensor_in[key] for key in blocks)
         for key in blocks:
-            tensor_out[key] += epsilon / 4.0 * marginal
-        out = tensor_out.reshape(rho.shape)
+            tensor_out[key] += depolarized
     return out
 
 

@@ -4,18 +4,20 @@ Nothing here reuses the closed forms from the other modules: the
 purification gadget, the two-way distillation round and the filtering
 circuit are built as explicit registers and contracted numerically, so
 any disagreement with the analytic layer points at a real defect.
-Channels act on qubit axes: a CNOT is an index permutation, the
-depolarizing step a sum over four diagonal blocks (see
-``noise.depolarized_cnot_apply``), an ancilla prepared and sandwiched in
-|0> an index, and a measurement one contraction with its POVM element.
-No dense operator is embedded into the register.
+Channels act on qubit axes: a CNOT is one flat ``take`` of the
+register's entries, the depolarizing step a sum over four diagonal
+blocks (see ``noise.depolarized_cnot_apply``), an ancilla prepared and
+sandwiched in |0> an index, and a measurement one contraction with its
+POVM element. No dense operator is embedded into the register.
 
 The oracle runs on stacks along a leading axis: ``oracle_effective_povms``
 pulls one gadget per row of a rate matrix through each depolarized CNOT
-at once; the post-state functions take stacks of prepared inputs,
-``mixed_register(f)`` or ``filtered_ket(theta)``, with one gadget's
-elements each; ``distill_result`` takes a stack of accepted states. A
-single call is a stack of one, so each slice equals its own call bit for bit.
+at once, with one CNOT noise for all rows or one per row; the
+post-state functions take stacks of prepared inputs, ``mixed_register(f)``
+(which takes an array of f) or ``filtered_ket(theta)``, with one
+gadget's elements each; ``distill_result`` takes a stack of accepted
+states. A single call is a stack of one, so each slice equals its own
+call bit for bit.
 
 Two levels are provided for the distillation protocols. The fast path
 first reduces each purification gadget to an effective single-qubit POVM
@@ -37,7 +39,7 @@ import numpy as np
 from .distill_mixed import DistillResult
 from .noise import _check_fraction, depolarized_cnot_apply, noisy_povm_element
 # embed_op is unused here but stays bound: the benchmark's tests check oracle.embed_op.
-from .qmat import KET0, PHI_PLUS, embed_op, projector, tensor  # noqa: F401
+from .qmat import KET0, PHI_PLUS, embed_op, tensor  # noqa: F401
 from .states import isotropic, pure_theta
 
 MAX_GADGET_QUBITS = 6
@@ -72,12 +74,14 @@ def apply_depolarized_cnot_chain(rho: np.ndarray, targets: Sequence[int], contro
     return rho
 
 
-def oracle_effective_povms(rates, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+def oracle_effective_povms(rates, epsilon: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Post-selected POVM elements of a stack of gadgets, one per row of ``rates``.
 
     ``rates`` is a (B x n) matrix: row b holds gadget b's per-qubit
-    rates, the measured qubit's first. Returns the (B, 2, 2) stacks q0
-    and q1 of the elements for unanimous outcomes 0^n and 1^n.
+    rates, the measured qubit's first. ``epsilon`` is the CNOT noise of
+    every gadget, a float, or a column of B values, row b's noise.
+    Returns the (B, 2, 2) stacks q0 and q1 of the elements for unanimous
+    outcomes 0^n and 1^n.
 
     Each gadget is built operator-side on its n-qubit register. Its
     noisy elements are diagonal, so their product for a unanimous
@@ -87,13 +91,18 @@ def oracle_effective_povms(rates, epsilon: float) -> tuple[np.ndarray, np.ndarra
     CNOTs act on the state in ascending ancilla order, so their adjoints
     are folded in descending order), then the ancillas are sandwiched
     out in |0...0>. Each row equals its gadget's ``oracle_effective_povm``
-    bit for bit.
+    bit for bit; with a column, a row whose noise is 0 beside positive
+    ones runs through the noisy channel with weight 0, which may flip
+    the sign of a zero.
     """
     rates = _check_fraction(np.asarray(rates, dtype=float), "measurement noise fraction")
     epsilon = _check_fraction(epsilon, "epsilon")
     if rates.ndim != 2:
         raise ValueError(f"rates must be a (B x n) matrix, got shape {rates.shape}")
     b, n = rates.shape
+    if isinstance(epsilon, np.ndarray) and epsilon.shape != (b,):
+        raise ValueError(f"epsilon must be a float or a column of {b} values, "
+                         f"got shape {epsilon.shape}")
     if n < 1 or n > MAX_GADGET_QUBITS:
         raise ValueError(f"n must lie in 1..{MAX_GADGET_QUBITS}, got {n}")
 
@@ -111,7 +120,8 @@ def oracle_effective_povms(rates, epsilon: float) -> tuple[np.ndarray, np.ndarra
     op = op.reshape(2, b, d, d)
     # The depolarized CNOT is its own adjoint: V is a real symmetric
     # involution and replacing the pair by I/4 is a self-adjoint map, so
-    # the Schroedinger-picture channel also pulls observables back.
+    # the Schroedinger-picture channel also pulls observables back. A
+    # column of eps broadcasts against the (2, B) leading axes.
     for j in reversed(range(1, n)):
         op = depolarized_cnot_apply(op, 0, j, epsilon)
     # <0...0| op |0...0> on the ancillas: the measured qubit's rows and
@@ -152,9 +162,16 @@ def distill_result(sigma: np.ndarray) -> DistillResult:
     return DistillResult(fidelity_out=fidelity, p_succ=p_succ)
 
 
-def mixed_register(f: float) -> np.ndarray:
-    """Two copies of ``isotropic(f)``, ordered A1 B1 A2 B2, after the ideal bilateral CNOTs."""
-    rho = tensor(isotropic(f), isotropic(f))
+def mixed_register(f: float | np.ndarray) -> np.ndarray:
+    """Two copies of ``isotropic(f)``, ordered A1 B1 A2 B2, after the ideal bilateral CNOTs.
+
+    An array of f gives a stack of registers, one per value, each equal
+    to its float call bit for bit.
+    """
+    pair = isotropic(f)
+    # tensor(pair, pair) of each slice: entry (ik, jl) is pair[i, j] pair[k, l].
+    rho = (pair[..., :, None, :, None] * pair[..., None, :, None, :]).reshape(
+        pair.shape[:-2] + (16, 16))
     return depolarized_cnot_apply(depolarized_cnot_apply(rho, 0, 2, 0.0), 1, 3, 0.0)
 
 
@@ -198,7 +215,9 @@ def oracle_mixed_post_state_direct(
     depths (n, m) this is 2 + n + m qubits, at most 10, so n = m = 4, the
     tables' largest depth, is a 10-qubit simulation. Certifies the
     effective-POVM reduction. The ideal bilateral CNOTs leave the ancillas'
-    |0><0| alone, so the register starts as ``mixed_register(f)`` beside them.
+    |0><0| alone, so the register starts as ``mixed_register(f)`` beside
+    them: zero except at the ancillas' |0...0> rows and columns, every
+    2^(n+m-2)-th index, where it is ``mixed_register(f)``.
     """
     epsilon = _check_fraction(epsilon, "epsilon")
     n, m = len(p_a), len(p_b)
@@ -206,7 +225,8 @@ def oracle_mixed_post_state_direct(
     if nq > 10:
         raise ValueError(f"direct register would need {nq} qubits, max is 10")
 
-    rho = tensor(mixed_register(f), *([projector(KET0)] * (nq - 4)))
+    rho = np.zeros((2 ** nq, 2 ** nq), dtype=complex)
+    rho[::2 ** (nq - 4), ::2 ** (nq - 4)] = mixed_register(f)
     alice_anc = list(range(4, 4 + n - 1))
     bob_anc = list(range(4 + n - 1, nq))
     rho = apply_depolarized_cnot_chain(rho, alice_anc, control=2, epsilon=epsilon)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .noise import _check_fraction
 from .qmat import PHI_PLUS, projector, singlet_fraction
 
 
@@ -25,12 +26,16 @@ def pure_theta(theta: float) -> np.ndarray:
     return v
 
 
-def isotropic(f: float) -> np.ndarray:
+def isotropic(f: float | np.ndarray) -> np.ndarray:
     """Isotropic two-qubit state F|phi+><phi+| + (1-F)/3 (I - |phi+><phi+|).
 
-    Its singlet fraction is F; it is entangled iff F > 1/2.
+    Its singlet fraction is F; it is entangled iff F > 1/2. An array of
+    F gives a stack of states, one per value, each equal to its float
+    call bit for bit.
     """
-    if not 0.0 <= f <= 1.0:
+    if isinstance(f, np.ndarray):
+        f = _check_fraction(f, "singlet fraction", closed=True)[..., None, None]
+    elif not 0.0 <= f <= 1.0:
         raise ValueError(f"singlet fraction must lie in [0, 1], got {f}")
     p = projector(PHI_PLUS)
     return f * p + (1.0 - f) / 3.0 * (np.eye(4, dtype=complex) - p)

@@ -24,6 +24,11 @@ def rand_unitary(rng, num_qubits):
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
+def bits(a):
+    """The float64 bit patterns of a complex array: equal iff bit for bit, signs of zeros too."""
+    return np.ascontiguousarray(a, dtype=complex).view(np.uint64)
+
+
 @pytest.fixture
 def rng():
     return np.random.RandomState(20240817)

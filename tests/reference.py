@@ -1,6 +1,8 @@
-"""Dense reference operations, the filtering circuit's full register
-(``oracle_pure_post_state_direct``), a per-point ``verify``, a per-cell
-``--het-band`` sweep and a template emitter, that only the tests use.
+"""Dense reference operations, the depolarized CNOT by fancy index
+(``depolarized_cnot_apply``), the full registers built by kron products
+(``oracle_mixed_post_state_direct``, ``oracle_pure_post_state_direct``),
+a per-point ``verify``, a per-cell ``--het-band`` sweep and a template
+emitter, that only the tests use.
 
 The library applies its channels on qubit axes and never needs these;
 the tests use them to build the same results the slow, obvious way.
@@ -122,6 +124,66 @@ def collective_cnot(n: int) -> np.ndarray:
     xs = tensor(*([X] * (n - 1)))
     eye = np.eye(2 ** (n - 1), dtype=complex)
     return np.kron(P0, eye) + np.kron(P1, xs)
+
+
+def depolarized_cnot_apply(rho: np.ndarray, control: int, target: int,
+                           epsilon: float) -> np.ndarray:
+    """``noise.depolarized_cnot_apply`` as the library ran it before its flat ``take``.
+
+    V is a 2-D fancy index of the permutation, and the (c, t) marginal
+    is the sum of four diagonal blocks of the (2,)*2n tensor, each
+    picked by a key over every qubit axis. ``epsilon`` is a float only.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    epsilon = noise._check_fraction(epsilon, "epsilon")
+    d = rho.shape[-1] if rho.ndim else 0
+    nq = d.bit_length() - 1
+    if rho.ndim < 2 or rho.shape[-2] != d or 2 ** nq != d:
+        raise ValueError(f"state shape {rho.shape} is not a square power of two")
+    if control == target:
+        raise ValueError("control and target must differ")
+    if not (0 <= control < nq and 0 <= target < nq):
+        raise ValueError(f"invalid control/target ({control}, {target}) for {nq} qubits")
+    index = np.arange(d)
+    cbit, tbit = 1 << (nq - 1 - control), 1 << (nq - 1 - target)
+    perm = np.where(index & cbit, index ^ tbit, index)
+    out = rho[..., perm[:, None], perm]
+    if epsilon > 0.0:
+        out *= 1.0 - epsilon
+        blocks = []
+        for c, t in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            key = [Ellipsis] + [slice(None)] * (2 * nq)
+            key[1 + control] = key[1 + nq + control] = c
+            key[1 + target] = key[1 + nq + target] = t
+            blocks.append(tuple(key))
+        axes = rho.shape[:-2] + (2,) * (2 * nq)
+        tensor_in, tensor_out = rho.reshape(axes), out.reshape(axes)
+        marginal = sum(tensor_in[key] for key in blocks)
+        for key in blocks:
+            tensor_out[key] += epsilon / 4.0 * marginal
+        out = tensor_out.reshape(rho.shape)
+    return out
+
+
+def oracle_mixed_post_state_direct(f: float, p_a: Sequence[float], p_b: Sequence[float],
+                                   epsilon: float = 0.0) -> np.ndarray:
+    """``oracle.oracle_mixed_post_state_direct`` with its register built by kron products.
+
+    ``mixed_register(f)`` beside a |0><0| projector per ancilla, as the
+    library built it before it wrote the two-pair register at the
+    ancillas' |0...0> index of a zero register.
+    """
+    n, m = len(p_a), len(p_b)
+    nq = 4 + (n - 1) + (m - 1)
+    rho = tensor(oracle.mixed_register(f), *([projector(KET0)] * (nq - 4)))
+    rho = oracle.apply_depolarized_cnot_chain(rho, list(range(4, 4 + n - 1)), control=2,
+                                              epsilon=epsilon)
+    rho = oracle.apply_depolarized_cnot_chain(rho, list(range(4 + n - 1, nq)), control=3,
+                                              epsilon=epsilon)
+    rates = [p_a[0], p_b[0], *p_a[1:], *p_b[1:]]
+    element = sum(tensor(*[noise.noisy_povm_element(outcome, p) for p in rates])
+                  for outcome in (0, 1))
+    return oracle._measure(rho, element)
 
 
 def oracle_pure_post_state_direct(theta: float, p: float, epsilon: float, n: int) -> np.ndarray:

@@ -2,12 +2,14 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from conftest import rand_density_matrix
+import reference
+from conftest import bits, rand_density_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import collective_cnot, conjugate, partial_trace
 
 from entdistill.noise import (
+    TAKE_MAX_QUBITS,
     PurifiedCoeffs,
     asymptotic_ratio,
     depolarized_cnot_apply,
@@ -107,6 +109,73 @@ def test_depolarized_cnot_on_a_stack_is_the_call_per_operator(nq, rng):
                 assert np.array_equal(got, depolarized_cnot_apply(rho, control, target, eps))
                 np.testing.assert_allclose(got, dense_depolarized_cnot(rho, control, target, eps),
                                            rtol=0, atol=1e-12 * np.abs(rho).max())
+
+
+STACK_SHAPES = st.sampled_from([(), (3,), (2, 4)])
+CNOT_EPS = st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+
+
+@settings(max_examples=40, deadline=None)
+@given(STACK_SHAPES, st.integers(2, 6), CNOT_EPS, st.integers(0, 2 ** 32 - 1))
+def test_depolarized_cnot_is_the_fancy_index_reference_bit_for_bit(lead, nq, eps, seed):
+    # every control != target, on operators with signed zeros among their entries
+    rng = np.random.RandomState(seed)
+    d = 2 ** nq
+    rho = rng.randn(*lead, d, d) + 1j * rng.randn(*lead, d, d)
+    rho[rng.uniform(size=rho.shape) < 0.2] = -0.0
+    for control, target in permutations(range(nq), 2):
+        assert np.array_equal(bits(depolarized_cnot_apply(rho, control, target, eps)),
+                              bits(reference.depolarized_cnot_apply(rho, control, target, eps)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(STACK_SHAPES, st.integers(2, 6), st.integers(0, 2 ** 32 - 1))
+def test_depolarized_cnot_with_an_eps_column_is_the_scalar_call_per_operator(lead, nq, seed):
+    # one eps per operator, about a third of them 0: an eps > 0 slice is its scalar
+    # call bit for bit, an eps = 0 slice equal to it up to the sign of a zero
+    rng = np.random.RandomState(seed)
+    d = 2 ** nq
+    rho = rng.randn(*lead, d, d) + 1j * rng.randn(*lead, d, d)
+    rho[rng.uniform(size=rho.shape) < 0.2] = -0.0
+    eps = np.where(rng.uniform(size=lead) < 0.3, 0.0, rng.uniform(size=lead))
+    for control, target in permutations(range(nq), 2):
+        out = depolarized_cnot_apply(rho, control, target, eps)
+        assert out.shape == rho.shape
+        for k in np.ndindex(*lead):
+            one = depolarized_cnot_apply(rho[k], control, target, float(eps[k]))
+            assert np.array_equal(out[k], one)
+            if eps[k] > 0.0:
+                assert np.array_equal(bits(out[k]), bits(one))
+
+
+@pytest.mark.parametrize("nq", [7, 8])
+def test_depolarized_cnot_past_the_flat_take_is_the_reference_bit_for_bit(nq, rng):
+    # above TAKE_MAX_QUBITS the permutation is a fancy index: the direct register's path
+    assert nq > TAKE_MAX_QUBITS
+    d = 2 ** nq
+    rho = rng.randn(2, d, d) + 1j * rng.randn(2, d, d)
+    rho[rng.uniform(size=rho.shape) < 0.2] = -0.0
+    for control, target in [(0, nq - 1), (nq - 1, 0), (2, 4), (5, 3)]:
+        for eps in (0.0, 0.3):
+            assert np.array_equal(bits(depolarized_cnot_apply(rho, control, target, eps)),
+                                  bits(reference.depolarized_cnot_apply(rho, control, target, eps)))
+        out = depolarized_cnot_apply(rho, control, target, np.array([0.3, 0.0]))
+        assert np.array_equal(bits(out[0]), bits(depolarized_cnot_apply(rho[0], control, target, 0.3)))
+        assert np.array_equal(out[1], depolarized_cnot_apply(rho[1], control, target, 0.0))
+
+
+def test_depolarized_cnot_eps_column_broadcasts_against_the_stack(rng):
+    # a (4,) column against a (2, 4) stack is one value per operator of each row
+    rho = rng.randn(2, 4, 8, 8) + 1j * rng.randn(2, 4, 8, 8)
+    eps = np.array([0.1, 0.0, 0.37, 0.05])
+    out = depolarized_cnot_apply(rho, 2, 0, eps)
+    for i, j in np.ndindex(2, 4):
+        assert np.array_equal(out[i, j], depolarized_cnot_apply(rho[i, j], 2, 0, float(eps[j])))
+    for bad in (np.full(2, 0.1), np.full((3, 4), 0.1)):
+        with pytest.raises(ValueError, match=r"does not broadcast against a stack of shape"):
+            depolarized_cnot_apply(rho, 2, 0, bad)
+    with pytest.raises(ValueError, match=r"^epsilon must lie in \[0, 1\), got 1\.0$"):
+        depolarized_cnot_apply(rho, 2, 0, np.array([0.1, 1.0, 0.0, 0.2]))
 
 
 def test_depolarized_cnot_rejects_shapes_that_are_no_stack_of_operators():
@@ -303,6 +372,17 @@ def test_coefficient_checks_hold_over_arrays():
         purified_coeffs_general(np.array([[0.1, 0.2], [0.3, 1.0]]))
     with pytest.raises(ValueError, match="nonempty"):
         purified_coeffs_general(np.zeros((3, 0)))
+
+
+@pytest.mark.parametrize("below", [-1e-7, -1e-9, -1e-11, -2e-12])
+def test_coefficients_below_the_rounding_tolerance_raise(below):
+    # -1e-12 is the tolerance: a value in (-1e-6, -1e-12) is no rounding error
+    for r0, r1 in ((below, 0.5), (0.5, below)):
+        with pytest.raises(ValueError, match=r"^coefficients must be nonnegative"):
+            PurifiedCoeffs(r0=r0, r1=r1, n=1)
+        with pytest.raises(ValueError, match=r"^coefficients must be nonnegative"):
+            PurifiedCoeffs(r0=np.array([0.5, r0]), r1=np.array([0.1, r1]), n=1)
+    PurifiedCoeffs(r0=-5e-13, r1=np.array([0.5, -5e-13]), n=1)
 
 
 FRACTION = st.floats(0.0, 1.0, exclude_max=True)

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 import reference
-from conftest import rand_density_matrix
+from conftest import bits, rand_density_matrix
 
 from entdistill import cli, noise, oracle
 from entdistill.distill_mixed import (
@@ -104,12 +104,20 @@ def test_effective_povm_guards():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_effective_povm_stack_rows_are_the_single_calls(n, rng):
     rates = rng.uniform(0.0, 1.0, (4, n))
+    per_eps = {}
     for eps in (0.0, 0.05, 0.1, 0.37):
-        q0, q1 = oracle_effective_povms(rates, eps)
+        q0, q1 = per_eps[eps] = oracle_effective_povms(rates, eps)
         assert q0.shape == q1.shape == (4, 2, 2)
         for row, a, b in zip(rates, q0, q1):
             ep = oracle_effective_povm(list(row), eps, n)
             assert np.array_equal(a, ep.q0) and np.array_equal(b, ep.q1)
+    # eps as a column: each row is its eps's stack's row, bit for bit where eps > 0
+    column = np.array([0.37, 0.0, 0.05, 0.1] * 4)
+    q0, q1 = oracle_effective_povms(np.tile(rates, (4, 1)), column)
+    for k, eps in enumerate(column):
+        for got, stack in zip((q0[k], q1[k]), per_eps[eps]):
+            assert np.array_equal(got, stack[k % 4])
+            assert eps == 0.0 or np.array_equal(bits(got), bits(stack[k % 4]))
 
 
 def test_effective_povm_stack_guards():
@@ -123,6 +131,11 @@ def test_effective_povm_stack_guards():
         oracle_effective_povms([0.1, 0.2], 0.0)
     with pytest.raises(ValueError, match=r"^n must lie in 1\.\.6, got 7$"):
         oracle_effective_povms([[0.1] * 7], 0.0)
+    with pytest.raises(ValueError, match=r"^epsilon must be a float or a column of 2 values, "
+                                         r"got shape \(1,\)$"):
+        oracle_effective_povms([[0.1, 0.2], [0.3, 0.1]], np.array([0.05]))
+    with pytest.raises(ValueError, match=r"^epsilon must lie in \[0, 1\), got 1\.0$"):
+        oracle_effective_povms([[0.1, 0.2], [0.3, 0.1]], np.array([0.05, 1.0]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
@@ -151,7 +164,9 @@ def test_post_state_and_result_stacks_are_the_single_calls(eps, rng):
     for b in range(1, 9):
         n, m = rng.randint(1, 5, 2)
         qa, qb = gadget_stack(rng, b, n, eps), gadget_stack(rng, b, m, eps)
-        registers = np.array([mixed_register(f) for f in rng.uniform(0.0, 1.0, b)])
+        fs = rng.uniform(0.0, 1.0, b)
+        registers = mixed_register(fs)
+        assert np.array_equal(bits(registers), bits([mixed_register(float(f)) for f in fs]))
         kets = np.array([filtered_ket(theta) for theta in rng.uniform(0.05, np.pi / 4, b)])
         sigma = oracle_mixed_post_state(registers, qa, qb)
         sigma_p = oracle_pure_post_state(kets, qa)
@@ -315,6 +330,16 @@ def test_direct_register_starts_from_the_two_pair_register(ancillas):
         whole = tensor(isotropic(f), isotropic(f), *ancilla_states)
         whole = depolarized_cnot_apply(depolarized_cnot_apply(whole, 0, 2, 0.0), 1, 3, 0.0)
         assert np.array_equal(tensor(mixed_register(f), *ancilla_states), whole)
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize("eps", [0.0, 0.05])
+def test_direct_register_is_the_kron_built_reference(n, m, eps, rng):
+    """Writing mixed_register(f) at the ancillas' |0...0> index builds the kron's register."""
+    for f in (0.0, float(rng.uniform(0.26, 0.99)), 1.0):
+        p_a, p_b = list(rng.uniform(0.02, 0.3, n)), list(rng.uniform(0.02, 0.3, m))
+        assert np.array_equal(bits(oracle_mixed_post_state_direct(f, p_a, p_b, eps)),
+                              bits(reference.oracle_mixed_post_state_direct(f, p_a, p_b, eps)))
 
 
 def test_direct_register_guard():

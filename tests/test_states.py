@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import rand_density_matrix, rand_pure_state
+from conftest import bits, rand_density_matrix, rand_pure_state
 from reference import partial_trace, validate_density_matrix
 
 from entdistill.qmat import I2, PHI_PLUS, projector, singlet_fraction
@@ -60,17 +60,26 @@ def test_isotropic_spectrum():
     np.testing.assert_allclose(eigs, [0.1, 0.1, 0.1, 0.7], atol=1e-12)
 
 
-@pytest.mark.parametrize("f", [0.0, 0.1, 0.25, 0.5, 0.77, 1.0])
+@pytest.mark.parametrize("f", [0.0, 0.1, 0.25, 1 / 3, 0.5, 0.77, 1.0])
 def test_isotropic_is_valid_state_and_recovers_f(f):
     rho = isotropic(f)
     validate_density_matrix(rho)
     assert singlet_fraction(rho) == pytest.approx(f, abs=1e-12)
+    # in an array, each value's slice is its float call bit for bit
+    stack = isotropic(np.array([[0.3, f], [f, 0.9]]))
+    assert stack.shape == (2, 2, 4, 4)
+    assert np.array_equal(bits(stack[0, 1]), bits(rho)) and np.array_equal(bits(stack[1, 0]), bits(rho))
 
 
 def test_isotropic_domain():
     for bad in (-0.01, 1.01):
         with pytest.raises(ValueError):
             isotropic(bad)
+    # an array names its first value outside, NaN included
+    with pytest.raises(ValueError, match=r"^singlet fraction must lie in \[0, 1\], got -0\.01$"):
+        isotropic(np.array([0.5, -0.01, 1.01]))
+    with pytest.raises(ValueError, match=r"got nan$"):
+        isotropic(np.array([[0.5, 1.0], [np.nan, 1.01]]))
 
 
 def test_isotropic_entangled_iff_f_above_half():
