@@ -28,7 +28,6 @@ import json
 import math
 import sys
 from collections import defaultdict
-from functools import partial
 from itertools import product
 from pathlib import Path
 
@@ -87,8 +86,8 @@ def _row_parts(records: Records, fields: list[str] | None, fmt: str) -> tuple[li
     for i, f in enumerate(fields):
         if i:
             text += "," if fmt == "csv" else ", "
-        if fmt == "json":
-            text += json.dumps(f) + ": "
+        if fmt == "json":  # every field is a FIELD_ORDER name or schema_version: no escapes
+            text += '"' + f + '": '
         if f in columns:
             quote = '"' if fmt == "json" and columns[f][0].ndim == 2 else ""
             texts.append(text + quote)
@@ -975,7 +974,7 @@ _IO_ARGS = [("--format", dict(choices=["csv", "json"], default="csv")),
 #: ``cmd_*`` function, its epilog, and its arguments in help order. An argument is
 #: (flag, ``add_argument`` keywords), its dest the flag's name; a mutually exclusive
 #: group is (required, its arguments). ``build_parser`` builds argparse from it, and
-#: ``_parse_table`` parses a well-formed argv from it alone.
+#: ``_parse_table`` parses a well-formed argv from it alone, through FLAGS and GROUPS.
 COMMANDS = {
     "tables": ("write the five reference tables", "cmd_tables", None, _IO_ARGS),
     "sweep": ("evaluate a quantity over a parameter grid", "cmd_sweep",
@@ -1030,44 +1029,39 @@ COMMANDS = {
         *_IO_ARGS]),
 }
 
-
-def _add_arguments(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
-    """``parser`` given ``command``'s epilog, arguments and run function from COMMANDS."""
-    _, run, epilog, arguments = COMMANDS[command]
-    parser.epilog = epilog
-    parser.set_defaults(run=globals()[run])
-    for item in arguments:
-        if isinstance(item[0], bool):
-            group = parser.add_mutually_exclusive_group(required=item[0])
-            for flag, keywords in item[1]:
-                group.add_argument(flag, **keywords)
-        else:
-            parser.add_argument(item[0], **item[1])
-    return parser
+#: Each command's flags, in help order, and their ``add_argument`` keywords, from COMMANDS.
+FLAGS = {command: {flag: keywords for item in arguments
+                   for flag, keywords in (item[1] if isinstance(item[0], bool) else [item])}
+         for command, (*_, arguments) in COMMANDS.items()}
+#: Each command's mutually exclusive groups, as (required, their flags), from COMMANDS.
+GROUPS = {command: [(item[0], [flag for flag, _ in item[1]])
+                    for item in arguments if isinstance(item[0], bool)]
+          for command, (*_, arguments) in COMMANDS.items()}
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The full CLI parser, built from COMMANDS; with ``command`` one of them, that command's own.
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argparse parser, built from COMMANDS.
 
-    A command's own parser takes the arguments after its name and prints the
-    same help and errors: the full parser hands them to it, ``prog`` included.
-    ``main`` builds parsers only for an argv that ``_parse_table`` does not take: the
-    command's own parser to parse it, the full parser to report what that one leaves
-    over or the command's ``ValueError``. A build reads the terminal width once, where
-    argparse reads it for every argument. The run function is looked up when the parser
-    is built, so a wrapper put on a module's ``cmd_*`` binding is the one that runs.
+    ``main`` builds it only for an argv that ``_parse_table`` does not take, and to
+    report a command's ``ValueError``. argparse reads the terminal width for each help
+    formatter, so help and usage follow ``COLUMNS`` and the terminal. The run function
+    is looked up when the parser is built, so a wrapper put on a module's ``cmd_*``
+    binding is the one that runs.
     """
-    import shutil  # here, as argparse imports it: at module level, 0.5 MB more peak RSS
-    formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
-    if command in COMMANDS:
-        return _add_arguments(argparse.ArgumentParser(prog=f"entdistill {command}",
-                                                      formatter_class=formatter), command)
     parser = argparse.ArgumentParser(
-        prog="entdistill", formatter_class=formatter,
+        prog="entdistill",
         description="Noisy-measurement purification and entanglement distillation.")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, *_) in COMMANDS.items():
-        _add_arguments(subs.add_parser(name, help=help_text, formatter_class=formatter), name)
+    for name, (help_text, run, epilog, arguments) in COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text, epilog=epilog)
+        sub.set_defaults(run=globals()[run])
+        for item in arguments:
+            if isinstance(item[0], bool):
+                group = sub.add_mutually_exclusive_group(required=item[0])
+                for flag, keywords in item[1]:
+                    group.add_argument(flag, **keywords)
+            else:
+                sub.add_argument(item[0], **item[1])
     return parser
 
 
@@ -1085,9 +1079,7 @@ def _parse_table(argv) -> argparse.Namespace | None:
     """
     if not argv or argv[0] not in COMMANDS:
         return None
-    _, run, _, arguments = COMMANDS[argv[0]]
-    flags = {flag: keywords for item in arguments
-             for flag, keywords in (item[1] if isinstance(item[0], bool) else [item])}
+    flags = FLAGS[argv[0]]
     given, at = {}, 1
     try:
         while at < len(argv):
@@ -1105,10 +1097,10 @@ def _parse_table(argv) -> argparse.Namespace | None:
             given[flag] = True if not count else values if "nargs" in keywords else values[0]
             at += 1 + count
         # A group's count of given flags lies in [required, 1].
-        if any(isinstance(required, bool) and not required <= sum(f in given for f, _ in group) <= 1
-               for required, group in arguments):
+        if any(not required <= sum(f in given for f in group) <= 1
+               for required, group in GROUPS[argv[0]]):
             return None
-        namespace = argparse.Namespace(command=argv[0], run=globals()[run])
+        namespace = argparse.Namespace(command=argv[0], run=globals()[COMMANDS[argv[0]][1]])
         for flag, keywords in flags.items():
             if flag not in given:
                 if keywords.get("required"):
@@ -1126,20 +1118,13 @@ def main(argv=None) -> int:
     """Run the CLI on ``argv`` (default ``sys.argv[1:]``) in-process; returns the exit code.
 
     A well-formed argv is parsed from COMMANDS alone (``_parse_table``): no parser is
-    built and no terminal width read. Any other argv goes to argparse, through the
-    named command's own parser, or the full parser for help, no arguments or an unknown
-    command; the full parser reports what the command's parser leaves over. A command's
-    ``ValueError`` is a usage error that the full parser reports.
+    built and no terminal width read. Any other argv goes to the argparse parser
+    (``build_parser``), which prints help and reports usage errors. A command's
+    ``ValueError`` is a usage error that the argparse parser reports.
     """
     argv = sys.argv[1:] if argv is None else argv
-    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = _parse_table(argv)
-        if args is None:
-            args, extras = build_parser(command).parse_known_args(
-                argv[1:] if command else argv, argparse.Namespace(command=command))
-            if extras:
-                build_parser().parse_args(argv)  # exits, naming the extras
+        args = _parse_table(argv) or build_parser().parse_args(argv)
         try:
             return args.run(args)
         except ValueError as exc:

@@ -713,8 +713,8 @@ def run_full_parser(argv, capsys):
 
 @pytest.mark.parametrize("columns", ["40", "80"])
 def test_narrowed_parser_prints_what_the_full_parser_prints(columns, monkeypatch, capsys):
-    """main parses a command with its own parser alone; stdout, stderr and exit code stay
-    the full parser's."""
+    """main parses through the argument table or argparse; stdout, stderr and exit code
+    stay the full parser's."""
     monkeypatch.setenv("COLUMNS", columns)
     argvs = USAGE_ERRORS + PARSER_ONLY + VALID
     narrowed = [run_cli(argv, capsys) for argv in argvs]
@@ -733,11 +733,10 @@ def test_command_parser_gives_the_full_parsers_namespace(argv, monkeypatch):
     assert vars(seen[0]) == vars(cli.build_parser().parse_args(argv))
 
 
-def test_main_builds_only_the_named_commands_parser(monkeypatch, capsys):
-    """A valid call constructs no parser. Help, no arguments and an unknown command
-    construct the full parser with every subparser, help for a command its own parser
-    alone; a value that a flag rejects, its command's parser alone, and a command's
-    ValueError the full parser, which reports it. No parser is kept between calls."""
+def test_main_builds_the_full_parser_only_off_the_table(monkeypatch, capsys):
+    """A valid call constructs no parser. Help, a usage error, a '--flag=value' form and
+    a table-parsed call's ValueError each construct the full parser once, with every
+    subparser. No parser is kept between calls."""
     added, built = [], []
     add_parser, init = argparse._SubParsersAction.add_parser, argparse.ArgumentParser.__init__
 
@@ -752,18 +751,19 @@ def test_main_builds_only_the_named_commands_parser(monkeypatch, capsys):
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy_add)
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy_init)
     full = ["entdistill", *(f"entdistill {name}" for name in cli.COMMANDS)]
-    for argv, want in [*(([name, "-h"], [f"entdistill {name}"]) for name in cli.COMMANDS),
-                       *((argv, []) for argv in VALID),
-                       (ZERO_ROUNDS[0], ["entdistill distill-mixed"]),
-                       (DISTILL_MIXED_USAGE_ERRORS[0], full),
-                       *((argv, full) for argv in ([], ["-h"], ["bogus"]))]:
+    equals = [["povm-purify", "--p=0.1"], ["sweep", "--quantity=povm_fidelity", "--p", "0.1"]]
+    assert cli._parse_table(DISTILL_MIXED_USAGE_ERRORS[0]) is not None
+    for argv, want in [*((argv, []) for argv in VALID),
+                       *(([name, "-h"], full) for name in cli.COMMANDS),
+                       *((argv, full) for argv in ([], ["-h"], ["bogus"], ZERO_ROUNDS[0],
+                                                   *equals, DISTILL_MIXED_USAGE_ERRORS[0]))]:
         for _ in range(2):
             added.clear()
             built.clear()
             cli.main(argv)
             capsys.readouterr()
             assert built == want, argv
-            assert added == (list(cli.COMMANDS) if want == full else []), argv
+            assert added == (list(cli.COMMANDS) if want else []), argv
 
 
 @pytest.mark.parametrize("argv", [
@@ -796,15 +796,11 @@ def command_tokens(draw, command):
     conflicting flags come up. A flag is mostly exact and given its number of values,
     mostly valid ones; otherwise an abbreviation, a '--flag=value' form, or given a
     value too many or too few."""
-    _, _, _, arguments = cli.COMMANDS[command]
-    specs = {flag: keywords for item in arguments
-             for flag, keywords in (item[1] if isinstance(item[0], bool) else [item])}
-    required = []
-    for item in arguments:
-        if item[0] is True:  # a required group: one of its flags
-            required.append(draw(st.sampled_from([flag for flag, _ in item[1]])))
-        elif not isinstance(item[0], bool) and item[1].get("required"):
-            required.append(item[0])
+    specs = cli.FLAGS[command]
+    required = [flag for flag, keywords in specs.items() if keywords.get("required")]
+    # a required group: one of its flags
+    required += [draw(st.sampled_from(group)) for is_required, group in cli.GROUPS[command]
+                 if is_required]
     flags = [flag for flag in required if draw(st.integers(0, 9))]
     others = [flag for flag in draw(st.permutations(list(specs))) if flag not in flags]
     flags += others[:draw(st.integers(0, 4))]
@@ -1088,6 +1084,34 @@ def test_one_cell_calls_print_the_scalar_calls(p, eps, n, theta):
             assert (code, buf.getvalue()) == ((0, _reference_emit([row], fmt)) if row else (2, ""))
 
 
+#: Rates in [0, 1), with values within 1e-15 to 1e-1 of 1.
+RATE_NEAR_ONE = st.floats(0.0, 1.0, exclude_max=True).map(abs) | st.floats(1e-15, 1e-1).map(
+    lambda d: 1.0 - d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(RATE_NEAR_ONE, st.floats(0.0, 1.0, exclude_max=True).map(abs), st.integers(1, 8),
+       st.integers(1, 8), st.floats(0.0, 1.0).map(abs))
+def test_distill_mixed_prints_the_one_point_sweep(p, eps, n, m, f):
+    """One distill-mixed round and the one-point mixed_fidelity_map sweep, which compute
+    through parity_weights and through prefix tables, both exit 2 or print the same F,
+    epsilon, n, m, value and p_succ, in CSV and in JSON."""
+    point = ["--p", repr(p), "--epsilon", repr(eps), "--n", str(n), "--m", str(m), "--F", repr(f)]
+    fields = ["F", "epsilon", "n", "m", "value", "p_succ"]
+    for fmt in ("csv", "json"):
+        printed = []
+        for argv in (["distill-mixed", *point], [*MAP, *point]):
+            with contextlib.redirect_stdout(io.StringIO()) as buf, \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main([*argv, "--format", fmt])
+            out = buf.getvalue()
+            rows = (list(csv.DictReader(io.StringIO(out))) if fmt == "csv"
+                    else [json.loads(line) for line in out.splitlines()])
+            printed.append((code, [[row[field] for field in fields] for row in rows]))
+        assert printed[0] == printed[1]
+        assert printed[0][0] == 2 or len(printed[0][1]) == 1
+
+
 @pytest.mark.parametrize("quantity,tail", [("povm_fidelity", []),
                                            ("pure_fidelity", ["--theta", "0.3"])])
 def test_depth_sweeps_run_one_recurrence_per_p_and_eps(quantity, tail, monkeypatch):
@@ -1105,11 +1129,9 @@ def test_depth_sweeps_run_one_recurrence_per_p_and_eps(quantity, tail, monkeypat
         "purified_coeffs_gate_noisy": [], "purified_coeffs_general": []}
 
 
-def test_each_parser_build_reads_the_terminal_width_once(monkeypatch, capsys):
-    """A valid call builds no parser and never reads the terminal width. A help call and a
-    usage error read it once, at the build of their one parser, where argparse reads it
-    for every argument; the second call of each reads it again, as nothing is kept
-    between calls."""
+def test_valid_calls_never_read_the_terminal_width(monkeypatch, capsys):
+    """A valid call builds no parser and never reads the terminal width; a help call
+    reads it, through argparse's own formatters."""
     reads = []
     get_terminal_size = shutil.get_terminal_size
 
@@ -1118,11 +1140,10 @@ def test_each_parser_build_reads_the_terminal_width_once(monkeypatch, capsys):
         return get_terminal_size(*args, **kwargs)
 
     monkeypatch.setattr(shutil, "get_terminal_size", spy)
-    helps = [["-h"], *([name, "-h"] for name in cli.COMMANDS)]
-    for argv, code, want in [*((argv, 0, 0) for argv in VALID), (ZERO_ROUNDS[0], 2, 1),
-                             *((argv, 0, 1) for argv in helps)]:
-        for _ in range(2):
-            reads.clear()
-            assert cli.main(argv) == code
-            capsys.readouterr()
-            assert len(reads) == want, argv
+    for argv in VALID:
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert reads == []
+    assert cli.main(["povm-purify", "-h"]) == 0
+    capsys.readouterr()
+    assert reads

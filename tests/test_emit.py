@@ -131,6 +131,12 @@ def test_repr_kernel_on_a_seeded_sample():
     assert shortest(values) == [json.dumps(v) for v in values]
 
 
+@pytest.mark.parametrize("field", [*cli.FIELD_ORDER, "schema_version"])
+def test_json_keys_need_no_escaping(field):
+    """A JSON row's keys are written as '"' + field + '": ', which is json.dumps' key."""
+    assert json.dumps(field) == '"%s"' % field
+
+
 def emitted(emit, records: cli.Records, fmt: str) -> str:
     buf = io.StringIO()
     emit(records, fmt, buf)
@@ -216,7 +222,7 @@ SWEEPS = {
 
 @pytest.mark.parametrize("argv,batches", SWEEPS.values(), ids=SWEEPS)
 def test_sweep_emit_equals_the_template_emitter(argv, batches, layout_batches):
-    records = cli._sweep_records(cli.build_parser("sweep").parse_args(argv))
+    records = cli._sweep_records(cli.build_parser().parse_args(["sweep", *argv]))
     assert_same_bytes(records)
     assert layout_batches == {"csv": batches, "json": batches}
     assert sum(batches) in (0, len(records))
@@ -258,8 +264,8 @@ def test_batches_lay_out_only_the_byte_columns_they_use(argv, batches, most, mon
 def test_columnar_batch_takes_one_call_per_kernel(fmt, monkeypatch):
     """The het sweep's one batch: every rate, and in CSV every float, in one '%.12g'
     call; in JSON every float in one repr call. F, a coded axis, is its 25 values."""
-    records = cli._sweep_records(cli.build_parser("sweep").parse_args(
-        SWEEPS["het-band rate lists"][0]))
+    records = cli._sweep_records(cli.build_parser().parse_args(
+        ["sweep", *SWEEPS["het-band rate lists"][0]]))
     g12_calls, repr_calls = spy_on(monkeypatch, "_format_g12"), spy_on(monkeypatch, "_format_repr")
     emitted(cli.emit_records, records, fmt)
     # 400 rows: 1,400 rates; F (25 values), value and p_succ (400 each)

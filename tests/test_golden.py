@@ -259,7 +259,7 @@ def test_verify_values_match_golden(argv, hexes, sha, monkeypatch):
 
     for module, name, fields in VERIFY_CLOSED_FORMS:
         monkeypatch.setattr(module, name, spy(getattr(module, name), fields))
-    args = cli.build_parser("verify").parse_args(argv)
+    args = cli.build_parser().parse_args(["verify", *argv])
     dev = cli.run_verification(max_n=args.max_n, seed=args.seed, draws=args.draws, full=args.full)
     assert {name: value.hex() for name, value in dev.items()} == hexes
     assert digest.hexdigest() == sha
