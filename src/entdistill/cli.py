@@ -1120,15 +1120,16 @@ def main(argv=None) -> int:
     A well-formed argv is parsed from COMMANDS alone (``_parse_table``): no parser is
     built and no terminal width read. Any other argv goes to the argparse parser
     (``build_parser``), which prints help and reports usage errors. A command's
-    ``ValueError`` is a usage error that the argparse parser reports.
+    ``ValueError`` is a usage error, reported by the parser that parsed the argv or a new one.
     """
     argv = sys.argv[1:] if argv is None else argv
+    parser = None
     try:
-        args = _parse_table(argv) or build_parser().parse_args(argv)
+        args = _parse_table(argv) or (parser := build_parser()).parse_args(argv)
         try:
             return args.run(args)
         except ValueError as exc:
-            build_parser().error(str(exc))
+            (parser or build_parser()).error(str(exc))
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

@@ -4,11 +4,11 @@ Nothing here reuses the closed forms from the other modules: the
 purification gadget, the two-way distillation round and the filtering
 circuit are built as explicit registers and contracted numerically, so
 any disagreement with the analytic layer points at a real defect.
-Channels act on qubit axes: a CNOT is one flat ``take`` of the
-register's entries, the depolarizing step a sum over four diagonal
-blocks (see ``noise.depolarized_cnot_apply``), an ancilla prepared and
-sandwiched in |0> an index, and a measurement one contraction with its
-POVM element. No dense operator is embedded into the register.
+Channels act on qubit axes: a CNOT is one flat ``take`` of the entries
+(on the direct register, block swaps in place), the depolarizing step a
+sum over four diagonal blocks (see ``noise.depolarized_cnot_apply``), an
+ancilla prepared and sandwiched in |0> an index, and a measurement one
+contraction with its POVM element. No dense operator is embedded.
 
 The oracle runs on stacks along a leading axis: ``oracle_effective_povms``
 pulls one gadget per row of a rate matrix through each depolarized CNOT
@@ -65,13 +65,6 @@ class EffectivePovm:
     @property
     def r1(self) -> float:
         return float(self.q0[1, 1].real)
-
-
-def apply_depolarized_cnot_chain(rho: np.ndarray, targets: Sequence[int], control: int, epsilon: float) -> np.ndarray:
-    """Schroedinger-picture fan-out: depolarized CNOTs from control to each target in order."""
-    for t in targets:
-        rho = depolarized_cnot_apply(rho, control, t, epsilon)
-    return rho
 
 
 def oracle_effective_povms(rates, epsilon: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -217,7 +210,8 @@ def oracle_mixed_post_state_direct(
     effective-POVM reduction. The ideal bilateral CNOTs leave the ancillas'
     |0><0| alone, so the register starts as ``mixed_register(f)`` beside
     them: zero except at the ancillas' |0...0> rows and columns, every
-    2^(n+m-2)-th index, where it is ``mixed_register(f)``.
+    2^(n+m-2)-th index, where it is ``mixed_register(f)``. Each depolarized
+    CNOT acts on that one register in place (``out=rho``).
     """
     epsilon = _check_fraction(epsilon, "epsilon")
     n, m = len(p_a), len(p_b)
@@ -227,10 +221,10 @@ def oracle_mixed_post_state_direct(
 
     rho = np.zeros((2 ** nq, 2 ** nq), dtype=complex)
     rho[::2 ** (nq - 4), ::2 ** (nq - 4)] = mixed_register(f)
-    alice_anc = list(range(4, 4 + n - 1))
-    bob_anc = list(range(4 + n - 1, nq))
-    rho = apply_depolarized_cnot_chain(rho, alice_anc, control=2, epsilon=epsilon)
-    rho = apply_depolarized_cnot_chain(rho, bob_anc, control=3, epsilon=epsilon)
+    # Alice's fan-out from A2 onto her ancillas, then Bob's from B2 onto his.
+    for control, targets in ((2, range(4, 3 + n)), (3, range(3 + n, nq))):
+        for target in targets:
+            depolarized_cnot_apply(rho, control, target, epsilon, out=rho)
 
     # Measured qubits in register order: A2, B2, Alice's ancillas, Bob's ancillas.
     rates = [p_a[0], p_b[0], *p_a[1:], *p_b[1:]]

@@ -1,5 +1,6 @@
 """Dense reference operations, the depolarized CNOT by fancy index
-(``depolarized_cnot_apply``), the full registers built by kron products
+(``depolarized_cnot_apply``) and its fan-out by new registers
+(``apply_depolarized_cnot_chain``), the full registers built by kron products
 (``oracle_mixed_post_state_direct``, ``oracle_pure_post_state_direct``),
 a per-point ``verify``, a per-cell ``--het-band`` sweep and a template
 emitter, that only the tests use.
@@ -165,6 +166,15 @@ def depolarized_cnot_apply(rho: np.ndarray, control: int, target: int,
     return out
 
 
+def apply_depolarized_cnot_chain(rho: np.ndarray, targets: Sequence[int], control: int,
+                                 epsilon: float) -> np.ndarray:
+    """Schroedinger-picture fan-out: depolarized CNOTs from control to each target in order,
+    each returning a new register."""
+    for t in targets:
+        rho = noise.depolarized_cnot_apply(rho, control, t, epsilon)
+    return rho
+
+
 def oracle_mixed_post_state_direct(f: float, p_a: Sequence[float], p_b: Sequence[float],
                                    epsilon: float = 0.0) -> np.ndarray:
     """``oracle.oracle_mixed_post_state_direct`` with its register built by kron products.
@@ -176,10 +186,8 @@ def oracle_mixed_post_state_direct(f: float, p_a: Sequence[float], p_b: Sequence
     n, m = len(p_a), len(p_b)
     nq = 4 + (n - 1) + (m - 1)
     rho = tensor(oracle.mixed_register(f), *([projector(KET0)] * (nq - 4)))
-    rho = oracle.apply_depolarized_cnot_chain(rho, list(range(4, 4 + n - 1)), control=2,
-                                              epsilon=epsilon)
-    rho = oracle.apply_depolarized_cnot_chain(rho, list(range(4 + n - 1, nq)), control=3,
-                                              epsilon=epsilon)
+    rho = apply_depolarized_cnot_chain(rho, list(range(4, 4 + n - 1)), control=2, epsilon=epsilon)
+    rho = apply_depolarized_cnot_chain(rho, list(range(4 + n - 1, nq)), control=3, epsilon=epsilon)
     rates = [p_a[0], p_b[0], *p_a[1:], *p_b[1:]]
     element = sum(tensor(*[noise.noisy_povm_element(outcome, p) for p in rates])
                   for outcome in (0, 1))
@@ -195,8 +203,8 @@ def oracle_pure_post_state_direct(theta: float, p: float, epsilon: float, n: int
     effective-POVM reduction of ``oracle.oracle_pure_post_state``.
     """
     u = np.kron(I2, np.kron(dp.filter_ops(theta).u, np.eye(2 ** (n - 1))))
-    rho = oracle.apply_depolarized_cnot_chain(projector(u @ tensor(pure_theta(theta), *[KET0] * n)),
-                                              list(range(3, n + 2)), control=2, epsilon=epsilon)
+    rho = apply_depolarized_cnot_chain(projector(u @ tensor(pure_theta(theta), *[KET0] * n)),
+                                       list(range(3, n + 2)), control=2, epsilon=epsilon)
     element = tensor(*[noise.noisy_povm_element(0, p)] * n)
     return partial_trace(rho @ np.kron(np.eye(4), element), keep=[0, 1])
 

@@ -734,9 +734,9 @@ def test_command_parser_gives_the_full_parsers_namespace(argv, monkeypatch):
 
 
 def test_main_builds_the_full_parser_only_off_the_table(monkeypatch, capsys):
-    """A valid call constructs no parser. Help, a usage error, a '--flag=value' form and
-    a table-parsed call's ValueError each construct the full parser once, with every
-    subparser. No parser is kept between calls."""
+    """A valid call constructs no parser. Help, a usage error, a '--flag=value' form, a
+    table-parsed call's ValueError and an argparse-parsed call's ValueError each construct
+    the full parser once, with every subparser. No parser is kept between calls."""
     added, built = [], []
     add_parser, init = argparse._SubParsersAction.add_parser, argparse.ArgumentParser.__init__
 
@@ -751,8 +751,10 @@ def test_main_builds_the_full_parser_only_off_the_table(monkeypatch, capsys):
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy_add)
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy_init)
     full = ["entdistill", *(f"entdistill {name}" for name in cli.COMMANDS)]
-    equals = [["povm-purify", "--p=0.1"], ["sweep", "--quantity=povm_fidelity", "--p", "0.1"]]
+    equals = [["povm-purify", "--p=0.1"], ["sweep", "--quantity=povm_fidelity", "--p", "0.1"],
+              ["povm-purify", "--p=1"]]
     assert cli._parse_table(DISTILL_MIXED_USAGE_ERRORS[0]) is not None
+    assert cli._parse_table(["povm-purify", "--p=1"]) is None
     for argv, want in [*((argv, []) for argv in VALID),
                        *(([name, "-h"], full) for name in cli.COMMANDS),
                        *((argv, full) for argv in ([], ["-h"], ["bogus"], ZERO_ROUNDS[0],

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,7 +214,6 @@ def test_schroedinger_and_adjoint_pictures_are_dual(rng):
 
 def test_effective_povm_predicts_circuit_probabilities(rng):
     # state-side simulation of the gadget reproduces tr[rho Q_x]
-    from entdistill.oracle import apply_depolarized_cnot_chain
     from entdistill.qmat import KET0, projector, tensor
 
     n, eps = 3, 0.08
@@ -222,7 +222,7 @@ def test_effective_povm_predicts_circuit_probabilities(rng):
     for _ in range(5):
         rho = rand_density_matrix(rng, 1)
         full = tensor(rho, projector(KET0), projector(KET0))
-        full = apply_depolarized_cnot_chain(full, [1, 2], control=0, epsilon=eps)
+        full = reference.apply_depolarized_cnot_chain(full, [1, 2], control=0, epsilon=eps)
         for outcome, q in ((0, ep.q0), (1, ep.q1)):
             m = tensor(*[noisy_povm_element(outcome, p) for p in p_list])
             prob_circuit = np.trace(full @ m).real
@@ -340,6 +340,19 @@ def test_direct_register_is_the_kron_built_reference(n, m, eps, rng):
         p_a, p_b = list(rng.uniform(0.02, 0.3, n)), list(rng.uniform(0.02, 0.3, m))
         assert np.array_equal(bits(oracle_mixed_post_state_direct(f, p_a, p_b, eps)),
                               bits(reference.oracle_mixed_post_state_direct(f, p_a, p_b, eps)))
+
+
+def test_direct_register_runs_in_place():
+    """A (3, 3) call's register is 8 qubits, 1 MiB: allocated once, with every depolarized
+    CNOT acting on it in place, the call peaks below 2 MiB."""
+    for eps in (0.0, 0.05):
+        tracemalloc.start()
+        try:
+            oracle_mixed_post_state_direct(0.7, [0.1, 0.2, 0.05], [0.12, 0.3, 0.02], eps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20, (eps, peak)
 
 
 def test_direct_register_guard():
