@@ -27,7 +27,6 @@ import argparse
 import json
 import math
 import sys
-from collections import defaultdict
 from itertools import product
 from pathlib import Path
 
@@ -574,6 +573,22 @@ def _prefix_coeffs(points: list[tuple], *depths: np.ndarray) -> list[np.ndarray]
     return [table[k, i] for i in [d - 1 for d in depths] for table in tables]
 
 
+def _stacked(evaluate, keys: list) -> list[np.ndarray]:
+    """Each output of ``evaluate``, run once per stack of rows that share a key, in row order.
+
+    ``evaluate(index, key)`` runs once per distinct key, in the order the
+    keys first occur, on ``index``, the list of that key's rows in order,
+    and returns arrays whose first axis holds those rows. Each output
+    comes back as one array of every row, its first axis in row order.
+    """
+    groups: dict = {}
+    for row, key in enumerate(keys):
+        groups.setdefault(key, []).append(row)
+    outputs = [evaluate(index, key) for key, index in groups.items()]
+    order = np.argsort(np.concatenate(list(groups.values())))
+    return [np.concatenate(parts)[order] for parts in zip(*outputs)]
+
+
 def _povm_kernel(points: list[tuple], n_column: np.ndarray) -> dict[str, np.ndarray]:
     """The purified element's fidelity and yield on (points x n)."""
     c = _Gathered(*_prefix_coeffs(points, n_column[None, :]), n_column)
@@ -757,12 +772,12 @@ def _het_kernel(lo: float, hi: float, fs: int, rng: np.random.RandomState):
     cell, one draw of rows x (n + m) each: this consumes the RandomState
     as per-row uniform(n) then uniform(m) calls would. Each party's rates
     are one (cells x rows x widest) array, NaN past a cell's depth. Then
-    one recurrence per (party, depth) runs on that party's cells of that
-    depth, stacked, and one ``distill_map`` on the slab's (cells x rows)
-    array; a slab's cells share eps, its first axis. Every operation is
-    elementwise, so each value equals the per-cell calls' bit for bit.
-    The band lies in [0, 1), so a cell fails only on eps or F, whatever
-    the draws.
+    ``_stacked`` runs one recurrence per (party, depth) on that party's
+    cells of that depth, and one ``distill_map`` runs on the slab's
+    (cells x rows) array; a slab's cells share eps, its first axis. Every
+    operation is elementwise, so each value equals the per-cell calls'
+    bit for bit. The band lies in [0, 1), so a cell fails only on eps or
+    F, whatever the draws.
     """
     def kernel(points: list[tuple], draws: np.ndarray) -> dict[str, np.ndarray]:
         per_cell = min(fs, len(points))  # one point, where _grid replays a failing slab
@@ -773,27 +788,15 @@ def _het_kernel(lo: float, hi: float, fs: int, rng: np.random.RandomState):
         for i, (_, n, m, _) in enumerate(cells):
             rates = rng.uniform(lo, hi, rows * (n + m)).reshape(rows, n + m)
             p_a[i, :, :n], p_b[i, :, :m] = rates[:, :n], rates[:, n:]
-        res = dm.distill_map(f, dm.weights_from_coeffs(
-            *_stacked_coeffs(p_a, [cell[1] for cell in cells], eps),
-            *_stacked_coeffs(p_b, [cell[2] for cell in cells], eps)))
+
+        def coeffs(rates, k):  # (r0, r1) of the cells' first cell[k] rates, (cells x rows)
+            def evaluate(index, depth):
+                c = noise.purified_coeffs_general(rates[index, :, :depth].reshape(-1, depth), eps)
+                return c.r0.reshape(len(index), -1), c.r1.reshape(len(index), -1)
+            return _stacked(evaluate, [cell[k] for cell in cells])
+        res = dm.distill_map(f, dm.weights_from_coeffs(*coeffs(p_a, 1), *coeffs(p_b, 2)))
         return {"pA": p_a, "pB": p_b, "value": res.fidelity_out, "p_succ": res.p_succ}
     return kernel
-
-
-def _stacked_coeffs(rates: np.ndarray, depths: list[int],
-                    eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """(r0, r1) of each rate list of (cells x rows x widest) ``rates``, as (cells x rows) arrays.
-
-    Cell i's lists are its first ``depths[i]`` rates. The cells of one
-    depth are stacked into one rate matrix and evaluated by one
-    ``purified_coeffs_general`` call.
-    """
-    r0, r1 = np.empty((2, *rates.shape[:2]))
-    for depth in set(depths):
-        index = [i for i, d in enumerate(depths) if d == depth]
-        c = noise.purified_coeffs_general(rates[index, :, :depth].reshape(-1, depth), eps)
-        r0[index], r1[index] = c.r0.reshape(len(index), -1), c.r1.reshape(len(index), -1)
-    return r0, r1
 
 
 def cmd_sweep(args) -> int:
@@ -810,16 +813,16 @@ def run_verification(max_n: int = 3, seed: int = 7, draws: int = 20,
                      full: bool = False) -> dict[str, float]:
     """Max |analytic - oracle| per quantity over a seeded random grid; NaN if any gap is NaN.
 
-    Every input is drawn first, in the order of a point-by-point loop.
-    Each (eps, depth) stack of Alice's, Bob's and the filter's rates, in
-    drawn order, gives one closed-form coefficient call; the oracle's
-    gadgets run as one stack per depth, with eps a column. The oracle's
-    post-states run as one stack over all points, the closed forms once
-    per draw with its f and theta as floats.
+    Every input is drawn first, in the order of a point-by-point loop,
+    each point's gadgets in turn: Alice's, Bob's and the filter's rates.
+    ``_stacked`` runs the closed-form coefficients once per (eps, depth)
+    stack, in drawn order, and the oracle's gadgets once per depth, with
+    eps a column. The oracle's post-states run as one stack over all
+    points, the closed forms once per draw with its f and theta as floats.
     """
     rng = np.random.RandomState(seed)
     eps_grid = [0.0, 0.05, 0.1]
-    inputs, stacks, rows = [], defaultdict(list), []
+    inputs, gadgets = [], []  # gadgets: (rates, eps) pairs
     for _ in range(draws):
         inputs.append((float(rng.uniform(0.26, 0.99)), float(rng.uniform(0.05, np.pi / 4 - 0.01))))
         for eps in eps_grid:
@@ -828,30 +831,16 @@ def run_verification(max_n: int = 3, seed: int = 7, draws: int = 20,
                 m = int(rng.randint(1, max_n + 1))
                 q_list = rng.uniform(0.02, 0.3, m).tolist()
                 p_hom = float(rng.uniform(0.02, 0.3))
-                for rates in (p_list, q_list, [p_hom] * n):
-                    rows.append(((eps, len(rates)), len(stacks[eps, len(rates)])))
-                    stacks[eps, len(rates)].append(rates)
-    # The closed forms: one coefficient call per (eps, depth) stack, in drawn order.
-    r0, r1 = map(np.concatenate, zip(*(
-        (c.r0, c.r1) for (eps, _), rates in stacks.items()
-        for c in [noise.purified_coeffs_general(np.array(rates), eps)])))
-    # The oracle: one gadget stack per depth, its (eps, depth) stacks in drawn order, eps a column.
-    by_depth = defaultdict(list)
-    for key in stacks:
-        by_depth[key[1]].append(key)
-    q0, q1 = map(np.concatenate, zip(*(
-        oracle.oracle_effective_povms(*map(np.array, zip(*[
-            (rates, key[0]) for key in keys for rates in stacks[key]])))
-        for keys in by_depth.values())))
+                gadgets += [(rates, eps) for rates in (p_list, q_list, [p_hom] * n)]
 
-    def roles(order):
-        """Alice's, Bob's and the filter's rows when the stacks that ``order`` lists run in turn."""
-        offset = dict(zip(order, np.cumsum([0, *(len(stacks[key]) for key in order)])))
-        return np.reshape([offset[key] + i for key, i in rows], (-1, 3)).T
-
-    alice, bob, hom = (oracle.EffectivePovm(q0[i], q1[i])
-                       for i in roles([key for keys in by_depth.values() for key in keys]))
-    (a0, a1), (b0, b1), (h0, h1) = ((r0[i], r1[i]) for i in roles(stacks))
+    def closed_form(index, key):
+        c = noise.purified_coeffs_general(np.array([gadgets[i][0] for i in index]), key[0])
+        return c.r0, c.r1
+    r0, r1 = _stacked(closed_form, [(eps, len(rates)) for rates, eps in gadgets])
+    q0, q1 = _stacked(lambda index, _: oracle.oracle_effective_povms(
+        *map(np.array, zip(*(gadgets[i] for i in index)))), [len(rates) for rates, _ in gadgets])
+    alice, bob, hom = (oracle.EffectivePovm(q0[k::3], q1[k::3]) for k in range(3))
+    (a0, a1), (b0, b1), (h0, h1) = ((r0[k::3], r1[k::3]) for k in range(3))
     depths = np.tile(np.arange(1, max_n + 1), len(eps_grid))  # of one draw's points
     draw = np.repeat(np.arange(draws), len(depths))
     sigma = oracle.oracle_mixed_post_state(

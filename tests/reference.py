@@ -1,7 +1,8 @@
 """Dense reference operations, the depolarized CNOT by fancy index
 (``depolarized_cnot_apply``) and its fan-out by new registers
 (``apply_depolarized_cnot_chain``), the full registers built by kron products
-(``oracle_mixed_post_state_direct``, ``oracle_pure_post_state_direct``),
+and that fan-out, never the library's channel (``oracle_mixed_post_state_direct``,
+``oracle_pure_post_state_direct``),
 a per-point ``verify``, a per-cell ``--het-band`` sweep and a template
 emitter, that only the tests use.
 
@@ -168,10 +169,11 @@ def depolarized_cnot_apply(rho: np.ndarray, control: int, target: int,
 
 def apply_depolarized_cnot_chain(rho: np.ndarray, targets: Sequence[int], control: int,
                                  epsilon: float) -> np.ndarray:
-    """Schroedinger-picture fan-out: depolarized CNOTs from control to each target in order,
-    each returning a new register."""
+    """Schroedinger-picture fan-out: this module's depolarized CNOTs from control to each
+    target in order, each returning a new register, so no fault of the library's channel
+    reaches the registers built from it."""
     for t in targets:
-        rho = noise.depolarized_cnot_apply(rho, control, t, epsilon)
+        rho = depolarized_cnot_apply(rho, control, t, epsilon)
     return rho
 
 

@@ -231,6 +231,37 @@ def test_verify_evaluates_the_closed_forms_on_the_oracles_stacks(monkeypatch, ca
     assert maps.call_count <= 5
 
 
+#: Keys per row, and the (key, rows) calls that ``cli._stacked`` makes on them, in order.
+STACKED_CALLS = {
+    "interleaved": (["b", "a", "b", "c", "a", "b"], [("b", [0, 2, 5]), ("a", [1, 4]), ("c", [3])]),
+    "eps-depth": ([(0.1, 2), (0.0, 1), (0.1, 2), (0.0, 2)],
+                  [((0.1, 2), [0, 2]), ((0.0, 1), [1]), ((0.0, 2), [3])]),
+    "single": (["k"] * 4, [("k", [0, 1, 2, 3])]),
+}
+
+
+@pytest.mark.parametrize("keys,calls", STACKED_CALLS.values(), ids=STACKED_CALLS)
+def test_stacked_runs_each_key_once_and_returns_row_order(keys, calls):
+    """One call per distinct key, in the order the keys first occur, on that key's rows
+    in order; each output comes back in row order, with its trailing axes: a value per
+    row, a 2 x 2 element per row (verify's gadgets) and a block per row (het's cells)."""
+    seen = []
+
+    def evaluate(index, key):
+        seen.append((key, list(index)))
+        rows = np.array(index, dtype=float)
+        return (np.array([hash(key)] * len(index)), rows,
+                rows[:, None, None] * np.eye(2) + np.array([[0, 1], [2, 0]]),
+                rows[:, None] * 10 + np.arange(3))
+    key_hash, row, element, block = cli._stacked(evaluate, keys)
+    assert seen == calls
+    rows = np.arange(len(keys), dtype=float)
+    assert key_hash.tolist() == [hash(key) for key in keys]
+    np.testing.assert_array_equal(row, rows)
+    np.testing.assert_array_equal(element, rows[:, None, None] * np.eye(2) + [[0, 1], [2, 0]])
+    np.testing.assert_array_equal(block, rows[:, None] * 10 + np.arange(3))
+
+
 #: Each analytic output that verify compares: its module, function and field
 #: (None for a returned state matrix), and the verify line it feeds.
 CORRUPTIONS = [
