@@ -4,11 +4,11 @@ Nothing here reuses the closed forms from the other modules: the
 purification gadget, the two-way distillation round and the filtering
 circuit are built as explicit registers and contracted numerically, so
 any disagreement with the analytic layer points at a real defect.
-Channels act on qubit axes: a CNOT is one flat ``take`` of the entries
-(on the direct register, block swaps in place), the depolarizing step a
-sum over four diagonal blocks (see ``noise.depolarized_cnot_apply``), an
-ancilla prepared and sandwiched in |0> an index, and a measurement one
-contraction with its POVM element. No dense operator is embedded.
+Channels act on qubit axes: a CNOT is one flat ``take`` of the entries,
+the depolarizing step a sum over four diagonal blocks (see
+``noise.depolarized_cnot_apply``), an ancilla prepared and sandwiched in
+|0> an index, and a measurement one contraction with its POVM element.
+No dense operator is embedded.
 
 The oracle runs on stacks along a leading axis: ``oracle_effective_povms``
 pulls one gadget per row of a rate matrix through each depolarized CNOT
@@ -24,9 +24,13 @@ first reduces each purification gadget to an effective single-qubit POVM
 (the gadget touches only the measured qubit and its private ancillas),
 then runs the protocol on the pair that is kept and the pair that is
 measured. ``oracle_mixed_post_state_direct`` skips the reduction and
-simulates the full register including every ancilla; it exists to
-certify the reduction itself. The filtering circuit's full register is
-a test reference (``tests/reference.py``).
+simulates the full circuit including every ancilla; it exists to
+certify the reduction itself. It measures each ancilla right after its
+one CNOT, which is exact: no other gate touches the ancilla and its
+readout is diagonal, so its two diagonal blocks, kept as a stack axis,
+are all that the accepted state needs. The circuit thus never holds
+more than 5 qubits at once. The filtering circuit's full register is a
+test reference (``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .distill_mixed import DistillResult
-from .noise import _check_fraction, depolarized_cnot_apply, noisy_povm_element
+from .noise import _check_fraction, depolarized_cnot_apply
 # embed_op is unused here but stays bound: the benchmark's tests check oracle.embed_op.
 from .qmat import KET0, PHI_PLUS, embed_op, tensor  # noqa: F401
 from .states import isotropic, pure_theta
@@ -206,12 +210,22 @@ def oracle_mixed_post_state_direct(
 
     Register order [A1, B1, A2, B2, Alice ancillas, Bob ancillas]; with
     depths (n, m) this is 2 + n + m qubits, at most 10, so n = m = 4, the
-    tables' largest depth, is a 10-qubit simulation. Certifies the
-    effective-POVM reduction. The ideal bilateral CNOTs leave the ancillas'
-    |0><0| alone, so the register starts as ``mixed_register(f)`` beside
-    them: zero except at the ancillas' |0...0> rows and columns, every
-    2^(n+m-2)-th index, where it is ``mixed_register(f)``. Each depolarized
-    CNOT acts on that one register in place (``out=rho``).
+    tables' largest depth, is a 10-qubit circuit. Certifies the
+    effective-POVM reduction.
+
+    Each ancilla is measured right after its one CNOT. That is exact: an
+    ancilla starts in |0>, no gate but its fan-out CNOT touches it, and
+    its readout is diagonal, so only its two diagonal blocks ever reach
+    the accepted state, and no later gate mixes them. The state is thus a
+    stack of 2^k four-qubit (A1 B1 A2 B2) registers, one per bit string
+    of the k ancillas measured so far, in register order. Per ancilla,
+    the stack is placed beside the fresh ancilla in |0> (5 qubits), goes
+    through one depolarized CNOT, and its t = 0 and t = 1 diagonal blocks
+    become the stack's next bit. The channel acts on each (row, column)
+    of the other qubits alone, so every entry kept gets the float
+    operations it got on the whole register. The measurement weights each
+    (A2, B2, ancillas) diagonal entry by the POVM element's diagonal and
+    sums them in register order.
     """
     epsilon = _check_fraction(epsilon, "epsilon")
     n, m = len(p_a), len(p_b)
@@ -219,17 +233,28 @@ def oracle_mixed_post_state_direct(
     if nq > 10:
         raise ValueError(f"direct register would need {nq} qubits, max is 10")
 
-    rho = np.zeros((2 ** nq, 2 ** nq), dtype=complex)
-    rho[::2 ** (nq - 4), ::2 ** (nq - 4)] = mixed_register(f)
+    rho = mixed_register(f)[None]
     # Alice's fan-out from A2 onto her ancillas, then Bob's from B2 onto his.
-    for control, targets in ((2, range(4, 3 + n)), (3, range(3 + n, nq))):
-        for target in targets:
-            depolarized_cnot_apply(rho, control, target, epsilon, out=rho)
+    for control, ancillas in ((2, n - 1), (3, m - 1)):
+        for _ in range(ancillas):
+            beside = np.zeros((len(rho), 16, 2, 16, 2), dtype=complex)
+            beside[:, :, 0, :, 0] = rho
+            out = depolarized_cnot_apply(beside.reshape(-1, 32, 32), control, 4, epsilon)
+            blocks = out.reshape(-1, 16, 2, 16, 2).diagonal(axis1=2, axis2=4)
+            rho = np.moveaxis(blocks, -1, 1).reshape(-1, 16, 16)
 
-    # Measured qubits in register order: A2, B2, Alice's ancillas, Bob's ancillas.
-    rates = [p_a[0], p_b[0], *p_a[1:], *p_b[1:]]
-    element = sum(tensor(*[noisy_povm_element(outcome, p) for p in rates]) for outcome in (0, 1))
-    return _measure(rho, element)
+    # Measured qubits in register order: A2, B2, Alice's ancillas, Bob's ancillas. Each
+    # outcome's diagonal is the product of the noisy elements' diagonals in the kron's order;
+    # outcome 1's is outcome 0's reversed.
+    half = _check_fraction(np.array([p_a[0], p_b[0], *p_a[1:], *p_b[1:]]), "p") / 2.0
+    diagonal = np.ones(1)
+    for q in half:
+        diagonal = np.outer(diagonal, (1.0 - q, q)).ravel()
+    weights = diagonal + diagonal[::-1]
+    # Entry (y, a, b) is <a y| rho |b y> with y = (A2 B2, ancillas) in register order.
+    kept = rho.reshape(-1, 4, 4, 4, 4).diagonal(axis1=2, axis2=4)
+    terms = kept.transpose(3, 0, 1, 2).reshape(-1, 4, 4) * weights[:, None, None]
+    return np.add.reduce(terms, axis=0)
 
 
 def controlled_w(theta: float) -> np.ndarray:

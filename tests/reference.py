@@ -181,9 +181,10 @@ def oracle_mixed_post_state_direct(f: float, p_a: Sequence[float], p_b: Sequence
                                    epsilon: float = 0.0) -> np.ndarray:
     """``oracle.oracle_mixed_post_state_direct`` with its register built by kron products.
 
-    ``mixed_register(f)`` beside a |0><0| projector per ancilla, as the
-    library built it before it wrote the two-pair register at the
-    ancillas' |0...0> index of a zero register.
+    ``mixed_register(f)`` beside a |0><0| projector per ancilla, every
+    fan-out CNOT applied to the whole register and every qubit measured
+    at the end, where the library measures each ancilla right after its
+    CNOT on a stack of 5-qubit registers.
     """
     n, m = len(p_a), len(p_b)
     nq = 4 + (n - 1) + (m - 1)

@@ -151,7 +151,7 @@ def test_depolarized_cnot_with_an_eps_column_is_the_scalar_call_per_operator(lea
 
 @pytest.mark.parametrize("nq", [7, 8])
 def test_depolarized_cnot_past_the_flat_take_is_the_reference_bit_for_bit(nq, rng):
-    # above TAKE_MAX_QUBITS the permutation swaps quarter blocks: the direct register's path
+    # above TAKE_MAX_QUBITS the permutation swaps quarter blocks
     assert nq > TAKE_MAX_QUBITS
     d = 2 ** nq
     rho = rng.randn(2, d, d) + 1j * rng.randn(2, d, d)

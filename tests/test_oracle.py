@@ -332,27 +332,30 @@ def test_direct_register_starts_from_the_two_pair_register(ancillas):
         assert np.array_equal(tensor(mixed_register(f), *ancilla_states), whole)
 
 
-@pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (2, 3), (3, 3), (1, 4), (4, 1), (4, 4)])
 @pytest.mark.parametrize("eps", [0.0, 0.05])
 def test_direct_register_is_the_kron_built_reference(n, m, eps, rng):
-    """Writing mixed_register(f) at the ancillas' |0...0> index builds the kron's register."""
+    """Measuring each ancilla right after its CNOT gives the whole kron-built register's bits."""
     for f in (0.0, float(rng.uniform(0.26, 0.99)), 1.0):
         p_a, p_b = list(rng.uniform(0.02, 0.3, n)), list(rng.uniform(0.02, 0.3, m))
         assert np.array_equal(bits(oracle_mixed_post_state_direct(f, p_a, p_b, eps)),
                               bits(reference.oracle_mixed_post_state_direct(f, p_a, p_b, eps)))
 
 
-def test_direct_register_runs_in_place():
-    """A (3, 3) call's register is 8 qubits, 1 MiB: allocated once, with every depolarized
-    CNOT acting on it in place, the call peaks below 2 MiB."""
+@pytest.mark.parametrize("depth,bound", [(3, 512 * 2 ** 10), (4, 2 * 2 ** 20)])
+def test_direct_register_never_builds_the_whole_register(depth, bound):
+    """Each ancilla is measured right after its CNOT, so a call holds a stack of 5-qubit
+    registers, never the whole one: a (3, 3) call peaks below 512 KiB (the 8-qubit register
+    is 1 MiB), a (4, 4) call below 2 MiB (the 10-qubit register is 16 MiB)."""
+    p_a, p_b = [0.1, 0.2, 0.05, 0.07][:depth], [0.12, 0.3, 0.02, 0.2][:depth]
     for eps in (0.0, 0.05):
         tracemalloc.start()
         try:
-            oracle_mixed_post_state_direct(0.7, [0.1, 0.2, 0.05], [0.12, 0.3, 0.02], eps)
+            oracle_mixed_post_state_direct(0.7, p_a, p_b, eps)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 2 ** 20, (eps, peak)
+        assert peak < bound, (eps, peak)
 
 
 def test_direct_register_guard():
