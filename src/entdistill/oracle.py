@@ -206,26 +206,23 @@ def oracle_mixed_post_state_direct(
     p_b: Sequence[float],
     epsilon: float = 0.0,
 ) -> np.ndarray:
-    """Same accepted state from the full register including every gadget ancilla.
+    """Same accepted state from the full circuit including every gadget ancilla.
 
     Register order [A1, B1, A2, B2, Alice ancillas, Bob ancillas]; with
     depths (n, m) this is 2 + n + m qubits, at most 10, so n = m = 4, the
     tables' largest depth, is a 10-qubit circuit. Certifies the
     effective-POVM reduction.
 
-    Each ancilla is measured right after its one CNOT. That is exact: an
-    ancilla starts in |0>, no gate but its fan-out CNOT touches it, and
-    its readout is diagonal, so only its two diagonal blocks ever reach
-    the accepted state, and no later gate mixes them. The state is thus a
-    stack of 2^k four-qubit (A1 B1 A2 B2) registers, one per bit string
-    of the k ancillas measured so far, in register order. Per ancilla,
-    the stack is placed beside the fresh ancilla in |0> (5 qubits), goes
-    through one depolarized CNOT, and its t = 0 and t = 1 diagonal blocks
-    become the stack's next bit. The channel acts on each (row, column)
-    of the other qubits alone, so every entry kept gets the float
-    operations it got on the whole register. The measurement weights each
-    (A2, B2, ancillas) diagonal entry by the POVM element's diagonal and
-    sums them in register order.
+    Each ancilla is measured right after its one CNOT, which is exact: no
+    other gate touches it and its readout is diagonal, so only its two
+    diagonal blocks reach the accepted state. The state is a stack of 2^k
+    four-qubit (A1 B1 A2 B2) registers, one per outcome of the k ancillas
+    measured so far, in register order. Each CNOT acts on the stack beside
+    the fresh ancilla in |0> (5 qubits), and its t = 0 and t = 1 blocks
+    become the stack's next bit. The channel treats each (row, column) of
+    the other qubits alone, so every entry kept gets the float operations
+    it got on the whole register, and the result is that register's bit
+    for bit.
     """
     epsilon = _check_fraction(epsilon, "epsilon")
     n, m = len(p_a), len(p_b)

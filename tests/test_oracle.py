@@ -342,20 +342,20 @@ def test_direct_register_is_the_kron_built_reference(n, m, eps, rng):
                               bits(reference.oracle_mixed_post_state_direct(f, p_a, p_b, eps)))
 
 
-@pytest.mark.parametrize("depth,bound", [(3, 512 * 2 ** 10), (4, 2 * 2 ** 20)])
-def test_direct_register_never_builds_the_whole_register(depth, bound):
+def test_direct_register_never_builds_the_whole_register():
     """Each ancilla is measured right after its CNOT, so a call holds a stack of 5-qubit
     registers, never the whole one: a (3, 3) call peaks below 512 KiB (the 8-qubit register
     is 1 MiB), a (4, 4) call below 2 MiB (the 10-qubit register is 16 MiB)."""
-    p_a, p_b = [0.1, 0.2, 0.05, 0.07][:depth], [0.12, 0.3, 0.02, 0.2][:depth]
-    for eps in (0.0, 0.05):
-        tracemalloc.start()
-        try:
-            oracle_mixed_post_state_direct(0.7, p_a, p_b, eps)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < bound, (eps, peak)
+    for depth, bound in ((3, 512 * 2 ** 10), (4, 2 * 2 ** 20)):
+        p_a, p_b = [0.1, 0.2, 0.05, 0.07][:depth], [0.12, 0.3, 0.02, 0.2][:depth]
+        for eps in (0.0, 0.05):
+            tracemalloc.start()
+            try:
+                oracle_mixed_post_state_direct(0.7, p_a, p_b, eps)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (depth, eps, peak)
 
 
 def test_direct_register_guard():
