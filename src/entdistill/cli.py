@@ -75,7 +75,8 @@ def _row_parts(records: Records, fields: list[str] | None, fmt: str) -> tuple[li
     A CSV row has the fields ``fields`` joined by ',', a float constant
     to 12 digits. A JSON row has its keys in sorted order,
     ``schema_version`` among them; a constant is its ``json.dumps``, and
-    a rate-list column's quotes are text.
+    a rate-list column's quotes are text; a finite float, an int and a str
+    are formatted as ``json.dumps`` does, without its call.
     """
     constants, columns = records.constants, records.columns
     if fmt == "json":
@@ -96,7 +97,10 @@ def _row_parts(records: Records, fields: list[str] | None, fmt: str) -> tuple[li
             x = constants[f]
             text += f"{x:.12g}" if isinstance(x, float) else str(x)
         else:
-            text += json.dumps(constants[f])
+            x = constants[f]
+            text += (float.__repr__(x) if isinstance(x, float) and math.isfinite(x) else
+                     int.__repr__(x) if isinstance(x, int) and not isinstance(x, bool) else
+                     json.encoder.encode_basestring_ascii(x) if isinstance(x, str) else json.dumps(x))
     texts.append(text + ("\n" if fmt == "csv" else "}\n"))
     return texts, names
 
@@ -115,7 +119,7 @@ def _template_rows(texts: list[str], columns: list[tuple], fmt: str) -> str:
         slot, strings = "%s", column.tolist()
         if column.ndim == 2:
             strings = [_rates_field([r for r in row if r == r]) for row in strings]
-        elif column.dtype.kind == "f" and (fmt == "csv" or np.isfinite(column).all()):
+        elif column.dtype.kind == "f" and (fmt == "csv" or all(map(math.isfinite, strings))):
             slot = "%.12g" if fmt == "csv" else "%r"
         elif column.dtype.kind in "iu":
             slot = "%d"
@@ -123,7 +127,7 @@ def _template_rows(texts: list[str], columns: list[tuple], fmt: str) -> str:
             strings = list(map(json.dumps, strings))
         if codes is not None:
             strings = list(map(slot.__mod__, strings))
-            slot, strings = "%s", [strings[code] for code in codes.tolist()]
+            slot, strings = "%s", list(map(strings.__getitem__, codes.tolist()))
         template += slot + text.replace("%", "%%")
         values.append(strings)
     return "".join(map(template.__mod__, zip(*values))) if columns else texts[0]
@@ -542,14 +546,13 @@ def _rates(spec: str) -> list[float]:
 # the quantity table and the grid
 
 def _pointwise(closed_form):
-    """A kernel calling ``closed_form(*point, value)`` -> value per row, for the two limits.
+    """A kernel calling ``closed_form(head, *point)`` -> value per row, for the two limits.
 
     Scalar calls, not numpy arrays: Python's float ``x ** 2`` is C ``pow``,
     which an array's ``x * x`` differs from in the last bit for some x.
     """
-    def kernel(points: list[tuple], column: np.ndarray) -> dict[str, np.ndarray]:
-        values = column.tolist()
-        return {"value": np.array([[closed_form(*point, v) for v in values] for point in points])}
+    def kernel(head, *axes) -> dict[str, np.ndarray]:
+        return {"value": np.array([closed_form(head, *point) for point in product(*axes)])}
     return kernel
 
 
@@ -558,19 +561,16 @@ class _Gathered(noise.PurifiedCoeffs):
         """No check: these are entries of coefficient arrays, each checked where it was made."""
 
 
-def _prefix_coeffs(points: list[tuple], *depths: np.ndarray) -> list[np.ndarray]:
-    """r0 and r1 of ``purified_coeffs_gate_noisy(p, eps, n)`` at each depth array, in turn.
+def _prefix_coeffs(p: float, eps: list, *depths: list) -> list[np.ndarray]:
+    """(r0, r1) of ``purified_coeffs_gate_noisy(p, e, d)`` on (eps x depths), per list of depths.
 
-    The points, each starting with (p, eps), are a column that each depth array
-    broadcasts against, (points x 1) or (1 x depths). Each entry comes from one
-    ``purified_coeffs_prefixes`` table per distinct (p, eps), bit for bit the call's.
+    One ``purified_coeffs_prefixes`` table per e, to the largest depth, stacked as one
+    (r0 and r1 x eps x depth) array, and one ``take`` from it per list: bit for bit the calls.
     """
-    index: dict[tuple, int] = {}
-    k = np.array([[index.setdefault(point[:2], len(index))] for point in points])
-    top = max(int(d.max()) for d in depths)
-    prefixes = [noise.purified_coeffs_prefixes(p, eps, top) for p, eps in index]
-    tables = np.array([c.r0 for c in prefixes]), np.array([c.r1 for c in prefixes])
-    return [table[k, i] for i in [d - 1 for d in depths] for table in tables]
+    top = max(map(max, depths))
+    tables = [noise.purified_coeffs_prefixes(p, e, top) for e in eps]
+    table = np.array([[c.r0 for c in tables], [c.r1 for c in tables]])
+    return [table.take(np.subtract(d, 1), 2) for d in depths]
 
 
 def _stacked(evaluate, keys: list) -> list[np.ndarray]:
@@ -589,39 +589,39 @@ def _stacked(evaluate, keys: list) -> list[np.ndarray]:
     return [np.concatenate(parts)[order] for parts in zip(*outputs)]
 
 
-def _povm_kernel(points: list[tuple], n_column: np.ndarray) -> dict[str, np.ndarray]:
-    """The purified element's fidelity and yield on (points x n)."""
-    c = _Gathered(*_prefix_coeffs(points, n_column[None, :]), n_column)
+def _povm_kernel(p: float, eps: list, n: list) -> dict[str, np.ndarray]:
+    """The purified element's fidelity and yield on (eps x n)."""
+    c = _Gathered(*_prefix_coeffs(p, eps, n)[0], n)
     return {"value": c.fidelity, "p_succ": c.acceptance}
 
 
-def _pure_kernel(points: list[tuple], theta_column: np.ndarray) -> dict[str, np.ndarray]:
-    """The filtered fidelity on (points x theta), by theta: 2 sin^2(theta) stays a scalar."""
-    n = np.array([point[2:] for point in points])
-    c = _Gathered(*_prefix_coeffs(points, n), n)
-    res = [dp.pure_filter_fidelity(theta, c) for theta in theta_column.tolist()]
-    return {"value": np.concatenate([r.fidelity_out for r in res], axis=1),
-            "p_succ": np.concatenate([r.p_succ for r in res], axis=1)}
+def _pure_kernel(p: float, eps: list, n: list, theta: list) -> dict[str, np.ndarray]:
+    """The filtered fidelity on (eps x n x theta), by theta: 2 sin^2(theta) stays a scalar."""
+    c = _Gathered(*_prefix_coeffs(p, eps, n)[0][..., None], n)
+    res = [dp.pure_filter_fidelity(t, c) for t in theta]
+    return {"value": np.concatenate([r.fidelity_out for r in res], axis=-1),
+            "p_succ": np.concatenate([r.p_succ for r in res], axis=-1)}
 
 
-def _map_kernel(points: list[tuple], f_column: np.ndarray) -> dict[str, np.ndarray]:
-    """The fidelity map on (points x F): one ``distill_map`` on the whole array."""
-    n, m = np.array([point[2:] for point in points]).T[:, :, None]
-    res = dm.distill_map(f_column, dm.weights_from_coeffs(*_prefix_coeffs(points, n, m)))
+def _map_kernel(p: float, eps: list, n: list, m: list, f: list) -> dict[str, np.ndarray]:
+    """The fidelity map on (eps x n x m x F): one ``distill_map`` on the whole array."""
+    a, b = _prefix_coeffs(p, eps, n, m)
+    res = dm.distill_map(np.array(f), dm.weights_from_coeffs(*a[..., None, None],
+                                                              *b[:, :, None, :, None]))
     return {"value": res.fidelity_out, "p_succ": res.p_succ}
 
 
-def _lower_bound_kernel(points: list[tuple], m_column: np.ndarray) -> dict[str, np.ndarray]:
-    """The threshold L on (points x m): one ``lower_bound`` on the whole array."""
-    coeffs = _prefix_coeffs(points, np.array([point[2:] for point in points]), m_column[None, :])
-    return {"value": dm.lower_bound(dm.weights_from_coeffs(*coeffs))}
+def _lower_bound_kernel(p: float, eps: list, n: list, m: list) -> dict[str, np.ndarray]:
+    """The threshold L on (eps x n x m): one ``lower_bound`` on the whole array."""
+    a, b = _prefix_coeffs(p, eps, n, m)
+    return {"value": dm.lower_bound(dm.weights_from_coeffs(*a[..., None], *b[:, :, None]))}
 
 
-#: Each quantity's axes in row order, and its kernel: ``kernel(points, column)`` evaluates
-#: a list of points of every axis but the last over the last axis, given as a numpy column,
-#: and returns each output as a (points x column) array, or any other two leading axes that
-#: hold the same rows in order; a rate-list output has a third axis. Each value equals its
-#: scalar closed form's bit for bit: all but the two limits evaluate ``_prefix_coeffs`` arrays.
+#: Each quantity's axes in row order, and its kernel: ``kernel(head, *axes)`` evaluates the
+#: rows whose first axis is ``head``, each later axis given as its list of values, and returns
+#: each output with those rows in order over the leading axes of "value" (later axes, here);
+#: a rate-list output has one more axis. Each value equals its scalar closed form's bit for
+#: bit: all but the two limits evaluate ``_prefix_coeffs`` arrays.
 QUANTITIES = {
     "povm_fidelity": (("p", "epsilon", "n"), _povm_kernel),
     "mixed_fidelity_map": (("p", "epsilon", "n", "m", "F"), _map_kernel),
@@ -640,38 +640,38 @@ def _grid(quantity: str, grid: dict[str, list], spec: tuple | None = None) -> Re
     default. Rows come in lexicographic order, the last axis varying
     fastest. An axis with one value is a constant; any other is a column
     of its values with a code per row. The kernel runs once per slab, the
-    points that share one value of the first axis, and fills the slab's
-    rows of each output column: the kernel's temporaries are one slab's,
-    never the whole grid's. Every row is computed, and so every input
-    checked, before the first byte is written; a slab that fails runs
-    again point by point, so the error is the first failing row's.
+    rows that share one value of the first axis, on the grid's own axis
+    lists, and fills the slab's rows of each output column: the kernel's
+    temporaries are one slab's, never the whole grid's. Every row is
+    computed, and so every input checked, before the first byte is
+    written; a slab that fails runs again point by point, so the error is
+    the first failing row's.
     """
     axes, kernel = spec or QUANTITIES[quantity]
-    shape = [len(grid[a]) for a in axes]
-    constants, columns, rows = {"quantity": quantity}, {}, math.prod(shape)
-    for j, (a, size) in enumerate(zip(axes, shape)):
-        if size == 1:
-            constants[a] = grid[a][0]
-        else:  # the axis's index of each row, in row order
-            index = np.arange(size, dtype=np.min_scalar_type(size - 1))[None, :, None]
-            codes = index.repeat(math.prod(shape[:j]), 0).repeat(math.prod(shape[j + 1:]), 2)
-            columns[a] = (np.array(grid[a]), codes.flatten())
-    (first, *outer, last), start = axes, 0
-    column = np.array(grid[last])
-    for head in grid[first]:
-        slab = list(product([head], *(grid[a] for a in outer)))
+    first, *later = values = [grid[a] for a in axes]
+    rows = math.prod(map(len, values))
+    constants, columns, inner = {"quantity": quantity}, {}, rows
+    for a, axis in zip(axes, values):
+        inner //= len(axis)
+        if len(axis) == 1:
+            constants[a] = axis[0]
+        else:
+            run = np.arange(len(axis), dtype=np.min_scalar_type(len(axis) - 1)).repeat(inner)
+            columns[a] = (np.array(axis), run[None].repeat(rows // len(run), 0).ravel())
+    per, start = rows // len(first), 0
+    for head in first:
         try:
-            outputs = kernel(slab, column)
+            outputs = kernel(head, *later)
         except ValueError:
-            for point in slab:
-                kernel([point], column)
+            for point in product(*later[:-1]):
+                kernel(head, *([v] for v in point), later[-1])
             raise
-        stop = start + len(slab) * len(column)
+        lead = outputs["value"].ndim
         for name, output in outputs.items():
             if name not in columns:
-                columns[name] = np.empty((rows, *output.shape[2:]), output.dtype)
-            columns[name][start:stop] = output.reshape(stop - start, *output.shape[2:])
-        start = stop
+                columns[name] = np.empty((rows, *output.shape[lead:]), output.dtype)
+            columns[name][start:start + per] = output.reshape(per, *output.shape[lead:])
+        start += per
     return Records(constants, columns)
 
 
@@ -759,42 +759,39 @@ def _sweep_records(args) -> Records:
         return _grid(q, axes)
     axes["draw"] = list(range(args.draws if args.draws is not None else HET_DRAWS))
     rng = np.random.RandomState(args.seed if args.seed is not None else 0)
-    kernel = _het_kernel(*args.het_band, len(axes["F"]), rng)
+    kernel = _het_kernel(*args.het_band, rng)
     return _grid(q, axes, spec=((*names, "draw"), kernel))
 
 
-def _het_kernel(lo: float, hi: float, fs: int, rng: np.random.RandomState):
+def _het_kernel(lo: float, hi: float, rng: np.random.RandomState):
     """The mixed_fidelity_map kernel on rates drawn from [lo, hi), a rate matrix per cell.
 
-    A point is an (eps, n, m, F) cell of the ``fs`` F values, and the
-    column numbers the draws: each (n, m) cell's rows are its F and draw
-    pairs, row-major. Every cell's rates are drawn first, cell after
-    cell, one draw of rows x (n + m) each: this consumes the RandomState
-    as per-row uniform(n) then uniform(m) calls would. Each party's rates
-    are one (cells x rows x widest) array, NaN past a cell's depth. Then
-    ``_stacked`` runs one recurrence per (party, depth) on that party's
-    cells of that depth, and one ``distill_map`` runs on the slab's
-    (cells x rows) array; a slab's cells share eps, its first axis. Every
+    A slab's cells are its (n, m) pairs, and each cell's rows are its F
+    and draw pairs, row-major; the slab shares eps, its first axis. Every
+    cell's rates are drawn first, cell after cell, one draw of rows x
+    (n + m) each: this consumes the RandomState as per-row uniform(n)
+    then uniform(m) calls would. Each party's rates are one (cells x rows
+    x widest) array, NaN past a cell's depth. Then ``_stacked`` runs one
+    recurrence per (party, depth) on that party's cells of that depth,
+    and one ``distill_map`` runs on the slab's (cells x rows) array. Every
     operation is elementwise, so each value equals the per-cell calls'
     bit for bit. The band lies in [0, 1), so a cell fails only on eps or
     F, whatever the draws.
     """
-    def kernel(points: list[tuple], draws: np.ndarray) -> dict[str, np.ndarray]:
-        per_cell = min(fs, len(points))  # one point, where _grid replays a failing slab
-        cells, rows = points[::per_cell], per_cell * len(draws)
-        eps, f = cells[0][0], np.repeat([point[3] for point in points[:per_cell]], len(draws))
-        p_a, p_b = (np.full((len(cells), rows, max(cell[k] for cell in cells)), np.nan)
-                    for k in (1, 2))
-        for i, (_, n, m, _) in enumerate(cells):
-            rates = rng.uniform(lo, hi, rows * (n + m)).reshape(rows, n + m)
-            p_a[i, :, :n], p_b[i, :, :m] = rates[:, :n], rates[:, n:]
+    def kernel(eps: float, n: list, m: list, fs: list, draws: list) -> dict[str, np.ndarray]:
+        cells, rows = list(product(n, m)), len(fs) * len(draws)
+        p_a, p_b = (np.full((len(cells), rows, max(depths)), np.nan) for depths in (n, m))
+        for i, (a, b) in enumerate(cells):
+            rates = rng.uniform(lo, hi, rows * (a + b)).reshape(rows, a + b)
+            p_a[i, :, :a], p_b[i, :, :b] = rates[:, :a], rates[:, a:]
 
         def coeffs(rates, k):  # (r0, r1) of the cells' first cell[k] rates, (cells x rows)
             def evaluate(index, depth):
                 c = noise.purified_coeffs_general(rates[index, :, :depth].reshape(-1, depth), eps)
                 return c.r0.reshape(len(index), -1), c.r1.reshape(len(index), -1)
             return _stacked(evaluate, [cell[k] for cell in cells])
-        res = dm.distill_map(f, dm.weights_from_coeffs(*coeffs(p_a, 1), *coeffs(p_b, 2)))
+        res = dm.distill_map(np.repeat(fs, len(draws)),
+                             dm.weights_from_coeffs(*coeffs(p_a, 0), *coeffs(p_b, 1)))
         return {"pA": p_a, "pB": p_b, "value": res.fidelity_out, "p_succ": res.p_succ}
     return kernel
 

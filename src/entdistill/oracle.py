@@ -103,13 +103,7 @@ def oracle_effective_povms(rates, epsilon: float | np.ndarray) -> tuple[np.ndarr
     if n < 1 or n > MAX_GADGET_QUBITS:
         raise ValueError(f"n must lie in 1..{MAX_GADGET_QUBITS}, got {n}")
 
-    # Each qubit's noisy element for outcome 0 is diag(1 - p/2, p/2).
-    half = rates / 2.0
-    factors = np.empty((b, n, 2))
-    factors[..., 0], factors[..., 1] = 1.0 - half, half
-    diagonal = factors[:, 0]
-    for k in range(1, n):
-        diagonal = (diagonal[:, :, None] * factors[:, k, None, :]).reshape(b, -1)
+    diagonal = _unanimous_diagonal(rates / 2.0)
     d = 2 ** n
     op = np.zeros((2, b, d * d), dtype=complex)
     op[0, :, ::d + 1] = diagonal
@@ -125,6 +119,17 @@ def oracle_effective_povms(rates, epsilon: float | np.ndarray) -> tuple[np.ndarr
     # columns at ancilla index 0, rows and columns 0 and d/2.
     q = op[..., ::d // 2, ::d // 2]
     return q[0], q[1]
+
+
+def _unanimous_diagonal(half: np.ndarray) -> np.ndarray:
+    """The diagonal of outcome 0^n's product of the elements diag(1 - p/2, p/2), in kron order,
+    for the p/2 of each qubit on ``half``'s last axis; outcome 1^n's is this one reversed."""
+    factors = np.empty(half.shape + (2,))
+    factors[..., 0], factors[..., 1] = 1.0 - half, half
+    diagonal = factors[..., 0, :]
+    for k in range(1, half.shape[-1]):
+        diagonal = (diagonal[..., :, None] * factors[..., k, None, :]).reshape(*half.shape[:-1], -1)
+    return diagonal
 
 
 def oracle_effective_povm(p_list: Sequence[float], epsilon: float, n: int) -> EffectivePovm:
@@ -226,6 +231,8 @@ def oracle_mixed_post_state_direct(
     """
     epsilon = _check_fraction(epsilon, "epsilon")
     n, m = len(p_a), len(p_b)
+    if not (n and m):
+        raise ValueError(f"{'p_b' if n else 'p_a'} must be nonempty")
     nq = 4 + (n - 1) + (m - 1)
     if nq > 10:
         raise ValueError(f"direct register would need {nq} qubits, max is 10")
@@ -240,13 +247,9 @@ def oracle_mixed_post_state_direct(
             blocks = out.reshape(-1, 16, 2, 16, 2).diagonal(axis1=2, axis2=4)
             rho = np.moveaxis(blocks, -1, 1).reshape(-1, 16, 16)
 
-    # Measured qubits in register order: A2, B2, Alice's ancillas, Bob's ancillas. Each
-    # outcome's diagonal is the product of the noisy elements' diagonals in the kron's order;
-    # outcome 1's is outcome 0's reversed.
-    half = _check_fraction(np.array([p_a[0], p_b[0], *p_a[1:], *p_b[1:]]), "p") / 2.0
-    diagonal = np.ones(1)
-    for q in half:
-        diagonal = np.outer(diagonal, (1.0 - q, q)).ravel()
+    # Measured qubits in register order: A2, B2, Alice's ancillas, Bob's ancillas.
+    diagonal = _unanimous_diagonal(
+        _check_fraction(np.array([p_a[0], p_b[0], *p_a[1:], *p_b[1:]]), "p") / 2.0)
     weights = diagonal + diagonal[::-1]
     # Entry (y, a, b) is <a y| rho |b y> with y = (A2 B2, ancillas) in register order.
     kept = rho.reshape(-1, 4, 4, 4, 4).diagonal(axis1=2, axis2=4)

@@ -1145,21 +1145,49 @@ def test_distill_mixed_prints_the_one_point_sweep(p, eps, n, m, f):
         assert printed[0][0] == 2 or len(printed[0][1]) == 1
 
 
-@pytest.mark.parametrize("quantity,tail", [("povm_fidelity", []),
-                                           ("pure_fidelity", ["--theta", "0.3"])])
-def test_depth_sweeps_run_one_recurrence_per_p_and_eps(quantity, tail, monkeypatch):
-    """A sweep over --n 1:200 reads one prefix table per (p, eps), and no per-row call."""
+def assert_one_prefix_table_per_p_and_eps(argv, rows, tables, monkeypatch):
+    """argv prints ``rows`` rows, reading exactly the prefix ``tables``, (p, eps, depth)
+    in order, and never a per-row coefficient call."""
     calls = {name: mock.Mock(wraps=getattr(noise, name)) for name in
              ("purified_coeffs_prefixes", "purified_coeffs_gate_noisy", "purified_coeffs_general")}
     for name, counter in calls.items():
         monkeypatch.setattr(cli.noise, name, counter)
-    argv = ["sweep", "--quantity", quantity, "--p", "0.1", "--epsilon", "0,0.05", "--n", "1:200"]
     with contextlib.redirect_stdout(io.StringIO()) as buf:
-        assert cli.main(argv + tail) == 0
-    assert len(buf.getvalue().splitlines()) == 1 + 2 * 200
+        assert cli.main(argv) == 0
+    assert len(buf.getvalue().splitlines()) == 1 + rows
     assert {name: [c.args for c in counter.call_args_list] for name, counter in calls.items()} == {
-        "purified_coeffs_prefixes": [(0.1, 0.0, 200), (0.1, 0.05, 200)],
+        "purified_coeffs_prefixes": tables,
         "purified_coeffs_gate_noisy": [], "purified_coeffs_general": []}
+
+
+@pytest.mark.parametrize("quantity,tail", [("povm_fidelity", []),
+                                           ("pure_fidelity", ["--theta", "0.3"])])
+def test_depth_sweeps_run_one_recurrence_per_p_and_eps(quantity, tail, monkeypatch):
+    """A sweep over --n 1:200 reads one prefix table per (p, eps), and no per-row call."""
+    argv = ["sweep", "--quantity", quantity, "--p", "0.1", "--epsilon", "0,0.05", "--n", "1:200"]
+    assert_one_prefix_table_per_p_and_eps(argv + tail, 2 * 200,
+                                          [(0.1, 0.0, 200), (0.1, 0.05, 200)], monkeypatch)
+
+
+#: Per depth quantity not above, and a one-cell distill-pure call: argv, rows, and the
+#: prefix tables that it reads, (p, eps, largest depth) in row order.
+ONE_TABLE_PER_P_AND_EPS = {
+    "lower_bound": (["sweep", "--quantity", "lower_bound", "--p", "0.1,0.2", "--epsilon", "0,0.05",
+                     "--n", "1:20", "--m", "1:20"], 2 * 2 * 20 * 20,
+                    [(p, eps, 20) for p in (0.1, 0.2) for eps in (0.0, 0.05)]),
+    "mixed_fidelity_map": ([*MAP, "--p", "0.1", "--epsilon", "0,0.05", "--n", "1:20",
+                            "--m", "3,9", "--F", "0.6,0.9"], 2 * 20 * 2 * 2,
+                           [(0.1, 0.0, 20), (0.1, 0.05, 20)]),
+    "distill-pure": (["distill-pure", "--p", "0.1", "--epsilon", "0.05", "--n", "3",
+                      "--theta", "0.3"], 1, [(0.1, 0.05, 3)]),
+}
+
+
+@pytest.mark.parametrize("argv,rows,tables", ONE_TABLE_PER_P_AND_EPS.values(),
+                         ids=ONE_TABLE_PER_P_AND_EPS)
+def test_every_depth_quantity_reads_one_prefix_table_per_p_and_eps(argv, rows, tables,
+                                                                    monkeypatch):
+    assert_one_prefix_table_per_p_and_eps(argv, rows, tables, monkeypatch)
 
 
 def test_valid_calls_never_read_the_terminal_width(monkeypatch, capsys):

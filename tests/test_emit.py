@@ -137,6 +137,21 @@ def test_json_keys_need_no_escaping(field):
     assert json.dumps(field) == '"%s"' % field
 
 
+#: Constants of every kind that a JSON row prints, and the edges of each.
+JSON_CONSTANTS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 0.1, 1e16, -1.5e300,
+                  np.float64(0.1), math.nan, math.inf, -math.inf, 0, -7, 2 ** 70, True, False,
+                  None, "", 'say "hi"', "back\\slash", "tab\tnew\nline", "café θ \U0001f600",
+                  "\x00\x7f"]
+
+
+@pytest.mark.parametrize("value", JSON_CONSTANTS, ids=repr)
+def test_json_constants_print_their_json_dumps(value):
+    """Each constant's text in a JSON row is its json.dumps, whatever its kind."""
+    records = cli.Records({"quantity": value})
+    expected = json.dumps({"quantity": value, "schema_version": cli.SCHEMA_VERSION}) + "\n"
+    assert emitted(cli.emit_records, records, "json") == expected
+
+
 def emitted(emit, records: cli.Records, fmt: str) -> str:
     buf = io.StringIO()
     emit(records, fmt, buf)

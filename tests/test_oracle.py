@@ -363,6 +363,13 @@ def test_direct_register_guard():
         oracle_mixed_post_state_direct(0.7, [0.1] * 5, [0.1] * 4, 0.0)
 
 
+@pytest.mark.parametrize("p_a,p_b,side", [([], [0.1], "p_a"), ([0.1, 0.2], [], "p_b"),
+                                          ([], [], "p_a")])
+def test_direct_register_rejects_an_empty_rate_list(p_a, p_b, side):
+    with pytest.raises(ValueError, match=f"^{side} must be nonempty$"):
+        oracle_mixed_post_state_direct(0.7, p_a, p_b, 0.1)
+
+
 def test_filtered_ket_applies_the_filters_controlled_w(rng):
     """The controlled-W built from tan(theta) is filter_ops(theta).u, entry for entry."""
     for theta in [np.pi / 4, np.pi / 4 - 1e-12, 1e-300, 0.3, *rng.uniform(0.0, np.pi / 4, 200)]:
