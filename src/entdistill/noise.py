@@ -116,47 +116,31 @@ def noisy_povm_element(outcome: int, p: float) -> np.ndarray:
     return m
 
 
-#: Registers of up to this many qubits permute by a flat ``take``, larger ones by swaps in place.
-TAKE_MAX_QUBITS = 6
+#: The most qubits ``depolarized_cnot_apply`` takes: the register of the largest gadget.
+MAX_QUBITS = 6
 
 
-@lru_cache(maxsize=None)  # at most 70 entries of at most 32 KiB: nq <= TAKE_MAX_QUBITS
-def _cnot_take(nq: int, control: int, target: int) -> np.ndarray:
-    """The permutation as flat indices into a (d * d,) view: (i, j) holds perm[i] * d + perm[j]."""
+@lru_cache(maxsize=None)  # at most 70 entries of at most 32 KiB: nq <= MAX_QUBITS
+def _cnot_index(nq: int, control: int, target: int):
+    """The permutation as flat indices into a (d * d,) view, (i, j) holding perm[i] * d + perm[j];
+    an index split at the two qubits into (before, first, between, second, after); and the
+    result's (c, t ^ c) blocks, the input's (c, t)."""
     index = np.arange(1 << nq)
     cbit, tbit = 1 << (nq - 1 - control), 1 << (nq - 1 - target)
     perm = np.where(index & cbit, index ^ tbit, index)
     take = np.add.outer(perm << nq, perm)
     take.flags.writeable = False  # the cache hands one array to every call
-    return take
-
-
-@lru_cache(maxsize=None)  # a few tuples of slices per (qubits, control, target)
-def _cnot_keys(nq: int, control: int, target: int):
-    """An index split at the two qubits into (before, first, between, second, after), the swaps
-    that permute above TAKE_MAX_QUBITS, and the result's (c, t ^ c) blocks, the input's (c, t)."""
     first, second = sorted((control, target))
     every = slice(None)
 
     def axes(c, t):  # one index's five axes at control bit c and target bit t
         return (every, c, every, t, every) if control < target else (every, t, every, c, every)
-    # The target's halves where the control is 1, in the rows and then in the columns, each
-    # in the two halves of the other index's first qubit: numpy copies a source that
-    # interleaves with its destination, so a swap holds two eighths of the register.
-    halves = [(every, h, every, every, every) for h in (0, 1)] if nq > TAKE_MAX_QUBITS else []
-    swaps = tuple([((Ellipsis,) + axes(1, 0) + h, (Ellipsis,) + axes(1, 1) + h) for h in halves]
-                  + [((Ellipsis,) + h + axes(1, 0), (Ellipsis,) + h + axes(1, 1)) for h in halves])
     blocks = tuple((Ellipsis,) + axes(c, t ^ c) * 2 for c, t in ((0, 0), (0, 1), (1, 0), (1, 1)))
-    return (1 << first, 2, 1 << (second - first - 1), 2, 1 << (nq - 1 - second)), swaps, blocks
+    return take, (1 << first, 2, 1 << (second - first - 1), 2, 1 << (nq - 1 - second)), blocks
 
 
-def depolarized_cnot_apply(
-    rho: np.ndarray,
-    control: int,
-    target: int,
-    epsilon: float | np.ndarray,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+def depolarized_cnot_apply(rho: np.ndarray, control: int, target: int,
+                           epsilon: float | np.ndarray) -> np.ndarray:
     """Apply a CNOT that fails onto the maximally mixed pair with probability epsilon.
 
         rho -> (1 - eps) V rho V^dag + eps (I/4)_{ct} x tr_{ct}(rho)
@@ -164,15 +148,12 @@ def depolarized_cnot_apply(
     All other qubits of the register are untouched. The channel acts on
     qubit axes, not on an embedded 2^n x 2^n operator: V is the index
     permutation that flips the target bit where the control bit is set:
-    entry (i, j) of the result is entry (perm[i], perm[j]). Up to
-    ``TAKE_MAX_QUBITS`` qubits that is one flat ``take`` through indices
-    built once per (qubits, control, target); a larger register swaps the
-    target's 0 and 1 quarter blocks where the control bit is 1, in the
-    rows and then in the columns, with no index array. The (c, t)
-    marginal is the sum of the four diagonal (c, t) blocks, read off the
-    result as its (c, t ^ c) blocks, and written back into each with
-    weight 1/4. ``out`` follows numpy: ``None`` returns a new array and
-    leaves ``rho`` untouched; ``out=rho`` works in place.
+    entry (i, j) of the result is entry (perm[i], perm[j]), one flat
+    ``take`` through indices built once per (qubits, control, target).
+    The (c, t) marginal is the sum of the four diagonal (c, t) blocks,
+    read off the result as its (c, t ^ c) blocks, and written back into
+    each with weight 1/4. The result is a new array; ``rho`` is left
+    untouched. A register has at most ``MAX_QUBITS`` qubits.
 
     ``rho`` may be a stack of shape (..., d, d): each operator of the
     stack gets the same float operations as an unstacked call, so each
@@ -189,42 +170,32 @@ def depolarized_cnot_apply(
     nq = d.bit_length() - 1
     if rho.ndim < 2 or rho.shape[-2] != d or 2 ** nq != d:
         raise ValueError(f"state shape {rho.shape} is not a square power of two")
+    if nq > MAX_QUBITS:
+        raise ValueError(f"the depolarized CNOT takes at most {MAX_QUBITS} qubits, got {nq}")
     if control == target:
         raise ValueError("control and target must differ")
     if not (0 <= control < nq and 0 <= target < nq):
         raise ValueError(f"invalid control/target ({control}, {target}) for {nq} qubits")
-    if out is not None and (out.shape, out.dtype, out.flags.c_contiguous) != (
-            rho.shape, complex, True):
-        raise ValueError(f"out must be a C-contiguous complex array of shape {rho.shape}")
     lead = rho.shape[:-2]
     column = isinstance(epsilon, np.ndarray)
     if column and (epsilon.ndim > len(lead) or any(
             e not in (1, n) for e, n in zip(epsilon.shape[::-1], lead[::-1]))):
         raise ValueError(f"epsilon of shape {epsilon.shape} does not broadcast against "
                          f"a stack of shape {lead}")
-    noisy = _any(epsilon > 0.0)
-    if nq <= TAKE_MAX_QUBITS:
-        out = rho.reshape(lead + (d * d,)).take(_cnot_take(nq, control, target), axis=-1, out=out)
-        if not noisy:
-            return out
-    elif out is None:
-        out = rho.copy()
-    elif out is not rho:
-        out[...] = rho
-    split, swaps, blocks = _cnot_keys(nq, control, target)
+    take, split, blocks = _cnot_index(nq, control, target)
+    out = rho.reshape(lead + (d * d,)).take(take, axis=-1)
+    if not _any(epsilon > 0.0):
+        return out
     tensor_out = out.reshape(lead + split * 2)
-    for a, b in swaps:
-        tensor_out[a], tensor_out[b] = tensor_out[b], tensor_out[a].copy()
-    if noisy:
-        marginal = sum(tensor_out[key] for key in blocks)
-        if column:
-            out *= (1.0 - epsilon)[..., None, None]
-            epsilon = epsilon.reshape(epsilon.shape + (1,) * 6)  # the six axes a block keeps
-        else:
-            out *= 1.0 - epsilon
-        depolarized = epsilon / 4.0 * marginal
-        for key in blocks:
-            tensor_out[key] += depolarized
+    marginal = sum(tensor_out[key] for key in blocks)
+    if column:
+        out *= (1.0 - epsilon)[..., None, None]
+        epsilon = epsilon.reshape(epsilon.shape + (1,) * 6)  # the six axes a block keeps
+    else:
+        out *= 1.0 - epsilon
+    depolarized = epsilon / 4.0 * marginal
+    for key in blocks:
+        tensor_out[key] += depolarized
     return out
 
 

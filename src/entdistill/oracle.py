@@ -41,12 +41,12 @@ from collections.abc import Sequence
 import numpy as np
 
 from .distill_mixed import DistillResult
-from .noise import _check_fraction, depolarized_cnot_apply
+# A gadget's whole register goes through the channel, so the channel's cap is the gadget's.
+from .noise import MAX_QUBITS as MAX_GADGET_QUBITS, _check_fraction, depolarized_cnot_apply
 # embed_op is unused here but stays bound: the benchmark's tests check oracle.embed_op.
 from .qmat import KET0, PHI_PLUS, embed_op, tensor  # noqa: F401
 from .states import isotropic, pure_theta
 
-MAX_GADGET_QUBITS = 6
 # <phi+| as a (1, 4) row: a 1-D <phi+| times a stack rounds some slices differently.
 _PHI_ROW, _PHI_COL = PHI_PLUS.conj()[None], PHI_PLUS[:, None]
 

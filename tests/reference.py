@@ -7,7 +7,9 @@ a per-point ``verify``, a per-cell ``--het-band`` sweep and a template
 emitter, that only the tests use.
 
 The library applies its channels on qubit axes and never needs these;
-the tests use them to build the same results the slow, obvious way.
+the tests use them to build the same results the slow, obvious way. The
+fancy-index channel takes a register of any size, so it also builds the
+registers past the library channel's cap of ``noise.MAX_QUBITS`` qubits.
 """
 
 from __future__ import annotations
@@ -135,6 +137,7 @@ def depolarized_cnot_apply(rho: np.ndarray, control: int, target: int,
     V is a 2-D fancy index of the permutation, and the (c, t) marginal
     is the sum of four diagonal blocks of the (2,)*2n tensor, each
     picked by a key over every qubit axis. ``epsilon`` is a float only.
+    Unlike the library's channel, it takes a register of any size.
     """
     rho = np.asarray(rho, dtype=complex)
     epsilon = noise._check_fraction(epsilon, "epsilon")

@@ -1,4 +1,3 @@
-import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -10,8 +9,9 @@ from hypothesis import strategies as st
 from reference import collective_cnot, conjugate, partial_trace
 
 from entdistill.noise import (
-    TAKE_MAX_QUBITS,
+    MAX_QUBITS,
     PurifiedCoeffs,
+    _cnot_index,
     asymptotic_ratio,
     depolarized_cnot_apply,
     noisy_povm_element,
@@ -149,61 +149,8 @@ def test_depolarized_cnot_with_an_eps_column_is_the_scalar_call_per_operator(lea
                 assert np.array_equal(bits(out[k]), bits(one))
 
 
-@pytest.mark.parametrize("nq", [7, 8])
-def test_depolarized_cnot_past_the_flat_take_is_the_reference_bit_for_bit(nq, rng):
-    # above TAKE_MAX_QUBITS the permutation swaps quarter blocks
-    assert nq > TAKE_MAX_QUBITS
-    d = 2 ** nq
-    rho = rng.randn(2, d, d) + 1j * rng.randn(2, d, d)
-    rho[rng.uniform(size=rho.shape) < 0.2] = -0.0
-    for control, target in [(0, nq - 1), (nq - 1, 0), (2, 4), (5, 3)]:
-        for eps in (0.0, 0.3):
-            assert np.array_equal(bits(depolarized_cnot_apply(rho, control, target, eps)),
-                                  bits(reference.depolarized_cnot_apply(rho, control, target, eps)))
-        out = depolarized_cnot_apply(rho, control, target, np.array([0.3, 0.0]))
-        assert np.array_equal(bits(out[0]), bits(depolarized_cnot_apply(rho[0], control, target, 0.3)))
-        assert np.array_equal(out[1], depolarized_cnot_apply(rho[1], control, target, 0.0))
-
-
-@pytest.mark.parametrize("nq", [7, 8])
-def test_depolarized_cnot_in_place_is_the_reference_bit_for_bit(nq, rng):
-    # out=rho swaps the quarter blocks of rho itself; a separate out gets the same bits
-    d = 2 ** nq
-    rho = rng.randn(2, d, d) + 1j * rng.randn(2, d, d)
-    rho[rng.uniform(size=rho.shape) < 0.2] = -0.0
-    for control, target in [(0, nq - 1), (nq - 1, 0), (2, 4), (5, 3)]:
-        for eps in (0.0, 0.3, np.array([0.3, 0.0])):
-            work, spare = rho.copy(), np.empty_like(rho)
-            assert depolarized_cnot_apply(work, control, target, eps, out=work) is work
-            assert depolarized_cnot_apply(rho, control, target, eps, out=spare) is spare
-            assert np.array_equal(bits(spare), bits(work))
-            if isinstance(eps, float):
-                want = reference.depolarized_cnot_apply(rho, control, target, eps)
-                assert np.array_equal(bits(work), bits(want))
-            else:
-                assert np.array_equal(
-                    bits(work[0]), bits(reference.depolarized_cnot_apply(rho[0], control, target, 0.3)))
-                assert np.array_equal(
-                    work[1], reference.depolarized_cnot_apply(rho[1], control, target, 0.0))
-
-
-@pytest.mark.parametrize("nq", [2, 4, 6])
-def test_depolarized_cnot_with_out_up_to_the_flat_take_gives_the_same_bits(nq, rng):
-    d = 2 ** nq
-    rho = rng.randn(3, d, d) + 1j * rng.randn(3, d, d)
-    rho[rng.uniform(size=rho.shape) < 0.2] = -0.0
-    for control, target in [(0, nq - 1), (nq - 1, 0)]:
-        for eps in (0.0, 0.3, np.array([0.3, 0.0, 0.1])):
-            want = bits(depolarized_cnot_apply(rho, control, target, eps))
-            work, spare = rho.copy(), np.empty_like(rho)
-            assert depolarized_cnot_apply(work, control, target, eps, out=work) is work
-            assert depolarized_cnot_apply(rho, control, target, eps, out=spare) is spare
-            assert np.array_equal(bits(work), want)
-            assert np.array_equal(bits(spare), want)
-
-
-@pytest.mark.parametrize("nq", [4, 8])
-def test_depolarized_cnot_without_out_leaves_its_input(nq, rng):
+@pytest.mark.parametrize("nq", [4, 6])
+def test_depolarized_cnot_leaves_its_input(nq, rng):
     d = 2 ** nq
     rho = rng.randn(2, d, d) + 1j * rng.randn(2, d, d)
     rho[rng.uniform(size=rho.shape) < 0.2] = -0.0
@@ -215,31 +162,20 @@ def test_depolarized_cnot_without_out_leaves_its_input(nq, rng):
             assert np.array_equal(bits(rho), before)
 
 
-def test_depolarized_cnot_rejects_an_out_that_cannot_take_the_result():
-    for nq in (3, 8):
-        d = 2 ** nq
-        rho = np.zeros((2, d, d), dtype=complex)
-        for bad in (np.zeros((d, d), dtype=complex), np.zeros((2, d, d)),
-                    np.zeros((2, d, 2 * d), dtype=complex)[..., ::2]):
-            with pytest.raises(ValueError, match=r"^out must be a C-contiguous complex array "
-                                                 rf"of shape \(2, {d}, {d}\)$"):
-                depolarized_cnot_apply(rho, 0, 2, 0.1, out=bad)
-            assert not bad.any()
-
-
-def test_depolarized_cnot_in_place_holds_under_half_a_register(rng):
-    # an 8-qubit register, 1 MiB: in place a CNOT holds two eighths of it for a swap
-    # and a sixteenth per sum for the marginal; a new result would be the whole register
-    d = 2 ** 8
-    rho = rng.randn(d, d) + 1j * rng.randn(d, d)
-    for control, target, eps in [(0, 7, 0.3), (5, 3, 0.3), (2, 4, 0.0), (6, 1, 0.05)]:
-        tracemalloc.start()
-        try:
-            depolarized_cnot_apply(rho, control, target, eps, out=rho)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < rho.nbytes / 2, (control, target, eps, peak)
+def test_depolarized_cnot_rejects_a_register_past_its_cap():
+    # a 7-qubit operator, alone or in a stack, is rejected before the index cache sees it
+    size = _cnot_index.cache_info().currsize
+    d = 2 ** (MAX_QUBITS + 1)
+    for rho, eps in [(np.zeros((d, d)), 0.1), (np.zeros((2, d, d)), np.array([0.1, 0.0]))]:
+        with pytest.raises(ValueError,
+                           match=r"^the depolarized CNOT takes at most 6 qubits, got 7$"):
+            depolarized_cnot_apply(rho, 0, MAX_QUBITS, eps)
+    assert _cnot_index.cache_info().currsize == size
+    # every register under the cap, with every control != target, fills the cache's 70 entries
+    for nq in range(1, MAX_QUBITS + 1):
+        for control, target in permutations(range(nq), 2):
+            _cnot_index(nq, control, target)
+    assert _cnot_index.cache_info().currsize == 70
 
 
 def test_depolarized_cnot_eps_column_broadcasts_against_the_stack(rng):

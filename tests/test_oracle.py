@@ -328,7 +328,8 @@ def test_direct_register_starts_from_the_two_pair_register(ancillas):
     for f in (0.0, 0.37, 0.7, 1.0):
         ancilla_states = [projector(KET0)] * ancillas
         whole = tensor(isotropic(f), isotropic(f), *ancilla_states)
-        whole = depolarized_cnot_apply(depolarized_cnot_apply(whole, 0, 2, 0.0), 1, 3, 0.0)
+        whole = reference.depolarized_cnot_apply(
+            reference.depolarized_cnot_apply(whole, 0, 2, 0.0), 1, 3, 0.0)
         assert np.array_equal(tensor(mixed_register(f), *ancilla_states), whole)
 
 
