@@ -1058,10 +1058,10 @@ def _parse_table(argv) -> argparse.Namespace | None:
     by its ``nargs`` values (one by default, none for ``store_true``), none of them
     starting with '-' but a lone '-'. Each value passes the flag's ``type``, then its
     ``choices``; every required flag is given, and an exclusive group holds at most one
-    flag, exactly one if required. Defaults fill the rest, a string default through
-    ``type`` as argparse does. Anything else is None and goes to argparse: help,
-    abbreviations, '--flag=value', repeated or conflicting flags, option-like values,
-    a rejected value. The run function is looked up at each call, as in ``build_parser``.
+    flag, exactly one if required. Defaults fill the rest. Anything else is None and goes
+    to argparse: help, abbreviations, '--flag=value', repeated or conflicting flags,
+    option-like values, a rejected value. The run function is looked up at each call, as
+    in ``build_parser``.
     """
     if not argv or argv[0] not in COMMANDS:
         return None
@@ -1092,8 +1092,6 @@ def _parse_table(argv) -> argparse.Namespace | None:
                 if keywords.get("required"):
                     return None
                 given[flag] = keywords.get("default", False if "action" in keywords else None)
-                if isinstance(given[flag], str):
-                    given[flag] = keywords.get("type", str)(given[flag])
             setattr(namespace, flag[2:].replace("-", "_"), given[flag])
     except (argparse.ArgumentTypeError, TypeError, ValueError):
         return None

@@ -31,7 +31,6 @@ import numpy as np
 
 from .distill_mixed import PI_PHI_PLUS, DistillResult
 from .noise import PurifiedCoeffs, _any, asymptotic_ratio
-from .qmat import I2, P0, P1, tensor
 from .states import _check_theta
 
 
@@ -45,21 +44,25 @@ class FilterOps:
     u: np.ndarray
 
 
+def controlled_w(theta: float) -> np.ndarray:
+    """The filter's U = |0><0| x I + |1><1| x W; ``filter_ops`` reads K0, K1 and W off it."""
+    t = np.tan(theta)
+    r = np.sqrt(1.0 - t * t)
+    u = np.eye(4, dtype=complex)
+    u[2:, 2:] = [[t, -r], [r, t]]
+    return u
+
+
 def filter_ops(theta: float) -> FilterOps:
     """Construct the filtering operation for a given Schmidt angle.
 
-    W rotates |0> to tan(theta)|0> + sqrt(1 - tan^2 theta)|1>; the
-    controlled-W on (system, ancilla) reproduces K_m as the ancilla
-    matrix element <m| U |0>. At theta = pi/4, K0 = I and K1 = 0.
+    W rotates |0> to tan(theta)|0> + sqrt(1 - tan^2 theta)|1>; K_m is the
+    ancilla element <m| U |0> of the controlled-W U on (system, ancilla).
+    K0, K1 and W are copies read off U. At theta = pi/4, K0 = I and K1 = 0.
     """
     _check_theta(theta)
-    t = np.tan(theta)
-    r = np.sqrt(1.0 - t * t)
-    k0 = np.array([[1.0, 0.0], [0.0, t]], dtype=complex)
-    k1 = np.array([[0.0, 0.0], [0.0, r]], dtype=complex)
-    w = np.array([[t, -r], [r, t]], dtype=complex)
-    u = tensor(P0, I2) + tensor(P1, w)
-    return FilterOps(k0=k0, k1=k1, w=w, u=u)
+    u = controlled_w(theta)
+    return FilterOps(k0=u[::2, ::2].copy(), k1=u[1::2, ::2].copy(), w=u[2:, 2:].copy(), u=u)
 
 
 def pure_post_state_unnormalized(theta: float, coeffs: PurifiedCoeffs) -> np.ndarray:

@@ -2,13 +2,14 @@
 
 Nothing here reuses the closed forms from the other modules: the
 purification gadget, the two-way distillation round and the filtering
-circuit are built as explicit registers and contracted numerically, so
-any disagreement with the analytic layer points at a real defect.
-Channels act on qubit axes: a CNOT is one flat ``take`` of the entries,
-the depolarizing step a sum over four diagonal blocks (see
-``noise.depolarized_cnot_apply``), an ancilla prepared and sandwiched in
-|0> an index, and a measurement one contraction with its POVM element.
-No dense operator is embedded.
+circuit (its gate, ``distill_pure.controlled_w``, is a circuit element)
+are built as explicit registers and contracted numerically, so any
+disagreement with the analytic layer points at a real defect. Channels
+act on qubit axes: a CNOT is one flat ``take``, the depolarizing step a
+sum over four diagonal blocks (see ``noise.depolarized_cnot_apply``), an
+ancilla prepared and sandwiched in |0> an index, and the two-way round's
+measurement one einsum with its POVM element, in
+``oracle_mixed_post_state``. No dense operator is embedded.
 
 The oracle runs on stacks along a leading axis: ``oracle_effective_povms``
 pulls one gadget per row of a rate matrix through each depolarized CNOT
@@ -41,6 +42,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .distill_mixed import DistillResult
+from .distill_pure import controlled_w
 # A gadget's whole register goes through the channel, so the channel's cap is the gadget's.
 from .noise import MAX_QUBITS as MAX_GADGET_QUBITS, _check_fraction, depolarized_cnot_apply
 # embed_op is unused here but stays bound: the benchmark's tests check oracle.embed_op.
@@ -148,12 +150,6 @@ def _stacks(*arrays) -> list[np.ndarray]:
     return stacks
 
 
-def _measure(rho: np.ndarray, element: np.ndarray) -> np.ndarray:
-    """tr_rest[rho (I_4 x element)]: the first two qubits after measuring the rest, per slice."""
-    d = element.shape[-1]
-    return np.einsum("...aybz,...zy->...ab", rho.reshape(rho.shape[:-2] + (4, d, 4, d)), element)
-
-
 def distill_result(sigma: np.ndarray) -> DistillResult:
     """Success probability tr sigma and fidelity <phi+|sigma|phi+> / tr sigma, per accepted state."""
     stack = sigma if sigma.ndim > 2 else sigma[None]
@@ -188,8 +184,10 @@ def oracle_mixed_post_state(register: np.ndarray, qa: EffectivePovm,
     """
     rho, a0, a1, b0, b1 = _stacks(register, qa.q0, qa.q1, qb.q0, qb.q1)
     # tensor(a, b) of each slice as a broadcast product: entry (ik, jl) is a[i, j] b[k, l].
-    sigma = _measure(rho, (a0[:, :, None, :, None] * b0[:, None, :, None, :]
-                           + a1[:, :, None, :, None] * b1[:, None, :, None, :]).reshape(-1, 4, 4))
+    element = (a0[:, :, None, :, None] * b0[:, None, :, None, :]
+               + a1[:, :, None, :, None] * b1[:, None, :, None, :]).reshape(-1, 4, 4)
+    # tr_(A2 B2)[rho (I_4 x element)], per slice.
+    sigma = np.einsum("...aybz,...zy->...ab", rho.reshape(-1, 4, 4, 4, 4), element)
     return sigma if register.ndim > 2 else sigma[0]
 
 
@@ -255,15 +253,6 @@ def oracle_mixed_post_state_direct(
     kept = rho.reshape(-1, 4, 4, 4, 4).diagonal(axis1=2, axis2=4)
     terms = kept.transpose(3, 0, 1, 2).reshape(-1, 4, 4) * weights[:, None, None]
     return np.add.reduce(terms, axis=0)
-
-
-def controlled_w(theta: float) -> np.ndarray:
-    """The filter's U = |0><0| x I + |1><1| x W, W|0> = tan(theta)|0> + r|1>, r^2 = 1 - tan^2."""
-    t = np.tan(theta)
-    r = np.sqrt(1.0 - t * t)
-    u = np.eye(4, dtype=complex)
-    u[2:, 2:] = [[t, -r], [r, t]]
-    return u
 
 
 def filtered_ket(theta: float) -> np.ndarray:

@@ -25,9 +25,6 @@ import numpy as np
 I2 = np.eye(2, dtype=complex)
 
 KET0 = np.array([1, 0], dtype=complex)
-KET1 = np.array([0, 1], dtype=complex)
-P0 = np.outer(KET0, KET0)
-P1 = np.outer(KET1, KET1)
 
 #: (|00> + |11>) / sqrt(2), the maximally entangled reference state.
 PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)

@@ -33,10 +33,9 @@ def isotropic(f: float | np.ndarray) -> np.ndarray:
     F gives a stack of states, one per value, each equal to its float
     call bit for bit.
     """
+    f = _check_fraction(f, "singlet fraction", closed=True)
     if isinstance(f, np.ndarray):
-        f = _check_fraction(f, "singlet fraction", closed=True)[..., None, None]
-    elif not 0.0 <= f <= 1.0:
-        raise ValueError(f"singlet fraction must lie in [0, 1], got {f}")
+        f = f[..., None, None]
     p = projector(PHI_PLUS)
     return f * p + (1.0 - f) / 3.0 * (np.eye(4, dtype=complex) - p)
 

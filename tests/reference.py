@@ -24,7 +24,7 @@ import numpy as np
 from entdistill import distill_mixed as dm
 from entdistill import distill_pure as dp
 from entdistill import cli, noise, oracle
-from entdistill.qmat import I2, KET0, P0, P1, projector, tensor
+from entdistill.qmat import I2, KET0, projector, tensor
 from entdistill.states import pure_theta
 
 # Validation tolerances for density matrices and unitaries.
@@ -34,6 +34,9 @@ EIGENVALUE_TOL = 1e-9
 UNITARY_TOL = 1e-9
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
+KET1 = np.array([0, 1], dtype=complex)
+P0 = np.outer(KET0, KET0)
+P1 = np.outer(KET1, KET1)
 
 
 def dag(m: np.ndarray) -> np.ndarray:
@@ -187,7 +190,9 @@ def oracle_mixed_post_state_direct(f: float, p_a: Sequence[float], p_b: Sequence
     ``mixed_register(f)`` beside a |0><0| projector per ancilla, every
     fan-out CNOT applied to the whole register and every qubit measured
     at the end, where the library measures each ancilla right after its
-    CNOT on a stack of 5-qubit registers.
+    CNOT on a stack of 5-qubit registers. The measurement is this
+    function's own contraction, tr_rest[rho (I_4 x element)], not the
+    library's.
     """
     n, m = len(p_a), len(p_b)
     nq = 4 + (n - 1) + (m - 1)
@@ -197,7 +202,8 @@ def oracle_mixed_post_state_direct(f: float, p_a: Sequence[float], p_b: Sequence
     rates = [p_a[0], p_b[0], *p_a[1:], *p_b[1:]]
     element = sum(tensor(*[noise.noisy_povm_element(outcome, p) for p in rates])
                   for outcome in (0, 1))
-    return oracle._measure(rho, element)
+    d = element.shape[-1]
+    return np.einsum("aybz,zy->ab", rho.reshape(4, d, 4, d), element)
 
 
 def oracle_pure_post_state_direct(theta: float, p: float, epsilon: float, n: int) -> np.ndarray:

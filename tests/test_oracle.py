@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import reference
 from conftest import bits, rand_density_matrix
+from reference import P0, P1
 
 from entdistill import cli, noise, oracle
 from entdistill.distill_mixed import (
@@ -20,7 +21,6 @@ from entdistill.noise import (
     purified_coeffs_general,
 )
 from entdistill.oracle import (
-    controlled_w,
     distill_result,
     filtered_ket,
     mixed_register,
@@ -32,7 +32,7 @@ from entdistill.oracle import (
     oracle_mixed_post_state_direct,
     oracle_pure_post_state,
 )
-from entdistill.qmat import KET0, projector, singlet_fraction, tensor
+from entdistill.qmat import I2, KET0, projector, singlet_fraction, tensor
 from entdistill.states import isotropic, pure_theta, twirl
 
 TOL = 1e-10
@@ -372,14 +372,22 @@ def test_direct_register_rejects_an_empty_rate_list(p_a, p_b, side):
 
 
 def test_filtered_ket_applies_the_filters_controlled_w(rng):
-    """The controlled-W built from tan(theta) is filter_ops(theta).u, entry for entry."""
+    """filter_ops(theta)'s K0, K1, W and U, bit for bit, against the matrices built from
+    tan(theta) with U = |0><0| x I + |1><1| x W as a kron sum; filtered_ket applies that U."""
     for theta in [np.pi / 4, np.pi / 4 - 1e-12, 1e-300, 0.3, *rng.uniform(0.0, np.pi / 4, 200)]:
         theta = float(theta)
-        u, built = filter_ops(theta).u, controlled_w(theta)
-        assert np.array_equal(built, u)
-        assert np.array_equal(np.signbit(built.view(float)), np.signbit(u.view(float)))
-        assert np.array_equal(filtered_ket(theta),
-                              (tensor(pure_theta(theta), KET0).reshape(2, 4) @ u.T).reshape(4, 2))
+        t = np.tan(theta)
+        r = np.sqrt(1.0 - t * t)
+        w = np.array([[t, -r], [r, t]], dtype=complex)
+        expected = {"k0": np.array([[1.0, 0.0], [0.0, t]], dtype=complex),
+                    "k1": np.array([[0.0, 0.0], [0.0, r]], dtype=complex),
+                    "w": w, "u": np.kron(P0, I2) + np.kron(P1, w)}
+        ops = filter_ops(theta)
+        for name, matrix in expected.items():
+            assert np.array_equal(bits(getattr(ops, name)), bits(matrix)), (theta, name)
+        assert not any(np.shares_memory(m, ops.u) for m in (ops.k0, ops.k1, ops.w))
+        assert np.array_equal(filtered_ket(theta), (tensor(pure_theta(theta), KET0).reshape(2, 4)
+                                                    @ expected["u"].T).reshape(4, 2))
     with pytest.raises(ValueError, match="theta must lie in"):
         filtered_ket(1.0)
 
