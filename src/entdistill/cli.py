@@ -134,10 +134,10 @@ def _template_rows(texts: list[str], columns: list[tuple], fmt: str) -> str:
 
 
 #: Rows from which an output is laid out as bytes, not filled into one
-#: template. The layout costs about 190 us an output plus 0.19 us a row
-#: in CSV, 260 us plus 0.47 us in JSON, the template 0.9 and 1.8 us a row:
+#: template. The layout costs about 240 us an output plus 0.15 us a row
+#: in CSV, 300 us plus 0.5 us in JSON, the template 1.0 and 1.9 us a row:
 #: on mixed_fidelity_map sweeps of 12 to 1,000 rows they break even near
-#: 170 rows in JSON and 210 in CSV; rate lists move it near 115 and 80.
+#: 160 rows in JSON and 210 in CSV; rate lists move it near 120 and 65.
 COLUMNAR_MIN_ROWS = 128
 #: Rows of one batch at most: an 8,000-row sweep in batches of up to 1,024,
 #: 2,048, 4,096 or 8,192 rows took 0.42, 0.32, 0.29 and 0.27 of the
@@ -157,7 +157,7 @@ def emit_records(records: Records, fmt: str, out) -> None:
     holds a NUL, the layout's padding: a block keeps the byte columns
     that some row of it prints, and its rows are NUL elsewhere. Any other
     output, one row included, fills one template (``_template_rows``):
-    below 80-210 rows the layout's fixed cost, 190-260 us, outweighs what
+    below 65-210 rows the layout's fixed cost, 240-300 us, outweighs what
     its kernels save.
     Each value of a coded column is formatted once. CSV floats print as
     '%.12g', JSON floats as their shortest round-trip repr, and rate
@@ -213,8 +213,8 @@ def _column_blocks(columns: list[np.ndarray], fmt: str) -> list[np.ndarray]:
     A 1-D float64 column prints as '%.12g' (``_format_g12``) in CSV and
     as its repr (``_format_repr``) in JSON, an integer column as its
     digits, a 2-D column as its rate lists (``_rate_block``). One call
-    of each kernel formats every float of ``columns`` that it takes:
-    their blocks keep the byte columns that any of them prints.
+    of each kernel formats every float of ``columns`` that it takes, and
+    each column keeps only the byte columns that its own values print.
     """
     floats = _format_g12 if fmt == "csv" else _format_repr
     kernels = [_format_g12 if column.ndim == 2 else floats if column.dtype.char == "d" else None
@@ -231,6 +231,8 @@ def _column_blocks(columns: list[np.ndarray], fmt: str) -> list[np.ndarray]:
             continue
         start = starts[kernel]
         block, starts[kernel] = chars[kernel][start:start + len(x)], start + len(x)
+        prints = np.bitwise_or.reduce(block, axis=0)  # its own byte columns: not all NUL
+        block = block if prints.all() else block[:, prints > 0]
         blocks.append(block if column.ndim == 1 else _rate_block(block, column == column))
     return blocks
 
@@ -243,10 +245,12 @@ def _rate_block(chars: np.ndarray, rates: np.ndarray) -> np.ndarray:
     of each row. Each rate's slot is its row of ``chars``, then ';' or,
     after a row's last rate, a NUL; the slots past it are NULs.
     """
-    out = np.zeros((rates.size, chars.shape[1] + 1), np.uint8)
-    at = np.flatnonzero(rates)  # each rate's slot, row after row
-    out[at, :-1], out[at, -1] = chars, ord(";")
-    out[at[np.cumsum(rates.sum(axis=1)) - 1], -1] = 0  # no ';' after a row's last rate
+    slots = np.zeros((len(chars), chars.shape[1] + 1), np.uint8)
+    slots[:, :-1] = chars
+    out = np.zeros(rates.shape, f"V{slots.shape[1]}")  # a slot as one item, placed by rates
+    out[rates] = slots.view(out.dtype)[:, 0]
+    out = out.view(np.uint8).reshape(*rates.shape, -1)
+    out[:, :-1, -1] = rates[:, 1:] * np.uint8(ord(";"))  # ';' where another rate follows
     return out.reshape(len(rates), -1)
 
 
@@ -259,7 +263,8 @@ def _rate_block(chars: np.ndarray, rates: np.ndarray) -> np.ndarray:
 # only on the sign, e and the last nonzero digit. The candidates are
 # 4-byte words: "  -0", the digits in 4-digit groups, ".000", the digits
 # again; the integer digits come from the first copy and the fraction
-# digits from the second.
+# digits from the second. A call builds only the words that the mask of
+# some row it prints keeps: for values below 1, no integer-digit word.
 _POW10 = np.array([float(10 ** k) for k in range(23)])  # exact: 5^22 < 2^53
 _DIGITS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
 _GROUP_CHARS = np.stack(np.meshgrid(*[_DIGITS] * 4, indexing="ij"), axis=-1).reshape(10_000, 4)
@@ -416,22 +421,23 @@ def _masked_digits(x: np.ndarray, e: np.ndarray, groups: list[np.ndarray], ok: n
     """The kernels' bytes: the candidate words of the digit ``groups``, masked.
 
     Each row's mask is that of its sign, e and last nonzero digit, at
-    least e (the integer digits all print). Only the byte columns that
-    the mask of some ``ok`` row keeps are returned, in order. The rows
-    not ``ok`` are ``python(v)`` for their float v, from the first
-    column on, the block padded on the right if one is longer.
+    least e (the integer digits all print). Only the words that some
+    ``ok`` row's mask keeps are built, masked and gathered to their kept
+    byte columns, in order. A row not ``ok`` is ``python(v)`` from the
+    first column on, the block padded on the right if one is longer.
     """
-    words = np.empty((len(x), 2 * len(groups) + 2), np.uint32)
-    words[:, 0], words[:, len(groups) + 1] = _SIGN_ZERO, _POINT_ZEROS
-    last = e
+    groups, last = [g.astype(np.intp) for g in groups], e
     for j, g in enumerate(groups):
-        g = g.astype(np.intp)
-        words[:, 1 + j] = words[:, len(groups) + 2 + j] = np.take(_GROUP_WORDS, g)
         last = np.maximum(last, np.take(_GROUP_LAST[j], g))
     rows = ((e + 4) * digits + last) * 2 + (x < 0)
-    words &= np.take(masks, rows, axis=0)
     used = np.bitwise_or.reduce(masks[np.flatnonzero(np.bincount(rows[ok]))], axis=0)
-    chars = words.view(np.uint8)[:, np.flatnonzero(used.view(np.uint8))]
+    kept = np.flatnonzero(used)
+    words = np.empty((len(x), len(kept)), np.uint32)
+    sources = [_SIGN_ZERO, *groups, _POINT_ZEROS, *groups]  # each candidate: a word, or a group
+    for i, k in enumerate(kept.tolist()):
+        words[:, i] = np.take(_GROUP_WORDS, sources[k]) if sources[k].ndim else sources[k]
+    words &= np.take(masks.take(kept, axis=1), rows, axis=0)
+    chars = words.view(np.uint8)[:, np.flatnonzero(used[kept].view(np.uint8))]
     bad = np.flatnonzero(~ok)
     if len(bad):
         texts = np.array([python(v) for v in x[bad].tolist()])

@@ -244,35 +244,41 @@ def test_sweep_emit_equals_the_template_emitter(argv, batches, layout_batches):
     assert all(rows <= cli.BATCH_ROWS for rows in batches)
 
 
-#: Sweeps, their batches' rows, and the most bytes a row that a batch lays out, NULs included.
+#: Sweeps, their batches' rows, the most bytes a row that a batch lays out, NULs included,
+#: and the width of some CSV columns' pieces in every batch.
 LAID_WIDTHS = {
-    # sweep_grid_csv's axes at one p
+    # sweep_grid_csv's axes at one p: the coded epsilon prints "0", "0.025", ..., "0.1"
     "grid CSV": (MAP + ["--p", "0.1", "--epsilon", "0:0.1:5", "--n", "1:4", "--m", "1:4",
-                        "--F", "0.5:0.99:100"], [4096, 3904], 100),
+                        "--F", "0.5:0.99:100"], [4096, 3904], 80, {"epsilon": 5, "F": 14}),
     # one sweep_het_json call
     "het JSON": (MAP + ["--het-band", "0.025", "0.175", "--epsilon", "0.05", "--n", "1:4",
                         "--m", "1:4", "--F", "0.55:0.95:25", "--draws", "5", "--seed", "3",
-                        "--format", "json"], [2000], 340),
+                        "--format", "json"], [2000], 333, {}),
 }
 
 
-@pytest.mark.parametrize("argv,batches,most", LAID_WIDTHS.values(), ids=LAID_WIDTHS)
-def test_batches_lay_out_only_the_byte_columns_they_use(argv, batches, most, monkeypatch,
-                                                        capsys):
-    """Each float block keeps the byte columns that its values print: the pieces of a
-    batch are at most ``most`` bytes a row in all (159 and 558 if padded to the widest
-    string that each kernel can print)."""
+@pytest.mark.parametrize("argv,batches,most,pieces", LAID_WIDTHS.values(), ids=LAID_WIDTHS)
+def test_batches_lay_out_only_the_byte_columns_they_use(argv, batches, most, pieces,
+                                                        monkeypatch, capsys):
+    """Each float block keeps the byte columns that its own values print: the pieces of
+    a batch are at most ``most`` bytes a row in all (159 and 558 if padded to the widest
+    string that each kernel can print, 91 and 335 if each kernel call's columns shared
+    the byte columns that any of them prints)."""
     widths, write_batch = [], cli._write_batch
 
     def spy(pieces, out):
-        widths.append((len(pieces[0]), sum(piece.shape[1] for piece in pieces)))
+        widths.append((len(pieces[0]), [piece.shape[1] for piece in pieces]))
         return write_batch(pieces, out)
 
     monkeypatch.setattr(cli, "_write_batch", spy)
     assert cli.main(["sweep", *argv]) == 0
     capsys.readouterr()
     assert [rows for rows, _ in widths] == batches
-    assert all(width <= most for _, width in widths), widths
+    assert all(sum(laid) <= most for _, laid in widths), widths
+    records = cli._sweep_records(cli.build_parser().parse_args(["sweep", *argv]))
+    names = [f for f in cli.FIELD_ORDER if f in records.columns]  # a CSV row's column order
+    for field, width in pieces.items():  # column j is piece 2 j + 1, between two texts
+        assert [laid[2 * names.index(field) + 1] for _, laid in widths] == [width] * len(batches)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -419,6 +425,21 @@ def test_chunks_of_one_field_set_take_the_byte_layout(records, min_rows, cap):
     nul = any("\0" in str(c) for c in records.constants.values())
     assert bool(batches["csv"]) == (kinded and not nul)
     assert bool(batches["json"]) == kinded
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables())
+def test_each_float_block_keeps_only_the_byte_columns_it_prints(records):
+    """A 1-D float column's block from ``_column_blocks`` holds each value's string and
+    no all-NUL byte column, though a kernel call formats every float column at once."""
+    columns = [values for values, _ in records.columns.values()
+               if values.ndim == 2 or values.dtype.char == "d" or values.dtype.kind in "iu"]
+    for fmt, python in (("csv", "%.12g".__mod__), ("json", json.dumps)):
+        for values, block in zip(columns, cli._column_blocks(columns, fmt)):
+            if values.ndim == 1 and values.dtype.char == "d":
+                assert block.any(axis=0).all()
+                assert ([bytes(row).replace(b"\0", b"").decode() for row in block]
+                        == list(map(python, values.tolist())))
 
 
 @settings(max_examples=200, deadline=None)
