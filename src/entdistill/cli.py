@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from itertools import product
 from pathlib import Path
@@ -468,13 +469,25 @@ def _out(args) -> str | None:
     return None if args.out == "-" else args.out
 
 
+def _rewrite(path, records: Records, fmt: str) -> None:
+    """Emit records over the file at ``path`` in place and cut a regular file to their bytes:
+    no O_TRUNC, as truncating at open costs several times writing over cached pages. The cut
+    runs even if the emit raises, so the file never holds new bytes and then the old one's tail."""
+    with open(path, "w", newline="\n",
+              opener=lambda name, flags: os.open(name, flags & ~os.O_TRUNC, 0o666)) as fh:
+        try:
+            emit_records(records, fmt, fh)
+        finally:
+            if os.path.isfile(fh.fileno()):  # not /dev/null, a FIFO or a terminal
+                fh.truncate()
+
+
 def _write(records: Records, args) -> int:
-    """Emit records to ``--out`` (stdout when absent or '-'); returns exit code 0."""
+    """Emit records to ``--out`` (stdout if absent or '-'), rewritten in place to exactly them."""
     if (path := _out(args)) is None:
         emit_records(records, args.format, sys.stdout)
     else:
-        with open(path, "w", newline="\n") as fh:
-            emit_records(records, args.format, fh)
+        _rewrite(path, records, args.format)
     return 0
 
 
@@ -716,8 +729,7 @@ def cmd_tables(args) -> int:
     ext = "json" if args.format == "json" else "csv"
     for name, recs in table_records():
         path = outdir / f"{name}.{ext}"
-        with open(path, "w", newline="\n") as fh:
-            emit_records(recs, args.format, fh)
+        _rewrite(path, recs, args.format)
         print(f"wrote {path}", file=sys.stderr)
     return 0
 

@@ -2,9 +2,13 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import io
 import json
+import os
 import shutil
+import stat
+import threading
 from itertools import product
 from unittest import mock
 
@@ -14,6 +18,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import reference
+from test_golden import TABLES_SHA256
 
 from entdistill import cli, distill_mixed, distill_pure, noise
 from entdistill.distill_mixed import distill_map, lower_bound, lower_bound_limit, parity_weights
@@ -696,6 +701,119 @@ def test_tables_to_stdout_is_a_usage_error_that_writes_nothing(tmp_path, monkeyp
     assert err.splitlines()[-1] == ("entdistill: error: tables writes five files: "
                                     "--out must name a directory, not '-'")
     assert list(tmp_path.iterdir()) == []
+
+
+#: A sweep on the template path and one on the byte layout (``COLUMNAR_MIN_ROWS`` rows or more).
+REWRITTEN = {
+    "template": ["sweep", "--quantity", "povm_fidelity", "--p", "0.1", "--n", "1:3"],
+    "layout": [*MAP, "--p", "0.1", "--epsilon", "0,0.05", "--n", "1:4", "--m", "1:2",
+               "--F", "0:1:20"],
+}
+#: An old ``--out`` file longer than any output here, of a byte that no output prints.
+OLD_OUT = "~" * 200_000
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", REWRITTEN.values(), ids=REWRITTEN)
+def test_out_over_a_longer_file_holds_exactly_the_new_bytes(argv, fmt, tmp_path, capsys):
+    """An existing file is written over in place and cut: no byte of its old tail stays."""
+    code, expected, _ = run_cli([*argv, "--format", fmt], capsys)
+    rows = len(expected.splitlines()) - (fmt == "csv")
+    assert code == 0 and len(expected) < len(OLD_OUT)
+    assert (rows >= cli.COLUMNAR_MIN_ROWS) == (argv is REWRITTEN["layout"])
+    path = tmp_path / "out"
+    path.write_text(OLD_OUT)
+    assert run_cli([*argv, "--format", fmt, "--out", str(path)], capsys) == (0, "", "")
+    assert path.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_tables_over_longer_files_match_goldens(fmt, tmp_path, capsys):
+    names = [k for k in TABLES_SHA256 if k.endswith("." + fmt)]
+    for name in names:
+        (tmp_path / name).write_text(OLD_OUT)
+    assert run_cli(["tables", "--out", str(tmp_path), "--format", fmt], capsys)[0] == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == {name: TABLES_SHA256[name] for name in names}
+
+
+def test_out_keeps_a_files_mode_and_gives_a_new_file_opens_mode(tmp_path, capsys):
+    """An existing file keeps its permission bits; a new one gets 0o666 & ~umask, as with open."""
+    argv = REWRITTEN["template"]
+    old, new, opened = tmp_path / "old.csv", tmp_path / "new.csv", tmp_path / "opened.csv"
+    old.write_text(OLD_OUT)
+    old.chmod(0o600)
+    umask = os.umask(0o027)
+    try:
+        assert run_cli([*argv, "--out", str(old)], capsys)[0] == 0
+        assert run_cli([*argv, "--out", str(new)], capsys)[0] == 0
+        open(opened, "w").close()
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(old.stat().st_mode) == 0o600
+    assert stat.S_IMODE(new.stat().st_mode) == stat.S_IMODE(opened.stat().st_mode) == 0o640
+
+
+def test_out_to_the_null_device_exits_0(capsys):
+    """The null device is written, not cut."""
+    for argv in REWRITTEN.values():
+        assert run_cli([*argv, "--out", os.devnull], capsys) == (0, "", "")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+def test_out_to_a_fifo_writes_the_output(tmp_path, capsys):
+    """A FIFO is written, not cut, and its reader reads exactly the output."""
+    argv = REWRITTEN["layout"]
+    expected = run_cli(argv, capsys)[1].encode()
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert run_cli([*argv, "--out", str(fifo)], capsys) == (0, "", "")
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert got == [expected]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_an_interrupted_out_leaves_no_byte_of_a_longer_old_file(fmt, tmp_path, capsys,
+                                                                monkeypatch):
+    """An emit that raises after its first batch leaves a prefix of the new output, and
+    none of the old file's tail after it."""
+    argv = [*REWRITTEN["layout"], "--format", fmt]
+    expected = run_cli(argv, capsys)[1]
+    path = tmp_path / "out"
+    path.write_text(OLD_OUT)
+    write_batch = cli._write_batch
+
+    def first_batch_then_fail(pieces, out):
+        write_batch(pieces, out)
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(cli, "BATCH_ROWS", 64)
+    monkeypatch.setattr(cli, "_write_batch", first_batch_then_fail)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        cli.main([*argv, "--out", str(path)])
+    got = path.read_text()
+    assert 0 < len(got) < len(expected) and expected.startswith(got)
+
+
+@pytest.mark.parametrize("target", ["file/x.csv", "directory", "read-only"])
+def test_out_that_cannot_be_opened_reports_opens_error(target, tmp_path, capsys):
+    """ENOTDIR, EISDIR and EACCES print open's own error text."""
+    (tmp_path / "file").write_text("")
+    (tmp_path / "directory").mkdir()
+    (tmp_path / "read-only").write_text("")
+    (tmp_path / "read-only").chmod(0o444)
+    path = str(tmp_path / target)
+    try:
+        open(path, "w").close()
+    except OSError as exc:
+        error = f"error: {exc}\n"
+    else:
+        pytest.skip("this user may write a read-only file")
+    assert run_cli(["povm-purify", "--p", "0.1", "--out", path], capsys) == (1, "", error)
 
 
 #: Every usage error exercised above, gathered in one list.
