@@ -472,7 +472,7 @@ def _out(args) -> str | None:
 def _rewrite(path, records: Records, fmt: str) -> None:
     """Emit records over the file at ``path`` in place and cut a regular file to their bytes:
     no O_TRUNC, as truncating at open costs several times writing over cached pages. The cut
-    runs even if the emit raises, so the file never holds new bytes and then the old one's tail."""
+    runs even if the emit raises; a killed process skips it and can leave the old file's tail."""
     with open(path, "w", newline="\n",
               opener=lambda name, flags: os.open(name, flags & ~os.O_TRUNC, 0o666)) as fh:
         try:

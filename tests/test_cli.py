@@ -423,19 +423,38 @@ def test_out_file_writing(tmp_path, capsys):
     assert text.endswith("\n") and "\r" not in text
 
 
-@pytest.mark.parametrize("argv", [
-    ["tables"],
-    ["sweep", "--quantity", "lower_bound", "--p", "0.1"],
-    ["distill-mixed", "--F", "0.7", "--p", "0.1"],
-    ["distill-pure", "--theta", "0.3", "--p", "0.1"],
-    ["povm-purify", "--p", "0.1"],
-], ids=lambda argv: argv[0])
-def test_out_that_cannot_be_written_exits_1(argv, tmp_path, capsys):
-    blocker = tmp_path / "file"
-    blocker.write_text("")
-    code, out, err = run_cli(argv + ["--out", str(blocker / "x.csv")], capsys)
+#: (argv, target): every command under a file (ENOTDIR); a file command at a directory (EISDIR)
+#: and at a read-only file (EACCES).
+UNWRITABLE_OUT = [
+    *(pytest.param(argv, "file/x.csv", id=argv[0]) for argv in [
+        ["tables"],
+        ["sweep", "--quantity", "lower_bound", "--p", "0.1"],
+        ["distill-mixed", "--F", "0.7", "--p", "0.1"],
+        ["distill-pure", "--theta", "0.3", "--p", "0.1"],
+        ["povm-purify", "--p", "0.1"],
+    ]),
+    *(pytest.param(["povm-purify", "--p", "0.1"], target, id=f"povm-purify-{target}")
+      for target in ["directory", "read-only"]),
+]
+
+
+@pytest.mark.parametrize("argv,target", UNWRITABLE_OUT)
+def test_out_that_cannot_be_written_exits_1(argv, target, tmp_path, capsys):
+    """Each exits 1 and prints ``error: ``; a one-file command prints open's own text."""
+    (tmp_path / "file").write_text("")
+    (tmp_path / "directory").mkdir()
+    (tmp_path / "read-only").write_text("")
+    (tmp_path / "read-only").chmod(0o444)
+    path = str(tmp_path / target)
+    code, out, err = run_cli(argv + ["--out", path], capsys)
+    if target == "read-only" and code == 0:
+        pytest.skip("this user may write a read-only file")
     assert (code, out) == (1, "")
     assert err.startswith("error: ")
+    if argv[0] != "tables":
+        with pytest.raises(OSError) as exc:
+            open(path, "w")
+        assert err == f"error: {exc.value}\n"
 
 
 def _usage_error(argv, flag, capsys):
@@ -797,23 +816,6 @@ def test_an_interrupted_out_leaves_no_byte_of_a_longer_old_file(fmt, tmp_path, c
         cli.main([*argv, "--out", str(path)])
     got = path.read_text()
     assert 0 < len(got) < len(expected) and expected.startswith(got)
-
-
-@pytest.mark.parametrize("target", ["file/x.csv", "directory", "read-only"])
-def test_out_that_cannot_be_opened_reports_opens_error(target, tmp_path, capsys):
-    """ENOTDIR, EISDIR and EACCES print open's own error text."""
-    (tmp_path / "file").write_text("")
-    (tmp_path / "directory").mkdir()
-    (tmp_path / "read-only").write_text("")
-    (tmp_path / "read-only").chmod(0o444)
-    path = str(tmp_path / target)
-    try:
-        open(path, "w").close()
-    except OSError as exc:
-        error = f"error: {exc}\n"
-    else:
-        pytest.skip("this user may write a read-only file")
-    assert run_cli(["povm-purify", "--p", "0.1", "--out", path], capsys) == (1, "", error)
 
 
 #: Every usage error exercised above, gathered in one list.
