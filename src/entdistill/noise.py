@@ -116,7 +116,7 @@ def noisy_povm_element(outcome: int, p: float) -> np.ndarray:
     return m
 
 
-#: The most qubits ``depolarized_cnot_apply`` takes: the register of the largest gadget.
+#: The most qubits ``depolarized_cnot_apply`` takes; the oracle's largest register has 5.
 MAX_QUBITS = 6
 
 

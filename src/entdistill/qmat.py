@@ -7,13 +7,15 @@ follows the usual binary-string convention: the leftmost qubit label is
 the most significant bit, so ``tensor(a, b)`` puts ``a`` on the high
 bits.
 
-Registers stay small (at most 10 qubits, 1024 x 1024), so states are
-stored densely. Channels on a register need not be: the oracle applies
-them on qubit axes (an index permutation, a sum over diagonal blocks, a
-contraction with one POVM element) instead of building 2^n x 2^n
-operators. The library calls neither ``embed_op`` nor ``permute_qubits``;
-they stay as dense references for the tests, whose other references
-(partial trace, conjugation, state validation) are in tests/reference.py.
+Registers stay small, so states are stored densely: the oracle folds
+each ancilla's readout in right after its one CNOT, so its largest
+register has 5 qubits (32 x 32) at any depth. Channels on a register
+need not be dense: the oracle applies them on qubit axes (an index
+permutation, a sum over diagonal blocks, a contraction with one POVM
+element) instead of building 2^n x 2^n operators. The library calls
+neither ``embed_op`` nor ``permute_qubits``; they stay as dense
+references for the tests, whose other references (partial trace,
+conjugation, state validation) are in tests/reference.py.
 """
 
 from __future__ import annotations

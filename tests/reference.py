@@ -190,9 +190,9 @@ def oracle_mixed_post_state_direct(f: float, p_a: Sequence[float], p_b: Sequence
     ``mixed_register(f)`` beside a |0><0| projector per ancilla, every
     fan-out CNOT applied to the whole register and every qubit measured
     at the end, where the library measures each ancilla right after its
-    CNOT on a stack of 5-qubit registers. The measurement is this
-    function's own contraction, tr_rest[rho (I_4 x element)], not the
-    library's.
+    CNOT on two 5-qubit registers, one per unanimous outcome. The
+    measurement is this function's own contraction,
+    tr_rest[rho (I_4 x element)], not the library's.
     """
     n, m = len(p_a), len(p_b)
     nq = 4 + (n - 1) + (m - 1)
